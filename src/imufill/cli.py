@@ -10,6 +10,7 @@ checkpoint, pose stream, or JSON report). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -176,44 +177,45 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path, tree):
-    cfg, params, schedule = df.load_checkpoint(path, tree)
-    return cfg, params, schedule
+def _session(args, tree, config: ft.SensorConfig, height: float, measurements,
+             **options) -> tuple[inf.Reconstructor, list[inf.StepResult]]:
+    """Load --ckpt, build the Reconstructor and step it through the
+    measurements: the one session path of `reconstruct` and `bench`."""
+    cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
+    spread = inf.StepSpread.parse(args.spread, schedule.T)
+    recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=height,
+                              spread=spread, seed=args.seed, **options)
+    return recon, inf.run_session(recon, measurements)
+
+
+def _stream_measurements(frames):
+    ingestor = inf.StreamIngestor()
+    for fr in frames:
+        for im in ingestor.push(fr):
+            yield im.measurement
+    for im in ingestor.finish():
+        yield im.measurement
 
 
 def cmd_reconstruct(args) -> int:
     tree = default_tree()
-    cfg, params, schedule = _load_model(args.ckpt, tree)
     config = ft.SensorConfig.parse(args.config)
-    spread = inf.StepSpread.parse(args.spread, schedule.T)
     src = Path(args.input)
     if src.suffix == ".imfd" or _looks_like_dataset(src):
-        trials = dg.load_dataset(src)
-        trial = _pick_trial(trials, args.trial)
-        height = args.height or trial.motion.height
-        recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=height,
-                                  spread=spread, seed=args.seed, variant=args.variant,
-                                  root_correction=not args.no_root_correction)
-        recon.cold_start()
-        results = [recon.step(m) for m in inf.measurements_from_trial(trial, config)]
+        trial = _pick_trial(dg.load_dataset(src), args.trial)
+        height = trial.motion.height if args.height is None else args.height
+        measurements = inf.measurements_from_trial(trial, config)
     else:
         if args.height is None:
             raise inf.InferenceError("--height is required for stream input")
-        frames = inf.parse_stream_file(src)
-        ing = inf.StreamIngestor()
-        measurements = []
-        for fr in frames:
-            measurements.extend(ing.push(fr))
-        measurements.extend(ing.finish())
-        recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=args.height,
-                                  spread=spread, seed=args.seed, variant=args.variant,
-                                  root_correction=not args.no_root_correction)
-        recon.cold_start()
-        results = [recon.step(m.measurement) for m in measurements]
+        height = args.height
+        measurements = _stream_measurements(inf.parse_stream_file(src))
+    recon, results = _session(args, tree, config, height, measurements, variant=args.variant,
+                              root_correction=not args.no_root_correction)
     inf.write_pose_stream(args.out, tree, results)
-    lat = recon.latency_percentiles()
+    lat = inf.latency_percentiles(results)
     print(f"reconstructed {len(results)} frames -> {args.out} "
-          f"(config {config.label()}, {len(spread)} steps, "
+          f"(config {config.label()}, {len(recon.spread)} steps, "
           f"latency p50 {lat['p50']:.1f} ms / p95 {lat['p95']:.1f} ms)")
     return 0
 
@@ -263,7 +265,7 @@ def _fmt(v):
 
 def cmd_sweep(args) -> int:
     tree = default_tree()
-    cfg, params, schedule = _load_model(args.ckpt, tree)
+    cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
     trials = dg.load_dataset(args.data)
     if args.trials > 0:
         trials = trials[: args.trials]
@@ -282,28 +284,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.frames < 1:
+        raise inf.InferenceError(f"--frames must be at least 1, got {args.frames}")
     tree = default_tree()
-    cfg, params, schedule = _load_model(args.ckpt, tree)
     config = ft.SensorConfig.parse(args.config)
-    spread = inf.StepSpread.parse(args.spread, schedule.T)
     m = dg.generate_motion("gait", seed=123, duration_s=max(args.frames / 20.0 + 1, 2.0),
                            speed=1.2, trial_id="bench")
     trial = dg.make_trial(m, tree)
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config,
-                              height=trial.motion.height, spread=spread, seed=args.seed)
-    recon.cold_start()
-    meas = list(inf.measurements_from_trial(trial, config))
-    n = min(args.frames, len(meas))
-    for k in range(n):
-        recon.step(meas[k])
-    lat = recon.latency_percentiles()
+    measurements = itertools.islice(inf.measurements_from_trial(trial, config), args.frames)
+    recon, results = _session(args, tree, config, trial.motion.height, measurements)
+    cfg, n = recon.cfg, len(results)
+    lat = inf.latency_percentiles(results)
     payload = {
         "kind": "bench", "model": cfg.label(), "params": df.param_count(cfg),
-        "spread_steps": len(spread), "frames": n,
+        "spread_steps": len(recon.spread), "frames": n,
         "p50_ms": lat["p50"], "p95_ms": lat["p95"],
         "budget_ms": 50.0,
     }
-    print(f"bench {cfg.label()} ({df.param_count(cfg):,} params), {len(spread)}-step spread, "
+    print(f"bench {cfg.label()} ({df.param_count(cfg):,} params), {len(recon.spread)}-step spread, "
           f"{n} frames: p50 {lat['p50']:.1f} ms, p95 {lat['p95']:.1f} ms "
           f"({'within' if lat['p95'] < 50.0 else 'OVER'} the 50 ms budget)")
     if args.out:

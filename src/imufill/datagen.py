@@ -38,7 +38,6 @@ from .kinematics import (
 RAW_RATE_HZ = 60.0
 DECIMATION = 3  # 60 Hz -> 20 Hz
 SMOOTH_WINDOW = 11  # frames at 60 Hz, centered: 5 past + current + 5 future
-SMOOTH_LATENCY_FRAMES = SMOOTH_WINDOW // 2
 CONTACT_SPEED_THRESHOLD = 0.3  # m/s, label = speed strictly below
 ENERGY_FLOOR_FRACTION = 0.01   # epsilon = 1% of corpus mean energy
 

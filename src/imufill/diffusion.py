@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -256,22 +256,6 @@ def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
     return out
 
 
-def denoise(cfg: DenoiserConfig, params: dict[str, Tensor], z: np.ndarray,
-            t: int, h: float, schedule: DiffusionSchedule | None = None) -> np.ndarray:
-    """Single-window denoise: (61, 190) -> predicted clean (61, 190)."""
-    z = np.asarray(z)
-    if z.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
-        raise tt.ContractError(f"z shape {z.shape} != ({ft.WINDOW_LEN}, {ft.FRAME_DIM})")
-    if not np.isfinite(z).all():
-        raise tt.ContractError("non-finite values in denoiser input")
-    if schedule is not None and not (0 <= t <= schedule.T):
-        raise tt.ContractError(f"step {t} outside [0, {schedule.T}]")
-    if h <= 0:
-        raise tt.ContractError(f"height must be positive, got {h}")
-    out = denoiser_forward(cfg, params, z[None], np.array([t]), np.array([h]))
-    return out.data[0]
-
-
 # -- differentiable feature-space kinematics --------------------------------
 
 
@@ -469,7 +453,6 @@ class TrainConfig:
     steps: int = 2000
     batch: int = 16
     lr: float = 1e-4
-    lr_final_fraction: float = 1.0  # 1.0 = constant; <1 enables cosine decay
     betas: tuple[float, float] = (0.9, 0.999)
     seed: int = 0
     T: int = DEFAULT_T
@@ -482,11 +465,8 @@ class TrainConfig:
         return {"float32": np.float32, "float64": np.float64}[self.dtype]
 
     def lr_at(self, step: int) -> float:
-        if self.lr_final_fraction >= 1.0:
-            return self.lr
-        lo = self.lr * self.lr_final_fraction
-        cos = 0.5 * (1 + math.cos(math.pi * step / max(self.steps - 1, 1)))
-        return lo + (self.lr - lo) * cos
+        """Learning rate for a step; the schedule is constant."""
+        return self.lr
 
 
 @dataclass

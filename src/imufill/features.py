@@ -13,8 +13,10 @@ Per-frame layout, fixed and asserted once here, reused everywhere:
                             {0,1} in ground truth, [0,1] for predictions
 
 A window is 61 consecutive frames at 20 Hz plus the subject height
-condition. Masks mark observed channels with 1 (frozen during
-inpainting) and generated channels with 0.
+condition. Each step's inpainting mask comes from `apply_observation`:
+1 marks a channel frozen during inpainting (every history frame, and
+the last frame's channels that a sensor measured this step), 0 a
+generated one.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class SensorConfig:
     def __post_init__(self):
         if len(set(self.imu_sites)) != len(self.imu_sites):
             raise FeatureError(f"duplicate sites in config: {self.imu_sites}")
+        unknown = [n for n in self.imu_sites if n not in ALL_SITES]
+        if unknown:
+            raise FeatureError(f"unknown sites in config: {unknown}; known: {ALL_SITES}")
 
     @property
     def n_sensors(self) -> int:
@@ -101,18 +106,6 @@ ALL_SITES = (
 )
 
 SIX_IMU_SITES = ("pelvis", "head", "wrist_l", "wrist_r", "shank_l", "shank_r")
-
-
-@dataclass(frozen=True)
-class FeatureWindow:
-    frames: np.ndarray  # (61, 190)
-    height: float       # subject height, meters
-
-    def __post_init__(self):
-        if self.frames.shape != (WINDOW_LEN, FRAME_DIM):
-            raise FeatureError(f"window shape {self.frames.shape} != ({WINDOW_LEN}, {FRAME_DIM})")
-        if self.height <= 0:
-            raise FeatureError(f"subject height must be positive, got {self.height}")
 
 
 @dataclass(frozen=True)
@@ -177,30 +170,6 @@ def decode_frames(
     root[:, 1] = frames[:, PY_OFF]
     contacts = frames[:, B_OFF:B_OFF + B_LEN]
     return locals_, root, contacts
-
-
-def observed_channel_mask(tree: KinematicTree, config: SensorConfig) -> np.ndarray:
-    """(190,) float mask of channels a sensor config observes in a frame."""
-    m = np.zeros(FRAME_DIM, dtype=np.float64)
-    site_by_name = {n: i for i, n in enumerate(tree.site_names)}
-    for name in config.imu_sites:
-        if name not in site_by_name:
-            raise FeatureError(f"unknown site {name!r}; known: {tree.site_names}")
-        s = site_by_name[name]
-        seg = int(tree.site_segments[s])
-        m[seg_r_slice(seg)] = 1.0
-        m[site_a_slice(s)] = 1.0
-    if config.insoles:
-        m[B_OFF:B_OFF + B_LEN] = 1.0
-    return m
-
-
-def build_inference_mask(tree: KinematicTree, config: SensorConfig) -> np.ndarray:
-    """(61, 190) inpainting mask: history frozen, last frame frozen only
-    where the config observes. Pure function of the config."""
-    mask = np.ones((WINDOW_LEN, FRAME_DIM), dtype=np.float64)
-    mask[-1] = observed_channel_mask(tree, config)
-    return mask
 
 
 def measurement_channels(tree: KinematicTree, meas: Measurement) -> tuple[np.ndarray, np.ndarray]:

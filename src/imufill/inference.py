@@ -33,11 +33,12 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as ft
+from .datagen import DECIMATION, SMOOTH_WINDOW
 from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .kinematics import (
     KinematicTree,
@@ -123,7 +124,12 @@ class StepSpread:
         if text.isdigit():
             return StepSpread.like_10d(int(text), T)
         sep = "/" if "/" in text else ","
-        return StepSpread(tuple(int(x) for x in text.split(sep)))
+        try:
+            steps = tuple(int(x) for x in text.split(sep))
+        except ValueError:
+            raise SpreadError(f"bad spread {text!r}: expected a step count, a preset "
+                              "(10A..10D) or a descending list of step indices") from None
+        return StepSpread(steps)
 
 
 def inpaint_denoise(
@@ -250,10 +256,11 @@ class Reconstructor:
         seed: int = 0,
         variant: str = "renoise",
         root_correction: bool = True,
-        dtype=np.float32,
     ):
+        if not (np.isfinite(height) and height > 0):
+            raise ft.FeatureError(f"subject height must be finite and positive, got {height}")
         self.cfg = model_cfg
-        self.fast = params if isinstance(params, FastDenoiser) else FastDenoiser(model_cfg, params, dtype=dtype)
+        self.fast = params if isinstance(params, FastDenoiser) else FastDenoiser(model_cfg, params)
         self.schedule = schedule
         self.tree = tree
         self.scaled_tree = tree.scaled(height)
@@ -268,7 +275,6 @@ class Reconstructor:
         self.window: np.ndarray | None = None
         self.frame_index = 0
         self.root_xz = np.zeros(2)
-        self.latencies_ms: list[float] = []
 
     def cold_start(self, measurement: ft.Measurement | None = None) -> None:
         """Fill the window with a neutral standing frame; write the first
@@ -279,7 +285,6 @@ class Reconstructor:
             self.window, _ = ft.apply_observation(self.window, measurement, self.tree, self.config)
         self.frame_index = 0
         self.root_xz = np.zeros(2)
-        self.latencies_ms = []
 
     def step(self, measurement: ft.Measurement | None = None) -> StepResult:
         """Consume one 20 Hz observation (None = total signal loss)."""
@@ -298,10 +303,8 @@ class Reconstructor:
         pose, contacts = self._decode(emitted)
         self.window = np.concatenate([x_input[:-1], emitted[None]], axis=0)
         self.frame_index += 1
-        latency = (time.perf_counter() - t0) * 1e3
-        self.latencies_ms.append(latency)
         return StepResult(pose=pose, frame=emitted, contacts=contacts,
-                          latency_ms=latency, index=self.frame_index - 1)
+                          latency_ms=(time.perf_counter() - t0) * 1e3, index=self.frame_index - 1)
 
     def _decode(self, frame: np.ndarray) -> tuple[Pose, np.ndarray]:
         g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
@@ -312,11 +315,19 @@ class Reconstructor:
         contacts = np.clip(frame[ft.B_OFF:ft.B_OFF + ft.B_LEN], 0.0, 1.0)
         return Pose(rotations=locals_, root_position=root), contacts
 
-    def latency_percentiles(self) -> dict[str, float]:
-        if not self.latencies_ms:
-            return {"p50": float("nan"), "p95": float("nan")}
-        arr = np.array(self.latencies_ms)
-        return {"p50": float(np.percentile(arr, 50)), "p95": float(np.percentile(arr, 95))}
+
+def run_session(recon: Reconstructor, measurements) -> list[StepResult]:
+    """Cold-start a session, then step it once per 20 Hz measurement."""
+    recon.cold_start()
+    return [recon.step(m) for m in measurements]
+
+
+def latency_percentiles(results: list[StepResult]) -> dict[str, float]:
+    """p50 and p95 of the results' step latencies, in ms (NaN when empty)."""
+    if not results:
+        return {"p50": float("nan"), "p95": float("nan")}
+    arr = np.array([r.latency_ms for r in results])
+    return {"p50": float(np.percentile(arr, 50)), "p95": float(np.percentile(arr, 95))}
 
 
 # -- measurement sources -------------------------------------------------
@@ -328,7 +339,7 @@ def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | N
     sensors lost that frame."""
     T = trial.motion.n_frames
     orient6d = encode_rot6d(trial.site_rotations)  # (T, 13, 6)
-    site_idx = {n: i for i, n in enumerate(ALL_SITE_NAMES)}
+    site_idx = {n: i for i, n in enumerate(ft.ALL_SITES)}
     for k in range(T):
         if drop is not None and drop[k]:
             yield ft.Measurement()
@@ -341,17 +352,11 @@ def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | N
         yield m
 
 
-ALL_SITE_NAMES = ft.ALL_SITES
-
-
 def reconstruct_trial(recon: Reconstructor, trial, config: ft.SensorConfig,
                       drop: np.ndarray | None = None) -> tuple["np.ndarray", "np.ndarray", list[StepResult]]:
     """Cold-start + step through a trial; returns (local rotations
     (T,24,3,3), root positions (T,3), per-step results)."""
-    results = []
-    recon.cold_start()
-    for meas in measurements_from_trial(trial, config, drop=drop):
-        results.append(recon.step(meas))
+    results = run_session(recon, measurements_from_trial(trial, config, drop=drop))
     rot = np.stack([r.pose.rotations for r in results])
     root = np.stack([r.pose.root_position for r in results])
     return rot, root, results
@@ -371,24 +376,24 @@ class StreamFrame:
 class IngestedMeasurement:
     t_ms: float
     measurement: ft.Measurement
-    latency_frames: int = 5  # centered filter needs 5 future frames (~83 ms)
+    latency_frames: int = SMOOTH_WINDOW // 2  # future 60 Hz frames the centered filter waits for
 
 
 class StreamIngestor:
     """60 Hz sensor records -> 20 Hz Measurements.
 
-    Accelerations get the centered 11-frame moving average (windows with
-    dropped frames average over what is present); both channels are
-    decimated by 3. A site absent at a decimation instant is dropped
+    Accelerations get the centered SMOOTH_WINDOW-frame moving average
+    (windows with dropped frames average over what is present); both
+    channels are decimated by DECIMATION. Both constants come from
+    `datagen`, so live input is filtered exactly as the training signals
+    were synthesized. A site absent at a decimation instant is dropped
     from that Measurement. Out-of-order timestamps are discarded with a
-    warning. Output lags input by 5 raw frames.
+    warning. Output lags input by SMOOTH_WINDOW // 2 raw frames.
     """
 
-    def __init__(self, smooth_window: int = 11, decimation: int = 3):
-        if smooth_window % 2 != 1:
-            raise ValueError("smoothing window must be odd")
-        self.half = smooth_window // 2
-        self.decimation = decimation
+    half = SMOOTH_WINDOW // 2
+
+    def __init__(self):
         self.frames: list[StreamFrame] = []
         self.last_ms = -np.inf
         self.next_out = 0  # index of next decimation instant
@@ -413,7 +418,7 @@ class StreamIngestor:
             if not final and center + self.half >= n:
                 break
             out.append(self._emit(center))
-            self.next_out += self.decimation
+            self.next_out += DECIMATION
         return out
 
     def _emit(self, center: int) -> IngestedMeasurement:
@@ -435,7 +440,7 @@ class StreamIngestor:
             acc = np.mean(acc_parts, axis=0)
             meas.site_orient6d[name] = encode_rot6d(quat_to_rot(np.asarray(quat, float)))
             meas.site_accel[name] = acc
-        return IngestedMeasurement(t_ms=ref.t_ms, measurement=meas, latency_frames=self.half)
+        return IngestedMeasurement(t_ms=ref.t_ms, measurement=meas)
 
 
 # -- JSONL wire formats ------------------------------------------------------

@@ -153,12 +153,6 @@ def _jitter(joints: np.ndarray, rate: float) -> float:
     return float(np.linalg.norm(jerk, axis=-1).mean())
 
 
-def sequence_jitter(motion: MotionSequence, tree: KinematicTree) -> float:
-    """Absolute jitter statistic of a sequence (used for corpus baselines)."""
-    fk = forward_kinematics(tree.scaled(motion.height), motion.rotations, motion.root_positions)
-    return _jitter(fk.joints[:, _included(tree)], motion.rate)
-
-
 def aggregate_reports(reports: list[MetricsReport]) -> dict:
     """Mean plus worst-trial value per metric (None-aware for RE)."""
     if not reports:

@@ -259,16 +259,6 @@ def ttanh(a) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return Tensor._make(out, (a,), vjp)
-
-
 def gelu(a) -> Tensor:
     """tanh-approximated GELU; smooth everywhere so FD checks behave."""
     a = _as_tensor(a)
@@ -533,25 +523,6 @@ def adam_step(
 
 
 # -- finite differences -------------------------------------------------
-
-
-def finite_difference_grad(f: Callable[[], float], x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar f() w.r.t. every entry of x.
-
-    Perturbs x in place and restores it; f must read the live array.
-    """
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f()
-        flat[i] = orig - h
-        fm = f()
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g
 
 
 @dataclass

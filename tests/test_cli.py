@@ -118,6 +118,39 @@ def test_reconstruct_stream_requires_height(workdir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--config", "foo", "FeatureError"),
+    ("--spread", "foo", "SpreadError"),
+    ("--height", "0", "FeatureError"),
+    ("--height", "-1", "FeatureError"),
+    ("--height", "nan", "FeatureError"),
+])
+def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag, value, error):
+    argv = {"--ckpt": str(workdir / "tiny.imfc"), "--config": "pelvis", "--spread": "3",
+            "--in": str(workdir / "corpus.imfd"), "--trial": "stationary-001",
+            "--out": str(tmp_path / "o.jsonl")}
+    argv[flag] = value
+    rc = cli.main(["reconstruct"] + [x for kv in argv.items() for x in kv])
+    assert rc == 1
+    assert f"error ({error})" in capsys.readouterr().err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_reconstruct_stream_rejects_bad_height(workdir, tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    stream.write_text('{"format": "imu-stream", "version": 1, "rate_hz": 60}\n')
+    rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                   "--in", str(stream), "--height", "0", "--out", str(tmp_path / "o.jsonl")])
+    assert rc == 1
+    assert "error (FeatureError)" in capsys.readouterr().err
+
+
+def test_bench_rejects_nonpositive_frames(workdir, capsys):
+    rc = cli.main(["bench", "--ckpt", str(workdir / "tiny.imfc"), "--frames", "0"])
+    assert rc == 1
+    assert "error (InferenceError)" in capsys.readouterr().err
+
+
 def test_evaluate_missing_trial_fails_cleanly(workdir, tmp_path):
     rc = cli.main(["evaluate", "--gt", str(workdir / "corpus.imfd"), "--trial", "nope",
                    "--rec", str(workdir / "corpus.imfd")])

@@ -78,21 +78,17 @@ def test_noise_deterministic():
 # -- denoiser ---------------------------------------------------------
 
 
+def _forward(cfg, params, window, t, h):
+    """One window through the graph forward: (61, 190) -> (61, 190)."""
+    return df.denoiser_forward(cfg, params, window[None], np.array([t]), np.array([h])).data[0]
+
+
 def test_denoiser_output_shape(stationary_window):
     cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
     params = df.init_denoiser(cfg, seed=0)
-    out = df.denoise(cfg, params, stationary_window, t=10, h=1.75)
+    out = _forward(cfg, params, stationary_window, t=10, h=1.75)
     assert out.shape == (61, 190)
     assert np.isfinite(out).all()
-
-
-def test_denoiser_rejects_nonfinite(stationary_window):
-    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
-    params = df.init_denoiser(cfg, seed=0)
-    bad = stationary_window.copy()
-    bad[3, 7] = np.nan
-    with pytest.raises(tt.ContractError, match="non-finite"):
-        df.denoise(cfg, params, bad, t=10, h=1.75)
 
 
 def test_param_count_pure_function_of_size():
@@ -105,13 +101,13 @@ def test_param_count_pure_function_of_size():
 def test_height_sensitivity_and_zeroed_pathway(stationary_window):
     cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
     params = df.init_denoiser(cfg, seed=3)
-    a = df.denoise(cfg, params, stationary_window, t=5, h=1.60)
-    b = df.denoise(cfg, params, stationary_window, t=5, h=1.90)
+    a = _forward(cfg, params, stationary_window, t=5, h=1.60)
+    b = _forward(cfg, params, stationary_window, t=5, h=1.90)
     assert not np.allclose(a, b)  # untrained but height pathway wired
     for k in ("height_mlp.w1", "height_mlp.b1", "height_mlp.w2", "height_mlp.b2"):
         params[k] = Tensor(np.zeros_like(params[k].data), requires_grad=True)
-    a = df.denoise(cfg, params, stationary_window, t=5, h=1.60)
-    b = df.denoise(cfg, params, stationary_window, t=5, h=1.90)
+    a = _forward(cfg, params, stationary_window, t=5, h=1.60)
+    b = _forward(cfg, params, stationary_window, t=5, h=1.90)
     np.testing.assert_array_equal(a, b)
 
 
@@ -120,8 +116,8 @@ def test_time_permutation_sensitivity(stationary_window, gait_window):
     params = df.init_denoiser(cfg, seed=4)
     rng = np.random.default_rng(5)
     perm = rng.permutation(61)
-    out1 = df.denoise(cfg, params, gait_window, t=100, h=1.75)
-    out2 = df.denoise(cfg, params, gait_window[perm], t=100, h=1.75)
+    out1 = _forward(cfg, params, gait_window, t=100, h=1.75)
+    out2 = _forward(cfg, params, gait_window[perm], t=100, h=1.75)
     assert not np.allclose(out1[perm], out2)
 
 
@@ -130,14 +126,14 @@ def test_fast_denoiser_matches_graph(gait_window):
     params = df.init_denoiser(cfg, seed=6, dtype=np.float64)
     fast = df.FastDenoiser(cfg, params, dtype=np.float64)
     for t in (0, 77, 1000):
-        a = df.denoise(cfg, params, gait_window, t=t, h=1.8)
+        a = _forward(cfg, params, gait_window, t=t, h=1.8)
         b = fast.predict(gait_window, t=t, h=1.8)
         np.testing.assert_allclose(b, a, atol=1e-10)
     # float32 path stays close
     params32 = {k: Tensor(v.data.astype(np.float32), requires_grad=True) for k, v in params.items()}
     fast32 = df.FastDenoiser(cfg, params32, dtype=np.float32)
     b32 = fast32.predict(gait_window.astype(np.float32), t=77, h=1.8)
-    a = df.denoise(cfg, params, gait_window, t=77, h=1.8)
+    a = _forward(cfg, params, gait_window, t=77, h=1.8)
     np.testing.assert_allclose(b32, a, atol=5e-3)
 
 

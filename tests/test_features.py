@@ -67,15 +67,27 @@ def test_encode_misaligned_lengths_raise(tree):
         )
 
 
+def _full_measurement(rng, sites, insoles=False):
+    return ft.Measurement(
+        site_orient6d={n: rng.standard_normal(6) for n in sites},
+        site_accel={n: rng.standard_normal(3) for n in sites},
+        insole_labels=np.array([1.0, 0.0, 1.0, 1.0]) if insoles else None,
+    )
+
+
 def test_inference_mask_empty_config(tree):
-    m = ft.build_inference_mask(tree, ft.SensorConfig())
+    window = np.random.default_rng(5).standard_normal((61, 190))
+    _, m = ft.apply_observation(window, ft.Measurement(), tree, ft.SensorConfig())
     np.testing.assert_array_equal(m[:-1], 1.0)
     np.testing.assert_array_equal(m[-1], 0.0)
 
 
 def test_inference_mask_full_config_counts(tree):
+    rng = np.random.default_rng(6)
     cfg = ft.SensorConfig(imu_sites=ft.ALL_SITES, insoles=True)
-    m = ft.build_inference_mask(tree, cfg)
+    _, m = ft.apply_observation(rng.standard_normal((61, 190)),
+                                _full_measurement(rng, ft.ALL_SITES, insoles=True), tree, cfg)
+    np.testing.assert_array_equal(m[:-1], 1.0)
     assert m[-1].sum() == 13 * 6 + 13 * 3 + 4 == 121
     # dp and py never observed
     assert m[-1, ft.DP_OFF] == 0 and m[-1, ft.DP_OFF + 1] == 0 and m[-1, ft.PY_OFF] == 0
@@ -87,15 +99,29 @@ def test_inference_mask_full_config_counts(tree):
 
 
 def test_inference_mask_pelvis_only(tree):
-    m = ft.build_inference_mask(tree, ft.SensorConfig(imu_sites=("pelvis",)))
+    rng = np.random.default_rng(7)
+    _, m = ft.apply_observation(rng.standard_normal((61, 190)), _full_measurement(rng, ("pelvis",)),
+                                tree, ft.SensorConfig(imu_sites=("pelvis",)))
+    np.testing.assert_array_equal(m[:-1], 1.0)
     assert m[-1].sum() == 9
 
 
 def test_mask_is_pure_function(tree):
+    rng = np.random.default_rng(8)
     cfg = ft.SensorConfig(imu_sites=("head", "shank_l"), insoles=False)
-    np.testing.assert_array_equal(
-        ft.build_inference_mask(tree, cfg), ft.build_inference_mask(tree, cfg)
-    )
+    window = rng.standard_normal((61, 190))
+    meas = _full_measurement(rng, cfg.imu_sites)
+    a = ft.apply_observation(window, meas, tree, cfg)
+    b = ft.apply_observation(window, meas, tree, cfg)
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_config_rejects_unknown_site():
+    with pytest.raises(ft.FeatureError, match="unknown site"):
+        ft.SensorConfig(imu_sites=("pelvis", "tail"))
+    with pytest.raises(ft.FeatureError, match="unknown site"):
+        ft.SensorConfig.parse("foo")
 
 
 def test_apply_observation_full(tree):

@@ -44,6 +44,12 @@ def test_spread_like_10d_lengths(n):
     assert s.steps[0] == 1000 and s.steps[-1] == 0
 
 
+@pytest.mark.parametrize("text", ["foo", "1000,x,0", ""])
+def test_spread_parse_rejects_garbage(text):
+    with pytest.raises(inf.SpreadError):
+        inf.StepSpread.parse(text)
+
+
 def test_spread_invariants_enforced():
     with pytest.raises(inf.SpreadError):
         inf.StepSpread((10, 5, 1))  # does not end at 0
@@ -87,6 +93,16 @@ def test_inpaint_mask_preservation_random(tiny_model, tree, variant):
         keep = mask > 0.5
         assert out[keep].tobytes() == x[keep].tobytes()
         assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("variant", ["renoise", "ddim"])
+def test_inpaint_rejects_nonfinite_input(tiny_model, variant):
+    cfg, params, schedule, fast = tiny_model
+    x = np.random.default_rng(4).standard_normal((61, 190))
+    x[3, 7] = np.nan
+    with pytest.raises(inf.InferenceError, match="non-finite"):
+        inf.inpaint_denoise(fast, schedule, x, np.ones_like(x), 1.75, inf.StepSpread.like_10d(3),
+                            np.random.default_rng(0), variant=variant)
 
 
 def test_inpaint_ddim_deterministic(tiny_model):
@@ -181,6 +197,13 @@ def test_cold_start_invariants(tree, tiny_model):
     assert np.isfinite(r.pose.rotations).all() and np.isfinite(r.pose.root_position).all()
 
 
+@pytest.mark.parametrize("height", [0.0, -1.0, float("nan"), float("inf")])
+def test_reconstructor_rejects_bad_height(tree, tiny_model, height):
+    cfg, params, schedule, fast = tiny_model
+    with pytest.raises(ft.FeatureError, match="height"):
+        inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=height)
+
+
 def test_full_config_passthrough(tree, tiny_model, gait_trial):
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=ft.ALL_SITES, insoles=True)
@@ -255,11 +278,10 @@ def test_latency_stats(tree, tiny_model):
     cfg, params, schedule, fast = tiny_model
     recon = inf.Reconstructor(cfg, params, schedule, tree, ft.SensorConfig(), height=1.75,
                               spread=inf.StepSpread.like_10d(3))
-    recon.cold_start()
-    for _ in range(5):
-        recon.step(None)
-    p = recon.latency_percentiles()
+    results = inf.run_session(recon, [None] * 5)
+    p = inf.latency_percentiles(results)
     assert p["p50"] > 0 and p["p95"] >= p["p50"]
+    assert np.isnan(inf.latency_percentiles([])["p50"])
 
 
 # -- stream ingestion -------------------------------------------------------

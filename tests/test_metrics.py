@@ -140,10 +140,10 @@ def test_aggregate_mean_and_worst(tree, gait20):
 
 
 def test_rank_configs_tiebreak():
-    from imufill.features import SensorConfig
+    from imufill.features import ALL_SITES, SensorConfig
 
     def entry(label, n_sensors, ga):
-        cfg = SensorConfig(imu_sites=tuple(f"s{i}" for i in range(n_sensors)))
+        cfg = SensorConfig(imu_sites=ALL_SITES[:n_sensors])
         agg = {"GA_deg": {"mean": ga, "worst": ga, "n": 1}}
         return mt.SweepEntry(config=cfg, per_trial=[], aggregate=agg, mean_latency_ms=0.0)
 
