@@ -279,7 +279,8 @@ def cmd_sweep(args) -> int:
     for obj in objectives:
         ranked = result.rankings[obj]
         best = result.entries[ranked[0]].aggregate[mt._agg_key(obj)]["mean"]
-        print(f"  best {obj}: {ranked[0]} ({best:.3f})")
+        shown = "n/a" if best is None else f"{best:.3f}"
+        print(f"  best {obj}: {ranked[0]} ({shown})")
     return 0
 
 

@@ -667,20 +667,32 @@ def save_checkpoint(path: str | Path, cfg: DenoiserConfig, params: dict[str, Ten
             f.write(np.ascontiguousarray(arr).tobytes())
 
 
+def _read_exact(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes, {len(data)} left")
+    return data
+
+
+def _unpack(f, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
+
+
 def load_checkpoint(path: str | Path, tree: KinematicTree) -> tuple[DenoiserConfig, dict[str, Tensor], DiffusionSchedule]:
-    """Refuses to load when the skeleton or feature-layout hash disagrees."""
+    """Refuses to load when the skeleton or feature-layout hash disagrees,
+    and raises CheckpointError on a file that ends early."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = _unpack(f, "<I", "version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        L, d, ff_, nh = struct.unpack("<IIII", f.read(16))
-        (T,) = struct.unpack("<I", f.read(4))
-        (klen,) = struct.unpack("<I", f.read(4))
-        kind = f.read(klen).decode()
-        skel = f.read(64).decode()
-        layout = f.read(64).decode()
+        L, d, ff_, nh = _unpack(f, "<IIII", "model size")
+        (T,) = _unpack(f, "<I", "schedule length")
+        (klen,) = _unpack(f, "<I", "schedule kind")
+        kind = _read_exact(f, klen, "schedule kind").decode()
+        skel = _read_exact(f, 64, "skeleton hash").decode()
+        layout = _read_exact(f, 64, "feature-layout hash").decode()
         if skel != skeleton_hash(tree):
             raise CheckpointError("checkpoint was trained against a different skeleton")
         if layout != ft.layout_hash():
@@ -689,17 +701,19 @@ def load_checkpoint(path: str | Path, tree: KinematicTree) -> tuple[DenoiserConf
         if kind != "cosine":
             raise CheckpointError(f"unknown schedule kind {kind!r}")
         schedule = build_cosine_schedule(T)
-        (n,) = struct.unpack("<I", f.read(4))
+        (n,) = _unpack(f, "<I", "parameter count")
         params: dict[str, Tensor] = {}
         for _ in range(n):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode()
-            (itemsize,) = struct.unpack("<B", f.read(1))
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            (nlen,) = _unpack(f, "<I", "parameter name")
+            name = _read_exact(f, nlen, "parameter name").decode()
+            (itemsize,) = _unpack(f, "<B", f"{name} dtype")
+            if itemsize not in (4, 8):
+                raise CheckpointError(f"{name}: bad item size {itemsize}")
+            (ndim,) = _unpack(f, "<I", f"{name} rank")
+            shape = _unpack(f, f"<{ndim}I", f"{name} shape")
             dtype = np.float32 if itemsize == 4 else np.float64
             count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(f.read(count * itemsize), dtype=dtype).reshape(shape)
+            arr = np.frombuffer(_read_exact(f, count * itemsize, f"{name} values"), dtype=dtype).reshape(shape)
             params[name] = Tensor(arr.copy(), requires_grad=True)
         expected = set(_param_shapes(cfg))
         if set(params) != expected:

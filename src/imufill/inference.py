@@ -87,10 +87,13 @@ class StepSpread:
         to T/10, then a sparse low-noise tail (T/100, T/500, 0).
 
         For very small T colliding entries are squeezed downward, so the
-        result may be shorter than n.
+        result may be shorter than n. There are only T + 1 distinct steps,
+        so a larger n is refused before anything is built.
         """
         if n < 2:
             raise SpreadError("need at least 2 steps")
+        if n > T + 1:
+            raise SpreadError(f"a spread over T={T} has at most {T + 1} steps, got {n}")
         if n == 2:
             cand = [T, 0]
         elif n == 3:

@@ -12,6 +12,10 @@ Conventions:
     an explicit reshape.
   * ops never mutate their inputs; `backward` returns a gradient map
     instead of scribbling on tensors.
+  * a batched operand times a 2-D weight, (..., m, k) @ (k, n), runs
+    forward and backward as one 2-D GEMM over the flattened batch, so
+    the weight gradient is a single (k, n) product, never a per-batch
+    stack summed afterwards.
 """
 
 from __future__ import annotations
@@ -151,6 +155,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _into(ufunc, x, y, spare: np.ndarray) -> np.ndarray:
+    """ufunc(x, y) as numpy evaluates the expression, written into `spare`
+    (a temporary the caller owns) when it has the result's dtype."""
+    return ufunc(x, y, out=spare if spare.dtype == np.result_type(x, y) else None)
+
+
 # -- elementwise arithmetic ----------------------------------------------
 
 
@@ -263,14 +273,27 @@ def gelu(a) -> Tensor:
     """tanh-approximated GELU; smooth everywhere so FD checks behave."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        return (g * d,)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner) with
+        # dinner = _GELU_C * (1 + 3 * 0.044715 * x * x), term by term in
+        # that order, in three arrays instead of one per operation.
+        dinner = 3 * 0.044715 * x
+        dinner *= x
+        dinner += 1.0
+        dinner *= _GELU_C
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        d = 0.5 * x
+        d *= sech2
+        d *= dinner
+        half = np.add(1.0, t, out=sech2)  # sech2 is spent; reuse it
+        half *= 0.5
+        np.add(half, d, out=d)
+        return (_into(np.multiply, g, d, d),)
 
     return Tensor._make(out, (a,), vjp)
 
@@ -284,6 +307,19 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if a.ndim > 2 and b.ndim == 2:
+        # (..., m, k) @ (k, n): one GEMM over the flattened batch, and a
+        # (k, n) weight gradient without a per-batch stack to sum.
+        rows = math.prod(a.shape[:-1])
+        a2 = a.data.reshape(rows, a.shape[-1])
+        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def vjp(g):
+            g2 = g.reshape(rows, b.shape[1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        return Tensor._make(out, (a, b), vjp)
+
     out = a.data @ b.data
 
     def vjp(g):
@@ -391,14 +427,26 @@ def transpose(a, axes=None) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for numpy basic indexing (slices, ints, Ellipsis, None), which
+    never selects an element twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool)) for p in parts)
+
+
 def take(a, idx) -> Tensor:
     """Basic slicing/indexing with gradient scatter-add."""
     a = _as_tensor(a)
     out = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def vjp(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        if basic:
+            buf[idx] += g
+        else:
+            np.add.at(buf, idx, g)  # fancy indices may repeat: accumulate
         return (buf,)
 
     return Tensor._make(out, (a,), vjp)
@@ -510,11 +558,20 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"adam: grad shape {g.shape} != param shape {p.shape} for {name}")
-        m = b1 * state.m.get(name, 0.0) + (1 - b1) * g
-        v = b2 * state.v.get(name, 0.0) + (1 - b2) * (g * g)
+        # m = b1 * m_prev + (1 - b1) * g and so on, each operation as the
+        # closed form evaluates it, but written into arrays this call
+        # allocated, never into the inputs.
+        gm = (1 - b1) * g
+        m = _into(np.add, b1 * state.m.get(name, 0.0), gm, gm)
+        gv = g * g
+        gv = _into(np.multiply, 1 - b2, gv, gv)
+        v = _into(np.add, b2 * state.v.get(name, 0.0), gv, gv)
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
-        stepped = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        denom = _into(np.add, np.sqrt(vhat, out=vhat), eps, vhat)
+        step = _into(np.multiply, lr, mhat, mhat)
+        step = _into(np.divide, step, denom, step)  # lr * mhat / (sqrt(vhat) + eps)
+        stepped = _into(np.subtract, p.data, step, step)
         q = Tensor(stepped.astype(p.dtype, copy=False), requires_grad=True)
         new_params[name] = q
         new_m[name] = np.asarray(m, dtype=p.dtype)

@@ -171,6 +171,17 @@ def test_sweep(workdir, tmp_path):
     assert set(doc["configs"]) == {"pelvis", "pelvis+head"}
 
 
+def test_sweep_objective_without_value_prints_na(workdir, tmp_path, capsys):
+    # the default objectives include RE10, which has no value on 5 s trials
+    out = tmp_path / "sweep.json"
+    rc = cli.main(["sweep", "--ckpt", str(workdir / "tiny.imfc"),
+                   "--data", str(workdir / "corpus.imfd"), "--configs", "pelvis",
+                   "--spread", "3", "--trials", "1", "--out", str(out)])
+    assert rc == 0
+    assert "best RE10: pelvis (n/a)" in capsys.readouterr().out
+    assert json.loads(out.read_text())["configs"]["pelvis"]["aggregate"]["RE10_m"]["mean"] is None
+
+
 def test_sweep_duplicate_config_identical_metrics(workdir, tmp_path):
     out = tmp_path / "sweep2.json"
     rc = cli.main(["sweep", "--ckpt", str(workdir / "tiny.imfc"),
@@ -204,3 +215,20 @@ def test_checkpoint_corruption_fails_cleanly(workdir, tmp_path):
     bad.write_bytes(b"XXXX" + (workdir / "tiny.imfc").read_bytes()[4:])
     rc = cli.main(["bench", "--ckpt", str(bad), "--frames", "2"])
     assert rc == 1
+
+
+def test_truncated_checkpoint_fails_cleanly(workdir, tmp_path, capsys):
+    bad = tmp_path / "short.imfc"
+    bad.write_bytes((workdir / "tiny.imfc").read_bytes()[:-10])
+    rc = cli.main(["bench", "--ckpt", str(bad), "--frames", "2"])
+    assert rc == 1
+    assert "CheckpointError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spread", ["4000000", "1" * 25])
+def test_reconstruct_huge_step_count_fails_cleanly(workdir, tmp_path, capsys, spread):
+    rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                   "--spread", spread, "--in", str(workdir / "corpus.imfd"),
+                   "--trial", "gait-000", "--out", str(tmp_path / "rec.jsonl")])
+    assert rc == 1
+    assert "SpreadError" in capsys.readouterr().err

@@ -290,3 +290,30 @@ def test_checkpoint_refuses_wrong_skeleton(tmp_path, tree):
     df.save_checkpoint(p, cfg, params, df.build_cosine_schedule(50), tree)
     with pytest.raises(df.CheckpointError, match="skeleton"):
         df.load_checkpoint(p, tree.scaled(1.9))
+
+
+def _checkpoint_cuts(params: dict, size: int) -> dict[str, int]:
+    """Lengths at which to cut a saved checkpoint of `size` bytes: inside
+    the header and inside the first parameter record's name, shape and
+    values, and one byte short of the end."""
+    header = 4 + 4 + 16 + 4 + 4 + len(b"cosine") + 64 + 64 + 4
+    name = sorted(params)[0]
+    arr = params[name].data
+    shape_at = header + 4 + len(name.encode()) + 1 + 4
+    values_at = shape_at + 4 * arr.ndim
+    return {"header": 22, "name": header + 4 + 1, "shape": shape_at + 2,
+            "values": values_at + arr.nbytes // 2, "last byte": size - 1}
+
+
+def test_checkpoint_truncated_raises_typed_error(tmp_path, tree):
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = df.init_denoiser(cfg, seed=11)
+    p = tmp_path / "model.imfc"
+    df.save_checkpoint(p, cfg, params, df.build_cosine_schedule(50), tree)
+    blob = p.read_bytes()
+    short = tmp_path / "short.imfc"
+    for where, cut in _checkpoint_cuts(params, len(blob)).items():
+        assert 4 < cut < len(blob), where
+        short.write_bytes(blob[:cut])
+        with pytest.raises(df.CheckpointError, match="truncated checkpoint"):
+            df.load_checkpoint(short, tree)

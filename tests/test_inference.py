@@ -44,6 +44,19 @@ def test_spread_like_10d_lengths(n):
     assert s.steps[0] == 1000 and s.steps[-1] == 0
 
 
+@pytest.mark.parametrize("text", ["4000000", "1" * 25])
+def test_spread_step_count_above_T_rejected(text):
+    # a spread has at most T + 1 distinct steps; a larger count is refused
+    # before anything of its size is built
+    with pytest.raises(inf.SpreadError, match="at most 1001 steps"):
+        inf.StepSpread.parse(text, 1000)
+
+
+def test_spread_step_count_at_T_plus_one_accepted():
+    s = inf.StepSpread.like_10d(1001, 1000)
+    assert s.steps[0] == 1000 and s.steps[-1] == 0 and len(s) <= 1001
+
+
 @pytest.mark.parametrize("text", ["foo", "1000,x,0", ""])
 def test_spread_parse_rejects_garbage(text):
     with pytest.raises(inf.SpreadError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,57 @@ def test_matmul_gradient_vs_finite_differences():
     b = randt(rng, 7, 3)
     report = tt.gradcheck(lambda: tt.tsum(tt.matmul(a, b)), {"a": a, "b": b})
     assert report.max_rel_err < 1e-6, report
+
+
+def test_matmul_batched_by_2d_gradient():
+    # (..., m, k) @ (k, n) runs as one flattened GEMM forward and backward
+    rng = np.random.default_rng(13)
+    a = randt(rng, 2, 3, 4, 5)
+    b = randt(rng, 5, 3)
+    np.testing.assert_allclose(tt.matmul(a, b).data, a.data @ b.data, rtol=1e-12)
+    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.matmul(a, b), tt.matmul(a, b))), {"a": a, "b": b})
+    assert report.max_rel_err < 1e-6, report
+
+
+def test_matmul_noncontiguous_batched_by_2d_gradient():
+    rng = np.random.default_rng(14)
+    a = randt(rng, 3, 5, 4)
+    b = randt(rng, 5, 2)
+    at = tt.transpose(a, (0, 2, 1))  # (3, 4, 5), not contiguous
+    assert not at.data.flags.c_contiguous
+    np.testing.assert_allclose(tt.matmul(at, b).data, at.data @ b.data, rtol=1e-12)
+    report = tt.gradcheck(lambda: tt.tsum(tt.texp(tt.matmul(at, b))), {"a": a, "b": b})
+    assert report.max_rel_err < 1e-6, report
+
+
+def test_matmul_batched_by_batched_gradient():
+    rng = np.random.default_rng(15)
+    a = randt(rng, 2, 3, 4)
+    b = randt(rng, 2, 4, 5)
+    report = tt.gradcheck(lambda: tt.tsum(tt.texp(tt.mul(tt.matmul(a, b), 0.3))), {"a": a, "b": b})
+    assert report.max_rel_err < 1e-6, report
+
+
+def test_take_basic_index_gradient():
+    rng = np.random.default_rng(16)
+    x = randt(rng, 4, 5, 3)
+    w = Tensor(rng.standard_normal((4, 5, 3)))
+
+    def loss():
+        parts = [x[1:3], x[2], x[..., 1], x[:, None, ::2, 0], x[-1, 1:, :]]
+        return sum((tt.tsum(tt.mul(p, p)) for p in parts), tt.tsum(tt.mul(x, w)))
+
+    report = tt.gradcheck(loss, {"x": x})
+    assert report.max_rel_err < 1e-6, report
+
+
+def test_take_fancy_index_repeats_accumulate():
+    x = Tensor(np.arange(5.0), requires_grad=True, dtype=np.float64)
+    g = tt.grads_by_name(tt.tsum(x[np.array([1, 3, 1, 1])]), {"x": x})
+    np.testing.assert_array_equal(g["x"], [0.0, 3.0, 0.0, 1.0, 0.0])
+    y = Tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
+    g = tt.grads_by_name(tt.tsum(y[[0, 0, 2], 1:]), {"y": y})
+    np.testing.assert_array_equal(g["y"], [[0.0, 2.0], [0.0, 0.0], [0.0, 1.0]])
 
 
 def test_elementwise_trivial():
@@ -84,6 +137,20 @@ def test_gelu_tanh_relu_sqrt_gradients():
 
     report = tt.gradcheck(loss, {"x": x, "y": y})
     assert report.max_rel_err < 1e-5, report
+
+
+def test_gelu_vjp_bit_identical_to_closed_form():
+    rng = np.random.default_rng(19)
+    for dtype in (np.float32, np.float64):
+        x = (rng.standard_normal((8, 33)) * 3).astype(dtype)
+        x.flat[:4] = (0.0, -0.0, 40.0, -40.0)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        c = math.sqrt(2.0 / math.pi)  # a Python float, as in the op
+        t = np.tanh(c * (x + 0.044715 * x * x * x))
+        dinner = c * (1.0 + 3 * 0.044715 * x * x)
+        ref = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+        (got,) = tt.gelu(Tensor(x, requires_grad=True))._vjp(g)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_cumsum_take_concat_gradients():
@@ -175,6 +242,50 @@ def test_ops_do_not_mutate_inputs():
     tt.cumsum(x, 0)
     x + x
     np.testing.assert_array_equal(x.data, before)
+
+    # the flattened batched-by-2-D product and both take paths, forward and backward
+    a = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    w = Tensor(x.data, requires_grad=True)
+    a_before = a.data.copy()
+    loss = tt.tsum(tt.matmul(a, w)) + tt.tsum(a[:, 1:]) + tt.tsum(a[[0, 0], 2])
+    tt.grads_by_name(loss, {"a": a, "w": w})
+    np.testing.assert_array_equal(a.data, a_before)
+    np.testing.assert_array_equal(w.data, before)
+
+
+def test_adam_does_not_mutate_inputs():
+    rng = np.random.default_rng(17)
+    params = {"w": Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)}
+    grads = {"w": rng.standard_normal((4, 3)).astype(np.float32)}
+    params, state = tt.adam_step(params, grads, None, lr=0.01)
+    kept = (params["w"].data.copy(), grads["w"].copy(), state.m["w"].copy(), state.v["w"].copy())
+    new_params, new_state = tt.adam_step(params, grads, state, lr=0.01)
+    for arr, copy in zip((params["w"].data, grads["w"], state.m["w"], state.v["w"]), kept):
+        np.testing.assert_array_equal(arr, copy)
+    assert state.step == 1 and new_state.step == 2
+    assert new_state.m["w"] is not state.m["w"] and new_params["w"].data is not params["w"].data
+
+
+def test_adam_bit_identical_to_closed_form():
+    rng = np.random.default_rng(18)
+    shape = (16, 16)
+    lr, (b1, b2), eps = 3e-3, (0.9, 0.999), 1e-8
+    # parameters near 0, so the update's last bits show in the result
+    p = (rng.standard_normal(shape) * 1e-4).astype(np.float32)
+    params, state = {"w": Tensor(p.copy(), requires_grad=True)}, None
+    m = v = 0.0
+    for t in range(1, 6):
+        g = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, shape)).astype(np.float32)
+        g.flat[:2] = (0.0, -0.0)
+        params, state = tt.adam_step(params, {"w": g}, state, lr=lr, betas=(b1, b2), eps=eps)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        p = p - lr * mhat / (np.sqrt(vhat) + eps)
+        assert params["w"].data.dtype == np.float32
+        assert params["w"].data.tobytes() == p.tobytes()
+        assert state.m["w"].tobytes() == m.tobytes() and state.v["w"].tobytes() == v.tobytes()
 
 
 def test_adam_zero_gradient_fresh_state_keeps_params():
