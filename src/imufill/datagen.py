@@ -643,35 +643,50 @@ class DatasetError(ValueError):
     pass
 
 
+def _read_exact(f, n: int, what: str) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise DatasetError(f"truncated dataset: {what} needs {n} bytes, {len(data)} left")
+    return data
+
+
+def _read_array(f, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
+    dtype = np.dtype(dtype)
+    data = _read_exact(f, int(np.prod(shape)) * dtype.itemsize, what)
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+
 def load_dataset(path: str | Path) -> list[Trial]:
+    """Reads what save_dataset wrote; raises DatasetError on a file that
+    is not a dataset or ends early."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != DATASET_MAGIC:
             raise DatasetError(f"not a dataset file (magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
         if version != DATASET_VERSION:
             raise DatasetError(f"unsupported dataset version {version}")
-        (n_trials,) = struct.unpack("<I", f.read(4))
-        f.read(64)  # skeleton hash; informational for datasets
+        (n_trials,) = struct.unpack("<I", _read_exact(f, 4, "trial count"))
+        _read_exact(f, 64, "skeleton hash")  # informational for datasets
         trials = []
-        for _ in range(n_trials):
-            (id_len,) = struct.unpack("<I", f.read(4))
-            tid = f.read(id_len).decode()
-            rate, height, mass, weight, T, has_stance = struct.unpack("<dddd I B", f.read(4 * 8 + 4 + 1))
-            quats = np.frombuffer(f.read(T * 24 * 4 * 8), dtype=np.float64).reshape(T, 24, 4)
-            root = np.frombuffer(f.read(T * 3 * 8), dtype=np.float64).reshape(T, 3)
-            site_q = np.frombuffer(f.read(T * 13 * 4 * 8), dtype=np.float64).reshape(T, 13, 4)
-            accel = np.frombuffer(f.read(T * 13 * 3 * 8), dtype=np.float64).reshape(T, 13, 3)
-            contacts = np.frombuffer(f.read(T * 4), dtype=np.uint8).reshape(T, 4)
-            stance = None
-            if has_stance:
-                stance = np.frombuffer(f.read(T * 4), dtype=np.uint8).reshape(T, 4).copy()
-            motion = MotionSequence(rate, quat_to_rot(quats), root.copy(), height, mass, tid)
+        for k in range(n_trials):
+            (id_len,) = struct.unpack("<I", _read_exact(f, 4, f"trial {k} id"))
+            tid = _read_exact(f, id_len, f"trial {k} id").decode()
+            meta = "<dddd I B"
+            rate, height, mass, weight, T, has_stance = struct.unpack(
+                meta, _read_exact(f, struct.calcsize(meta), f"{tid} metadata"))
+            quats = _read_array(f, (T, 24, 4), np.float64, f"{tid} rotations")
+            root = _read_array(f, (T, 3), np.float64, f"{tid} root positions")
+            site_q = _read_array(f, (T, 13, 4), np.float64, f"{tid} site rotations")
+            accel = _read_array(f, (T, 13, 3), np.float64, f"{tid} site accelerations")
+            contacts = _read_array(f, (T, 4), np.uint8, f"{tid} contacts")
+            stance = _read_array(f, (T, 4), np.uint8, f"{tid} stance flags") if has_stance else None
+            motion = MotionSequence(rate, quat_to_rot(quats), root, height, mass, tid)
             trials.append(Trial(
                 motion=motion,
                 site_rotations=quat_to_rot(site_q),
-                site_accels=accel.copy(),
-                contacts=contacts.copy(),
+                site_accels=accel,
+                contacts=contacts,
                 stance_flags=stance,
                 weight=weight,
             ))

@@ -8,9 +8,10 @@ added to the frame tokens. The network predicts the clean window
 directly from a noised one.
 
 Two forward implementations share the same parameters: a graph-building
-one (training, gradient checks) and FastDenoiser, an allocation-lean
-float32 path that meets the real-time budget at inference. Their
-agreement is covered by tests.
+one (training, gradient checks) and FastDenoiser, the float32 inference
+path, which folds the cross-attention into a per-(t, h) cache, runs its
+last layer only on the requested frame `rows`, and works in buffers
+allocated once. Their agreement is covered by tests.
 
 The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
@@ -106,6 +107,8 @@ class DenoiserConfig:
     nhead: int = 4
 
     def __post_init__(self):
+        if min(self.layers, self.width, self.ff, self.nhead) < 1:
+            raise ValueError(f"model sizes must be positive, got {self}")
         if self.width % self.nhead != 0:
             raise ValueError(f"width {self.width} not divisible by nhead {self.nhead}")
 
@@ -543,11 +546,27 @@ def corpus_sampler(trials, tree: KinematicTree, seed: int) -> Callable[[int], tu
 
 
 class FastDenoiser:
-    """Allocation-lean forward pass sharing the graph path's parameters.
+    """Inference forward pass over the graph path's parameters.
 
-    Caches the position table, per-step conditioning tokens, and the
-    cross-attention memory projections per (t, h); float32 by default
-    for the real-time budget.
+    It computes what `denoiser_forward` computes for one window (exactly,
+    in real arithmetic) but skips work whose result nothing reads:
+
+    - The cross-attention memory is the step and height tokens, which
+      depend only on (t, h). `_conditioning` caches, per (t, h), both
+      tokens and each layer's cross-attention folded into three small
+      arrays: `ws = scale * Wq_h ck_h^T` (d, 2*nhead), `bs = scale *
+      bq_h ck_h^T` (2*nhead,) and `vo = cv_h Wo_h` (2*nhead, d). A
+      layer's cross block is then a softmax over each head's pair of
+      `x @ ws + bs`, times `vo`, plus the output bias; its d-by-d query
+      and output projections never run.
+    - `predict(..., rows=r)` returns only the frame rows `r`. Every
+      layer but the last runs on all 63 tokens, because the last layer's
+      keys and values read them all; the last layer computes keys and
+      values for every token and everything else (query, both
+      attentions, FFN, layernorms, output projection) for `r` alone.
+    - Intermediates live in buffers allocated once per instance, and
+      bias adds, softmax, GELU and layernorm run in place, so an instance
+      must not be shared between threads. `predict` returns a fresh array.
     """
 
     def __init__(self, cfg: DenoiserConfig, params: dict[str, Tensor], dtype=np.float32):
@@ -556,6 +575,21 @@ class FastDenoiser:
         self.w = {k: np.ascontiguousarray(v.data, dtype=dtype) for k, v in params.items()}
         self.pos = sinusoidal_embedding(np.arange(ft.WINDOW_LEN), cfg.width).astype(dtype)
         self._cond_cache: dict[tuple[int, float], tuple] = {}
+        self._layers: list[dict[str, np.ndarray]] = [{} for _ in range(cfg.layers)]
+        for k, v in self.w.items():
+            if k.startswith("layers."):
+                i, name = k[len("layers."):].split(".", 1)
+                self._layers[int(i)][name] = v
+        n, d, nh = ft.WINDOW_LEN + 2, cfg.width, cfg.nhead
+        self._tokens = np.arange(2, n)  # token index of each frame row
+        self._x = np.empty((n, d), dtype)
+        self._qkv = np.empty((n, 3 * d), dtype)
+        self._scores = np.empty((nh, n, n), dtype)
+        self._cross = np.empty((n, 2 * nh), dtype)
+        self._attn = np.empty((n, d), dtype)
+        self._proj = np.empty((n, d), dtype)
+        self._hidden = np.empty((n, cfg.ff), dtype)
+        self._gelu_scratch = np.empty((n, cfg.ff), dtype)
 
     def _conditioning(self, t: int, h: float):
         key = (int(t), float(h))
@@ -564,77 +598,132 @@ class FastDenoiser:
             return hit
         w = self.w
         cfg = self.cfg
-        d = cfg.width
+        d, nh, hd = cfg.width, cfg.nhead, cfg.head_dim
         step_in = sinusoidal_embedding(np.array([t], dtype=np.float64), d).astype(self.dtype)
-        step_tok = _np_gelu(step_in @ w["step_mlp.w1"] + w["step_mlp.b1"]) @ w["step_mlp.w2"] + w["step_mlp.b2"]
+        step_tok = _gelu_inplace(step_in @ w["step_mlp.w1"] + w["step_mlp.b1"]) @ w["step_mlp.w2"] + w["step_mlp.b2"]
         h_in = np.array([[h]], dtype=self.dtype)
-        height_tok = _np_gelu(h_in @ w["height_mlp.w1"] + w["height_mlp.b1"]) @ w["height_mlp.w2"] + w["height_mlp.b2"]
+        height_tok = _gelu_inplace(h_in @ w["height_mlp.w1"] + w["height_mlp.b1"]) @ w["height_mlp.w2"] + w["height_mlp.b2"]
         mem = np.concatenate([step_tok, height_tok], axis=0)  # (2, d)
-        per_layer = []
-        for i in range(cfg.layers):
-            p = f"layers.{i}."
-            ckv = mem @ w[p + "cross.wkv"] + w[p + "cross.bkv"]
-            ck = ckv[:, :d].reshape(2, cfg.nhead, cfg.head_dim).transpose(1, 0, 2).copy()
-            cv = ckv[:, d:].reshape(2, cfg.nhead, cfg.head_dim).transpose(1, 0, 2).copy()
-            per_layer.append((ck, cv))
-        out = (step_tok, height_tok, per_layer)
+        scale = 1.0 / math.sqrt(hd)
+        folds = []
+        for lw in self._layers:
+            # the fold is formed in float64 and rounded once to the model dtype
+            ckv = (mem @ lw["cross.wkv"] + lw["cross.bkv"]).astype(np.float64)
+            ck = ckv[:, :d].reshape(2, nh, hd).transpose(1, 2, 0)  # (nh, hd, 2)
+            cv = ckv[:, d:].reshape(2, nh, hd).transpose(1, 0, 2)  # (nh, 2, hd)
+            ws = scale * (lw["cross.wq"].reshape(d, nh, hd).transpose(1, 0, 2) @ ck)  # (nh, d, 2)
+            bs = scale * (lw["cross.bq"].reshape(nh, 1, hd) @ ck)                     # (nh, 1, 2)
+            vo = cv @ lw["cross.wo"].reshape(nh, hd, d)                               # (nh, 2, d)
+            folds.append((np.ascontiguousarray(ws.transpose(1, 0, 2).reshape(d, 2 * nh), dtype=self.dtype),
+                          bs.reshape(2 * nh).astype(self.dtype),
+                          vo.reshape(2 * nh, d).astype(self.dtype)))
+        out = (step_tok, height_tok, folds)
         self._cond_cache[key] = out
         return out
 
-    def predict(self, z: np.ndarray, t: int, h: float) -> np.ndarray:
-        """(61, 190) noised window -> predicted clean window."""
-        cfg = self.cfg
+    def predict(self, z: np.ndarray, t: int, h: float, rows: np.ndarray | None = None) -> np.ndarray:
+        """(61, 190) noised window -> predicted clean window. With `rows`,
+        a 1-D array of distinct frame indices, only those rows: the result
+        equals `predict(z, t, h)[rows]`."""
         w = self.w
-        d, nh, hd = cfg.width, cfg.nhead, cfg.head_dim
-        z = np.ascontiguousarray(z, dtype=self.dtype)
-        step_tok, height_tok, mem_kv = self._conditioning(t, h)
-        x = np.empty((ft.WINDOW_LEN + 2, d), dtype=self.dtype)
+        d = self.cfg.width
+        toks = self._tokens if rows is None else self._tokens[rows]
+        step_tok, height_tok, folds = self._conditioning(t, h)
+        x, qkv = self._x, self._qkv
         x[0] = step_tok
         x[1] = height_tok
-        np.add(z @ w["in_proj.w"] + w["in_proj.b"], self.pos, out=x[2:])
-        Ttok = x.shape[0]
-        scale = 1.0 / math.sqrt(hd)
-        for i in range(cfg.layers):
-            p = f"layers.{i}."
-            qkv = x @ w[p + "attn.wqkv"] + w[p + "attn.bqkv"]
-            q = qkv[:, :d].reshape(Ttok, nh, hd).transpose(1, 0, 2)
-            k = qkv[:, d:2 * d].reshape(Ttok, nh, hd).transpose(1, 0, 2)
-            v = qkv[:, 2 * d:].reshape(Ttok, nh, hd).transpose(1, 0, 2)
-            s = q @ k.transpose(0, 2, 1)
-            s *= scale
-            s -= s.max(-1, keepdims=True)
-            np.exp(s, out=s)
-            s /= s.sum(-1, keepdims=True)
-            attn = (s @ v).transpose(1, 0, 2).reshape(Ttok, d)
-            x = _np_layernorm(x + attn @ w[p + "attn.wo"] + w[p + "attn.bo"],
-                              w[p + "ln1.g"], w[p + "ln1.b"])
-            cq = (x @ w[p + "cross.wq"] + w[p + "cross.bq"]).reshape(Ttok, nh, hd).transpose(1, 0, 2)
-            ck, cv = mem_kv[i]
-            cs = cq @ ck.transpose(0, 2, 1)
-            cs *= scale
-            cs -= cs.max(-1, keepdims=True)
-            np.exp(cs, out=cs)
-            cs /= cs.sum(-1, keepdims=True)
-            cross = (cs @ cv).transpose(1, 0, 2).reshape(Ttok, d)
-            x = _np_layernorm(x + cross @ w[p + "cross.wo"] + w[p + "cross.bo"],
-                              w[p + "ln2.g"], w[p + "ln2.b"])
-            g = x @ w[p + "ff.w1"] + w[p + "ff.b1"]
-            g = _np_gelu(g)
-            x = _np_layernorm(x + g @ w[p + "ff.w2"] + w[p + "ff.b2"],
-                              w[p + "ln3.g"], w[p + "ln3.b"])
-        return x[2:] @ w["out_proj.w"] + w["out_proj.b"]
+        np.matmul(np.asarray(z, dtype=self.dtype), w["in_proj.w"], out=x[2:])
+        x[2:] += w["in_proj.b"]
+        x[2:] += self.pos
+        last = len(self._layers) - 1
+        for i, lw in enumerate(self._layers):
+            wqkv, bqkv = lw["attn.wqkv"], lw["attn.bqkv"]
+            if i < last:
+                n = len(x)
+                np.matmul(x, wqkv, out=qkv)
+                qkv += bqkv
+            else:
+                np.matmul(x, wqkv[:, d:], out=qkv[:, d:])
+                qkv[:, d:] += bqkv[d:]
+                n = len(toks)
+                x[:n] = x[toks]
+                np.matmul(x[:n], wqkv[:, :d], out=qkv[:n, :d])
+                qkv[:n, :d] += bqkv[:d]
+            self._block(x[:n], lw, folds[i])
+        return x[:n] @ w["out_proj.w"] + w["out_proj.b"]
+
+    def _block(self, x: np.ndarray, lw: dict, fold: tuple) -> None:
+        """One post-norm layer on the residual rows `x` (the first n tokens'
+        slots) in place; their queries are in `self._qkv[:n, :d]`, the keys
+        and values of all 63 tokens in `self._qkv[:, d:]`."""
+        cfg = self.cfg
+        n, d, nh, hd = len(x), cfg.width, cfg.nhead, cfg.head_dim
+        qkv, proj = self._qkv, self._proj[:n]
+        q = qkv[:n, :d].reshape(n, nh, hd).transpose(1, 0, 2)
+        k = qkv[:, d:2 * d].reshape(-1, nh, hd).transpose(1, 2, 0)
+        v = qkv[:, 2 * d:].reshape(-1, nh, hd).transpose(1, 0, 2)
+        s = self._scores[:, :n]
+        np.matmul(q, k, out=s)
+        s *= 1.0 / math.sqrt(hd)
+        _softmax_inplace(s)
+        attn = self._attn[:n]
+        np.matmul(s, v, out=attn.reshape(n, nh, hd).transpose(1, 0, 2))
+        np.matmul(attn, lw["attn.wo"], out=proj)
+        x += proj
+        x += lw["attn.bo"]
+        _layernorm_inplace(x, lw["ln1.g"], lw["ln1.b"], proj)
+
+        ws, bs, vo = fold
+        c = self._cross[:n]
+        np.matmul(x, ws, out=c)
+        c += bs
+        _softmax_inplace(c.reshape(n, nh, 2))
+        np.matmul(c, vo, out=proj)
+        x += proj
+        x += lw["cross.bo"]
+        _layernorm_inplace(x, lw["ln2.g"], lw["ln2.b"], proj)
+
+        hidden = self._hidden[:n]
+        np.matmul(x, lw["ff.w1"], out=hidden)
+        hidden += lw["ff.b1"]
+        _gelu_inplace(hidden, self._gelu_scratch[:n])
+        np.matmul(hidden, lw["ff.w2"], out=proj)
+        x += proj
+        x += lw["ff.b2"]
+        _layernorm_inplace(x, lw["ln3.g"], lw["ln3.b"], proj)
 
 
-def _np_gelu(x: np.ndarray) -> np.ndarray:
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x * x * x)))
+def _gelu_inplace(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """tanh-approximate GELU of x, in place; tmp is scratch of x's shape."""
+    tmp = np.empty_like(x) if tmp is None else tmp
+    np.multiply(x, 0.044715, out=tmp)
+    tmp *= x
+    tmp *= x
+    tmp += x
+    tmp *= math.sqrt(2.0 / math.pi)
+    np.tanh(tmp, out=tmp)
+    tmp += 1.0
+    x *= 0.5
+    x *= tmp
+    return x
 
 
-def _np_layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * g + b
+def _softmax_inplace(s: np.ndarray) -> None:
+    """Softmax over the last axis, in place."""
+    s -= s.max(-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(-1, keepdims=True)
+
+
+def _layernorm_inplace(x: np.ndarray, g: np.ndarray, b: np.ndarray, tmp: np.ndarray, eps: float = 1e-5) -> None:
+    """Layernorm over the last axis, in place; tmp is scratch of x's shape."""
+    x -= x.mean(-1, keepdims=True)
+    np.multiply(x, x, out=tmp)
+    var = tmp.mean(-1, keepdims=True)
+    var += eps
+    x /= np.sqrt(var, out=var)
+    x *= g
+    x += b
 
 
 # -- checkpoints ------------------------------------------------------------

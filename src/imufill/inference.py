@@ -5,7 +5,9 @@ rolling 61-frame window (unobserved channels seeded from the previous
 frame), run inpainting denoising over the configured step spread, take
 the generated channels of the last frame alongside the measured ones,
 correct the root displacement from predicted contacts, decode a pose,
-and shift the emitted frame into history.
+and shift the emitted frame into history. History rows are fully
+observed, so the denoiser predicts only rows with generated channels:
+in a session, the newest frame.
 
 The inpainting loop follows the renoise-and-edit algorithm literally:
 every iteration renoises the current estimate at the step's noise level,
@@ -146,7 +148,8 @@ def inpaint_denoise(
     variant: str = "renoise",
 ) -> np.ndarray:
     """Generate the unmasked channels of x_input; masked channels (mask=1)
-    pass through bit-exactly."""
+    pass through bit-exactly. Only rows with a generated channel are
+    predicted; each step draws one window-sized block of noise."""
     x_input = np.asarray(x_input)
     if x_input.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
         raise ContractError(f"x_input shape {x_input.shape}")
@@ -154,46 +157,55 @@ def inpaint_denoise(
         raise ContractError(f"mask shape {mask.shape} != {x_input.shape}")
     if spread.steps[0] > schedule.T:
         raise SpreadError(f"spread starts at {spread.steps[0]} > T={schedule.T}")
-    keep = mask > 0.5
-    dtype = model.dtype
-    xin = x_input.astype(dtype)
-    if variant == "renoise":
-        x = xin
-        for t in spread.steps:
-            ab = schedule.alpha_bar[t]
-            z = np.sqrt(ab, dtype=dtype) * x + np.sqrt(1.0 - ab, dtype=dtype) * rng.standard_normal(
-                x.shape, dtype=dtype
-            )
-            x0 = model.predict(z, t, h)
-            if not np.isfinite(x0).all():
-                raise InferenceError(f"non-finite denoiser output at step t={t}")
-            x = np.where(keep, xin, x0)
-        out = x
-    elif variant == "ddim":
-        t0 = spread.steps[0]
-        ab0 = schedule.alpha_bar[t0]
-        z = np.sqrt(ab0, dtype=dtype) * xin + np.sqrt(1.0 - ab0, dtype=dtype) * rng.standard_normal(
-            xin.shape, dtype=dtype
-        )
-        out = xin
-        for i, t in enumerate(spread.steps):
-            x0 = model.predict(z, t, h)
-            if not np.isfinite(x0).all():
-                raise InferenceError(f"non-finite denoiser output at step t={t}")
-            edited = np.where(keep, xin, x0)
-            if t == spread.steps[-1]:
-                out = edited
-                break
-            ab = schedule.alpha_bar[t]
-            ab_next = schedule.alpha_bar[spread.steps[i + 1]]
-            eps_hat = (z - np.sqrt(ab, dtype=dtype) * edited) / np.sqrt(1.0 - ab, dtype=dtype)
-            z = np.sqrt(ab_next, dtype=dtype) * edited + np.sqrt(1.0 - ab_next, dtype=dtype) * eps_hat
-    else:
+    if variant not in ("renoise", "ddim"):
         raise ValueError(f"unknown variant {variant!r}")
+    gen = ~(mask > 0.5)
+    rows = np.flatnonzero(gen.any(axis=1))
+    dtype = model.dtype
+    x = x_input.astype(dtype)  # the estimate: input in observed channels, model output elsewhere
+    if not np.isfinite(x).all():
+        raise InferenceError("non-finite value in the input window")
+    noise = np.empty_like(x)
+    z = np.empty_like(x)
+    pred = np.zeros_like(x)  # model output at its rows; only read where gen
+
+    def edit(t: int) -> None:
+        x0 = model.predict(z, t, h, rows=rows)
+        if not np.isfinite(x0).all():
+            raise InferenceError(f"non-finite denoiser output at step t={t}")
+        pred[rows] = x0
+        np.copyto(x, pred, where=gen)
+
+    def noised(a: np.ndarray, t: int) -> None:
+        """z = sqrt(ab_t) a + sqrt(1 - ab_t) eps, with fresh noise eps."""
+        ab = schedule.alpha_bar[t]
+        rng.standard_normal(dtype=dtype, out=noise)
+        np.multiply(noise, np.sqrt(1.0 - ab, dtype=dtype), out=noise)
+        np.multiply(a, np.sqrt(ab, dtype=dtype), out=z)
+        np.add(z, noise, out=z)
+
+    if variant == "renoise":
+        for t in spread.steps:
+            noised(x, t)
+            edit(t)
+    else:
+        # DDIM keeps a running latent z and only edits the prediction
+        noised(x, spread.steps[0])
+        for t, t_next in zip(spread.steps, spread.steps[1:] + (None,)):
+            edit(t)
+            if t_next is None:
+                break
+            ab, ab_next = schedule.alpha_bar[t], schedule.alpha_bar[t_next]
+            np.multiply(x, np.sqrt(ab, dtype=dtype), out=noise)
+            z -= noise
+            z /= np.sqrt(1.0 - ab, dtype=dtype)  # z now holds eps_hat
+            z *= np.sqrt(1.0 - ab_next, dtype=dtype)
+            np.multiply(x, np.sqrt(ab_next, dtype=dtype), out=noise)
+            z += noise
     # the final edit froze observed channels; make the pass-through exact
     # in the input's own dtype as well
     result = x_input.copy()
-    np.copyto(result, out, where=~keep)
+    np.copyto(result, x, where=gen)
     return result
 
 

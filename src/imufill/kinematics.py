@@ -212,28 +212,41 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     return R
 
 
+# Entries of a row-major 3x3 matrix that rot_to_quat gathers in one pass:
+# [0:3] m21 m02 m10 and [6:9] m12 m20 m01 (differences), [3:6] m01 m02 m12
+# and [9:12] m10 m20 m21 (sums), [12:15] the diagonal, [15:18] and [18:21]
+# the other two diagonal entries of each largest-diagonal branch.
+_QUAT_GATHER = np.array([7, 2, 3, 1, 2, 5, 5, 6, 1, 3, 6, 7, 0, 4, 8, 4, 0, 0, 8, 8, 4])
+# Per branch, the (w, x, y, z) sources among [differences, sums, 0.25 s].
+_QUAT_COLS = np.array([[6, 0, 1, 2], [0, 6, 3, 4], [1, 3, 6, 5], [2, 4, 5, 6]])
+
+
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix to unit quaternion (wxyz), w >= 0."""
+    """Rotation matrix to unit quaternion (wxyz), w >= 0.
+
+    Each matrix takes the branch trace > 0 (0), else that of its largest
+    diagonal entry (1-3, first strict maximum), with the classic
+    per-branch formulas, evaluated for the whole batch at once."""
     R = np.asarray(R, dtype=np.float64)
     batch = R.shape[:-2]
-    Rf = R.reshape((-1, 3, 3))
-    q = np.empty((Rf.shape[0], 4))
-    t = np.trace(Rf, axis1=-2, axis2=-1)
-    for i in range(Rf.shape[0]):  # per-element branch; fine at our sizes
-        m = Rf[i]
-        tr = t[i]
-        if tr > 0:
-            s = np.sqrt(tr + 1.0) * 2
-            q[i] = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
-            q[i] = [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        elif m[1, 1] > m[2, 2]:
-            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
-            q[i] = [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        else:
-            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
-            q[i] = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+    g = R.reshape(-1, 9)[:, _QUAT_GATHER]
+    n = len(g)
+    d0, d1, d2 = g[:, 12], g[:, 13], g[:, 14]
+    t = g[:, 12:15].sum(axis=1)
+    branch = 3 - (d1 > d2)
+    branch[(d0 > d1) & (d0 > d2)] = 1
+    branch[t > 0] = 0
+    radicand = np.empty((n, 4))
+    np.add(t, 1.0, out=radicand[:, 0])
+    radicand[:, 1:] = 1.0 + g[:, 12:15] - g[:, 15:18] - g[:, 18:21]
+    rows = np.arange(n)
+    s = np.sqrt(radicand[rows, branch]) * 2
+    v = np.zeros((n, 7))
+    np.subtract(g[:, 0:3], g[:, 6:9], out=v[:, 0:3])
+    np.add(g[:, 3:6], g[:, 9:12], out=v[:, 3:6])
+    cols = _QUAT_COLS[branch]
+    q = v[rows[:, None], cols] / s[:, None]
+    q[cols == 6] = 0.25 * s
     q[q[:, 0] < 0] *= -1
     return q.reshape(batch + (4,))
 

@@ -225,6 +225,20 @@ def test_truncated_checkpoint_fails_cleanly(workdir, tmp_path, capsys):
     assert "CheckpointError" in capsys.readouterr().err
 
 
+def test_truncated_dataset_fails_cleanly(workdir, tmp_path, capsys):
+    rec = tmp_path / "rec.jsonl"
+    assert cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                     "--spread", "3", "--in", str(workdir / "corpus.imfd"),
+                     "--trial", "gait-000", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    blob = (workdir / "corpus.imfd").read_bytes()
+    bad = tmp_path / "short.imfd"
+    bad.write_bytes(blob[:len(blob) // 2])
+    rc = cli.main(["evaluate", "--gt", str(bad), "--trial", "gait-000", "--rec", str(rec)])
+    assert rc == 1
+    assert "DatasetError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spread", ["4000000", "1" * 25])
 def test_reconstruct_huge_step_count_fails_cleanly(workdir, tmp_path, capsys, spread):
     rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",

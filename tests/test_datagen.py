@@ -263,6 +263,31 @@ def test_dataset_bad_magic_rejected(tmp_path):
         dg.load_dataset(p)
 
 
+def _dataset_cuts(trials, size: int) -> dict[str, int]:
+    """Lengths at which to cut a saved dataset of `size` bytes: inside the
+    header, the first trial's id, its metadata and its rotation array, and
+    one byte short of the end."""
+    header = 4 + 4 + 4 + 64
+    tid = trials[0].trial_id.encode()
+    meta_at = header + 4 + len(tid)
+    arrays_at = meta_at + 37
+    return {"header": 40, "trial id": header + 4 + len(tid) // 2, "metadata": meta_at + 20,
+            "mid-array": arrays_at + trials[0].motion.n_frames * 24 * 4 * 8 // 2, "last byte": size - 1}
+
+
+def test_dataset_truncated_raises_typed_error(tmp_path, tree):
+    trials = dg.generate_corpus(tree, n_trials=2, seconds=2.0, seed=3)
+    p = tmp_path / "corpus.imfd"
+    dg.save_dataset(trials, tree, p)
+    blob = p.read_bytes()
+    short = tmp_path / "short.imfd"
+    for where, cut in _dataset_cuts(trials, len(blob)).items():
+        assert 4 < cut < len(blob), where
+        short.write_bytes(blob[:cut])
+        with pytest.raises(dg.DatasetError, match="truncated dataset"):
+            dg.load_dataset(short)
+
+
 def test_dataset_regeneration_bit_identical(tmp_path, tree):
     p1, p2 = tmp_path / "a.imfd", tmp_path / "b.imfd"
     dg.save_dataset(dg.generate_corpus(tree, n_trials=2, seconds=4.0, seed=5), tree, p1)

@@ -91,6 +91,12 @@ def test_denoiser_output_shape(stationary_window):
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("size", [dict(layers=0), dict(width=0), dict(ff=0), dict(nhead=0)])
+def test_denoiser_config_rejects_nonpositive_sizes(size):
+    with pytest.raises(ValueError, match="positive"):
+        df.DenoiserConfig(**size)
+
+
 def test_param_count_pure_function_of_size():
     c1 = df.param_count(df.DenoiserConfig(layers=1, width=16, ff=32))
     c2 = df.param_count(df.DenoiserConfig(layers=1, width=16, ff=32))
@@ -135,6 +141,37 @@ def test_fast_denoiser_matches_graph(gait_window):
     b32 = fast32.predict(gait_window.astype(np.float32), t=77, h=1.8)
     a = _forward(cfg, params, gait_window, t=77, h=1.8)
     np.testing.assert_allclose(b32, a, atol=5e-3)
+
+
+def test_predict_returns_fresh_array_and_leaves_parameters_alone(gait_window):
+    cfg = df.DenoiserConfig(layers=2, width=32, ff=64)
+    params = df.init_denoiser(cfg, seed=8)
+    before = {k: v.data.tobytes() for k, v in params.items()}
+    fast = df.FastDenoiser(cfg, params)
+    weights = {k: v.tobytes() for k, v in fast.w.items()}
+    z = gait_window.astype(np.float32)
+    a = fast.predict(z, 77, 1.8)        # fills the conditioning cache
+    kept = a.copy()
+    fast.predict(z, 77, 1.8, rows=[60])
+    fast.predict(z[::-1], 500, 1.6)     # another cache fill, other input
+    fast.predict(z[::-1], 77, 1.8)      # cached conditioning, other input
+    assert a.tobytes() == kept.tobytes()
+    assert {k: v.data.tobytes() for k, v in params.items()} == before
+    assert {k: v.tobytes() for k, v in fast.w.items()} == weights
+
+
+@pytest.mark.parametrize("nhead", [1, 2, 4])
+def test_predict_rows_match_full_prediction(gait_window, nhead):
+    cfg = df.DenoiserConfig(layers=2, width=32, ff=64, nhead=nhead)
+    params = df.init_denoiser(cfg, seed=9, dtype=np.float64)
+    fast = df.FastDenoiser(cfg, params, dtype=np.float64)
+    z = gait_window + np.random.default_rng(nhead).standard_normal(gait_window.shape)
+    for t in (0, 300, 1000):
+        full = fast.predict(z, t, 1.7)
+        for rows in ([60], [0, 30, 60], list(range(61))):
+            part = fast.predict(z, t, 1.7, rows=rows)
+            assert part.shape == (len(rows), 190)
+            np.testing.assert_allclose(part, full[rows], rtol=0, atol=1e-12)
 
 
 # -- losses ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imufill import datagen as dg
 from imufill import diffusion as df
@@ -116,6 +118,74 @@ def test_inpaint_rejects_nonfinite_input(tiny_model, variant):
     with pytest.raises(inf.InferenceError, match="non-finite"):
         inf.inpaint_denoise(fast, schedule, x, np.ones_like(x), 1.75, inf.StepSpread.like_10d(3),
                             np.random.default_rng(0), variant=variant)
+
+
+def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng, variant):
+    """The inpainting loops written plainly: full-window predictions, fresh
+    noise arrays and np.where edits."""
+    keep = mask > 0.5
+    dtype = model.dtype
+    xin = x_input.astype(dtype)
+
+    def noised(a, t):
+        ab = schedule.alpha_bar[t]
+        return np.sqrt(ab, dtype=dtype) * a + np.sqrt(1.0 - ab, dtype=dtype) * rng.standard_normal(
+            a.shape, dtype=dtype)
+
+    if variant == "renoise":
+        x = xin
+        for t in spread.steps:
+            x = np.where(keep, xin, model.predict(noised(x, t), t, h))
+    else:
+        z = noised(xin, spread.steps[0])
+        for t, t_next in zip(spread.steps, spread.steps[1:] + (None,)):
+            x = np.where(keep, xin, model.predict(z, t, h))
+            if t_next is None:
+                break
+            ab, ab_next = schedule.alpha_bar[t], schedule.alpha_bar[t_next]
+            eps_hat = (z - np.sqrt(ab) * x) / np.sqrt(1.0 - ab)
+            z = np.sqrt(ab_next) * x + np.sqrt(1.0 - ab_next) * eps_hat
+    out = x_input.copy()
+    np.copyto(out, x, where=~keep)
+    return out
+
+
+@pytest.fixture(scope="module")
+def model64():
+    cfg = df.DenoiserConfig(layers=2, width=16, ff=32, nhead=2)
+    params = df.init_denoiser(cfg, seed=1, dtype=np.float64)
+    return df.build_cosine_schedule(1000), df.FastDenoiser(cfg, params, dtype=np.float64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 61), density=st.floats(0.0, 1.0),
+       variant=st.sampled_from(["renoise", "ddim"]))
+def test_inpaint_matches_full_window_reference(model64, seed, n_rows, density, variant):
+    schedule, fast = model64
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((61, 190))
+    mask = np.ones_like(x)
+    rows = rng.choice(61, size=n_rows, replace=False)
+    mask[rows] = rng.random((n_rows, 190)) >= density
+    spread = inf.StepSpread.like_10d(4)
+    got = inf.inpaint_denoise(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed), variant)
+    want = _inpaint_reference(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed), variant)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["renoise", "ddim"])
+def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model, variant):
+    cfg, params, schedule, fast = tiny_model
+    x = np.random.default_rng(6).standard_normal((61, 190))
+    mask = np.ones_like(x)
+    mask[-1, 150:] = 0.0
+    spread = inf.StepSpread.like_10d(7)
+    rng = np.random.default_rng(13)
+    inf.inpaint_denoise(fast, schedule, x, mask, 1.75, spread, rng, variant=variant)
+    fresh = np.random.default_rng(13)
+    for _ in range(len(spread) if variant == "renoise" else 1):
+        fresh.standard_normal((61, 190), dtype=np.float32)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_inpaint_ddim_deterministic(tiny_model):

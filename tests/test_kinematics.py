@@ -130,6 +130,55 @@ def test_quaternion_round_trip():
     np.testing.assert_allclose(back, R, atol=1e-10)
 
 
+def _rot_to_quat_loop(R):
+    """Per-matrix reference for kin.rot_to_quat: the same formulas, one
+    branch chosen per matrix in a Python loop."""
+    Rf = np.asarray(R, dtype=np.float64).reshape((-1, 3, 3))
+    q = np.empty((Rf.shape[0], 4))
+    t = np.trace(Rf, axis1=-2, axis2=-1)
+    for i, m in enumerate(Rf):
+        if t[i] > 0:
+            s = np.sqrt(t[i] + 1.0) * 2
+            q[i] = [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+            s = np.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2
+            q[i] = [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+        elif m[1, 1] > m[2, 2]:
+            s = np.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2
+            q[i] = [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+        else:
+            s = np.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2
+            q[i] = [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+    q[q[:, 0] < 0] *= -1
+    return q.reshape(np.shape(R)[:-2] + (4,))
+
+
+def _branch(R):
+    t = np.trace(R)
+    if t > 0:
+        return 0
+    if R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
+        return 1
+    return 2 if R[1, 1] > R[2, 2] else 3
+
+
+def test_rot_to_quat_bit_identical_to_loop():
+    rng = np.random.default_rng(12)
+    near_pi = [kin.rotation_about(ax, 180.0 - eps) for ax in "xyz" for eps in (0.0, 1e-9, 1e-4, 0.5)]
+    tilted = [kin.rotation_about("x", 179.9) @ kin.rotation_about("y", 0.05),
+              kin.rotation_about("z", 180.0) @ kin.rotation_about("x", 180.0)]
+    # half turns about diagonal axes tie two or three diagonal entries
+    axes = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]) / np.sqrt([[2], [2], [2], [3]])
+    ties = [2.0 * np.outer(n, n) - np.eye(3) for n in axes]
+    R = np.concatenate([random_rotations(rng, 300), np.stack(near_pi + tilted + ties), np.eye(3)[None]])
+    assert {_branch(m) for m in R} == {0, 1, 2, 3}  # every branch is exercised
+    q = kin.rot_to_quat(R)
+    assert q.tobytes() == _rot_to_quat_loop(R).tobytes()
+    batched = R[:300].reshape(10, 30, 3, 3)
+    assert kin.rot_to_quat(batched).tobytes() == _rot_to_quat_loop(batched).tobytes()
+    assert kin.rot_to_quat(R[0]).shape == (4,)
+
+
 def test_scaled_tree(tree):
     tall = tree.scaled(2.0)
     np.testing.assert_allclose(tall.offsets, tree.offsets * (2.0 / 1.75))
