@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train a denoiser on a dataset")
     tr.add_argument("--data", required=True)
-    tr.add_argument("--size", default="2/64/128", help="layers/width/feedforward")
+    tr.add_argument("--size", type=df.DenoiserConfig.parse, default="2/64/128",
+                    help="layers/width/feedforward")
     tr.add_argument("--steps", type=int, default=2000)
     tr.add_argument("--batch", type=int, default=16)
     tr.add_argument("--lr", type=float, default=1e-4)
@@ -154,7 +155,7 @@ def cmd_train(args) -> int:
     if not trials:
         raise dg.DatasetError("no trials left to train on")
     dg.compute_trial_weights(trials, tree)
-    cfg = df.TrainConfig(model=df.DenoiserConfig.parse(args.size), steps=args.steps,
+    cfg = df.TrainConfig(model=args.size, steps=args.steps,
                          batch=args.batch, lr=args.lr, seed=args.seed, T=args.diffusion_steps)
     sampler = df.corpus_sampler(trials, tree, seed=args.seed)
     eval_windows = None

@@ -9,9 +9,10 @@ directly from a noised one.
 
 Two forward implementations share the same parameters: a graph-building
 one (training, gradient checks) and FastDenoiser, the float32 inference
-path, which folds the cross-attention into a per-(t, h) cache, runs its
-last layer only on the requested frame `rows`, and works in buffers
-allocated once. Their agreement is covered by tests.
+path, which folds the cross-attention into a per-(t, h) cache and runs
+its last layer only on the requested frame `rows`. Besides its weights
+it keeps only that cache, so one instance can be shared. Their agreement
+is covered by tests.
 
 The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
@@ -564,9 +565,11 @@ class FastDenoiser:
       keys and values read them all; the last layer computes keys and
       values for every token and everything else (query, both
       attentions, FFN, layernorms, output projection) for `r` alone.
-    - Intermediates live in buffers allocated once per instance, and
-      bias adds, softmax, GELU and layernorm run in place, so an instance
-      must not be shared between threads. `predict` returns a fresh array.
+
+    An instance keeps only its weights, the position table, the token
+    index of each frame row and the (t, h) cache; `predict` works on
+    arrays it allocates, so one instance can serve several sessions or
+    threads.
     """
 
     def __init__(self, cfg: DenoiserConfig, params: dict[str, Tensor], dtype=np.float32):
@@ -580,16 +583,7 @@ class FastDenoiser:
             if k.startswith("layers."):
                 i, name = k[len("layers."):].split(".", 1)
                 self._layers[int(i)][name] = v
-        n, d, nh = ft.WINDOW_LEN + 2, cfg.width, cfg.nhead
-        self._tokens = np.arange(2, n)  # token index of each frame row
-        self._x = np.empty((n, d), dtype)
-        self._qkv = np.empty((n, 3 * d), dtype)
-        self._scores = np.empty((nh, n, n), dtype)
-        self._cross = np.empty((n, 2 * nh), dtype)
-        self._attn = np.empty((n, d), dtype)
-        self._proj = np.empty((n, d), dtype)
-        self._hidden = np.empty((n, cfg.ff), dtype)
-        self._gelu_scratch = np.empty((n, cfg.ff), dtype)
+        self._tokens = np.arange(2, ft.WINDOW_LEN + 2)  # token index of each frame row
 
     def _conditioning(self, t: int, h: float):
         key = (int(t), float(h))
@@ -627,103 +621,69 @@ class FastDenoiser:
         equals `predict(z, t, h)[rows]`."""
         w = self.w
         d = self.cfg.width
-        toks = self._tokens if rows is None else self._tokens[rows]
         step_tok, height_tok, folds = self._conditioning(t, h)
-        x, qkv = self._x, self._qkv
-        x[0] = step_tok
-        x[1] = height_tok
-        np.matmul(np.asarray(z, dtype=self.dtype), w["in_proj.w"], out=x[2:])
-        x[2:] += w["in_proj.b"]
-        x[2:] += self.pos
-        last = len(self._layers) - 1
-        for i, lw in enumerate(self._layers):
-            wqkv, bqkv = lw["attn.wqkv"], lw["attn.bqkv"]
-            if i < last:
-                n = len(x)
-                np.matmul(x, wqkv, out=qkv)
-                qkv += bqkv
-            else:
-                np.matmul(x, wqkv[:, d:], out=qkv[:, d:])
-                qkv[:, d:] += bqkv[d:]
-                n = len(toks)
-                x[:n] = x[toks]
-                np.matmul(x[:n], wqkv[:, :d], out=qkv[:n, :d])
-                qkv[:n, :d] += bqkv[:d]
-            self._block(x[:n], lw, folds[i])
-        return x[:n] @ w["out_proj.w"] + w["out_proj.b"]
+        frames = np.asarray(z, dtype=self.dtype) @ w["in_proj.w"] + w["in_proj.b"] + self.pos
+        x = np.concatenate([step_tok, height_tok, frames])
+        *body, last = self._layers
+        for lw, fold in zip(body, folds):
+            qkv = x @ lw["attn.wqkv"] + lw["attn.bqkv"]
+            x = self._block(x, qkv[:, :d], qkv[:, d:], lw, fold)
+        wqkv, bqkv = last["attn.wqkv"], last["attn.bqkv"]
+        kv = x @ wqkv[:, d:] + bqkv[d:]
+        x = x[self._tokens if rows is None else self._tokens[rows]]
+        x = self._block(x, x @ wqkv[:, :d] + bqkv[:d], kv, last, folds[-1])
+        return x @ w["out_proj.w"] + w["out_proj.b"]
 
-    def _block(self, x: np.ndarray, lw: dict, fold: tuple) -> None:
-        """One post-norm layer on the residual rows `x` (the first n tokens'
-        slots) in place; their queries are in `self._qkv[:n, :d]`, the keys
-        and values of all 63 tokens in `self._qkv[:, d:]`."""
+    def _block(self, x: np.ndarray, q: np.ndarray, kv: np.ndarray, lw: dict, fold: tuple) -> np.ndarray:
+        """One post-norm layer for the residual rows `x`, whose queries are
+        `q`; `kv` holds the keys and values of all 63 tokens."""
         cfg = self.cfg
         n, d, nh, hd = len(x), cfg.width, cfg.nhead, cfg.head_dim
-        qkv, proj = self._qkv, self._proj[:n]
-        q = qkv[:n, :d].reshape(n, nh, hd).transpose(1, 0, 2)
-        k = qkv[:, d:2 * d].reshape(-1, nh, hd).transpose(1, 2, 0)
-        v = qkv[:, 2 * d:].reshape(-1, nh, hd).transpose(1, 0, 2)
-        s = self._scores[:, :n]
-        np.matmul(q, k, out=s)
-        s *= 1.0 / math.sqrt(hd)
-        _softmax_inplace(s)
-        attn = self._attn[:n]
-        np.matmul(s, v, out=attn.reshape(n, nh, hd).transpose(1, 0, 2))
-        np.matmul(attn, lw["attn.wo"], out=proj)
-        x += proj
-        x += lw["attn.bo"]
-        _layernorm_inplace(x, lw["ln1.g"], lw["ln1.b"], proj)
+        q = q.reshape(n, nh, hd).transpose(1, 0, 2)
+        k = kv[:, :d].reshape(-1, nh, hd).transpose(1, 2, 0)
+        v = kv[:, d:].reshape(-1, nh, hd).transpose(1, 0, 2)
+        attn = (_softmax_inplace((q @ k) * (1.0 / math.sqrt(hd))) @ v).transpose(1, 0, 2).reshape(n, d)
+        x = _layernorm_inplace(x + attn @ lw["attn.wo"] + lw["attn.bo"], lw["ln1.g"], lw["ln1.b"])
 
         ws, bs, vo = fold
-        c = self._cross[:n]
-        np.matmul(x, ws, out=c)
-        c += bs
-        _softmax_inplace(c.reshape(n, nh, 2))
-        np.matmul(c, vo, out=proj)
-        x += proj
-        x += lw["cross.bo"]
-        _layernorm_inplace(x, lw["ln2.g"], lw["ln2.b"], proj)
+        cross = _softmax_inplace((x @ ws + bs).reshape(n, nh, 2)).reshape(n, 2 * nh)
+        x = _layernorm_inplace(x + cross @ vo + lw["cross.bo"], lw["ln2.g"], lw["ln2.b"])
 
-        hidden = self._hidden[:n]
-        np.matmul(x, lw["ff.w1"], out=hidden)
-        hidden += lw["ff.b1"]
-        _gelu_inplace(hidden, self._gelu_scratch[:n])
-        np.matmul(hidden, lw["ff.w2"], out=proj)
-        x += proj
-        x += lw["ff.b2"]
-        _layernorm_inplace(x, lw["ln3.g"], lw["ln3.b"], proj)
+        ffn = _gelu_inplace(x @ lw["ff.w1"] + lw["ff.b1"]) @ lw["ff.w2"]
+        return _layernorm_inplace(x + ffn + lw["ff.b2"], lw["ln3.g"], lw["ln3.b"])
 
 
-def _gelu_inplace(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """tanh-approximate GELU of x, in place; tmp is scratch of x's shape."""
-    tmp = np.empty_like(x) if tmp is None else tmp
-    np.multiply(x, 0.044715, out=tmp)
-    tmp *= x
-    tmp *= x
-    tmp += x
-    tmp *= math.sqrt(2.0 / math.pi)
-    np.tanh(tmp, out=tmp)
-    tmp += 1.0
+def _gelu_inplace(x: np.ndarray) -> np.ndarray:
+    """tanh-approximate GELU of x, in place."""
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    t += 1.0
     x *= 0.5
-    x *= tmp
+    x *= t
     return x
 
 
-def _softmax_inplace(s: np.ndarray) -> None:
+def _softmax_inplace(s: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, in place."""
     s -= s.max(-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(-1, keepdims=True)
+    return s
 
 
-def _layernorm_inplace(x: np.ndarray, g: np.ndarray, b: np.ndarray, tmp: np.ndarray, eps: float = 1e-5) -> None:
-    """Layernorm over the last axis, in place; tmp is scratch of x's shape."""
+def _layernorm_inplace(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Layernorm over the last axis, in place."""
     x -= x.mean(-1, keepdims=True)
-    np.multiply(x, x, out=tmp)
-    var = tmp.mean(-1, keepdims=True)
+    var = (x * x).mean(-1, keepdims=True)
     var += eps
     x /= np.sqrt(var, out=var)
     x *= g
     x += b
+    return x
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -221,12 +221,10 @@ def _agg_key(objective: str) -> str:
 
 def reconstruct_and_score(model_cfg: DenoiserConfig, params, schedule: DiffusionSchedule,
                           tree: KinematicTree, trial: Trial, config: ft.SensorConfig,
-                          spread: StepSpread, seed: int = 0, variant: str = "renoise",
-                          root_correction: bool = True) -> tuple[MetricsReport, MotionSequence, list]:
+                          spread: StepSpread, seed: int = 0) -> tuple[MetricsReport, MotionSequence, list]:
     """Full autoregressive reconstruction of one trial plus metrics."""
     recon = Reconstructor(model_cfg, params, schedule, tree, config,
-                          height=trial.motion.height, spread=spread, seed=seed,
-                          variant=variant, root_correction=root_correction)
+                          height=trial.motion.height, spread=spread, seed=seed)
     rot, root, results = reconstruct_trial(recon, trial, config)
     rec = MotionSequence(20.0, rot, root, trial.motion.height, trial.motion.mass,
                          trial.trial_id)

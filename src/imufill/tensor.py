@@ -343,11 +343,10 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
-def softmax_attention(q, k, v, mask=None) -> Tensor:
-    """softmax(q kT / sqrt(d) + mask) v with rows of weights summing to 1.
+def softmax_attention(q, k, v) -> Tensor:
+    """softmax(q kT / sqrt(d)) v with rows of weights summing to 1.
 
-    q: (..., Tq, d), k: (..., Tk, d), v: (..., Tk, dv); mask broadcastable
-    to the score shape (..., Tq, Tk).
+    q: (..., Tq, d), k: (..., Tk, d), v: (..., Tk, dv).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     d = q.shape[-1]
@@ -358,8 +357,6 @@ def softmax_attention(q, k, v, mask=None) -> Tensor:
     if v.shape[-2] != k.shape[-2]:
         raise ShapeError(f"k/v lengths disagree: {k.shape} vs {v.shape}")
     scores = mul(matmul(q, transpose_last(k)), 1.0 / math.sqrt(d))
-    if mask is not None:
-        scores = add(scores, mask)
     return matmul(softmax(scores, axis=-1), v)
 
 

@@ -246,3 +246,47 @@ def test_reconstruct_huge_step_count_fails_cleanly(workdir, tmp_path, capsys, sp
                    "--trial", "gait-000", "--out", str(tmp_path / "rec.jsonl")])
     assert rc == 1
     assert "SpreadError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["foo", "8/512", "0/64/128"])
+def test_train_bad_size_is_usage_error(workdir, tmp_path, size):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["train", "--data", str(workdir / "corpus.imfd"), "--size", size,
+                  "--steps", "1", "--out", str(tmp_path / "m.imfc")])
+    assert e.value.code == 2
+    assert not (tmp_path / "m.imfc").exists()
+
+
+STREAM_HEADER = b'{"format": "imu-stream", "version": 1, "rate_hz": 60}\n'
+
+
+@pytest.mark.parametrize("content, where", [
+    (STREAM_HEADER + b'{"t_ms": 0, "sites": {\n', ":2: "),
+    (STREAM_HEADER + b'{"t_ms": 0}\n\n{"sites": {}}\n', ":4: missing field 't_ms'"),
+    (STREAM_HEADER + b'{"t_ms": 0, "sites": {"pelvis": {"q": [1, 0], "a": [0, 0, 0]}}}\n',
+     ":2: field 'sites.pelvis.q' has shape (2,)"),
+    (b"", "empty file"),
+    (b"\xc3\x28\n", ":1: "),
+], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8"])
+def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
+    stream = tmp_path / "s.jsonl"
+    stream.write_bytes(content)
+    rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                   "--in", str(stream), "--height", "1.7", "--out", str(tmp_path / "o.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error (InferenceError)" in err and where in err
+
+
+@pytest.mark.parametrize("content, where", [
+    (b'{"format": "pose-stream", "version": 1}\n{"t_ms": 0, "root": [0, 0\n', ":2: "),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n\n', "no pose records"),
+], ids=["bad-json", "no-records"])
+def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
+    rec = tmp_path / "rec.jsonl"
+    rec.write_bytes(content)
+    rc = cli.main(["evaluate", "--gt", str(workdir / "corpus.imfd"), "--trial", "gait-000",
+                   "--rec", str(rec)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error (InferenceError)" in err and where in err

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,38 @@ def test_predict_rows_match_full_prediction(gait_window, nhead):
             part = fast.predict(z, t, 1.7, rows=rows)
             assert part.shape == (len(rows), 190)
             np.testing.assert_allclose(part, full[rows], rtol=0, atol=1e-12)
+
+
+def test_one_fast_denoiser_shared_by_two_threads(gait_window):
+    cfg = df.DenoiserConfig(layers=2, width=64, ff=128)
+    params = df.init_denoiser(cfg, seed=10)
+    z = gait_window.astype(np.float32)
+    jobs = [(z, 0, 1.6, None), (z[::-1], 300, 1.7, [60]), (z + 0.5, 700, 1.8, [0, 30, 60]),
+            (-z, 1000, 1.9, None)]
+    serial = df.FastDenoiser(cfg, params)
+    want = [serial.predict(zz, t, h, rows=rows).tobytes() for zz, t, h, rows in jobs]
+    shared = df.FastDenoiser(cfg, params)
+    got: list[list] = [[], []]
+
+    def work(k):
+        for i in range(150):
+            j = (i + 2 * k) % len(jobs)  # the two threads run different jobs at once
+            zz, t, h, rows = jobs[j]
+            got[k].append(shared.predict(zz, t, h, rows=rows).tobytes() == want[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert [len(g) for g in got] == [150, 150]
+    assert sum(not ok for g in got for ok in g) == 0
 
 
 # -- losses ----------------------------------------------------------------

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -461,6 +464,35 @@ def test_stream_file_rejects_bad_header(tmp_path):
     p.write_text('{"format": "something-else", "version": 9}\n')
     with pytest.raises(inf.InferenceError):
         inf.parse_stream_file(p)
+
+
+@pytest.mark.parametrize("record", [
+    {"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0]}}},
+    {"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0], "a": [0, 0]}}},
+    {"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0, 0], "a": [0, 0, 0]}}},
+    {"t_ms": 0, "insoles": [1, 0, 1]},
+    {"t_ms": [0, 1]},
+    {"t_ms": "soon"},
+    {"t_ms": 0, "sites": ["pelvis"]},
+    [0],
+])
+def test_stream_file_rejects_malformed_record(tmp_path, record):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"format": "imu-stream", "version": 1, "rate_hz": 60}\n{"t_ms": -20}\n'
+                 + json.dumps(record) + "\n")
+    with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:3: "):
+        inf.parse_stream_file(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("root", [0, 0]), ("q", [[1, 0, 0, 0]] * 23), ("q", [[1, 0, 0]] * 24), ("contact", [0, 0, 0, 0, 0]),
+])
+def test_pose_stream_rejects_wrong_length_vector(tmp_path, field, value):
+    record = {"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0, 0, 0, 0], field: value}
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"format": "pose-stream", "version": 1}\n' + json.dumps(record) + "\n")
+    with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:2: field '{field}' has shape"):
+        inf.read_pose_stream(p)
 
 
 def test_pose_stream_round_trip(tmp_path, tree, tiny_model, gait_trial):
