@@ -189,8 +189,7 @@ def _session(args, tree, config: ft.SensorConfig, height: float, measurements,
     return recon, inf.run_session(recon, measurements)
 
 
-def _stream_measurements(frames):
-    ingestor = inf.StreamIngestor()
+def _stream_measurements(ingestor: inf.StreamIngestor, frames):
     for fr in frames:
         for im in ingestor.push(fr):
             yield im.measurement
@@ -202,6 +201,7 @@ def cmd_reconstruct(args) -> int:
     tree = default_tree()
     config = ft.SensorConfig.parse(args.config)
     src = Path(args.input)
+    ingestor = None
     if src.suffix == ".imfd" or _looks_like_dataset(src):
         trial = _pick_trial(dg.load_dataset(src), args.trial)
         height = trial.motion.height if args.height is None else args.height
@@ -210,7 +210,8 @@ def cmd_reconstruct(args) -> int:
         if args.height is None:
             raise inf.InferenceError("--height is required for stream input")
         height = args.height
-        measurements = _stream_measurements(inf.parse_stream_file(src))
+        ingestor = inf.StreamIngestor()
+        measurements = _stream_measurements(ingestor, inf.parse_stream_file(src))
     recon, results = _session(args, tree, config, height, measurements, variant=args.variant,
                               root_correction=not args.no_root_correction)
     inf.write_pose_stream(args.out, tree, results)
@@ -218,6 +219,9 @@ def cmd_reconstruct(args) -> int:
     print(f"reconstructed {len(results)} frames -> {args.out} "
           f"(config {config.label()}, {len(recon.spread)} steps, "
           f"latency p50 {lat['p50']:.1f} ms / p95 {lat['p95']:.1f} ms)")
+    if ingestor is not None:
+        print(f"dropped {ingestor.bad_samples} bad samples and "
+              f"{ingestor.out_of_order} out-of-order records")
     return 0
 
 

@@ -4,8 +4,10 @@ Each 20 Hz step: write the new observation into the last frame of the
 rolling 61-frame window (unobserved channels seeded from the previous
 frame), run inpainting denoising over the configured step spread, take
 the generated channels of the last frame alongside the measured ones,
-correct the root displacement from predicted contacts, decode a pose,
-and shift the emitted frame into history. History rows are fully
+decode that frame once into local rotations and, with root correction
+on, its contact points; correct the root displacement from the contact
+points of this frame and of the last one, which the previous step kept;
+then shift the emitted frame into history. History rows are fully
 observed, so the denoiser predicts only rows with generated channels:
 in a session, the newest frame.
 
@@ -22,7 +24,8 @@ Wire formats (JSON lines, versioned by a header record):
                 {"t_ms": 0, "sites": {"pelvis": {"q": [w,x,y,z],
                  "a": [ax,ay,az]}, ...}, "insoles": [1,0,1,1]}
                 absent sites mean per-sensor dropout for that frame;
-                "insoles" is optional.
+                "insoles" is optional; a non-finite sample or a zero
+                quaternion is a dropout too (see StreamIngestor).
 
   output, 20 Hz {"format": "pose-stream", "version": 1, "rate_hz": 20,
                  "segments": [... 24 names ...]}
@@ -33,13 +36,15 @@ Wire formats (JSON lines, versioned by a header record):
 from __future__ import annotations
 
 import json
+import math
 import time
-import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import features as ft
+from . import kinematics
 from .datagen import DECIMATION, SMOOTH_WINDOW
 from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .kinematics import (
@@ -208,37 +213,26 @@ def inpaint_denoise(
 
 
 def root_correct(
-    prev_frame: np.ndarray,
+    prev_xz: np.ndarray,
     cur_frame: np.ndarray,
-    tree: KinematicTree,
+    cur_xz: np.ndarray,
     threshold: float = CONTACT_THRESHOLD,
 ) -> np.ndarray:
     """Corrected horizontal root step for cur_frame.
 
-    Subtracts the mean world-horizontal displacement of the contact
-    points predicted to be in contact; with one such point that point
-    becomes exactly static, with several only their mean does.
+    prev_xz and cur_xz are the root-relative horizontal contact points,
+    (4, 2), of the previous and the current frame. Subtracts the mean
+    world-horizontal displacement of the contact points predicted to be
+    in contact; with one such point that point becomes exactly static,
+    with several only their mean does.
     """
     dp = cur_frame[ft.DP_OFF:ft.DP_OFF + 2].copy()
     b = cur_frame[ft.B_OFF:ft.B_OFF + ft.B_LEN]
     in_contact = b >= threshold
     if not in_contact.any():
         return dp
-    prev_xz = _contact_xz(prev_frame, tree)
-    cur_xz = _contact_xz(cur_frame, tree)
     disp = (cur_xz - prev_xz) + dp[None, :]
     return dp - disp[in_contact].mean(axis=0)
-
-
-def _contact_xz(frame: np.ndarray, tree: KinematicTree) -> np.ndarray:
-    """Root-relative horizontal contact-point positions for one frame."""
-    from .kinematics import forward_kinematics
-
-    g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
-    globals_ = decode_rot6d(g6, strict=False)
-    locals_ = global_to_local(tree, globals_)
-    fk = forward_kinematics(tree, locals_, np.zeros(3))
-    return fk.contacts[:, [0, 2]]
 
 
 @dataclass
@@ -288,6 +282,7 @@ class Reconstructor:
         self.window: np.ndarray | None = None
         self.frame_index = 0
         self.root_xz = np.zeros(2)
+        self.contact_xz: np.ndarray | None = None  # of window[-1], with root correction on
 
     def cold_start(self, measurement: ft.Measurement | None = None) -> None:
         """Fill the window with a neutral standing frame; write the first
@@ -298,6 +293,7 @@ class Reconstructor:
             self.window, _ = ft.apply_observation(self.window, measurement, self.tree, self.config)
         self.frame_index = 0
         self.root_xz = np.zeros(2)
+        self.contact_xz = self._decode_frame(self.window[-1])[1]
 
     def step(self, measurement: ft.Measurement | None = None) -> StepResult:
         """Consume one 20 Hz observation (None = total signal loss)."""
@@ -311,22 +307,28 @@ class Reconstructor:
         out = inpaint_denoise(self.fast, self.schedule, x_input, mask, self.height,
                               self.spread, self.rng, variant=self.variant)
         emitted = out[-1].copy()
+        locals_, cur_xz = self._decode_frame(emitted)
         if self.root_correction:
-            emitted[ft.DP_OFF:ft.DP_OFF + 2] = root_correct(self.window[-1], emitted, self.scaled_tree)
-        pose, contacts = self._decode(emitted)
+            emitted[ft.DP_OFF:ft.DP_OFF + 2] = root_correct(self.contact_xz, emitted, cur_xz)
+            self.contact_xz = cur_xz
+        self.root_xz = self.root_xz + emitted[ft.DP_OFF:ft.DP_OFF + 2]
+        root = np.array([self.root_xz[0], emitted[ft.PY_OFF], self.root_xz[1]])
+        contacts = np.clip(emitted[ft.B_OFF:ft.B_OFF + ft.B_LEN], 0.0, 1.0)
         self.window = np.concatenate([x_input[:-1], emitted[None]], axis=0)
         self.frame_index += 1
-        return StepResult(pose=pose, frame=emitted, contacts=contacts,
+        return StepResult(pose=Pose(locals_, root), frame=emitted, contacts=contacts,
                           latency_ms=(time.perf_counter() - t0) * 1e3, index=self.frame_index - 1)
 
-    def _decode(self, frame: np.ndarray) -> tuple[Pose, np.ndarray]:
+    def _decode_frame(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Local rotations (24, 3, 3) and, with root correction on, the
+        root-relative horizontal contact points (4, 2) of a frame. Both
+        read only its rotation channels, which root correction keeps."""
         g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
-        globals_ = decode_rot6d(g6, strict=False)
-        locals_ = global_to_local(self.tree, globals_)
-        self.root_xz = self.root_xz + frame[ft.DP_OFF:ft.DP_OFF + 2]
-        root = np.array([self.root_xz[0], frame[ft.PY_OFF], self.root_xz[1]])
-        contacts = np.clip(frame[ft.B_OFF:ft.B_OFF + ft.B_LEN], 0.0, 1.0)
-        return Pose(rotations=locals_, root_position=root), contacts
+        locals_ = global_to_local(self.tree, decode_rot6d(g6, strict=False))
+        if not self.root_correction:
+            return locals_, None
+        fk = kinematics.forward_kinematics(self.scaled_tree, locals_, np.zeros(3))
+        return locals_, fk.contacts[:, [0, 2]]
 
 
 def run_session(recon: Reconstructor, measurements) -> list[StepResult]:
@@ -400,32 +402,55 @@ class StreamIngestor:
     channels are decimated by DECIMATION. Both constants come from
     `datagen`, so live input is filtered exactly as the training signals
     were synthesized. A site absent at a decimation instant is dropped
-    from that Measurement. Out-of-order timestamps are discarded with a
-    warning. Output lags input by SMOOTH_WINDOW // 2 raw frames.
+    from that Measurement. A bad sample is a dropout too: a site whose
+    quaternion or acceleration is not finite, or whose quaternion has no
+    finite nonzero norm, is dropped from its record, and so are
+    non-finite insoles; `bad_samples` counts them. Records whose
+    timestamp is not after the last one are discarded and counted in
+    `out_of_order`. Output lags input by SMOOTH_WINDOW // 2 raw frames.
+    Only the last SMOOTH_WINDOW records are held, so memory stays flat
+    over a session of any length.
     """
 
     half = SMOOTH_WINDOW // 2
 
     def __init__(self):
-        self.frames: list[StreamFrame] = []
+        self.frames: deque[StreamFrame] = deque(maxlen=SMOOTH_WINDOW)
+        self.received = 0  # records accepted; frames[-1] has index received - 1
         self.last_ms = -np.inf
         self.next_out = 0  # index of next decimation instant
+        self.bad_samples = 0
+        self.out_of_order = 0
 
     def push(self, frame: StreamFrame) -> list[IngestedMeasurement]:
         if frame.t_ms <= self.last_ms:
-            warnings.warn(f"out-of-order stream frame at t={frame.t_ms} ms dropped")
+            self.out_of_order += 1
             return []
         self.last_ms = frame.t_ms
-        self.frames.append(frame)
+        self.frames.append(self._without_bad_samples(frame))
+        self.received += 1
         return self._drain(final=False)
 
     def finish(self) -> list[IngestedMeasurement]:
         """Flush instants still waiting for future frames (edge padding)."""
         return self._drain(final=True)
 
+    def _without_bad_samples(self, frame: StreamFrame) -> StreamFrame:
+        """frame itself when every sample is good, else a copy without the
+        bad ones; the caller's frame is never changed."""
+        sites = {name: (q, a) for name, (q, a) in frame.sites.items() if _usable_sample(q, a)}
+        insoles = frame.insoles
+        if insoles is not None and not np.isfinite(insoles).all():
+            insoles = None
+        bad = len(frame.sites) - len(sites) + (insoles is not frame.insoles)
+        if not bad:
+            return frame
+        self.bad_samples += bad
+        return StreamFrame(t_ms=frame.t_ms, sites=sites, insoles=insoles)
+
     def _drain(self, final: bool) -> list[IngestedMeasurement]:
         out = []
-        n = len(self.frames)
+        n = self.received
         while self.next_out < n:
             center = self.next_out
             if not final and center + self.half >= n:
@@ -435,14 +460,18 @@ class StreamIngestor:
         return out
 
     def _emit(self, center: int) -> IngestedMeasurement:
+        # absolute record index i is held at frames[i - base]; every
+        # instant is emitted before its window's first record leaves
+        base = self.received - len(self.frames)
         frames = self.frames
-        ref = frames[center]
+        ref = frames[center - base]
         lo = max(center - self.half, 0)
-        hi = min(center + self.half, len(frames) - 1)
+        hi = min(center + self.half, self.received - 1)
         meas = ft.Measurement(site_orient6d={}, site_accel={},
                               insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float))
         for name, (quat, _acc) in ref.sites.items():
-            acc_parts = [frames[i].sites[name][1] for i in range(lo, hi + 1) if name in frames[i].sites]
+            acc_parts = [frames[i - base].sites[name][1] for i in range(lo, hi + 1)
+                         if name in frames[i - base].sites]
             # edge replication: extend with boundary values when the window
             # sticks out of the recorded range
             pad_lo = self.half - (center - lo)
@@ -454,6 +483,14 @@ class StreamIngestor:
             meas.site_orient6d[name] = encode_rot6d(quat_to_rot(np.asarray(quat, float)))
             meas.site_accel[name] = acc
         return IngestedMeasurement(t_ms=ref.t_ms, measurement=meas)
+
+
+def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
+    """True when q has a finite nonzero norm (quat_to_rot can normalize
+    it) and every component of a is finite. In Python floats: cheaper
+    than numpy calls on 4- and 3-vectors, and a square that overflows
+    or underflows raises no warning."""
+    return 0.0 < sum(v * v for v in q.tolist()) < math.inf and all(map(math.isfinite, a.tolist()))
 
 
 # -- JSONL wire formats ------------------------------------------------------

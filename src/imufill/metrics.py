@@ -1,6 +1,6 @@
 """Reconstruction quality metrics and the sensor-configuration sweep.
 
-Conventions, fixed here and documented in the README:
+Conventions, fixed here (the root README points to this list):
   * toe, wrist, and finger articulations are excluded from the angular
     and positional aggregates (their DoFs are unarticulated in much of
     the training material);
@@ -65,13 +65,6 @@ class MetricsReport:
             "GA_deg": self.ga_deg, "JPE_cm": self.jpe_cm, "jitter": self.jitter,
             "RE2_m": self.re2_m, "RE5_m": self.re5_m, "RE10_m": self.re10_m,
         }
-
-    def value(self, objective: str) -> float:
-        return {
-            "LA": self.la_deg, "legsLA": self.legs_la_deg, "backLA": self.back_la_deg,
-            "GA": self.ga_deg, "JPE": self.jpe_cm, "jitter": self.jitter,
-            "RE2": self.re2_m, "RE5": self.re5_m, "RE10": self.re10_m,
-        }[objective]
 
 
 def _included(tree: KinematicTree) -> np.ndarray:

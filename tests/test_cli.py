@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from imufill import cli
 from imufill import datagen as dg
 from imufill import diffusion as df
 from imufill import inference as inf
+from imufill.features import SensorConfig
 from imufill.kinematics import default_tree
 
 
@@ -96,8 +98,6 @@ def test_reconstruct_from_stream_file(workdir, tmp_path):
     trials = dg.load_dataset(workdir / "corpus.imfd")
     trial = trials[0]
     config_label = "pelvis,shank_l,shank_r"
-    from imufill.features import SensorConfig
-
     frames = inf.stream_frames_from_trial(trial, SensorConfig.parse(config_label), default_tree())
     stream = tmp_path / "stream.jsonl"
     inf.write_stream_file(stream, frames)
@@ -108,6 +108,31 @@ def test_reconstruct_from_stream_file(workdir, tmp_path):
     assert rc == 0
     rot, root, contacts = inf.read_pose_stream(out)
     assert np.isfinite(rot).all() and np.isfinite(root).all()
+
+
+@pytest.mark.parametrize("record, field, value", [
+    (9, "q", [0.0, 0.0, 0.0, 0.0]),      # zero pelvis quaternion at a decimation instant
+    (10, "a", [float("nan"), 0.0, 0.0]),  # NaN acceleration between instants
+])
+def test_reconstruct_stream_bad_sample_is_a_dropout(workdir, tmp_path, capsys, record, field, value):
+    # one bad sample drops that site from its record; the session goes on
+    trial = dg.load_dataset(workdir / "corpus.imfd")[0]
+    frames = inf.stream_frames_from_trial(trial, SensorConfig.parse("pelvis,head"), default_tree())[:30]
+    q, a = frames[record].sites["pelvis"]
+    frames[record].sites["pelvis"] = (np.array(value), a) if field == "q" else (q, np.array(value))
+    stream = tmp_path / "stream.jsonl"
+    inf.write_stream_file(stream, frames)
+    out = tmp_path / "rec.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis,head",
+                       "--spread", "3", "--in", str(stream), "--height", f"{trial.motion.height}",
+                       "--out", str(out)])
+    assert rc == 0
+    rot, root, contacts = inf.read_pose_stream(out)
+    assert len(rot) == len(range(0, len(frames), 3))
+    assert np.isfinite(rot).all() and np.isfinite(root).all()
+    assert "dropped 1 bad samples and 0 out-of-order records" in capsys.readouterr().out
 
 
 def test_reconstruct_stream_requires_height(workdir, tmp_path):

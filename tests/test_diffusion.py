@@ -316,6 +316,7 @@ def test_training_step_gradcheck_small(tree, gait_window):
     assert rep.max_rel_err < 1e-4, (rep.worst_param, rep.max_rel_err)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_training_divergence_detected(tree, stationary_window):
     cfg = df.DenoiserConfig(layers=1, width=8, ff=16)
     params = df.init_denoiser(cfg, seed=0)
