@@ -169,12 +169,12 @@ def cmd_train(args) -> int:
         eval_windows = (np.stack(ws), np.array(hs))
     result = df.train(sampler, tree, cfg, eval_windows=eval_windows,
                       eval_every=max(args.steps // 10, 1) if holdout else 0,
-                      log=lambda s: print(s, flush=True))
+                      log=lambda rec: print(json.dumps(rec), flush=True))
     df.save_checkpoint(args.out, cfg.model, result.params, result.schedule, tree)
-    print(f"saved checkpoint {args.out} ({cfg.model.label()}, "
-          f"{df.param_count(cfg.model):,} parameters, final loss {result.losses[-1].total:.4f})")
     if result.eval_curve:
-        print("holdout simple-loss curve: " + ", ".join(f"{v:.1f}" for v in result.eval_curve))
+        print(json.dumps({"holdout_simple_loss": result.eval_curve}))
+    print(json.dumps({"checkpoint": str(args.out), "model": cfg.model.label(),
+                      "parameters": df.param_count(cfg.model), "final_loss": result.losses[-1].total}))
     return 0
 
 

@@ -9,10 +9,13 @@ directly from a noised one.
 
 Two forward implementations share the same parameters: a graph-building
 one (training, gradient checks) and FastDenoiser, the float32 inference
-path, which folds the cross-attention into a per-(t, h) cache and runs
-its last layer only on the requested frame `rows`. Besides its weights
-it keeps only that cache, so one instance can be shared. Their agreement
-is covered by tests.
+path. Both fold the two-token cross-attention into three small arrays
+per layer, so its d-by-d query and output projections never run over
+the tokens: the graph forms the fold as graph ops for every batch item
+(`_cross_attention`), FastDenoiser keeps it in a per-(t, h) cache and
+also runs its last layer only on the requested frame `rows`. Besides its
+weights FastDenoiser keeps only that cache, so one instance can be
+shared. Their agreement is covered by tests.
 
 The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -190,13 +194,6 @@ def init_denoiser(cfg: DenoiserConfig, seed: int = 0, dtype=np.float32) -> dict[
     return params
 
 
-def _layernorm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = tt.tmean(x, axis=-1, keepdims=True)
-    xc = tt.sub(x, mu)
-    var = tt.tmean(tt.mul(xc, xc), axis=-1, keepdims=True)
-    return tt.add(tt.mul(tt.div(xc, tt.tsqrt(tt.add(var, eps))), g), b)
-
-
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tt.add(tt.matmul(x, w), b)
 
@@ -209,6 +206,39 @@ def _split_heads(x: Tensor, nhead: int) -> Tensor:
 def _merge_heads(x: Tensor) -> Tensor:
     B, nh, T, hd = x.shape
     return tt.reshape(tt.transpose(x, (0, 2, 1, 3)), (B, T, nh * hd))
+
+
+def _cross_attention(x: Tensor, memory: Tensor, P: dict[str, Tensor], prefix: str,
+                     nhead: int) -> Tensor:
+    """One layer's cross-attention of x (B, T, d) over the two memory
+    tokens (B, 2, d), output projection and bias included, folded.
+
+    With ck, cv the memory keys and values, it forms ws = scale * Wq_h
+    ck^T (B, d, 2*nhead), bs = scale * bq_h ck^T and vo = cv Wo_h (B,
+    2*nhead, d), columns and rows ordered (head, memory token); the block
+    is a softmax over each head's pair of `x @ ws + bs`, times vo, plus
+    the output bias. Each fold is one product per head over the whole
+    batch, so no weight is broadcast over B, and the d-by-d query and
+    output projections of the T tokens never run.
+    """
+    B, T, d = x.shape
+    hd = d // nhead
+    scale = 1.0 / math.sqrt(hd)
+    ckv = _linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])  # (B, 2, 2d)
+    # (B, 2, nh, hd) -> (nh, hd, 2B) and (nh, 2B, hd), batch-major along 2B
+    ck = tt.reshape(tt.transpose(tt.reshape(ckv[:, :, :d], (B, 2, nhead, hd)), (2, 3, 0, 1)),
+                    (nhead, hd, 2 * B))
+    cv = tt.reshape(tt.transpose(tt.reshape(ckv[:, :, d:], (B, 2, nhead, hd)), (2, 0, 1, 3)),
+                    (nhead, 2 * B, hd))
+    wq = tt.transpose(tt.reshape(P[prefix + "cross.wq"], (d, nhead, hd)), (1, 0, 2))  # (nh, d, hd)
+    ws = tt.mul(tt.matmul(wq, ck), scale)                                              # (nh, d, 2B)
+    ws = tt.reshape(tt.transpose(tt.reshape(ws, (nhead, d, B, 2)), (2, 1, 0, 3)), (B, d, 2 * nhead))
+    bs = tt.mul(tt.matmul(tt.reshape(P[prefix + "cross.bq"], (nhead, 1, hd)), ck), scale)  # (nh, 1, 2B)
+    bs = tt.reshape(tt.transpose(tt.reshape(bs, (nhead, B, 2)), (1, 0, 2)), (B, 1, 2 * nhead))
+    vo = tt.matmul(cv, tt.reshape(P[prefix + "cross.wo"], (nhead, hd, d)))             # (nh, 2B, d)
+    vo = tt.reshape(tt.transpose(tt.reshape(vo, (nhead, B, 2, d)), (1, 0, 2, 3)), (B, 2 * nhead, d))
+    weights = tt.softmax(tt.reshape(tt.add(tt.matmul(x, ws), bs), (B, T, nhead, 2)), axis=-1)
+    return tt.add(tt.matmul(tt.reshape(weights, (B, T, 2 * nhead)), vo), P[prefix + "cross.bo"])
 
 
 def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
@@ -243,18 +273,13 @@ def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
         k = _split_heads(qkv[:, :, d:2 * d], cfg.nhead)
         v = _split_heads(qkv[:, :, 2 * d:], cfg.nhead)
         attn = _merge_heads(tt.softmax_attention(q, k, v))
-        x = _layernorm(tt.add(x, _linear(attn, P[p + "attn.wo"], P[p + "attn.bo"])),
-                       P[p + "ln1.g"], P[p + "ln1.b"])
-        cq = _split_heads(_linear(x, P[p + "cross.wq"], P[p + "cross.bq"]), cfg.nhead)
-        ckv = _linear(memory, P[p + "cross.wkv"], P[p + "cross.bkv"])
-        ck = _split_heads(ckv[:, :, :d], cfg.nhead)
-        cv = _split_heads(ckv[:, :, d:], cfg.nhead)
-        cross = _merge_heads(tt.softmax_attention(cq, ck, cv))
-        x = _layernorm(tt.add(x, _linear(cross, P[p + "cross.wo"], P[p + "cross.bo"])),
-                       P[p + "ln2.g"], P[p + "ln2.b"])
+        x = tt.layernorm(tt.add(x, _linear(attn, P[p + "attn.wo"], P[p + "attn.bo"])),
+                         P[p + "ln1.g"], P[p + "ln1.b"])
+        x = tt.layernorm(tt.add(x, _cross_attention(x, memory, P, p, cfg.nhead)),
+                         P[p + "ln2.g"], P[p + "ln2.b"])
         ffn = _linear(tt.gelu(_linear(x, P[p + "ff.w1"], P[p + "ff.b1"])),
                       P[p + "ff.w2"], P[p + "ff.b2"])
-        x = _layernorm(tt.add(x, ffn), P[p + "ln3.g"], P[p + "ln3.b"])
+        x = tt.layernorm(tt.add(x, ffn), P[p + "ln3.g"], P[p + "ln3.b"])
 
     out = _linear(x[:, 2:, :], P["out_proj.w"], P["out_proj.b"])
     return out
@@ -486,11 +511,14 @@ def train(sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
           tree: KinematicTree, cfg: TrainConfig,
           eval_windows: tuple[np.ndarray, np.ndarray] | None = None,
           eval_every: int = 0,
-          log: Callable[[str], None] | None = None) -> TrainResult:
+          log: Callable[[dict], None] | None = None) -> TrainResult:
     """Generic training loop; sample_batch(n) returns (windows, heights).
 
-    Deterministic for a fixed cfg.seed and sampler. Raises
-    TrainingDiverged on a non-finite loss.
+    Every cfg.log_every steps and at the last one, `log` gets one record:
+    the step, the five loss terms and their total, the step's seconds
+    (batch draw, training step and Adam) and the global gradient norm,
+    which is computed on logged steps only. Deterministic for a fixed
+    cfg.seed and sampler. Raises TrainingDiverged on a non-finite loss.
     """
     schedule = build_cosine_schedule(cfg.T)
     params = init_denoiser(cfg.model, seed=cfg.seed, dtype=cfg.np_dtype)
@@ -499,15 +527,17 @@ def train(sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
     losses: list[LossBreakdown] = []
     eval_curve: list[float] = []
     for step in range(cfg.steps):
+        t0 = time.perf_counter()
         windows, heights = sample_batch(cfg.batch)
         ts = rng.integers(0, cfg.T + 1, size=windows.shape[0])
         breakdown, grads = training_step(cfg.model, params, schedule, windows, heights,
                                          ts, rng, tree, cfg.weights)
         params, state = tt.adam_step(params, grads, state, lr=cfg.lr_at(step), betas=cfg.betas)
+        step_s = time.perf_counter() - t0
         losses.append(breakdown)
         if log and (step % cfg.log_every == 0 or step == cfg.steps - 1):
-            log(f"step {step:5d}  total {breakdown.total:10.4f}  "
-                + "  ".join(f"{k} {v:9.4f}" for k, v in breakdown.as_dict().items() if k != "total"))
+            grad_norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
+            log({"step": step, **breakdown.as_dict(), "step_s": step_s, "grad_norm": grad_norm})
         if eval_windows is not None and eval_every and (step + 1) % eval_every == 0:
             eval_curve.append(evaluate_simple_loss(cfg.model, params, schedule, *eval_windows, seed=cfg.seed))
     return TrainResult(cfg=cfg, params=params, schedule=schedule, losses=losses, eval_curve=eval_curve)
@@ -516,13 +546,16 @@ def train(sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
 def evaluate_simple_loss(model_cfg: DenoiserConfig, params: dict[str, Tensor],
                          schedule: DiffusionSchedule, windows: np.ndarray, heights: np.ndarray,
                          seed: int = 0) -> float:
-    """Mean per-window squared feature error at fixed mid-range noise."""
+    """Mean per-window squared feature error at fixed mid-range noise.
+    The forward runs on detached copies of the parameters (same arrays,
+    no gradient), so it records no graph."""
     rng = np.random.default_rng([seed, 909])
     dtype = params["in_proj.w"].dtype
     x = np.asarray(windows, dtype=dtype)
     ts = np.full(x.shape[0], schedule.T // 2)
     z = noise_window(x.astype(np.float64), ts, schedule, rng).astype(dtype)
-    pred = denoiser_forward(model_cfg, params, z, ts, heights)
+    detached = {k: Tensor(v.data) for k, v in params.items()}
+    pred = denoiser_forward(model_cfg, detached, z, ts, heights)
     return float(((pred.data - x) ** 2).sum() / x.shape[0])
 
 

@@ -24,8 +24,9 @@ Wire formats (JSON lines, versioned by a header record):
                 {"t_ms": 0, "sites": {"pelvis": {"q": [w,x,y,z],
                  "a": [ax,ay,az]}, ...}, "insoles": [1,0,1,1]}
                 absent sites mean per-sensor dropout for that frame;
-                "insoles" is optional; a non-finite sample or a zero
-                quaternion is a dropout too (see StreamIngestor).
+                "insoles" is optional; a non-finite sample, a zero
+                quaternion, an acceleration beyond MAX_ACCEL or insoles
+                outside {0, 1} are a dropout too (see StreamIngestor).
 
   output, 20 Hz {"format": "pose-stream", "version": 1, "rate_hz": 20,
                  "segments": [... 24 names ...]}
@@ -62,6 +63,12 @@ STREAM_IN_FORMAT = "imu-stream"
 STREAM_OUT_FORMAT = "pose-stream"
 STREAM_VERSION = 1
 CONTACT_THRESHOLD = 0.5
+# Largest acceleration component (m/s^2) a stream sample may carry: about
+# 1000 g, far beyond the full scale of any body-worn IMU (16 g is usual,
+# high-g parts reach 400 g), so a larger value can only be a corrupt
+# sample. It also keeps the filter's mean and the window's float32 cast
+# finite. See _usable_sample.
+MAX_ACCEL = 1e4
 
 
 class SpreadError(ValueError):
@@ -403,9 +410,10 @@ class StreamIngestor:
     `datagen`, so live input is filtered exactly as the training signals
     were synthesized. A site absent at a decimation instant is dropped
     from that Measurement. A bad sample is a dropout too: a site whose
-    quaternion or acceleration is not finite, or whose quaternion has no
-    finite nonzero norm, is dropped from its record, and so are
-    non-finite insoles; `bad_samples` counts them. Records whose
+    quaternion has no finite nonzero norm, or whose acceleration has a
+    component that is not finite or exceeds MAX_ACCEL in magnitude, is
+    dropped from its record, and so are insoles with a value outside
+    {0, 1}; `bad_samples` counts them. Records whose
     timestamp is not after the last one are discarded and counted in
     `out_of_order`. Output lags input by SMOOTH_WINDOW // 2 raw frames.
     Only the last SMOOTH_WINDOW records are held, so memory stays flat
@@ -440,7 +448,7 @@ class StreamIngestor:
         bad ones; the caller's frame is never changed."""
         sites = {name: (q, a) for name, (q, a) in frame.sites.items() if _usable_sample(q, a)}
         insoles = frame.insoles
-        if insoles is not None and not np.isfinite(insoles).all():
+        if insoles is not None and not all(v in (0.0, 1.0) for v in insoles.tolist()):
             insoles = None
         bad = len(frame.sites) - len(sites) + (insoles is not frame.insoles)
         if not bad:
@@ -487,10 +495,11 @@ class StreamIngestor:
 
 def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
     """True when q has a finite nonzero norm (quat_to_rot can normalize
-    it) and every component of a is finite. In Python floats: cheaper
-    than numpy calls on 4- and 3-vectors, and a square that overflows
-    or underflows raises no warning."""
-    return 0.0 < sum(v * v for v in q.tolist()) < math.inf and all(map(math.isfinite, a.tolist()))
+    it) and every component of a is finite and at most MAX_ACCEL in
+    magnitude (NaN fails the comparison). In Python floats: cheaper than
+    numpy calls on 4- and 3-vectors, and a square that overflows or
+    underflows raises no warning."""
+    return 0.0 < sum(v * v for v in q.tolist()) < math.inf and all(abs(v) <= MAX_ACCEL for v in a.tolist())
 
 
 # -- JSONL wire formats ------------------------------------------------------
@@ -542,16 +551,22 @@ def parse_stream_file(path) -> list[StreamFrame]:
     return _read_wire(path, STREAM_IN_FORMAT, _stream_frame)
 
 
+def _wire_values(x: np.ndarray) -> list[float]:
+    """x rounded to 9 decimals, except that a component whose rounding
+    overflows (above about 1.8e299, where x * 1e9 is infinite) is kept
+    as it is, so a finite value is written finite."""
+    with np.errstate(over="ignore"):
+        r = np.round(x, 9)
+    return np.where(np.isfinite(r), r, x).tolist()
+
+
 def write_stream_file(path, frames: list[StreamFrame]) -> None:
     with open(path, "w") as f:
         f.write(json.dumps({"format": STREAM_IN_FORMAT, "version": STREAM_VERSION, "rate_hz": 60}) + "\n")
         for fr in frames:
             rec = {
                 "t_ms": fr.t_ms,
-                "sites": {
-                    n: {"q": np.round(q, 9).tolist(), "a": np.round(a, 9).tolist()}
-                    for n, (q, a) in fr.sites.items()
-                },
+                "sites": {n: {"q": _wire_values(q), "a": _wire_values(a)} for n, (q, a) in fr.sites.items()},
             }
             if fr.insoles is not None:
                 rec["insoles"] = [int(x) for x in fr.insoles]

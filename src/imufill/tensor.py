@@ -16,13 +16,25 @@ Conventions:
     forward and backward as one 2-D GEMM over the flattened batch, so
     the weight gradient is a single (k, n) product, never a per-batch
     stack summed afterwards.
+  * `layernorm` is one node whose vjp is the closed form (Ba et al.,
+    arXiv 1607.06450), not the composition of means, square roots and
+    divisions it replaces.
+  * a basic-index `take` hands `backward` its slice gradient alone;
+    `backward` adds it into the one gradient accumulator of the sliced
+    tensor, cast first to that tensor's dtype as the zero-padded buffer
+    did, so no operand-sized zero buffer is built per slice. Fancy
+    indices, which may repeat, still scatter with `np.add.at` into a
+    buffer of their own. `backward` adds in place only into accumulators
+    it allocated itself and only when the dtypes agree: a vjp may hand
+    one array to two parents (`add` does) or return views (`concat`,
+    `reshape`), and those are never written.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,6 +310,31 @@ def gelu(a) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
+def layernorm(x, g, b, eps: float = 1e-5) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
+
+    With xhat the normalized input and dy = grad * g, the vjp is the
+    closed form dx = (dy - mean(dy) - xhat * mean(dy * xhat)) / sqrt(var
+    + eps), dg = sum(grad * xhat) and db = sum(grad) over the leading axes.
+    """
+    x, g, b = _as_tensor(x), _as_tensor(g, x.dtype), _as_tensor(b, x.dtype)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = np.divide(xc, std, out=xc)
+    prod = xhat * g.data
+    out = _into(np.add, prod, b.data, prod)
+
+    def vjp(grad):
+        dy = grad * g.data
+        dot = (dy * xhat).mean(axis=-1, keepdims=True)
+        dx = dy - dy.mean(axis=-1, keepdims=True)
+        dx = _into(np.subtract, dx, _into(np.multiply, xhat, dot, dy), dx)
+        dx = _into(np.divide, dx, std, dx)
+        return dx, _unbroadcast(grad * xhat, g.shape), _unbroadcast(grad, b.shape)
+
+    return Tensor._make(out, (x, g, b), vjp)
+
+
 # -- linear algebra --------------------------------------------------------
 
 
@@ -432,19 +469,28 @@ def _is_basic_index(idx) -> bool:
                or (isinstance(p, (int, np.integer)) and not isinstance(p, bool)) for p in parts)
 
 
+class _SliceGrad(NamedTuple):
+    """The gradient of a basic-index `take`: `g` belongs at `idx` of its
+    operand and the rest is zero. `backward` adds it into the operand's
+    accumulator instead of building the zero-padded array."""
+
+    idx: object
+    g: np.ndarray
+
+
 def take(a, idx) -> Tensor:
     """Basic slicing/indexing with gradient scatter-add."""
     a = _as_tensor(a)
     out = a.data[idx]
-    basic = _is_basic_index(idx)
 
-    def vjp(g):
-        buf = np.zeros_like(a.data)
-        if basic:
-            buf[idx] += g
-        else:
+    if _is_basic_index(idx):
+        def vjp(g):
+            return (_SliceGrad(idx, g),)
+    else:
+        def vjp(g):
+            buf = np.zeros_like(a.data)
             np.add.at(buf, idx, g)  # fancy indices may repeat: accumulate
-        return (buf,)
+            return (buf,)
 
     return Tensor._make(out, (a,), vjp)
 
@@ -499,18 +545,18 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[int, 
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()  # ids of nodes whose accumulator this sweep allocated
     for node in reversed(_toposort(loss)):
         g = grads.pop(id(node), None)
+        owned.discard(id(node))
         if g is None or node._vjp is None:
             if g is not None and (node.requires_grad or node._vjp is None):
                 grads[id(node)] = g  # keep leaf grads
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
-            if pg is None:
-                continue
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            if pg is not None:
+                _accumulate(grads, owned, p, pg)
     out: dict[int, np.ndarray] = {}
     if params is not None:
         for p in params:
@@ -518,6 +564,30 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[int, 
     else:
         out = grads
     return out
+
+
+def _accumulate(grads: dict[int, np.ndarray], owned: set[int], p: Tensor, pg) -> None:
+    """Add one parent gradient into p's accumulator, with the bits of the
+    dense sum `acc + pg` (a slice gradient counts as zero-padded to p)."""
+    key = id(p)
+    acc = grads.get(key)
+    if isinstance(pg, _SliceGrad):
+        g = pg.g.astype(p.dtype, copy=False)
+        if acc is None:
+            acc = grads[key] = np.zeros_like(p.data)
+            owned.add(key)
+        elif key not in owned or acc.dtype != np.result_type(acc, g):
+            acc = grads[key] = acc.astype(np.result_type(acc, g))
+            owned.add(key)
+        acc[pg.idx] += g
+        return
+    if acc is None:
+        grads[key] = pg  # may be shared with another parent or a view: never written
+    elif key in owned and acc.shape == pg.shape and acc.dtype == np.result_type(acc, pg):
+        acc += pg
+    else:
+        grads[key] = acc + pg
+        owned.add(key)
 
 
 def grads_by_name(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:

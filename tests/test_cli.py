@@ -79,6 +79,23 @@ def test_train_reconstruct_evaluate_round_trip(workdir, tmp_path):
     assert np.isfinite(doc["metrics"]["GA_deg"])
 
 
+def test_train_logs_one_json_object_per_line(workdir, tmp_path, capsys):
+    ck = tmp_path / "m.imfc"
+    rc = cli.main(["train", "--data", str(workdir / "corpus.imfd"), "--size", "1/16/32", "--holdout", "1",
+                   "--steps", "3", "--batch", "2", "--seed", "1", "--out", str(ck)])
+    assert rc == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(isinstance(r, dict) for r in records)
+    *steps, holdout, final = records
+    assert [r["step"] for r in steps] == [0, 2]  # log_every 50, and the last step
+    for r in steps:
+        assert set(r) == {"step", "simple", "vel", "fk", "drift", "slide", "total", "step_s", "grad_norm"}
+        assert r["step_s"] > 0 and r["grad_norm"] > 0 and np.isfinite(r["total"])
+    assert len(holdout["holdout_simple_loss"]) == 3
+    assert final["checkpoint"] == str(ck) and final["model"] == "1/16/32"
+    assert final["final_loss"] == steps[-1]["total"]
+
+
 def test_reconstruct_deterministic_given_seed(workdir, tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (out1, out2):
@@ -113,6 +130,7 @@ def test_reconstruct_from_stream_file(workdir, tmp_path):
 @pytest.mark.parametrize("record, field, value", [
     (9, "q", [0.0, 0.0, 0.0, 0.0]),      # zero pelvis quaternion at a decimation instant
     (10, "a", [float("nan"), 0.0, 0.0]),  # NaN acceleration between instants
+    (10, "a", [1e307, 0.0, 0.0]),         # finite, but its mean would overflow float32
 ])
 def test_reconstruct_stream_bad_sample_is_a_dropout(workdir, tmp_path, capsys, record, field, value):
     # one bad sample drops that site from its record; the session goes on

@@ -146,6 +146,65 @@ def test_fast_denoiser_matches_graph(gait_window):
     np.testing.assert_allclose(b32, a, atol=5e-3)
 
 
+def _unfolded_cross_attention(x, memory, P, prefix, nhead):
+    """The cross-attention block as d-by-d query and output projections
+    over every token, the reference the folded graph block must match."""
+    d = x.shape[-1]
+    cq = df._split_heads(df._linear(x, P[prefix + "cross.wq"], P[prefix + "cross.bq"]), nhead)
+    ckv = df._linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])
+    ck, cv = df._split_heads(ckv[:, :, :d], nhead), df._split_heads(ckv[:, :, d:], nhead)
+    cross = df._merge_heads(tt.softmax_attention(cq, ck, cv))
+    return df._linear(cross, P[prefix + "cross.wo"], P[prefix + "cross.bo"])
+
+
+@pytest.mark.parametrize("nhead", [1, 2, 4])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_folded_cross_attention_matches_unfolded_block(nhead, batch):
+    rng = np.random.default_rng(10 * nhead + batch)
+    d = 8
+    P = {"layers.0.cross." + k: Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True, dtype=np.float64)
+         for k, shape in {"wq": (d, d), "bq": (d,), "wkv": (d, 2 * d), "bkv": (2 * d,),
+                          "wo": (d, d), "bo": (d,)}.items()}
+    x = Tensor(rng.standard_normal((batch, 5, d)), requires_grad=True, dtype=np.float64)
+    memory = Tensor(rng.standard_normal((batch, 2, d)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.standard_normal((batch, 5, d)))
+    leaves = {"x": x, "memory": memory, **P}
+    outs = []
+    for block in (df._cross_attention, _unfolded_cross_attention):
+        out = block(x, memory, P, "layers.0.", nhead)
+        outs.append((out.data, tt.grads_by_name(tt.tsum(tt.mul(out, w)), leaves)))
+    (folded, g_folded), (unfolded, g_unfolded) = outs
+    np.testing.assert_allclose(folded, unfolded, rtol=0, atol=1e-10)
+    for name in leaves:
+        np.testing.assert_allclose(g_folded[name], g_unfolded[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_evaluate_simple_loss_records_no_graph(monkeypatch, gait_window):
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = df.init_denoiser(cfg, seed=2)
+    schedule = df.build_cosine_schedule(100)
+    windows, heights = np.stack([gait_window, gait_window[::-1]]), np.array([1.7, 1.8])
+    # the loss as it was computed on the parameters themselves
+    rng = np.random.default_rng([4, 909])
+    x = windows.astype(np.float32)
+    ts = np.full(2, 50)
+    z = df.noise_window(x.astype(np.float64), ts, schedule, rng).astype(np.float32)
+    pred = df.denoiser_forward(cfg, params, z, ts, heights)
+    assert pred._parents  # the graph forward on trainable parameters records a graph
+    expected = float(((pred.data - x) ** 2).sum() / 2)
+
+    real, forwards = df.denoiser_forward, []
+
+    def spy(*args):
+        forwards.append(real(*args))
+        return forwards[-1]
+
+    monkeypatch.setattr(df, "denoiser_forward", spy)
+    got = df.evaluate_simple_loss(cfg, params, schedule, windows, heights, seed=4)
+    assert got == expected  # bit-equal
+    assert len(forwards) == 1 and forwards[0]._parents == () and forwards[0]._vjp is None
+
+
 def test_predict_returns_fresh_array_and_leaves_parameters_alone(gait_window):
     cfg = df.DenoiserConfig(layers=2, width=32, ff=64)
     params = df.init_denoiser(cfg, seed=8)

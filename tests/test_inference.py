@@ -625,6 +625,19 @@ def test_ingest_bad_samples_become_dropouts():
             np.testing.assert_allclose(o.measurement.site_accel["pelvis"], [1, 2, 3], rtol=1e-12)
 
 
+def test_ingest_insoles_outside_zero_one_are_dropped():
+    frames = _const_stream(20)
+    for k, insoles in enumerate(([1.0, 0.0, 0.5, 1.0], [2.0, 0, 0, 0], [0, -1.0, 0, 0])):
+        frames[3 * k] = inf.StreamFrame(t_ms=frames[3 * k].t_ms, sites=frames[3 * k].sites,
+                                        insoles=np.array(insoles))
+    frames[9] = inf.StreamFrame(t_ms=frames[9].t_ms, sites=frames[9].sites, insoles=np.array([1.0, 0, 0, 1.0]))
+    ing = inf.StreamIngestor()
+    outs = [o for fr in frames for o in ing.push(fr)] + ing.finish()
+    assert ing.bad_samples == 3
+    assert [o.measurement.insole_labels is not None for o in outs[:4]] == [False, False, False, True]
+    np.testing.assert_array_equal(outs[3].measurement.insole_labels, [1, 0, 0, 1])
+
+
 def test_ingest_dropout_bookkeeping():
     # sensor absent for 2 s (120 raw frames) -> absent from 40 outputs
     frames = _const_stream(301)
@@ -666,6 +679,16 @@ def test_stream_file_round_trip(tmp_path, tree, gait_trial):
     assert len(back) == len(frames)
     np.testing.assert_allclose(back[7].sites["pelvis"][0], frames[7].sites["pelvis"][0], atol=1e-9)
     np.testing.assert_array_equal(back[7].insoles, frames[7].insoles)
+
+
+def test_stream_file_writes_huge_finite_values_finite(tmp_path):
+    # rounding to 9 decimals would overflow these; they are written as they are
+    a = np.array([1e308, -1e300, 1.5])
+    p = tmp_path / "in.jsonl"
+    inf.write_stream_file(p, [inf.StreamFrame(t_ms=0.0, sites={"pelvis": (np.array([1.0, 0, 0, 0]), a)})])
+    assert "Infinity" not in p.read_text()
+    (back,) = inf.parse_stream_file(p)
+    np.testing.assert_array_equal(back.sites["pelvis"][1], a)
 
 
 def test_stream_file_rejects_bad_header(tmp_path):

@@ -89,6 +89,83 @@ def test_take_fancy_index_repeats_accumulate():
     np.testing.assert_array_equal(g["y"], [[0.0, 2.0], [0.0, 0.0], [0.0, 1.0]])
 
 
+def test_take_slices_direct_use_and_repeated_fancy_index_gradient():
+    # basic slices of one tensor add into one accumulator; the direct use
+    # and the repeated fancy index arrive as dense gradients around them
+    rng = np.random.default_rng(20)
+    x = randt(rng, 4, 5)
+    w = Tensor(rng.standard_normal((4, 5)))
+
+    def loss():
+        fancy = x[np.array([0, 2, 0, 0]), 1:]
+        return (tt.tsum(tt.mul(x[1:3], x[1:3])) + tt.tsum(tt.mul(x, w)) + tt.tsum(tt.texp(x[:, 2]))
+                + tt.tsum(tt.mul(fancy, fancy)) + tt.tsum(x[..., ::2]))
+
+    report = tt.gradcheck(loss, {"x": x})
+    assert report.max_rel_err < 1e-6, report
+
+
+@pytest.mark.parametrize("slice_first", [True, False])
+def test_slice_gradient_never_writes_an_array_add_shares(slice_first):
+    # add hands the same array to both parents; x also takes slice
+    # gradients, which must not be added into that shared array
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, dtype=np.float64)
+    y = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+    k = Tensor(np.full((2, 3), 3.0))
+    shared = tt.tsum(tt.mul(tt.add(x, y), k))
+    sliced = tt.tsum(x[0]) + tt.tsum(x[:, 1:])
+    loss = tt.add(sliced, shared) if slice_first else tt.add(shared, sliced)
+    g = tt.grads_by_name(loss, {"x": x, "y": y})
+    np.testing.assert_array_equal(g["y"], np.full((2, 3), 3.0))
+    np.testing.assert_array_equal(g["x"], [[4.0, 5.0, 5.0], [3.0, 4.0, 4.0]])
+
+
+def test_slice_gradient_of_another_dtype_is_cast_like_a_dense_one():
+    # a float64 slice gradient into a float32 operand is rounded to
+    # float32 before it is added, as the zero-padded buffer did
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    c = Tensor(np.full(3, 1.0 + 2.0**-40))
+    loss = tt.tsum(tt.mul(x[0], c)) + tt.tsum(tt.mul(x[:, 1:], c[:2]))
+    g = tt.grads_by_name(loss, {"x": x})
+    assert g["x"].dtype == np.float32
+    np.testing.assert_array_equal(g["x"], [[1.0, 2.0, 2.0], [0.0, 1.0, 1.0]])
+
+
+def _layernorm_nodes(x, g, b, eps=1e-5):
+    """layernorm as the composition of nine graph nodes."""
+    mu = tt.tmean(x, axis=-1, keepdims=True)
+    xc = tt.sub(x, mu)
+    var = tt.tmean(tt.mul(xc, xc), axis=-1, keepdims=True)
+    return tt.add(tt.mul(tt.div(xc, tt.tsqrt(tt.add(var, eps))), g), b)
+
+
+def test_layernorm_gradient_vs_finite_differences():
+    rng = np.random.default_rng(21)
+    x = randt(rng, 3, 4, 6)
+    g = randt(rng, 6)
+    b = randt(rng, 6)
+    w = Tensor(rng.standard_normal((3, 4, 6)))
+    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.gelu(tt.layernorm(x, g, b)), w)),
+                          {"x": x, "g": g, "b": b})
+    assert report.max_rel_err < 1e-6, report
+
+
+def test_layernorm_matches_nine_node_composition():
+    rng = np.random.default_rng(22)
+    x = randt(rng, 2, 5, 8, scale=3.0)
+    g = randt(rng, 8)
+    b = randt(rng, 8)
+    w = Tensor(rng.standard_normal((2, 5, 8)))
+    params = {"x": x, "g": g, "b": b}
+    one = tt.layernorm(x, g, b)
+    nine = _layernorm_nodes(x, g, b)
+    np.testing.assert_allclose(one.data, nine.data, rtol=0, atol=1e-12)
+    g_one = tt.grads_by_name(tt.tsum(tt.mul(one, w)), params)
+    g_nine = tt.grads_by_name(tt.tsum(tt.mul(nine, w)), params)
+    for name in params:
+        np.testing.assert_allclose(g_one[name], g_nine[name], rtol=0, atol=1e-12)
+
+
 def test_elementwise_trivial():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 4)))
@@ -252,6 +329,15 @@ def test_ops_do_not_mutate_inputs():
     np.testing.assert_array_equal(a.data, a_before)
     np.testing.assert_array_equal(w.data, before)
 
+    # layernorm, forward and backward
+    g = Tensor(rng.standard_normal(3), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    kept = (g.data.copy(), b.data.copy())
+    tt.grads_by_name(tt.tsum(tt.mul(tt.layernorm(a, g, b), a)), {"a": a, "g": g, "b": b})
+    np.testing.assert_array_equal(a.data, a_before)
+    np.testing.assert_array_equal(g.data, kept[0])
+    np.testing.assert_array_equal(b.data, kept[1])
+
 
 def test_adam_does_not_mutate_inputs():
     rng = np.random.default_rng(17)
@@ -340,13 +426,16 @@ def test_property_random_composite_gradcheck(seed):
     rng = np.random.default_rng(seed)
     a = randt(rng, 3, 4, scale=0.7)
     b = randt(rng, 4, 2, scale=0.7)
+    g = randt(rng, 4, scale=0.7)
+    c = randt(rng, 4, scale=0.7)
 
     def loss():
         h = tt.gelu(tt.matmul(a, b))
         p = tt.softmax(h, axis=-1)
-        return tt.tsum(tt.mul(p, p)) + tt.tsum(tt.texp(tt.mul(a, 0.1)))
+        return (tt.tsum(tt.mul(p, p)) + tt.tsum(tt.texp(tt.mul(a, 0.1)))
+                + tt.tsum(tt.gelu(tt.layernorm(a, g, c))))
 
-    report = tt.gradcheck(loss, {"a": a, "b": b})
+    report = tt.gradcheck(loss, {"a": a, "b": b, "g": g, "c": c})
     assert report.max_rel_err < 1e-4, report
 
 
