@@ -148,7 +148,7 @@ def cmd_datagen(args) -> int:
 
 def cmd_train(args) -> int:
     tree = default_tree()
-    trials = dg.load_dataset(args.data)
+    trials = dg.load_dataset(args.data, tree)
     holdout = []
     if args.holdout > 0:
         holdout, trials = trials[: args.holdout], trials[args.holdout:]
@@ -203,7 +203,7 @@ def cmd_reconstruct(args) -> int:
     src = Path(args.input)
     ingestor = None
     if src.suffix == ".imfd" or _looks_like_dataset(src):
-        trial = _pick_trial(dg.load_dataset(src), args.trial)
+        trial = _pick_trial(dg.load_dataset(src, tree), args.trial)
         height = trial.motion.height if args.height is None else args.height
         measurements = inf.measurements_from_trial(trial, config)
     else:
@@ -247,7 +247,7 @@ def _pick_trial(trials, trial_id):
 
 def cmd_evaluate(args) -> int:
     tree = default_tree()
-    trials = dg.load_dataset(args.gt)
+    trials = dg.load_dataset(args.gt, tree)
     trial = _pick_trial(trials, args.trial)
     rot, root, contacts = inf.read_pose_stream(args.rec)
     rec = dg.MotionSequence(20.0, rot, root, trial.motion.height, trial.motion.mass,
@@ -271,7 +271,7 @@ def _fmt(v):
 def cmd_sweep(args) -> int:
     tree = default_tree()
     cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
-    trials = dg.load_dataset(args.data)
+    trials = dg.load_dataset(args.data, tree)
     if args.trials > 0:
         trials = trials[: args.trials]
     configs = [ft.SensorConfig.parse(s) for s in args.configs.split(";") if s.strip()]

@@ -11,7 +11,9 @@ Generators are deterministic functions of (kind, params, seed). The gait
 generator plants the stance foot exactly, with swing velocity ramps
 tuned so the 0.3 m/s rule reproduces its stance flags at ordinary
 walking speeds (label agreement degrades at sprint-like speeds where
-swing return must be violent; see GaitParams).
+swing return must be violent; see `_swing_profile`). Those stance flags
+travel with the motion as `MotionSequence.stance`, through decimation
+and the dataset container, as the oracle for the contact labels.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import features as ft
+from .container import CheckedReader
 from .kinematics import (
     KinematicTree,
-    encode_rot6d,
+    default_tree,
     forward_kinematics,
     quat_to_rot,
     rot_to_quat,
-    rotation_about,
+    skeleton_hash,
     standing_root_height,
 )
 
@@ -40,6 +43,7 @@ DECIMATION = 3  # 60 Hz -> 20 Hz
 SMOOTH_WINDOW = 11  # frames at 60 Hz, centered: 5 past + current + 5 future
 CONTACT_SPEED_THRESHOLD = 0.3  # m/s, label = speed strictly below
 ENERGY_FLOOR_FRACTION = 0.01   # epsilon = 1% of corpus mean energy
+MAX_MASS_KG = 650.0  # any human subject
 
 DATASET_MAGIC = b"IMFD"
 DATASET_VERSION = 1
@@ -59,10 +63,16 @@ class MotionSequence:
     height: float               # subject height, m
     mass: float                 # subject mass, kg
     trial_id: str = ""
+    stance: np.ndarray | None = None  # (T, 4) uint8 generator stance flags; None for random_smooth
 
     def __post_init__(self):
         if self.rate not in (60.0, 20.0):
             raise GenerationError(f"rate must be 60 or 20 Hz, got {self.rate}")
+        lo, hi = ft.SUBJECT_HEIGHT_M
+        if not lo <= self.height <= hi:
+            raise GenerationError(f"subject height must be in [{lo}, {hi}] m, got {self.height}")
+        if not 0.0 < self.mass <= MAX_MASS_KG:
+            raise GenerationError(f"subject mass must be in (0, {MAX_MASS_KG}] kg, got {self.mass}")
         if self.rotations.shape[0] < 2:
             raise GenerationError("motion needs at least 2 frames")
         if not (np.isfinite(self.rotations).all() and np.isfinite(self.root_positions).all()):
@@ -85,7 +95,6 @@ class Trial:
     site_rotations: np.ndarray      # (T, 13, 3, 3) synthesized IMU orientations
     site_accels: np.ndarray         # (T, 13, 3) smoothed world accelerations
     contacts: np.ndarray            # (T, 4) uint8
-    stance_flags: np.ndarray | None = None  # (T, 4) generator truth, gait/jump only
     weight: float = 0.0             # sampling probability, set corpus-wide
     energy: float = 0.0             # mean kinetic energy, J
     _features: np.ndarray | None = field(default=None, repr=False)
@@ -118,7 +127,6 @@ def moving_average(x: np.ndarray, width: int = SMOOTH_WINDOW, axis: int = 0) -> 
     x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
     padded = np.concatenate([np.repeat(x[:1], half, axis=0), x, np.repeat(x[-1:], half, axis=0)], axis=0)
     kernel = np.ones(width) / width
-    out = np.empty_like(x)
     flat = padded.reshape(padded.shape[0], -1)
     res = np.empty((x.shape[0], flat.shape[1]))
     for j in range(flat.shape[1]):
@@ -136,13 +144,13 @@ def second_central_difference(p: np.ndarray, rate: float) -> np.ndarray:
     return a
 
 
-def central_speed(p: np.ndarray, rate: float) -> np.ndarray:
-    """|dp/dt| along axis 0 via centered differences, endpoints replicated."""
+def central_velocity(p: np.ndarray, rate: float) -> np.ndarray:
+    """dp/dt along axis 0 via centered differences, endpoints replicated."""
     v = np.empty(p.shape, dtype=np.float64)
     v[1:-1] = (p[2:] - p[:-2]) * (rate / 2.0)
     v[0] = v[1]
     v[-1] = v[-2]
-    return np.linalg.norm(v, axis=-1)
+    return v
 
 
 # -- procedural motion generators -------------------------------------------
@@ -155,6 +163,8 @@ def generate_motion(kind: str, seed: int, duration_s: float = 10.0, height: floa
     kinds: gait (speed: 0..3 m/s), random_smooth (amplitude: rad),
     stationary, jump (hop_height: 0.05..0.4 m). Deterministic in
     (kind, seed, params). Feet intersect the ground by less than 1 cm.
+    Each generator maps (tree scaled to the subject, time base, seed) to
+    (local rotations, root positions, stance flags or None).
     """
     if kind not in MOTION_KINDS:
         raise GenerationError(f"unknown motion kind {kind!r}; choose from {MOTION_KINDS}")
@@ -168,39 +178,27 @@ def generate_motion(kind: str, seed: int, duration_s: float = 10.0, height: floa
         "stationary": _generate_stationary,
         "jump": _generate_jump,
     }[kind]
-    motion, stance = gen(seed=seed, duration_s=duration_s, height=height, mass=mass, **params)
-    motion.trial_id = trial_id or f"{kind}-{seed}"
-    motion._stance_flags_60 = stance  # carried to labeling for oracle checks
-    return motion
-
-
-def _tree_for(height: float) -> KinematicTree:
-    from .kinematics import default_tree
-
-    return default_tree(height)
+    t = np.arange(int(round(duration_s * RAW_RATE_HZ)) + 1) / RAW_RATE_HZ
+    rotations, root, stance = gen(default_tree(height), t, seed, **params)
+    return MotionSequence(RAW_RATE_HZ, rotations, root, height, mass, trial_id or f"{kind}-{seed}", stance)
 
 
 def _identity_rotations(T: int) -> np.ndarray:
     return np.broadcast_to(np.eye(3), (T, 24, 3, 3)).copy()
 
 
-def _generate_stationary(seed, duration_s, height, mass):
-    tree = _tree_for(height)
-    T = int(round(duration_s * RAW_RATE_HZ)) + 1
-    rot = _identity_rotations(T)
+def _generate_stationary(tree, t, seed):
+    T = len(t)
     root = np.zeros((T, 3))
     root[:, 1] = standing_root_height(tree)
-    motion = MotionSequence(RAW_RATE_HZ, rot, root, height, mass)
-    return motion, np.ones((T, 4), dtype=np.uint8)
+    return _identity_rotations(T), root, np.ones((T, 4), dtype=np.uint8)
 
 
-def _generate_random_smooth(seed, duration_s, height, mass, amplitude: float = 0.2):
+def _generate_random_smooth(tree, t, seed, amplitude: float = 0.2):
     if not (0.0 < amplitude <= 0.6):
         raise GenerationError(f"amplitude out of range: {amplitude}")
-    tree = _tree_for(height)
     rng = np.random.default_rng([seed, 101])
-    T = int(round(duration_s * RAW_RATE_HZ)) + 1
-    t = np.arange(T) / RAW_RATE_HZ
+    T = len(t)
     rot = _identity_rotations(T)
     for seg in range(1, 24):
         axis = rng.standard_normal(3)
@@ -222,8 +220,7 @@ def _generate_random_smooth(seed, duration_s, height, mass, amplitude: float = 0
     # lift so the lowest contact point grazes the ground without crossing it
     fk = forward_kinematics(tree, rot, root)
     root[:, 1] += 0.005 - fk.contacts[..., 1].min()
-    motion = MotionSequence(RAW_RATE_HZ, rot, root, height, mass)
-    return motion, None
+    return rot, root, None
 
 
 def _axis_angle(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -236,27 +233,36 @@ def _axis_angle(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.eye(3)[None] + s * K[None] + (1 - c) * (K @ K)[None]
 
 
-@dataclass
 class _LegIK:
-    """Sagittal-plane two-link leg solver for the default topology."""
+    """Sagittal-plane two-link leg poser for the default topology."""
 
-    l1: float  # thigh length
-    l2: float  # shank length
+    def __init__(self, tree: KinematicTree):
+        self.tree = tree
+        self.l1 = abs(tree.offsets[tree.index("shank_l")][1])  # thigh length
+        self.l2 = abs(tree.offsets[tree.index("foot_l")][1])  # shank length
 
-    def solve(self, hip: np.ndarray, ankle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """World angles (theta_thigh, theta_shank) from -y toward +z, (T,)."""
-        d = ankle - hip
-        dy, dz = d[:, 1], d[:, 2]
+    def pose(self, rot: np.ndarray, side: str, root: np.ndarray, foot_y: np.ndarray, foot_z: np.ndarray) -> None:
+        """Set `side`'s thigh, shank and foot rotations in rot (T, 24, 3, 3)
+        so its ankle reaches (hip x, foot_y, foot_z) with the foot level.
+
+        World angles theta_thigh, theta_shank run from -y toward +z.
+        """
+        tree, l1, l2 = self.tree, self.l1, self.l2
+        hip = root + tree.offsets[tree.index(f"thigh_{side}")]
+        dy, dz = foot_y - hip[:, 1], foot_z - hip[:, 2]
         L = np.hypot(dy, dz)
-        L = np.clip(L, abs(self.l1 - self.l2) + 1e-6, (self.l1 + self.l2) * 0.9999)
+        L = np.clip(L, abs(l1 - l2) + 1e-6, (l1 + l2) * 0.9999)
         alpha = np.arctan2(dz, -dy)
-        cosb = (self.l1**2 + L**2 - self.l2**2) / (2 * self.l1 * L)
+        cosb = (l1**2 + L**2 - l2**2) / (2 * l1 * L)
         beta = np.arccos(np.clip(cosb, -1, 1))
-        cosg = (self.l1**2 + self.l2**2 - L**2) / (2 * self.l1 * self.l2)
+        cosg = (l1**2 + l2**2 - L**2) / (2 * l1 * l2)
         gamma = np.arccos(np.clip(cosg, -1, 1))
         theta1 = alpha + beta
         theta2 = theta1 - (np.pi - gamma)
-        return theta1, theta2
+        x = np.array([1.0, 0, 0])
+        rot[:, tree.index(f"thigh_{side}")] = _axis_angle(x, -theta1)
+        rot[:, tree.index(f"shank_{side}")] = _axis_angle(x, theta1 - theta2)
+        rot[:, tree.index(f"foot_{side}")] = _axis_angle(x, theta2)
 
 
 def _swing_profile(tau: float, dist: float, rate: float, accel: float = 54.0):
@@ -289,24 +295,21 @@ def _swing_profile(tau: float, dist: float, rate: float, accel: float = 54.0):
     return t, np.clip(s, 0.0, dist) * (dist / max(s[-1], 1e-12))
 
 
-def _generate_gait(seed, duration_s, height, mass, speed: float = 1.2, cycle_s: float | None = None):
+def _generate_gait(tree, t, seed, speed: float = 1.2, cycle_s: float | None = None):
     if not (0.0 <= speed <= 3.0):
         raise GenerationError(f"gait speed out of range [0, 3]: {speed}")
     if speed < 0.05:
-        return _generate_stationary(seed, duration_s, height, mass)
-    tree = _tree_for(height)
-    scale = height / 1.75
+        return _generate_stationary(tree, t, seed)
+    scale = tree.reference_height / 1.75
     duty = 0.6
     stride = float(np.clip(0.5 + 0.5 * speed, 0.4, 1.55 * scale))
     T_c = stride / speed if cycle_s is None else cycle_s
     if cycle_s is not None:
         stride = speed * T_c
 
-    T = int(round(duration_s * RAW_RATE_HZ)) + 1
-    t = np.arange(T) / RAW_RATE_HZ
-    l1 = abs(tree.offsets[tree.index("shank_l")][1])
-    l2 = abs(tree.offsets[tree.index("foot_l")][1])
-    reach = l1 + l2
+    T = len(t)
+    ik = _LegIK(tree)
+    reach = ik.l1 + ik.l2
     ankle_h = 0.07 * scale
     excursion = stride * duty / 2 + 0.06
     drop = np.sqrt(max((0.995 * reach) ** 2 - excursion**2, (0.45 * reach) ** 2))
@@ -319,11 +322,9 @@ def _generate_gait(seed, duration_s, height, mass, speed: float = 1.2, cycle_s: 
 
     rot = _identity_rotations(T)
     stance = np.zeros((T, 4), dtype=np.uint8)
-    hip_off = {"l": tree.offsets[tree.index("thigh_l")], "r": tree.offsets[tree.index("thigh_r")]}
-    ik = _LegIK(l1, l2)
 
     swing_tau = (1 - duty) * T_c
-    for side, phase0 in (("l", 0.0), ("r", 0.5)):
+    for side, phase0, col in (("l", 0.0, 0), ("r", 0.5, 2)):
         cycle_pos = (t / T_c + phase0) % 1.0
         cycle_idx = np.floor(t / T_c + phase0).astype(int)
         plant_z = (cycle_idx - phase0) * stride + stride * duty / 2
@@ -338,18 +339,8 @@ def _generate_gait(seed, duration_s, height, mass, speed: float = 1.2, cycle_s: 
             foot_z[sw] = plant_z[sw] + z_local
             lift = 0.05 * scale * np.sin(np.pi * np.clip((z_local / stride), 0, 1)) ** 1.0
             foot_y[sw] = ankle_h + lift
-        hip = root + hip_off[side] * 1.0
-        ankle = np.stack([hip[:, 0], foot_y, foot_z], axis=1)
-        th1, th2 = ik.solve(hip, ankle)
-        i_thigh = tree.index(f"thigh_{side}")
-        i_shank = tree.index(f"shank_{side}")
-        i_foot = tree.index(f"foot_{side}")
-        rot[:, i_thigh] = _axis_angle(np.array([1.0, 0, 0]), -th1)
-        rot[:, i_shank] = _axis_angle(np.array([1.0, 0, 0]), th1 - th2)
-        rot[:, i_foot] = _axis_angle(np.array([1.0, 0, 0]), th2)  # keep foot world-level
-        cols = (0, 1) if side == "l" else (2, 3)
-        stance[:, cols[0]] = in_stance
-        stance[:, cols[1]] = in_stance
+        ik.pose(rot, side, root, foot_y, foot_z)
+        stance[:, col:col + 2] = in_stance[:, None]
     # gentle anti-phase arm swing
     arm = np.deg2rad(14) * np.sin(2 * np.pi * t / T_c)
     for side, sgn in (("l", 1.0), ("r", -1.0)):
@@ -357,18 +348,15 @@ def _generate_gait(seed, duration_s, height, mass, speed: float = 1.2, cycle_s: 
         i_fa = tree.index(f"forearm_{side}")
         rot[:, i_ua] = _axis_angle(np.array([1.0, 0, 0]), sgn * arm)
         rot[:, i_fa] = _axis_angle(np.array([1.0, 0, 0]), np.full(T, -0.25))
-    motion = MotionSequence(RAW_RATE_HZ, rot, root, height, mass)
-    return motion, stance
+    return rot, root, stance
 
 
-def _generate_jump(seed, duration_s, height, mass, hop_height: float = 0.18, hop_length: float = 0.3):
+def _generate_jump(tree, t, seed, hop_height: float = 0.18, hop_length: float = 0.3):
     if not (0.05 <= hop_height <= 0.4):
         raise GenerationError(f"hop height out of range [0.05, 0.4]: {hop_height}")
-    tree = _tree_for(height)
-    scale = height / 1.75
+    scale = tree.reference_height / 1.75
     g = 9.81
-    T = int(round(duration_s * RAW_RATE_HZ)) + 1
-    t = np.arange(T) / RAW_RATE_HZ
+    T = len(t)
     v_launch = np.sqrt(2 * g * hop_height)
     t_flight = 2 * v_launch / g
     t_crouch, t_push, t_land, t_pause = 0.30, 0.18, 0.25, 0.4
@@ -376,17 +364,14 @@ def _generate_jump(seed, duration_s, height, mass, hop_height: float = 0.18, hop
     v_h = hop_length / t_flight
 
     ankle_h = 0.07 * scale
-    l1 = abs(tree.offsets[tree.index("shank_l")][1])
-    l2 = abs(tree.offsets[tree.index("foot_l")][1])
-    stand_drop = 0.97 * (l1 + l2)
+    ik = _LegIK(tree)
+    stand_drop = 0.97 * (ik.l1 + ik.l2)
     crouch = 0.18 * scale
     root_y0 = ankle_h + stand_drop + 0.07 * scale
 
     root = np.zeros((T, 3))
     rot = _identity_rotations(T)
     stance = np.zeros((T, 4), dtype=np.uint8)
-    ik = _LegIK(l1, l2)
-    hip_off = {"l": tree.offsets[tree.index("thigh_l")], "r": tree.offsets[tree.index("thigh_r")]}
 
     cyc = np.floor(t / T_cyc).astype(int)
     u = t - cyc * T_cyc
@@ -414,18 +399,12 @@ def _generate_jump(seed, duration_s, height, mass, hop_height: float = 0.18, hop
     root[:, 1] = y
     root[:, 2] = z
     # feet: planted under the hips while grounded, tucked during flight
+    foot_z = np.where(grounded, np.where(u < t_crouch + t_push, base_z, base_z + hop_length), z)
+    foot_y = np.where(grounded, ankle_h, ankle_h + (y - root_y0) + 0.04)
     for side in ("l", "r"):
-        hip = root + hip_off[side]
-        foot_z = np.where(grounded, np.where(u < t_crouch + t_push, base_z, base_z + hop_length), z)
-        foot_y = np.where(grounded, ankle_h, ankle_h + (y - root_y0) + 0.04)
-        ankle = np.stack([hip[:, 0], foot_y, foot_z], axis=1)
-        th1, th2 = ik.solve(hip, ankle)
-        rot[:, tree.index(f"thigh_{side}")] = _axis_angle(np.array([1.0, 0, 0]), -th1)
-        rot[:, tree.index(f"shank_{side}")] = _axis_angle(np.array([1.0, 0, 0]), th1 - th2)
-        rot[:, tree.index(f"foot_{side}")] = _axis_angle(np.array([1.0, 0, 0]), th2)
+        ik.pose(rot, side, root, foot_y, foot_z)
     stance[grounded] = 1
-    motion = MotionSequence(RAW_RATE_HZ, rot, root, height, mass)
-    return motion, stance
+    return rot, root, stance
 
 
 # -- sensor synthesis ----------------------------------------------------
@@ -462,7 +441,7 @@ def label_contacts(motion: MotionSequence, tree: KinematicTree) -> np.ndarray:
         raise GenerationError(f"label_contacts expects 60 Hz input, got {motion.rate}")
     scaled = tree.scaled(motion.height)
     fk = forward_kinematics(scaled, motion.rotations, motion.root_positions)
-    speeds = central_speed(fk.contacts, RAW_RATE_HZ)  # (T, 4)
+    speeds = np.linalg.norm(central_velocity(fk.contacts, RAW_RATE_HZ), axis=-1)  # (T, 4)
     labels = labels_from_speeds(speeds)
     return labels[:: DECIMATION]
 
@@ -482,6 +461,7 @@ def decimate_motion(motion: MotionSequence) -> MotionSequence:
         height=motion.height,
         mass=motion.mass,
         trial_id=motion.trial_id,
+        stance=None if motion.stance is None else motion.stance[idx],
     )
 
 
@@ -495,16 +475,11 @@ def make_trial(motion60: MotionSequence, tree: KinematicTree, noise_std: float =
     """Run the full 60 Hz -> 20 Hz synthesis pipeline for one motion."""
     orient, accel = synthesize_imu(motion60, tree, noise_std=noise_std,
                                    noise_seed=_stable_seed(motion60.trial_id))
-    contacts = label_contacts(motion60, tree)
-    stance = getattr(motion60, "_stance_flags_60", None)
-    if stance is not None:
-        stance = stance[:: DECIMATION]
     return Trial(
         motion=decimate_motion(motion60),
         site_rotations=orient,
         site_accels=accel,
-        contacts=contacts,
-        stance_flags=stance,
+        contacts=label_contacts(motion60, tree),
     )
 
 
@@ -532,11 +507,7 @@ def mean_kinetic_energy(motion: MotionSequence, tree: KinematicTree) -> float:
     """Mean over frames of sum_segments 0.5 m |dCOM/dt|^2, in joules."""
     scaled = tree.scaled(motion.height)
     fk = forward_kinematics(scaled, motion.rotations, motion.root_positions)
-    com = segment_com_positions(scaled, fk.joints)
-    v = np.empty_like(com)
-    v[1:-1] = (com[2:] - com[:-2]) * (motion.rate / 2.0)
-    v[0] = v[1]
-    v[-1] = v[-2]
+    v = central_velocity(segment_com_positions(scaled, fk.joints), motion.rate)
     masses = scaled.masses(motion.mass)
     e = 0.5 * (masses[None, :] * (v**2).sum(axis=-1)).sum(axis=-1)
     return float(e.mean())
@@ -613,10 +584,10 @@ def generate_corpus(tree: KinematicTree, n_trials: int = 20, seconds: float = 10
 
 
 def save_dataset(trials: list[Trial], tree: KinematicTree, path: str | Path) -> None:
-    """Binary container: magic, version, skeleton hash, then per-trial
-    header + raw float64 arrays in declared order."""
-    from .kinematics import skeleton_hash
-
+    """Binary container: magic, version, trial count, skeleton hash, then
+    per trial: id, metadata (rate, height, mass, weight, frame count,
+    has-stance byte), raw float64 arrays (rotations as wxyz quaternions)
+    and uint8 contacts and stance flags, in declared order."""
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<I", DATASET_VERSION))
@@ -627,67 +598,55 @@ def save_dataset(trials: list[Trial], tree: KinematicTree, path: str | Path) -> 
             tid = m.trial_id.encode()
             f.write(struct.pack("<I", len(tid)))
             f.write(tid)
-            has_stance = tr.stance_flags is not None
             f.write(struct.pack("<dddd I B", m.rate, m.height, m.mass, tr.weight,
-                                m.n_frames, 1 if has_stance else 0))
+                                m.n_frames, 0 if m.stance is None else 1))
             f.write(rot_to_quat(m.rotations).tobytes())
             f.write(m.root_positions.astype(np.float64).tobytes())
             f.write(rot_to_quat(tr.site_rotations).tobytes())
             f.write(tr.site_accels.astype(np.float64).tobytes())
             f.write(tr.contacts.astype(np.uint8).tobytes())
-            if has_stance:
-                f.write(tr.stance_flags.astype(np.uint8).tobytes())
+            if m.stance is not None:
+                f.write(m.stance.astype(np.uint8).tobytes())
 
 
 class DatasetError(ValueError):
     pass
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise DatasetError(f"truncated dataset: {what} needs {n} bytes, {len(data)} left")
-    return data
-
-
-def _read_array(f, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
-    dtype = np.dtype(dtype)
-    data = _read_exact(f, int(np.prod(shape)) * dtype.itemsize, what)
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-
-def load_dataset(path: str | Path) -> list[Trial]:
+def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
     """Reads what save_dataset wrote; raises DatasetError on a file that
-    is not a dataset or ends early."""
+    is not a dataset, was made for another skeleton, or is corrupt."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != DATASET_MAGIC:
             raise DatasetError(f"not a dataset file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+        r = CheckedReader(f, DatasetError, "dataset")
+        (version,) = r.unpack("<I", "version")
         if version != DATASET_VERSION:
             raise DatasetError(f"unsupported dataset version {version}")
-        (n_trials,) = struct.unpack("<I", _read_exact(f, 4, "trial count"))
-        _read_exact(f, 64, "skeleton hash")  # informational for datasets
+        (n_trials,) = r.unpack("<I", "trial count")
+        if r.text(64, "skeleton hash") != skeleton_hash(tree):
+            raise DatasetError("dataset was generated for a different skeleton")
         trials = []
         for k in range(n_trials):
-            (id_len,) = struct.unpack("<I", _read_exact(f, 4, f"trial {k} id"))
-            tid = _read_exact(f, id_len, f"trial {k} id").decode()
-            meta = "<dddd I B"
-            rate, height, mass, weight, T, has_stance = struct.unpack(
-                meta, _read_exact(f, struct.calcsize(meta), f"{tid} metadata"))
-            quats = _read_array(f, (T, 24, 4), np.float64, f"{tid} rotations")
-            root = _read_array(f, (T, 3), np.float64, f"{tid} root positions")
-            site_q = _read_array(f, (T, 13, 4), np.float64, f"{tid} site rotations")
-            accel = _read_array(f, (T, 13, 3), np.float64, f"{tid} site accelerations")
-            contacts = _read_array(f, (T, 4), np.uint8, f"{tid} contacts")
-            stance = _read_array(f, (T, 4), np.uint8, f"{tid} stance flags") if has_stance else None
-            motion = MotionSequence(rate, quat_to_rot(quats), root, height, mass, tid)
+            (id_len,) = r.unpack("<I", f"trial {k} id")
+            tid = r.text(id_len, f"trial {k} id")
+            rate, height, mass, weight, T, has_stance = r.unpack("<dddd I B", f"{tid} metadata")
+            quats = r.array((T, 24, 4), np.float64, f"{tid} rotations")
+            root = r.array((T, 3), np.float64, f"{tid} root positions")
+            site_q = r.array((T, 13, 4), np.float64, f"{tid} site rotations")
+            accel = r.array((T, 13, 3), np.float64, f"{tid} site accelerations")
+            contacts = r.array((T, 4), np.uint8, f"{tid} contacts")
+            stance = r.array((T, 4), np.uint8, f"{tid} stance flags") if has_stance else None
+            try:
+                motion = MotionSequence(rate, quat_to_rot(quats), root, height, mass, tid, stance)
+            except GenerationError as e:
+                raise DatasetError(f"{tid}: {e}") from None
             trials.append(Trial(
                 motion=motion,
                 site_rotations=quat_to_rot(site_q),
                 site_accels=accel,
                 contacts=contacts,
-                stance_flags=stance,
                 weight=weight,
             ))
         return trials

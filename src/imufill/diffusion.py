@@ -37,12 +37,14 @@ import numpy as np
 
 from . import features as ft
 from . import tensor as tt
+from .container import CheckedReader
 from .kinematics import KinematicTree, skeleton_hash
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"IMFC"
 CHECKPOINT_VERSION = 1
 DEFAULT_T = 1000
+MAX_T = 100 * DEFAULT_T  # beyond this a schedule length is a corrupt field, not a choice
 COSINE_S = 0.008
 
 
@@ -81,8 +83,8 @@ class DiffusionSchedule:
 
 def build_cosine_schedule(T: int = DEFAULT_T) -> DiffusionSchedule:
     """alpha_bar_t = cos^2(((t/T + s)/(1 + s)) * pi/2), normalized to 1 at t=0."""
-    if T < 2:
-        raise ScheduleError(f"T must be >= 2, got {T}")
+    if not 2 <= T <= MAX_T:
+        raise ScheduleError(f"T must be in [2, {MAX_T}], got {T}")
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos(((t / T + COSINE_S) / (1 + COSINE_S)) * (np.pi / 2)) ** 2
     return DiffusionSchedule(T=T, alpha_bar=f / f[0])
@@ -749,55 +751,48 @@ def save_checkpoint(path: str | Path, cfg: DenoiserConfig, params: dict[str, Ten
             f.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: {what} needs {n} bytes, {len(data)} left")
-    return data
-
-
-def _unpack(f, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt), what))
-
-
 def load_checkpoint(path: str | Path, tree: KinematicTree) -> tuple[DenoiserConfig, dict[str, Tensor], DiffusionSchedule]:
     """Refuses to load when the skeleton or feature-layout hash disagrees,
-    and raises CheckpointError on a file that ends early."""
+    and raises CheckpointError on a file that is corrupt or ends early."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
-        (version,) = _unpack(f, "<I", "version")
+        r = CheckedReader(f, CheckpointError, "checkpoint")
+        (version,) = r.unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        L, d, ff_, nh = _unpack(f, "<IIII", "model size")
-        (T,) = _unpack(f, "<I", "schedule length")
-        (klen,) = _unpack(f, "<I", "schedule kind")
-        kind = _read_exact(f, klen, "schedule kind").decode()
-        skel = _read_exact(f, 64, "skeleton hash").decode()
-        layout = _read_exact(f, 64, "feature-layout hash").decode()
-        if skel != skeleton_hash(tree):
+        L, d, ff_, nh = r.unpack("<IIII", "model size")
+        (T,) = r.unpack("<I", "schedule length")
+        (klen,) = r.unpack("<I", "schedule kind")
+        kind = r.text(klen, "schedule kind")
+        if r.text(64, "skeleton hash") != skeleton_hash(tree):
             raise CheckpointError("checkpoint was trained against a different skeleton")
-        if layout != ft.layout_hash():
+        if r.text(64, "feature-layout hash") != ft.layout_hash():
             raise CheckpointError("checkpoint feature layout does not match this build")
-        cfg = DenoiserConfig(layers=L, width=d, ff=ff_, nhead=nh)
         if kind != "cosine":
             raise CheckpointError(f"unknown schedule kind {kind!r}")
-        schedule = build_cosine_schedule(T)
-        (n,) = _unpack(f, "<I", "parameter count")
+        try:
+            cfg = DenoiserConfig(layers=L, width=d, ff=ff_, nhead=nh)
+            schedule = build_cosine_schedule(T)
+        except ValueError as e:
+            raise CheckpointError(f"corrupt checkpoint: {e}") from None
+        (n,) = r.unpack("<I", "parameter count")
         params: dict[str, Tensor] = {}
         for _ in range(n):
-            (nlen,) = _unpack(f, "<I", "parameter name")
-            name = _read_exact(f, nlen, "parameter name").decode()
-            (itemsize,) = _unpack(f, "<B", f"{name} dtype")
+            (nlen,) = r.unpack("<I", "parameter name")
+            name = r.text(nlen, "parameter name")
+            (itemsize,) = r.unpack("<B", f"{name} dtype")
             if itemsize not in (4, 8):
                 raise CheckpointError(f"{name}: bad item size {itemsize}")
-            (ndim,) = _unpack(f, "<I", f"{name} rank")
-            shape = _unpack(f, f"<{ndim}I", f"{name} shape")
-            dtype = np.float32 if itemsize == 4 else np.float64
-            count = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(_read_exact(f, count * itemsize, f"{name} values"), dtype=dtype).reshape(shape)
-            params[name] = Tensor(arr.copy(), requires_grad=True)
-        expected = set(_param_shapes(cfg))
-        if set(params) != expected:
-            raise CheckpointError("checkpoint parameter set does not match architecture")
+            (ndim,) = r.unpack("<I", f"{name} rank")
+            if ndim not in (1, 2):  # every parameter is a vector or a matrix
+                raise CheckpointError(f"{name}: bad rank {ndim}")
+            shape = r.unpack(f"<{ndim}I", f"{name} shape")
+            arr = r.array(shape, np.float32 if itemsize == 4 else np.float64, f"{name} values")
+            params[name] = Tensor(arr, requires_grad=True)
+        # every layer stores parameters, so fewer stored than layers is a
+        # mismatch; checking that first keeps a corrupt layer count from
+        # building a huge shape table
+        if len(params) < cfg.layers or {k: p.shape for k, p in params.items()} != _param_shapes(cfg):
+            raise CheckpointError(f"checkpoint parameters do not match a {cfg.label()} nhead {cfg.nhead} model")
         return cfg, params, schedule

@@ -32,6 +32,7 @@ N_SEGMENTS = 24
 N_SITES = 13
 WINDOW_LEN = 61
 FRAME_RATE_HZ = 20.0
+SUBJECT_HEIGHT_M = (0.5, 2.75)  # any human subject; scales the skeleton and conditions the model
 
 R_OFF = 0
 R_LEN = N_SEGMENTS * 6          # 144

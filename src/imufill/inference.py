@@ -271,8 +271,9 @@ class Reconstructor:
         variant: str = "renoise",
         root_correction: bool = True,
     ):
-        if not (np.isfinite(height) and height > 0):
-            raise ft.FeatureError(f"subject height must be finite and positive, got {height}")
+        lo, hi = ft.SUBJECT_HEIGHT_M
+        if not lo <= height <= hi:
+            raise ft.FeatureError(f"subject height must be in [{lo}, {hi}] m, got {height}")
         self.cfg = model_cfg
         self.fast = params if isinstance(params, FastDenoiser) else FastDenoiser(model_cfg, params)
         self.schedule = schedule

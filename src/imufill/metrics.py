@@ -29,7 +29,7 @@ from . import features as ft
 from .datagen import MotionSequence, Trial
 from .diffusion import DenoiserConfig, DiffusionSchedule
 from .inference import Reconstructor, StepSpread, reconstruct_trial
-from .kinematics import KinematicTree, forward_kinematics, geodesic_angle_deg, local_to_global
+from .kinematics import KinematicTree, forward_kinematics, geodesic_angle_deg
 
 REPORT_FORMAT = "imufill-report"
 REPORT_VERSION = 1
@@ -100,14 +100,11 @@ def compute_metrics(gt: MotionSequence, rec: MotionSequence, tree: KinematicTree
     legs_la = float(la_all[:, legs].mean())
     back_la = float(la_all[:, back].mean())
 
-    g_gt = local_to_global(tree, gt.rotations)
-    g_rec = local_to_global(tree, rec.rotations)
-    ga = float(geodesic_angle_deg(g_gt, g_rec)[:, inc].mean())
-
     fk_gt = forward_kinematics(scaled, gt.rotations, gt.root_positions)
     fk_rec = forward_kinematics(scaled, rec.rotations, rec.root_positions)
+    ga = float(geodesic_angle_deg(fk_gt.globals_, fk_rec.globals_)[:, inc].mean())
     jpe = float(np.linalg.norm(
-        _root_frame(fk_gt, g_gt) - _root_frame(fk_rec, g_rec), axis=-1
+        _root_frame(fk_gt) - _root_frame(fk_rec), axis=-1
     )[:, inc[inc != 0]].mean() * 100.0)
 
     jit_gt = _jitter(fk_gt.joints[:, inc], rate)
@@ -132,10 +129,10 @@ def compute_metrics(gt: MotionSequence, rec: MotionSequence, tree: KinematicTree
     )
 
 
-def _root_frame(fk, globals_) -> np.ndarray:
+def _root_frame(fk) -> np.ndarray:
     """Joint positions expressed in the root frame: R_root^T (p - p_root)."""
     rel = fk.joints - fk.joints[:, :1]
-    return np.einsum("tij,tsi->tsj", globals_[:, 0], rel)
+    return np.einsum("tij,tsi->tsj", fk.globals_[:, 0], rel)
 
 
 def _jitter(joints: np.ndarray, rate: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_reconstruct_deterministic_given_seed(workdir, tmp_path):
 
 
 def test_reconstruct_from_stream_file(workdir, tmp_path):
-    trials = dg.load_dataset(workdir / "corpus.imfd")
+    trials = dg.load_dataset(workdir / "corpus.imfd", default_tree())
     trial = trials[0]
     config_label = "pelvis,shank_l,shank_r"
     frames = inf.stream_frames_from_trial(trial, SensorConfig.parse(config_label), default_tree())
@@ -134,7 +135,7 @@ def test_reconstruct_from_stream_file(workdir, tmp_path):
 ])
 def test_reconstruct_stream_bad_sample_is_a_dropout(workdir, tmp_path, capsys, record, field, value):
     # one bad sample drops that site from its record; the session goes on
-    trial = dg.load_dataset(workdir / "corpus.imfd")[0]
+    trial = dg.load_dataset(workdir / "corpus.imfd", default_tree())[0]
     frames = inf.stream_frames_from_trial(trial, SensorConfig.parse("pelvis,head"), default_tree())[:30]
     q, a = frames[record].sites["pelvis"]
     frames[record].sites["pelvis"] = (np.array(value), a) if field == "q" else (q, np.array(value))
@@ -167,6 +168,7 @@ def test_reconstruct_stream_requires_height(workdir, tmp_path):
     ("--height", "0", "FeatureError"),
     ("--height", "-1", "FeatureError"),
     ("--height", "nan", "FeatureError"),
+    ("--height", "1e300", "FeatureError"),
 ])
 def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag, value, error):
     argv = {"--ckpt": str(workdir / "tiny.imfc"), "--config": "pelvis", "--spread": "3",
@@ -333,3 +335,56 @@ def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert "error (InferenceError)" in err and where in err
+
+
+def _put(blob: bytes, at: int, fmt: str, value) -> bytes:
+    return blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt):]
+
+
+def _flip(blob: bytes, at: int, bit: int) -> bytes:
+    return blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1:]
+
+
+# checkpoint offsets: layers 8, width 12, ff 16, nhead 20, T 24, then the
+# 6-byte schedule kind, the skeleton hash at 38 and, at 188, the rank of
+# the first parameter record ("height_mlp.b1")
+@pytest.mark.parametrize("corrupt", [
+    lambda b: _flip(b, 38, 7),                 # a skeleton-hash byte that is not UTF-8
+    lambda b: _put(b, 20, "<I", 3),            # nhead 3 does not divide width 16
+    lambda b: _put(b, 12, "<I", 32),           # width 32, parameters stored for 16
+    lambda b: _put(b, 24, "<I", df.MAX_T + 1), # schedule length past the maximum
+    lambda b: _put(b, 188, "<I", 1000),        # a rank no parameter has
+], ids=["hash-not-utf8", "nhead-3", "width-32", "T-past-max", "rank-1000"])
+def test_corrupt_checkpoint_fails_cleanly(workdir, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.imfc"
+    bad.write_bytes(corrupt((workdir / "tiny.imfc").read_bytes()))
+    rc = cli.main(["reconstruct", "--ckpt", str(bad), "--config", "pelvis", "--spread", "3",
+                   "--in", str(workdir / "corpus.imfd"), "--trial", "gait-000",
+                   "--out", str(tmp_path / "rec.jsonl")])
+    assert rc == 1
+    assert "error (CheckpointError)" in capsys.readouterr().err
+
+
+def test_train_diffusion_steps_past_max_fails_cleanly(workdir, tmp_path, capsys):
+    rc = cli.main(["train", "--data", str(workdir / "corpus.imfd"), "--size", "1/16/32", "--steps", "1",
+                   "--batch", "2", "--diffusion-steps", str(df.MAX_T + 1), "--out", str(tmp_path / "m.imfc")])
+    assert rc == 1
+    assert "error (ScheduleError)" in capsys.readouterr().err
+
+
+# trial 0 ("gait-000") of the corpus: id at 80, then rate, height, mass,
+# weight (float64 each) and the frame count
+@pytest.mark.parametrize("corrupt", [
+    lambda b: _flip(b, 80, 7),                 # a trial-id byte that is not UTF-8
+    lambda b: _flip(b, 88 + 35, 6),            # bit 30 of the frame count
+    lambda b: _put(b, 88 + 8, "<d", -1.59),    # a negative height
+    lambda b: _put(b, 88 + 8, "<d", 1e300),    # a height that overflows the skeleton
+], ids=["id-not-utf8", "frames-bit30", "height-negative", "height-1e300"])
+def test_corrupt_dataset_fails_cleanly(workdir, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad.imfd"
+    bad.write_bytes(corrupt((workdir / "corpus.imfd").read_bytes()))
+    rc = cli.main(["train", "--data", str(bad), "--size", "1/16/32", "--steps", "1", "--batch", "2",
+                   "--out", str(tmp_path / "m.imfc")])
+    assert rc == 1
+    assert "error (DatasetError)" in capsys.readouterr().err
+    assert not (tmp_path / "m.imfc").exists()

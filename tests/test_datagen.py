@@ -129,8 +129,8 @@ def test_contact_labels_near_threshold_motion(tree):
 def test_gait_labels_match_stance_flags(tree):
     m = dg.generate_motion("gait", seed=11, duration_s=10.0, speed=1.1)
     trial = dg.make_trial(m, tree)
-    assert trial.stance_flags is not None
-    agree = (trial.contacts == trial.stance_flags).mean()
+    assert trial.motion.stance is not None
+    agree = (trial.contacts == trial.motion.stance).mean()
     assert agree >= 0.98, f"label/stance agreement {agree:.3f}"
 
 
@@ -244,7 +244,7 @@ def test_dataset_round_trip(tmp_path, tree):
     trials = dg.generate_corpus(tree, n_trials=3, seconds=5.0, seed=1)
     p = tmp_path / "corpus.imfd"
     dg.save_dataset(trials, tree, p)
-    back = dg.load_dataset(p)
+    back = dg.load_dataset(p, tree)
     assert len(back) == 3
     for a, b in zip(trials, back):
         assert a.trial_id == b.trial_id
@@ -256,11 +256,40 @@ def test_dataset_round_trip(tmp_path, tree):
         np.testing.assert_array_equal(b.contacts, a.contacts)
 
 
-def test_dataset_bad_magic_rejected(tmp_path):
+def test_stance_flags_survive_decimation_and_the_container(tmp_path, tree):
+    gait = dg.generate_motion("gait", seed=4, duration_s=3.0, speed=1.1, trial_id="g")
+    smooth = dg.generate_motion("random_smooth", seed=4, duration_s=3.0, trial_id="s")
+    trials = [dg.make_trial(gait, tree), dg.make_trial(smooth, tree)]
+    np.testing.assert_array_equal(trials[0].motion.stance, gait.stance[::dg.DECIMATION])
+    assert trials[0].motion.stance.any() and smooth.stance is None
+    p = tmp_path / "corpus.imfd"
+    dg.save_dataset(trials, tree, p)
+    back = dg.load_dataset(p, tree)
+    np.testing.assert_array_equal(back[0].motion.stance, trials[0].motion.stance)
+    assert back[0].motion.stance.dtype == np.uint8 and back[1].motion.stance is None
+
+
+def test_dataset_refuses_another_skeleton(tmp_path, tree):
+    p = tmp_path / "corpus.imfd"
+    dg.save_dataset(dg.generate_corpus(tree, n_trials=1, seconds=2.0, seed=0), tree, p)
+    with pytest.raises(dg.DatasetError, match="skeleton"):
+        dg.load_dataset(p, tree.scaled(1.9))
+
+
+@pytest.mark.parametrize("height, mass", [(-1.59, 70.0), (1e300, 70.0), (float("nan"), 70.0),
+                                          (1.75, 0.0), (1.75, float("nan")), (1.75, 1e300)])
+def test_motion_rejects_implausible_subject(height, mass):
+    T = 4
+    rot = np.broadcast_to(np.eye(3), (T, 24, 3, 3)).copy()
+    with pytest.raises(dg.GenerationError, match="subject"):
+        dg.MotionSequence(20.0, rot, np.zeros((T, 3)), height, mass)
+
+
+def test_dataset_bad_magic_rejected(tmp_path, tree):
     p = tmp_path / "bad.imfd"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(dg.DatasetError, match="magic"):
-        dg.load_dataset(p)
+        dg.load_dataset(p, tree)
 
 
 def _dataset_cuts(trials, size: int) -> dict[str, int]:
@@ -285,7 +314,7 @@ def test_dataset_truncated_raises_typed_error(tmp_path, tree):
         assert 4 < cut < len(blob), where
         short.write_bytes(blob[:cut])
         with pytest.raises(dg.DatasetError, match="truncated dataset"):
-            dg.load_dataset(short)
+            dg.load_dataset(short, tree)
 
 
 def test_dataset_regeneration_bit_identical(tmp_path, tree):

@@ -379,7 +379,7 @@ def test_cold_start_invariants(tree, tiny_model):
     assert np.isfinite(r.pose.rotations).all() and np.isfinite(r.pose.root_position).all()
 
 
-@pytest.mark.parametrize("height", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("height", [0.0, -1.0, float("nan"), float("inf"), 1e300, 3.0])
 def test_reconstructor_rejects_bad_height(tree, tiny_model, height):
     cfg, params, schedule, fast = tiny_model
     with pytest.raises(ft.FeatureError, match="height"):
