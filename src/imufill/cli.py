@@ -26,6 +26,40 @@ from . import metrics as mt
 from .kinematics import default_tree, load_skeleton, SkeletonError
 
 
+def _usage_error(parse):
+    """An argparse type from `parse`, which raises a (typed) ValueError on
+    a bad value: the value is then a usage error, exit 2, before any file
+    is read, and the message names the error and the value."""
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"{type(e).__name__}: {e}") from None
+    return checked
+
+
+@_usage_error
+def _height(text: str) -> float:
+    return ft.check_height(float(text))
+
+
+@_usage_error
+def _sensor_configs(text: str) -> list[ft.SensorConfig]:
+    configs = [ft.SensorConfig.parse(s) for s in text.split(";") if s.strip()]
+    if not configs:
+        raise ft.FeatureError(f"no sensor configuration in {text!r}")
+    return configs
+
+
+@_usage_error
+def _objectives(text: str) -> list[str]:
+    names = [o.strip() for o in text.split(",") if o.strip()]
+    unknown = [o for o in names if o not in mt.OBJECTIVES]
+    if unknown:
+        raise mt.MetricsError(f"unknown objectives {unknown}; known: {list(mt.OBJECTIVES)}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="imufill",
                                 description="sparse-sensor motion reconstruction toolkit")
@@ -60,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser("reconstruct", help="autoregressive reconstruction")
     rc.add_argument("--ckpt", required=True)
-    rc.add_argument("--config", required=True,
+    rc.add_argument("--config", required=True, type=_usage_error(ft.SensorConfig.parse),
                     help="comma-separated site list, optionally +insoles; or all13/none")
     rc.add_argument("--spread", default="30", help="step count, preset name (10A..10D), or explicit list")
     rc.add_argument("--in", dest="input", required=True,
                     help="dataset (.imfd, with --trial) or a 60 Hz imu-stream .jsonl")
     rc.add_argument("--trial", default=None, help="trial id when --in is a dataset")
-    rc.add_argument("--height", type=float, default=None,
+    rc.add_argument("--height", type=_height, default=None,
                     help="subject height, required for stream input")
     rc.add_argument("--seed", type=int, default=0)
     rc.add_argument("--variant", choices=("renoise", "ddim"), default="renoise")
@@ -82,9 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="evaluate many sensor configurations")
     sw.add_argument("--ckpt", required=True)
     sw.add_argument("--data", required=True)
-    sw.add_argument("--configs", required=True,
+    sw.add_argument("--configs", required=True, type=_sensor_configs,
                     help="semicolon-separated config specs, e.g. 'pelvis+head;shank_l+shank_r'")
-    sw.add_argument("--objectives", default="GA,legsLA,backLA,RE10")
+    sw.add_argument("--objectives", type=_objectives, default="GA,legsLA,backLA,RE10")
     sw.add_argument("--spread", default="30")
     sw.add_argument("--trials", type=int, default=0, help="limit number of trials (0 = all)")
     sw.add_argument("--seed", type=int, default=0)
@@ -94,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--ckpt", required=True)
     bn.add_argument("--spread", default="30")
     bn.add_argument("--frames", type=int, default=200)
-    bn.add_argument("--config", default="pelvis,head,wrist_l,wrist_r,shank_l,shank_r")
+    bn.add_argument("--config", type=_usage_error(ft.SensorConfig.parse),
+                    default="pelvis,head,wrist_l,wrist_r,shank_l,shank_r")
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--out", default=None)
     return p
@@ -178,14 +213,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _session(args, tree, config: ft.SensorConfig, height: float, measurements,
+def _session(args, tree, height: float, measurements,
              **options) -> tuple[inf.Reconstructor, list[inf.StepResult]]:
-    """Load --ckpt, build the Reconstructor and step it through the
+    """Load --ckpt and step a Reconstructor of its model through the
     measurements: the one session path of `reconstruct` and `bench`."""
     cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
     spread = inf.StepSpread.parse(args.spread, schedule.T)
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=height,
-                              spread=spread, seed=args.seed, **options)
+    recon = inf.Reconstructor(cfg, df.FastDenoiser(cfg, params), schedule, tree, args.config,
+                              height=height, spread=spread, seed=args.seed, **options)
     return recon, inf.run_session(recon, measurements)
 
 
@@ -199,25 +234,24 @@ def _stream_measurements(ingestor: inf.StreamIngestor, frames):
 
 def cmd_reconstruct(args) -> int:
     tree = default_tree()
-    config = ft.SensorConfig.parse(args.config)
     src = Path(args.input)
     ingestor = None
     if src.suffix == ".imfd" or _looks_like_dataset(src):
         trial = _pick_trial(dg.load_dataset(src, tree), args.trial)
         height = trial.motion.height if args.height is None else args.height
-        measurements = inf.measurements_from_trial(trial, config)
+        measurements = inf.measurements_from_trial(trial, args.config)
     else:
         if args.height is None:
             raise inf.InferenceError("--height is required for stream input")
         height = args.height
         ingestor = inf.StreamIngestor()
         measurements = _stream_measurements(ingestor, inf.parse_stream_file(src))
-    recon, results = _session(args, tree, config, height, measurements, variant=args.variant,
+    recon, results = _session(args, tree, height, measurements, variant=args.variant,
                               root_correction=not args.no_root_correction)
     inf.write_pose_stream(args.out, tree, results)
     lat = inf.latency_percentiles(results)
     print(f"reconstructed {len(results)} frames -> {args.out} "
-          f"(config {config.label()}, {len(recon.spread)} steps, "
+          f"(config {args.config.label()}, {len(recon.spread)} steps, "
           f"latency p50 {lat['p50']:.1f} ms / p95 {lat['p95']:.1f} ms)")
     if ingestor is not None:
         print(f"dropped {ingestor.bad_samples} bad samples and "
@@ -247,14 +281,9 @@ def _pick_trial(trials, trial_id):
 
 def cmd_evaluate(args) -> int:
     tree = default_tree()
-    trials = dg.load_dataset(args.gt, tree)
-    trial = _pick_trial(trials, args.trial)
-    rot, root, contacts = inf.read_pose_stream(args.rec)
-    rec = dg.MotionSequence(20.0, rot, root, trial.motion.height, trial.motion.mass,
-                            trial.trial_id)
-    rec = mt.align_at_start(trial.motion, rec)
-    report = mt.compute_metrics(trial.motion, rec, tree)
-    d = report.as_dict()
+    trial = _pick_trial(dg.load_dataset(args.gt, tree), args.trial)
+    rot, root, _ = inf.read_pose_stream(args.rec)
+    d = mt.score_trial(trial, rot, root, tree).as_dict()
     print(f"trial {trial.trial_id}: "
           f"LA {d['LA_deg']:.2f} deg, GA {d['GA_deg']:.2f} deg, JPE {d['JPE_cm']:.2f} cm, "
           f"jitter {d['jitter']:.2f}, RE2 {_fmt(d['RE2_m'])}, RE5 {_fmt(d['RE5_m'])}, RE10 {_fmt(d['RE10_m'])}")
@@ -274,16 +303,14 @@ def cmd_sweep(args) -> int:
     trials = dg.load_dataset(args.data, tree)
     if args.trials > 0:
         trials = trials[: args.trials]
-    configs = [ft.SensorConfig.parse(s) for s in args.configs.split(";") if s.strip()]
-    objectives = [o.strip() for o in args.objectives.split(",") if o.strip()]
     spread = inf.StepSpread.parse(args.spread, schedule.T)
-    result = mt.sweep_configs(cfg, params, schedule, tree, trials, configs,
-                              objectives, spread, seed=args.seed)
+    result = mt.sweep_configs(cfg, params, schedule, tree, trials, args.configs,
+                              args.objectives, spread, seed=args.seed)
     mt.save_report(args.out, result.as_dict())
-    print(f"swept {len(configs)} configs over {len(trials)} trials -> {args.out}")
-    for obj in objectives:
+    print(f"swept {len(args.configs)} configs over {len(trials)} trials -> {args.out}")
+    for obj in args.objectives:
         ranked = result.rankings[obj]
-        best = result.entries[ranked[0]].aggregate[mt._agg_key(obj)]["mean"]
+        best = result.entries[ranked[0]].aggregate[mt.OBJECTIVES[obj]]["mean"]
         shown = "n/a" if best is None else f"{best:.3f}"
         print(f"  best {obj}: {ranked[0]} ({shown})")
     return 0
@@ -293,12 +320,11 @@ def cmd_bench(args) -> int:
     if args.frames < 1:
         raise inf.InferenceError(f"--frames must be at least 1, got {args.frames}")
     tree = default_tree()
-    config = ft.SensorConfig.parse(args.config)
     m = dg.generate_motion("gait", seed=123, duration_s=max(args.frames / 20.0 + 1, 2.0),
                            speed=1.2, trial_id="bench")
     trial = dg.make_trial(m, tree)
-    measurements = itertools.islice(inf.measurements_from_trial(trial, config), args.frames)
-    recon, results = _session(args, tree, config, trial.motion.height, measurements)
+    measurements = itertools.islice(inf.measurements_from_trial(trial, args.config), args.frames)
+    recon, results = _session(args, tree, trial.motion.height, measurements)
     cfg, n = recon.cfg, len(results)
     lat = inf.latency_percentiles(results)
     payload = {

@@ -638,6 +638,8 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
             accel = r.array((T, 13, 3), np.float64, f"{tid} site accelerations")
             contacts = r.array((T, 4), np.uint8, f"{tid} contacts")
             stance = r.array((T, 4), np.uint8, f"{tid} stance flags") if has_stance else None
+            _check_unit(quats, f"{tid} rotations")
+            _check_unit(site_q, f"{tid} site rotations")
             try:
                 motion = MotionSequence(rate, quat_to_rot(quats), root, height, mass, tid, stance)
             except GenerationError as e:
@@ -650,6 +652,14 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
                 weight=weight,
             ))
         return trials
+
+
+def _check_unit(quats: np.ndarray, what: str) -> None:
+    """DatasetError unless every row is a unit quaternion: each component
+    within 1 + 1e-6 in magnitude (NaN is not), checked first so that the
+    squared norm cannot overflow, and that norm within 1e-6 of 1."""
+    if not ((np.abs(quats) <= 1.0 + 1e-6).all() and (np.abs((quats * quats).sum(-1) - 1.0) <= 1e-6).all()):
+        raise DatasetError(f"corrupt dataset: {what} are not unit quaternions")
 
 
 def export_dataset_text(trials: list[Trial], out_dir: str | Path) -> None:

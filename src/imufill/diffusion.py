@@ -602,9 +602,9 @@ class FastDenoiser:
       attentions, FFN, layernorms, output projection) for `r` alone.
 
     An instance keeps only its weights, the position table, the token
-    index of each frame row and the (t, h) cache; `predict` works on
-    arrays it allocates, so one instance can serve several sessions or
-    threads.
+    index of each frame row and the (t, h) cache of one height; `predict`
+    works on arrays it allocates, so one instance can serve several
+    sessions or threads.
     """
 
     def __init__(self, cfg: DenoiserConfig, params: dict[str, Tensor], dtype=np.float32):
@@ -612,7 +612,7 @@ class FastDenoiser:
         self.dtype = dtype
         self.w = {k: np.ascontiguousarray(v.data, dtype=dtype) for k, v in params.items()}
         self.pos = sinusoidal_embedding(np.arange(ft.WINDOW_LEN), cfg.width).astype(dtype)
-        self._cond_cache: dict[tuple[int, float], tuple] = {}
+        self._cond_cache: tuple[float, dict[tuple[int, float], tuple]] = (math.nan, {})
         self._layers: list[dict[str, np.ndarray]] = [{} for _ in range(cfg.layers)]
         for k, v in self.w.items():
             if k.startswith("layers."):
@@ -622,7 +622,8 @@ class FastDenoiser:
 
     def _conditioning(self, t: int, h: float):
         key = (int(t), float(h))
-        hit = self._cond_cache.get(key)
+        height, cache = self._cond_cache  # one read, so a thread never pairs a height with other entries
+        hit = cache.get(key)
         if hit is not None:
             return hit
         w = self.w
@@ -647,7 +648,10 @@ class FastDenoiser:
                           bs.reshape(2 * nh).astype(self.dtype),
                           vo.reshape(2 * nh, d).astype(self.dtype)))
         out = (step_tok, height_tok, folds)
-        self._cond_cache[key] = out
+        if key[1] == height:
+            cache[key] = out
+        else:  # a session has one height: a new one replaces the last one's entries
+            self._cond_cache = (key[1], {key: out})
         return out
 
     def predict(self, z: np.ndarray, t: int, h: float, rows: np.ndarray | None = None) -> np.ndarray:

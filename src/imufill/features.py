@@ -66,6 +66,14 @@ class FeatureError(ValueError):
     """Contract violation in feature-space data."""
 
 
+def check_height(height: float) -> float:
+    """height, when it lies in SUBJECT_HEIGHT_M (NaN does not)."""
+    lo, hi = SUBJECT_HEIGHT_M
+    if not lo <= height <= hi:
+        raise FeatureError(f"subject height must be in [{lo}, {hi}] m, got {height}")
+    return height
+
+
 @dataclass(frozen=True)
 class SensorConfig:
     """Which of the 13 instrumentable sites carry an IMU, plus insoles."""

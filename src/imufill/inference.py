@@ -254,14 +254,15 @@ class StepResult:
 class Reconstructor:
     """Single-session autoregressive reconstruction state machine.
 
-    Not thread-safe; one reconstruction loop per instance. Deterministic
-    for a fixed seed and measurement stream.
+    Not thread-safe; one reconstruction loop per instance, stepping a
+    `model` that other sessions may share. Deterministic for a fixed
+    seed and measurement stream.
     """
 
     def __init__(
         self,
         model_cfg: DenoiserConfig,
-        params,
+        model: FastDenoiser,
         schedule: DiffusionSchedule,
         tree: KinematicTree,
         config: ft.SensorConfig,
@@ -271,11 +272,9 @@ class Reconstructor:
         variant: str = "renoise",
         root_correction: bool = True,
     ):
-        lo, hi = ft.SUBJECT_HEIGHT_M
-        if not lo <= height <= hi:
-            raise ft.FeatureError(f"subject height must be in [{lo}, {hi}] m, got {height}")
+        ft.check_height(height)
         self.cfg = model_cfg
-        self.fast = params if isinstance(params, FastDenoiser) else FastDenoiser(model_cfg, params)
+        self.fast = model
         self.schedule = schedule
         self.tree = tree
         self.scaled_tree = tree.scaled(height)
@@ -552,26 +551,30 @@ def parse_stream_file(path) -> list[StreamFrame]:
     return _read_wire(path, STREAM_IN_FORMAT, _stream_frame)
 
 
-def _wire_values(x: np.ndarray) -> list[float]:
-    """x rounded to 9 decimals, except that a component whose rounding
-    overflows (above about 1.8e299, where x * 1e9 is infinite) is kept
-    as it is, so a finite value is written finite."""
+def _write_wire(path, header: dict, records) -> None:
+    """A JSON-lines file: `header`, then each record as it is produced
+    (the counterpart of `_read_wire`)."""
+    with open(path, "w") as f:
+        f.write(json.dumps(header) + "\n")
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
+
+
+def _wire_values(x: np.ndarray, decimals: int) -> list[float]:
+    """x rounded to `decimals` places, except that a component whose
+    rounding overflows (above about 1.8e299 for 9 places, where x * 1e9
+    is infinite) is kept as it is, so a finite value is written finite."""
     with np.errstate(over="ignore"):
-        r = np.round(x, 9)
+        r = np.round(x, decimals)
     return np.where(np.isfinite(r), r, x).tolist()
 
 
 def write_stream_file(path, frames: list[StreamFrame]) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps({"format": STREAM_IN_FORMAT, "version": STREAM_VERSION, "rate_hz": 60}) + "\n")
-        for fr in frames:
-            rec = {
-                "t_ms": fr.t_ms,
-                "sites": {n: {"q": _wire_values(q), "a": _wire_values(a)} for n, (q, a) in fr.sites.items()},
-            }
-            if fr.insoles is not None:
-                rec["insoles"] = [int(x) for x in fr.insoles]
-            f.write(json.dumps(rec) + "\n")
+    _write_wire(path, {"format": STREAM_IN_FORMAT, "version": STREAM_VERSION, "rate_hz": 60}, ({
+        "t_ms": fr.t_ms,
+        "sites": {n: {"q": _wire_values(q, 9), "a": _wire_values(a, 9)} for n, (q, a) in fr.sites.items()},
+        **({} if fr.insoles is None else {"insoles": [int(x) for x in fr.insoles]}),
+    } for fr in frames))
 
 
 def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree,
@@ -603,22 +606,15 @@ def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree
     return frames
 
 
-def write_pose_stream(path, tree: KinematicTree, results: list[StepResult],
-                      rate_hz: float = 20.0) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps({
-            "format": STREAM_OUT_FORMAT, "version": STREAM_VERSION,
-            "rate_hz": rate_hz, "segments": list(tree.names),
-        }) + "\n")
-        for r in results:
-            quats = rot_to_quat(r.pose.rotations)
-            f.write(json.dumps({
-                "t_ms": round(r.index * 1000.0 / rate_hz, 3),
-                "root": np.round(r.pose.root_position, 9).tolist(),
-                "q": np.round(quats, 9).tolist(),
-                "contact": np.round(r.contacts, 6).tolist(),
-                "latency_ms": round(r.latency_ms, 3),
-            }) + "\n")
+def write_pose_stream(path, tree: KinematicTree, results: list[StepResult]) -> None:
+    _write_wire(path, {"format": STREAM_OUT_FORMAT, "version": STREAM_VERSION,
+                       "rate_hz": ft.FRAME_RATE_HZ, "segments": list(tree.names)}, ({
+        "t_ms": round(r.index * 1000.0 / ft.FRAME_RATE_HZ, 3),
+        "root": _wire_values(r.pose.root_position, 9),
+        "q": _wire_values(rot_to_quat(r.pose.rotations), 9),
+        "contact": _wire_values(r.contacts, 6),
+        "latency_ms": round(r.latency_ms, 3),
+    } for r in results))
 
 
 def _pose_record(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,9 +12,12 @@ Conventions, fixed here (the root README points to this list):
     NaN when the ground truth is perfectly still;
   * RE is the horizontal (ground-plane) distance between the root
     positions at 2/5/10 s; sequences too short for a horizon report None.
-    Reconstructed paths are aligned to ground truth at frame 0 by the
-    evaluation harness before metrics (the initial offset is
-    unobservable from relative root displacements).
+    Reconstructed paths are aligned to ground truth at frame 0 by
+    `score_trial` before metrics (the initial offset is unobservable
+    from relative root displacements).
+
+`OBJECTIVES` is the one metric-name table: it maps each objective name
+(`--objectives`, sweep rankings) to its key in reports and aggregates.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import features as ft
 from .datagen import MotionSequence, Trial
-from .diffusion import DenoiserConfig, DiffusionSchedule
+from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .inference import Reconstructor, StepSpread, reconstruct_trial
 from .kinematics import KinematicTree, forward_kinematics, geodesic_angle_deg
 
@@ -39,6 +42,12 @@ LEG_JOINTS = ("thigh_l", "thigh_r", "shank_l", "shank_r", "foot_l", "foot_r")
 BACK_JOINTS = ("spine1", "spine2", "spine3", "neck", "upper_arm_l", "upper_arm_r")
 
 RE_HORIZONS_S = (2.0, 5.0, 10.0)
+
+# objective name -> report key, in MetricsReport's field order (as_dict pairs them)
+OBJECTIVES = {
+    "LA": "LA_deg", "legsLA": "legsLA_deg", "backLA": "backLA_deg", "GA": "GA_deg",
+    "JPE": "JPE_cm", "jitter": "jitter", "RE2": "RE2_m", "RE5": "RE5_m", "RE10": "RE10_m",
+}
 
 
 class MetricsError(ValueError):
@@ -59,12 +68,9 @@ class MetricsReport:
     trial_id: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "LA_deg": self.la_deg, "legsLA_deg": self.legs_la_deg, "backLA_deg": self.back_la_deg,
-            "GA_deg": self.ga_deg, "JPE_cm": self.jpe_cm, "jitter": self.jitter,
-            "RE2_m": self.re2_m, "RE5_m": self.re5_m, "RE10_m": self.re10_m,
-        }
+        values = (self.la_deg, self.legs_la_deg, self.back_la_deg, self.ga_deg, self.jpe_cm,
+                  self.jitter, self.re2_m, self.re5_m, self.re10_m)
+        return {"trial_id": self.trial_id, **dict(zip(OBJECTIVES.values(), values))}
 
 
 def _included(tree: KinematicTree) -> np.ndarray:
@@ -73,15 +79,6 @@ def _included(tree: KinematicTree) -> np.ndarray:
 
 def _joint_set(tree: KinematicTree, names) -> np.ndarray:
     return np.array([tree.index(n) for n in names])
-
-
-def align_at_start(gt: MotionSequence, rec: MotionSequence) -> MotionSequence:
-    """Shift the reconstructed horizontal path so frame 0 matches ground
-    truth; the absolute initial offset is unobservable from features."""
-    shift = gt.root_positions[0] - rec.root_positions[0]
-    shift = np.array([shift[0], 0.0, shift[2]])
-    moved = rec.root_positions + shift
-    return MotionSequence(rec.rate, rec.rotations, moved, rec.height, rec.mass, rec.trial_id)
 
 
 def compute_metrics(gt: MotionSequence, rec: MotionSequence, tree: KinematicTree) -> MetricsReport:
@@ -148,8 +145,7 @@ def aggregate_reports(reports: list[MetricsReport]) -> dict:
     if not reports:
         raise MetricsError("no reports to aggregate")
     out: dict[str, dict] = {}
-    keys = ["LA_deg", "legsLA_deg", "backLA_deg", "GA_deg", "JPE_cm", "jitter", "RE2_m", "RE5_m", "RE10_m"]
-    for k in keys:
+    for k in OBJECTIVES.values():
         vals = [r.as_dict()[k] for r in reports]
         vals = [v for v in vals if v is not None and np.isfinite(v)]
         out[k] = {
@@ -195,46 +191,38 @@ class SweepResult:
 def rank_configs(entries: dict[str, SweepEntry], objective: str) -> list[str]:
     """Ascending by objective mean; ties break to fewer sensors, then name."""
     def key(label: str):
-        agg = entries[label].aggregate[_agg_key(objective)]
+        agg = entries[label].aggregate[OBJECTIVES[objective]]
         val = agg["mean"] if agg["mean"] is not None else float("inf")
         return (val, entries[label].config.n_sensors, label)
 
     return sorted(entries, key=key)
 
 
-def _agg_key(objective: str) -> str:
-    return {
-        "LA": "LA_deg", "legsLA": "legsLA_deg", "backLA": "backLA_deg", "GA": "GA_deg",
-        "JPE": "JPE_cm", "jitter": "jitter", "RE2": "RE2_m", "RE5": "RE5_m", "RE10": "RE10_m",
-    }[objective]
-
-
-def reconstruct_and_score(model_cfg: DenoiserConfig, params, schedule: DiffusionSchedule,
-                          tree: KinematicTree, trial: Trial, config: ft.SensorConfig,
-                          spread: StepSpread, seed: int = 0) -> tuple[MetricsReport, MotionSequence, list]:
-    """Full autoregressive reconstruction of one trial plus metrics."""
-    recon = Reconstructor(model_cfg, params, schedule, tree, config,
-                          height=trial.motion.height, spread=spread, seed=seed)
-    rot, root, results = reconstruct_trial(recon, trial, config)
-    rec = MotionSequence(20.0, rot, root, trial.motion.height, trial.motion.mass,
-                         trial.trial_id)
-    rec = align_at_start(trial.motion, rec)
-    report = compute_metrics(trial.motion, rec, tree)
-    return report, rec, results
+def score_trial(trial: Trial, rotations: np.ndarray, roots: np.ndarray,
+                tree: KinematicTree) -> MetricsReport:
+    """Metrics of a 20 Hz reconstruction of `trial`, local rotations
+    (T, 24, 3, 3) and root positions (T, 3), aligned to it at frame 0."""
+    gt = trial.motion
+    shift = gt.root_positions[0] - roots[0]
+    roots = roots + np.array([shift[0], 0.0, shift[2]])
+    rec = MotionSequence(ft.FRAME_RATE_HZ, rotations, roots, gt.height, gt.mass, trial.trial_id)
+    return compute_metrics(gt, rec, tree)
 
 
 def sweep_configs(model_cfg: DenoiserConfig, params, schedule: DiffusionSchedule,
                   tree: KinematicTree, trials: list[Trial], configs: list[ft.SensorConfig],
                   objectives: list[str], spread: StepSpread, seed: int = 0) -> SweepResult:
-    """Reconstruct every trial under every config; aggregate and rank."""
+    """Reconstruct every trial under every config with one model; aggregate and rank."""
+    model = FastDenoiser(model_cfg, params)
     entries: dict[str, SweepEntry] = {}
     for config in configs:
         reports = []
         latencies = []
         for trial in trials:
-            rep, _, results = reconstruct_and_score(model_cfg, params, schedule, tree,
-                                                    trial, config, spread, seed=seed)
-            reports.append(rep)
+            recon = Reconstructor(model_cfg, model, schedule, tree, config,
+                                  height=trial.motion.height, spread=spread, seed=seed)
+            rot, root, results = reconstruct_trial(recon, trial, config)
+            reports.append(score_trial(trial, rot, root, tree))
             latencies.extend(r.latency_ms for r in results)
         entries[config.label()] = SweepEntry(
             config=config, per_trial=reports, aggregate=aggregate_reports(reports),

@@ -171,23 +171,52 @@ def test_reconstruct_stream_requires_height(workdir, tmp_path):
     ("--height", "1e300", "FeatureError"),
 ])
 def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag, value, error):
+    # a usage error (exit 2), except a bad --spread: a step count resolves
+    # against the checkpoint's T, so that is a runtime error (exit 1)
     argv = {"--ckpt": str(workdir / "tiny.imfc"), "--config": "pelvis", "--spread": "3",
             "--in": str(workdir / "corpus.imfd"), "--trial": "stationary-001",
             "--out": str(tmp_path / "o.jsonl")}
     argv[flag] = value
-    rc = cli.main(["reconstruct"] + [x for kv in argv.items() for x in kv])
-    assert rc == 1
-    assert f"error ({error})" in capsys.readouterr().err
+    try:
+        rc = cli.main(["reconstruct"] + [x for kv in argv.items() for x in kv])
+    except SystemExit as e:
+        rc = e.code
+    assert rc == (1 if flag == "--spread" else 2)
+    assert error in capsys.readouterr().err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--configs", "pelvis", "--objectives", "GA,foo"], "argument --objectives: MetricsError: "
+     "unknown objectives ['foo']"),
+    (["sweep", "--configs", ";"], "argument --configs: FeatureError: no sensor configuration in ';'"),
+    (["sweep", "--configs", "pelvis;foo"], "argument --configs: FeatureError: unknown sites in config: ['foo']"),
+    (["reconstruct", "--config", "foo", "--in", "x.imfd"], "argument --config: FeatureError: "
+     "unknown sites in config: ['foo']"),
+    (["reconstruct", "--config", "pelvis", "--in", "x.imfd", "--height", "nan"],
+     "argument --height: FeatureError: subject height must be in [0.5, 2.75] m, got nan"),
+    (["reconstruct", "--config", "pelvis", "--in", "x.imfd", "--height", "tall"],
+     "argument --height: ValueError: could not convert string to float: 'tall'"),
+    (["bench", "--config", "pelvis,pelvis"], "argument --config: FeatureError: duplicate sites"),
+])
+def test_bad_argument_is_usage_error_before_the_checkpoint_is_read(tmp_path, capsys, argv, message):
+    cmd, *rest = argv
+    files = {"sweep": ["--data", "x.imfd", "--out", "o.json"], "reconstruct": ["--out", "o.jsonl"],
+             "bench": []}[cmd]
+    with pytest.raises(SystemExit) as e:
+        cli.main([cmd, "--ckpt", str(tmp_path / "absent.imfc")] + rest + files)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_reconstruct_stream_rejects_bad_height(workdir, tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     stream.write_text('{"format": "imu-stream", "version": 1, "rate_hz": 60}\n')
-    rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
-                   "--in", str(stream), "--height", "0", "--out", str(tmp_path / "o.jsonl")])
-    assert rc == 1
-    assert "error (FeatureError)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                  "--in", str(stream), "--height", "0", "--out", str(tmp_path / "o.jsonl")])
+    assert e.value.code == 2
+    assert "argument --height: FeatureError: " in capsys.readouterr().err
 
 
 def test_bench_rejects_nonpositive_frames(workdir, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,43 @@ def test_dataset_truncated_raises_typed_error(tmp_path, tree):
         short.write_bytes(blob[:cut])
         with pytest.raises(dg.DatasetError, match="truncated dataset"):
             dg.load_dataset(short, tree)
+
+
+def test_dataset_header_bit_flips_fail_cleanly(tmp_path, tree):
+    # every bit of the file header and the first trial's header: a flip
+    # that still fits the file must not reach quat_to_rot with garbage
+    trials = dg.generate_corpus(tree, 2, 2.0, seed=0)
+    path = tmp_path / "d.imfd"
+    dg.save_dataset(trials, tree, path)
+    blob = path.read_bytes()
+    header_end = 4 + 4 + 4 + 64 + 4 + len(trials[0].trial_id.encode()) + 37
+    outcomes = {"load": 0, "DatasetError": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(header_end * 8):
+            bad = bytearray(blob)
+            bad[i // 8] ^= 1 << (i % 8)
+            path.write_bytes(bad)
+            try:
+                dg.load_dataset(path, tree)
+                outcomes["load"] += 1
+            except dg.DatasetError:
+                outcomes["DatasetError"] += 1
+    assert sum(outcomes.values()) == header_end * 8
+    assert outcomes["load"] and outcomes["DatasetError"]
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), 1e300])
+def test_dataset_rejects_a_quaternion_that_is_not_unit(tmp_path, tree, value):
+    trials = dg.generate_corpus(tree, 1, 2.0, seed=0)
+    path = tmp_path / "d.imfd"
+    dg.save_dataset(trials, tree, path)
+    blob = bytearray(path.read_bytes())
+    first_rotation = 4 + 4 + 4 + 64 + 4 + len(trials[0].trial_id.encode()) + 37
+    blob[first_rotation:first_rotation + 8] = np.float64(value).tobytes()
+    path.write_bytes(blob)
+    with pytest.raises(dg.DatasetError, match="rotations are not unit quaternions"):
+        dg.load_dataset(path, tree)
 
 
 def test_dataset_regeneration_bit_identical(tmp_path, tree):

@@ -355,8 +355,8 @@ def test_root_correct_changes_only_dp(tree, tiny_model, gait_trial):
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=("pelvis", "head"))
     kw = dict(height=gait_trial.motion.height, spread=inf.StepSpread.like_10d(3), seed=0)
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config, **kw)
-    recon_nc = inf.Reconstructor(cfg, params, schedule, tree, config, root_correction=False, **kw)
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, **kw)
+    recon_nc = inf.Reconstructor(cfg, fast, schedule, tree, config, root_correction=False, **kw)
     m = next(inf.measurements_from_trial(gait_trial, config))
     recon.cold_start()
     recon_nc.cold_start()
@@ -372,7 +372,7 @@ def test_root_correct_changes_only_dp(tree, tiny_model, gait_trial):
 
 def test_cold_start_invariants(tree, tiny_model):
     cfg, params, schedule, fast = tiny_model
-    recon = inf.Reconstructor(cfg, params, schedule, tree, ft.SensorConfig(), height=1.75)
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=1.75)
     recon.cold_start()
     assert recon.window.shape == (61, 190)
     r = recon.step(None)
@@ -389,7 +389,7 @@ def test_reconstructor_rejects_bad_height(tree, tiny_model, height):
 def test_full_config_passthrough(tree, tiny_model, gait_trial):
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=ft.ALL_SITES, insoles=True)
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=gait_trial.motion.height,
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=gait_trial.motion.height,
                               spread=inf.StepSpread.like_10d(4), seed=1)
     recon.cold_start()
     for k, meas in enumerate(inf.measurements_from_trial(gait_trial, config)):
@@ -411,7 +411,7 @@ def test_reconstruction_deterministic(tree, tiny_model, gait_trial):
     config = ft.SensorConfig(imu_sites=ft.SIX_IMU_SITES)
 
     def run():
-        recon = inf.Reconstructor(cfg, params, schedule, tree, config,
+        recon = inf.Reconstructor(cfg, fast, schedule, tree, config,
                                   height=gait_trial.motion.height,
                                   spread=inf.StepSpread.like_10d(4), seed=33)
         rot, root, results = inf.reconstruct_trial(recon, gait_trial, config)
@@ -426,7 +426,7 @@ def test_reconstruction_deterministic(tree, tiny_model, gait_trial):
 def test_history_never_modified_after_emission(tree, tiny_model, gait_trial):
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=("pelvis",))
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=gait_trial.motion.height,
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=gait_trial.motion.height,
                               spread=inf.StepSpread.like_10d(3), seed=2)
     recon.cold_start()
     emitted = []
@@ -440,7 +440,7 @@ def test_history_never_modified_after_emission(tree, tiny_model, gait_trial):
 def test_per_sensor_dropout_generates_channels(tree, tiny_model, gait_trial):
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=("pelvis", "head"))
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=gait_trial.motion.height,
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=gait_trial.motion.height,
                               spread=inf.StepSpread.like_10d(3), seed=3)
     recon.cold_start()
     meas_full = next(inf.measurements_from_trial(gait_trial, config))
@@ -456,9 +456,23 @@ def test_per_sensor_dropout_generates_channels(tree, tiny_model, gait_trial):
     assert not np.array_equal(res.frame[ft.seg_r_slice(head_seg)], prev_head)
 
 
+def test_shared_model_caches_one_height(tree, tiny_model, gait_trial):
+    cfg, params, schedule, _ = tiny_model
+    fast = df.FastDenoiser(cfg, params)
+    spread = inf.StepSpread.like_10d(4)
+    config = ft.SensorConfig(imu_sites=("pelvis",))
+    meas = list(inf.measurements_from_trial(gait_trial, config))[:3]
+    for height in (1.6, 1.75, 1.9):
+        inf.run_session(inf.Reconstructor(cfg, fast, schedule, tree, config, height=height,
+                                          spread=spread), meas)
+    height, entries = fast._cond_cache
+    assert height == 1.9 and 0 < len(entries) <= len(spread)
+    assert all(h == 1.9 for _, h in entries)
+
+
 def test_latency_stats(tree, tiny_model):
     cfg, params, schedule, fast = tiny_model
-    recon = inf.Reconstructor(cfg, params, schedule, tree, ft.SensorConfig(), height=1.75,
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=1.75,
                               spread=inf.StepSpread.like_10d(3))
     results = inf.run_session(recon, [None] * 5)
     p = inf.latency_percentiles(results)
@@ -730,7 +744,7 @@ def test_pose_stream_rejects_wrong_length_vector(tmp_path, field, value):
 def test_pose_stream_round_trip(tmp_path, tree, tiny_model, gait_trial):
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=("pelvis",))
-    recon = inf.Reconstructor(cfg, params, schedule, tree, config, height=gait_trial.motion.height,
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=gait_trial.motion.height,
                               spread=inf.StepSpread.like_10d(3), seed=4)
     recon.cold_start()
     results = [recon.step(m) for m in list(inf.measurements_from_trial(gait_trial, config))[:5]]
@@ -740,3 +754,61 @@ def test_pose_stream_round_trip(tmp_path, tree, tiny_model, gait_trial):
     assert rot.shape == (5, 24, 3, 3)
     np.testing.assert_allclose(root[3], results[3].pose.root_position, atol=1e-8)
     np.testing.assert_allclose(rot[3], results[3].pose.rotations, atol=1e-7)
+
+
+def _reference_wire_values(x):
+    with np.errstate(over="ignore"):
+        r = np.round(x, 9)
+    return np.where(np.isfinite(r), r, x).tolist()
+
+
+def _reference_write_stream_file(path, frames):
+    # the imu-stream writer as it was before the one JSON-lines writer
+    with open(path, "w") as f:
+        f.write(json.dumps({"format": "imu-stream", "version": 1, "rate_hz": 60}) + "\n")
+        for fr in frames:
+            rec = {
+                "t_ms": fr.t_ms,
+                "sites": {n: {"q": _reference_wire_values(q), "a": _reference_wire_values(a)}
+                          for n, (q, a) in fr.sites.items()},
+            }
+            if fr.insoles is not None:
+                rec["insoles"] = [int(x) for x in fr.insoles]
+            f.write(json.dumps(rec) + "\n")
+
+
+def _reference_write_pose_stream(path, tree, results, rate_hz=20.0):
+    # the pose-stream writer as it was before the one JSON-lines writer
+    with open(path, "w") as f:
+        f.write(json.dumps({
+            "format": "pose-stream", "version": 1,
+            "rate_hz": rate_hz, "segments": list(tree.names),
+        }) + "\n")
+        for r in results:
+            quats = kin.rot_to_quat(r.pose.rotations)
+            f.write(json.dumps({
+                "t_ms": round(r.index * 1000.0 / rate_hz, 3),
+                "root": np.round(r.pose.root_position, 9).tolist(),
+                "q": np.round(quats, 9).tolist(),
+                "contact": np.round(r.contacts, 6).tolist(),
+                "latency_ms": round(r.latency_ms, 3),
+            }) + "\n")
+
+
+def test_writers_keep_their_bytes(tmp_path, tree, tiny_model, gait_trial):
+    cfg, params, schedule, fast = tiny_model
+    config = ft.SensorConfig(imu_sites=("pelvis", "head"), insoles=True)
+    frames = inf.stream_frames_from_trial(gait_trial, config, tree, drop_ranges=[(4, 9)])[:30]
+    frames[5] = inf.StreamFrame(t_ms=frames[5].t_ms, sites={
+        "pelvis": (np.array([1.0, 0, 0, 0]), np.array([1e308, -1e300, 1.5 + 1e-12]))})
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    inf.write_stream_file(got, frames)
+    _reference_write_stream_file(want, frames)
+    assert got.read_bytes() == want.read_bytes()
+
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=gait_trial.motion.height,
+                              spread=inf.StepSpread.like_10d(3), seed=4)
+    results = inf.run_session(recon, list(inf.measurements_from_trial(gait_trial, config))[:8])
+    inf.write_pose_stream(got, tree, results)
+    _reference_write_pose_stream(want, tree, results)
+    assert got.read_bytes() == want.read_bytes()

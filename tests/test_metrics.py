@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from imufill import datagen as dg
+from imufill import diffusion as df
+from imufill import features as ft
+from imufill import inference as inf
 from imufill import kinematics as kin
 from imufill import metrics as mt
 
@@ -163,3 +166,56 @@ def test_report_round_trip(tmp_path):
     back = mt.load_report(p)
     assert back["metrics"] == payload["metrics"]
     assert back["version"] == mt.REPORT_VERSION
+
+
+def test_sweep_builds_one_model_and_matches_one_model_per_session(tree, monkeypatch):
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = df.init_denoiser(cfg, seed=2)
+    schedule = df.build_cosine_schedule(1000)
+    trials = dg.generate_corpus(tree, n_trials=3, seconds=1.0, seed=4)
+    assert len({t.motion.height for t in trials}) == 3
+    configs = [ft.SensorConfig.parse("pelvis"), ft.SensorConfig.parse("pelvis,head,insoles")]
+    spread = inf.StepSpread.like_10d(3)
+
+    # reference: a model per (config, trial) session, scored as sweeps were
+    # before they shared one
+    want_reports, want_poses = [], []
+    for config in configs:
+        for trial in trials:
+            recon = inf.Reconstructor(cfg, df.FastDenoiser(cfg, params), schedule, tree, config,
+                                      height=trial.motion.height, spread=spread, seed=6)
+            rot, root, _ = inf.reconstruct_trial(recon, trial, config)
+            want_poses.append((rot, root))
+            m = trial.motion
+            shift = m.root_positions[0] - root[0]
+            moved = root + np.array([shift[0], 0.0, shift[2]])
+            rec = dg.MotionSequence(20.0, rot, moved, m.height, m.mass, trial.trial_id)
+            want_reports.append(mt.compute_metrics(m, rec, tree).as_dict())
+
+    built, poses = [], []
+    init, reconstruct = df.FastDenoiser.__init__, mt.reconstruct_trial
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        out = reconstruct(*args, **kwargs)
+        poses.append(out[:2])
+        return out
+
+    monkeypatch.setattr(df.FastDenoiser, "__init__", counted_init)
+    monkeypatch.setattr(mt, "reconstruct_trial", recorded)
+    result = mt.sweep_configs(cfg, params, schedule, tree, trials, configs, ["GA", "RE2"], spread, seed=6)
+    assert len(built) == 1
+    got_reports = [r.as_dict() for e in result.entries.values() for r in e.per_trial]
+    np.testing.assert_equal(got_reports, want_reports)  # NaN jitter compares equal here
+    assert len(poses) == len(want_poses)
+    for got, want in zip(poses, want_poses):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_objectives_name_every_aggregated_metric(tree, gait20):
+    rep = mt.compute_metrics(gait20, _copy(gait20), tree)
+    assert set(mt.aggregate_reports([rep])) == set(mt.OBJECTIVES.values())
+    assert set(rep.as_dict()) == set(mt.OBJECTIVES.values()) | {"trial_id"}
