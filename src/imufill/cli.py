@@ -38,6 +38,17 @@ def _usage_error(parse):
     return checked
 
 
+def _count(minimum: int):
+    """An argparse type for a whole number of at least `minimum`."""
+    @_usage_error
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise ValueError(f"must be at least {minimum}, got {n}")
+        return n
+    return count
+
+
 @_usage_error
 def _height(text: str) -> float:
     return ft.check_height(float(text))
@@ -84,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--size", type=df.DenoiserConfig.parse, default="2/64/128",
                     help="layers/width/feedforward")
-    tr.add_argument("--steps", type=int, default=2000)
-    tr.add_argument("--batch", type=int, default=16)
+    tr.add_argument("--steps", type=_count(1), default=2000)
+    tr.add_argument("--batch", type=_count(1), default=16)
     tr.add_argument("--lr", type=float, default=1e-4)
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--diffusion-steps", type=int, default=1000, metavar="T")
-    tr.add_argument("--holdout", type=int, default=0, help="trials held out for eval logging")
+    tr.add_argument("--holdout", type=_count(0), default=0, help="trials held out for eval logging")
     tr.add_argument("--out", required=True)
 
     rc = sub.add_parser("reconstruct", help="autoregressive reconstruction")
@@ -120,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="semicolon-separated config specs, e.g. 'pelvis+head;shank_l+shank_r'")
     sw.add_argument("--objectives", type=_objectives, default="GA,legsLA,backLA,RE10")
     sw.add_argument("--spread", default="30")
-    sw.add_argument("--trials", type=int, default=0, help="limit number of trials (0 = all)")
+    sw.add_argument("--trials", type=_count(0), default=0, help="limit number of trials (0 = all)")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--out", required=True)
 
     bn = sub.add_parser("bench", help="per-frame latency of the reconstruction loop")
     bn.add_argument("--ckpt", required=True)
     bn.add_argument("--spread", default="30")
-    bn.add_argument("--frames", type=int, default=200)
+    bn.add_argument("--frames", type=_count(1), default=200)
     bn.add_argument("--config", type=_usage_error(ft.SensorConfig.parse),
                     default="pelvis,head,wrist_l,wrist_r,shank_l,shank_r")
     bn.add_argument("--seed", type=int, default=0)
@@ -317,8 +328,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.frames < 1:
-        raise inf.InferenceError(f"--frames must be at least 1, got {args.frames}")
     tree = default_tree()
     m = dg.generate_motion("gait", seed=123, duration_s=max(args.frames / 20.0 + 1, 2.0),
                            speed=1.2, trial_id="bench")

@@ -601,10 +601,12 @@ class FastDenoiser:
       values for every token and everything else (query, both
       attentions, FFN, layernorms, output projection) for `r` alone.
 
-    An instance keeps only its weights, the position table, the token
-    index of each frame row and the (t, h) cache of one height; `predict`
-    works on arrays it allocates, so one instance can serve several
-    sessions or threads.
+    Residual and bias adds go in place into a product's fresh array and
+    every reduction is exact (see the helpers), so the speed work changes
+    no output bit. An instance keeps only its weights, the position table,
+    the token index of each frame row and the (t, h) cache of one height;
+    `predict` works on arrays it allocates, so one instance can serve
+    several sessions or threads.
     """
 
     def __init__(self, cfg: DenoiserConfig, params: dict[str, Tensor], dtype=np.float32):
@@ -661,17 +663,25 @@ class FastDenoiser:
         w = self.w
         d = self.cfg.width
         step_tok, height_tok, folds = self._conditioning(t, h)
-        frames = np.asarray(z, dtype=self.dtype) @ w["in_proj.w"] + w["in_proj.b"] + self.pos
+        frames = np.asarray(z, dtype=self.dtype) @ w["in_proj.w"]
+        frames += w["in_proj.b"]
+        frames += self.pos
         x = np.concatenate([step_tok, height_tok, frames])
         *body, last = self._layers
         for lw, fold in zip(body, folds):
-            qkv = x @ lw["attn.wqkv"] + lw["attn.bqkv"]
+            qkv = x @ lw["attn.wqkv"]
+            qkv += lw["attn.bqkv"]
             x = self._block(x, qkv[:, :d], qkv[:, d:], lw, fold)
         wqkv, bqkv = last["attn.wqkv"], last["attn.bqkv"]
-        kv = x @ wqkv[:, d:] + bqkv[d:]
+        kv = x @ wqkv[:, d:]
+        kv += bqkv[d:]
         x = x[self._tokens if rows is None else self._tokens[rows]]
-        x = self._block(x, x @ wqkv[:, :d] + bqkv[:d], kv, last, folds[-1])
-        return x @ w["out_proj.w"] + w["out_proj.b"]
+        q = x @ wqkv[:, :d]
+        q += bqkv[:d]
+        x = self._block(x, q, kv, last, folds[-1])
+        out = x @ w["out_proj.w"]
+        out += w["out_proj.b"]
+        return out
 
     def _block(self, x: np.ndarray, q: np.ndarray, kv: np.ndarray, lw: dict, fold: tuple) -> np.ndarray:
         """One post-norm layer for the residual rows `x`, whose queries are
@@ -681,15 +691,21 @@ class FastDenoiser:
         q = q.reshape(n, nh, hd).transpose(1, 0, 2)
         k = kv[:, :d].reshape(-1, nh, hd).transpose(1, 2, 0)
         v = kv[:, d:].reshape(-1, nh, hd).transpose(1, 0, 2)
-        attn = (_softmax_inplace((q @ k) * (1.0 / math.sqrt(hd))) @ v).transpose(1, 0, 2).reshape(n, d)
-        x = _layernorm_inplace(x + attn @ lw["attn.wo"] + lw["attn.bo"], lw["ln1.g"], lw["ln1.b"])
+        s = q @ k
+        s *= 1.0 / math.sqrt(hd)
+        attn = np.empty((n, d), x.dtype)  # each head's output goes straight to its columns
+        np.matmul(_softmax_inplace(s), v, out=attn.reshape(n, nh, hd).transpose(1, 0, 2))
+        x = _add_layernorm_inplace(attn @ lw["attn.wo"], x, lw["attn.bo"], lw["ln1.g"], lw["ln1.b"])
 
         ws, bs, vo = fold
-        cross = _softmax_inplace((x @ ws + bs).reshape(n, nh, 2)).reshape(n, 2 * nh)
-        x = _layernorm_inplace(x + cross @ vo + lw["cross.bo"], lw["ln2.g"], lw["ln2.b"])
+        s = x @ ws
+        s += bs
+        cross = _pair_softmax_inplace(s.reshape(n, nh, 2)).reshape(n, 2 * nh)
+        x = _add_layernorm_inplace(cross @ vo, x, lw["cross.bo"], lw["ln2.g"], lw["ln2.b"])
 
-        ffn = _gelu_inplace(x @ lw["ff.w1"] + lw["ff.b1"]) @ lw["ff.w2"]
-        return _layernorm_inplace(x + ffn + lw["ff.b2"], lw["ln3.g"], lw["ln3.b"])
+        f = x @ lw["ff.w1"]
+        f += lw["ff.b1"]
+        return _add_layernorm_inplace(_gelu_inplace(f) @ lw["ff.w2"], x, lw["ff.b2"], lw["ln3.g"], lw["ln3.b"])
 
 
 def _gelu_inplace(x: np.ndarray) -> np.ndarray:
@@ -707,22 +723,40 @@ def _gelu_inplace(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place."""
-    s -= s.max(-1, keepdims=True)
+    """Softmax over the last axis, in place; the row maximum of a contiguous
+    transposed copy is faster to reduce, and exact (a maximum does not round)."""
+    s -= np.maximum.reduce(np.ascontiguousarray(s.swapaxes(-1, -2)), -2)[..., None]
     np.exp(s, out=s)
-    s /= s.sum(-1, keepdims=True)
+    s /= np.add.reduce(s, -1, keepdims=True)
     return s
 
 
-def _layernorm_inplace(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Layernorm over the last axis, in place."""
-    x -= x.mean(-1, keepdims=True)
-    var = (x * x).mean(-1, keepdims=True)
+def _pair_softmax_inplace(s: np.ndarray) -> np.ndarray:
+    """`_softmax_inplace` for a last axis of length 2: max and sum in closed form."""
+    a, b = s[..., :1], s[..., 1:]
+    s -= np.maximum(a, b)
+    np.exp(s, out=s)
+    s /= a + b
+    return s
+
+
+def _add_layernorm_inplace(y: np.ndarray, x: np.ndarray, bias: np.ndarray, g: np.ndarray, b: np.ndarray,
+                           eps: float = 1e-5) -> np.ndarray:
+    """Layernorm over the last axis of the residual sum `x + y + bias`, in
+    y (`y + x` has the bits of `x + y`). Each mean is `ndarray.mean`'s
+    arithmetic (pairwise sum, then divide) without its Python wrapper."""
+    y += x
+    y += bias
+    m = np.add.reduce(y, -1, keepdims=True)
+    m /= y.shape[-1]
+    y -= m
+    var = np.add.reduce(y * y, -1, keepdims=True)
+    var /= y.shape[-1]
     var += eps
-    x /= np.sqrt(var, out=var)
-    x *= g
-    x += b
-    return x
+    y /= np.sqrt(var, out=var)
+    y *= g
+    y += b
+    return y
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -24,8 +24,9 @@ Wire formats (JSON lines, versioned by a header record):
                 {"t_ms": 0, "sites": {"pelvis": {"q": [w,x,y,z],
                  "a": [ax,ay,az]}, ...}, "insoles": [1,0,1,1]}
                 absent sites mean per-sensor dropout for that frame;
-                "insoles" is optional; a non-finite sample, a zero
-                quaternion, an acceleration beyond MAX_ACCEL or insoles
+                "insoles" is optional; a non-finite sample, a
+                quaternion whose norm is further than QUAT_NORM_TOL
+                from 1, an acceleration beyond MAX_ACCEL or insoles
                 outside {0, 1} are a dropout too (see StreamIngestor).
 
   output, 20 Hz {"format": "pose-stream", "version": 1, "rate_hz": 20,
@@ -37,7 +38,6 @@ Wire formats (JSON lines, versioned by a header record):
 from __future__ import annotations
 
 import json
-import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -69,6 +69,13 @@ CONTACT_THRESHOLD = 0.5
 # sample. It also keeps the filter's mean and the window's float32 cast
 # finite. See _usable_sample.
 MAX_ACCEL = 1e4
+# Largest distance of a stream quaternion's norm from 1. The wire writes
+# 9 decimals, so clean data is within about 1e-9, and a sensor that sends
+# 16-bit fixed point with 14 fraction bits within about 1e-4; a norm
+# further off than 1e-2 is a corrupt sample, not rounding, and would be
+# silently renormalized into a wrong orientation. See _usable_sample.
+QUAT_NORM_TOL = 1e-2
+_QUAT_NORM2_LO, _QUAT_NORM2_HI = (1.0 - QUAT_NORM_TOL) ** 2, (1.0 + QUAT_NORM_TOL) ** 2
 
 
 class SpreadError(ValueError):
@@ -181,23 +188,25 @@ def inpaint_denoise(
     if not np.isfinite(xin).all():
         raise InferenceError("non-finite value in the input window")
     x = xin.copy()  # the estimate: input in observed channels, model output elsewhere
+    keep_rows, xin_rows = keep[rows], xin[rows]
+    noise, scaled = np.empty_like(x), np.empty_like(x)  # local, so threads can share the model
 
     def noised(a: np.ndarray, t: int) -> np.ndarray:
-        """sqrt(ab_t) a + sqrt(1 - ab_t) eps, with fresh noise eps."""
-        # scaled and summed in the draw's own array: with three more
-        # window-sized temporaries per step, the eval-toy10D sweep ran
-        # about 5% slower per frame (2-core x86-64, OpenBLAS 1 thread)
+        """sqrt(ab_t) a + sqrt(1 - ab_t) eps, with fresh noise eps, formed
+        in `noise`, which the next call overwrites; each call draws one
+        window-sized block, the same draws a fresh array would take."""
         ab = schedule.alpha_bar[t]
-        z = rng.standard_normal(a.shape, dtype=dtype)
+        z = rng.standard_normal(dtype=dtype, out=noise)
         z *= np.sqrt(1.0 - ab, dtype=dtype)
-        z += np.sqrt(ab, dtype=dtype) * a
+        z += np.multiply(np.sqrt(ab, dtype=dtype), a, out=scaled)
         return z
 
     def edit(z: np.ndarray, t: int) -> None:
         x0 = model.predict(z, t, h, rows=rows)
         if not np.isfinite(x0).all():
             raise InferenceError(f"non-finite denoiser output at step t={t}")
-        x[rows] = np.where(keep[rows], xin[rows], x0)
+        np.copyto(x0, xin_rows, where=keep_rows)
+        x[rows] = x0
 
     if variant == "renoise":
         for t in spread.steps:
@@ -410,10 +419,10 @@ class StreamIngestor:
     `datagen`, so live input is filtered exactly as the training signals
     were synthesized. A site absent at a decimation instant is dropped
     from that Measurement. A bad sample is a dropout too: a site whose
-    quaternion has no finite nonzero norm, or whose acceleration has a
-    component that is not finite or exceeds MAX_ACCEL in magnitude, is
-    dropped from its record, and so are insoles with a value outside
-    {0, 1}; `bad_samples` counts them. Records whose
+    quaternion norm is not within QUAT_NORM_TOL of 1, or whose
+    acceleration has a component that is not finite or exceeds MAX_ACCEL
+    in magnitude, is dropped from its record, and so are insoles with a
+    value outside {0, 1}; `bad_samples` counts them. Records whose
     timestamp is not after the last one are discarded and counted in
     `out_of_order`. Output lags input by SMOOTH_WINDOW // 2 raw frames.
     Only the last SMOOTH_WINDOW records are held, so memory stays flat
@@ -494,12 +503,13 @@ class StreamIngestor:
 
 
 def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
-    """True when q has a finite nonzero norm (quat_to_rot can normalize
-    it) and every component of a is finite and at most MAX_ACCEL in
-    magnitude (NaN fails the comparison). In Python floats: cheaper than
-    numpy calls on 4- and 3-vectors, and a square that overflows or
-    underflows raises no warning."""
-    return 0.0 < sum(v * v for v in q.tolist()) < math.inf and all(abs(v) <= MAX_ACCEL for v in a.tolist())
+    """True when the norm of q is within QUAT_NORM_TOL of 1 (its square
+    within the squared bounds) and every component of a is finite and at
+    most MAX_ACCEL in magnitude (NaN fails both comparisons). In Python
+    floats: cheaper than numpy calls on 4- and 3-vectors, and a square
+    that overflows or underflows raises no warning."""
+    return (_QUAT_NORM2_LO <= sum(v * v for v in q.tolist()) <= _QUAT_NORM2_HI
+            and all(abs(v) <= MAX_ACCEL for v in a.tolist()))
 
 
 # -- JSONL wire formats ------------------------------------------------------

@@ -132,6 +132,8 @@ def test_reconstruct_from_stream_file(workdir, tmp_path):
     (9, "q", [0.0, 0.0, 0.0, 0.0]),      # zero pelvis quaternion at a decimation instant
     (10, "a", [float("nan"), 0.0, 0.0]),  # NaN acceleration between instants
     (10, "a", [1e307, 0.0, 0.0]),         # finite, but its mean would overflow float32
+    (9, "q", [0.5, 0.0, 0.0, 0.0]),       # norm 0.5: far from unit, not rounding
+    (10, "q", [0.0, 2.0, 0.0, 0.0]),      # norm 2
 ])
 def test_reconstruct_stream_bad_sample_is_a_dropout(workdir, tmp_path, capsys, record, field, value):
     # one bad sample drops that site from its record; the session goes on
@@ -220,9 +222,32 @@ def test_reconstruct_stream_rejects_bad_height(workdir, tmp_path, capsys):
 
 
 def test_bench_rejects_nonpositive_frames(workdir, capsys):
-    rc = cli.main(["bench", "--ckpt", str(workdir / "tiny.imfc"), "--frames", "0"])
-    assert rc == 1
-    assert "error (InferenceError)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["bench", "--ckpt", str(workdir / "tiny.imfc"), "--frames", "0"])
+    assert e.value.code == 2
+    assert "argument --frames: ValueError: must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--steps", "0"], "argument --steps: ValueError: must be at least 1, got 0"),
+    (["train", "--batch", "0"], "argument --batch: ValueError: must be at least 1, got 0"),
+    (["train", "--batch", "-3"], "argument --batch: ValueError: must be at least 1, got -3"),
+    (["train", "--holdout", "-1"], "argument --holdout: ValueError: must be at least 0, got -1"),
+    (["train", "--steps", "2.5"], "argument --steps: ValueError: invalid literal for int()"),
+    (["sweep", "--trials", "-1"], "argument --trials: ValueError: must be at least 0, got -1"),
+    (["bench", "--frames", "-2"], "argument --frames: ValueError: must be at least 1, got -2"),
+])
+def test_bad_count_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv, message):
+    cmd, *rest = argv
+    absent, out = str(tmp_path / "absent"), str(tmp_path / "out")
+    files = {"train": ["--data", absent, "--out", out],
+             "sweep": ["--ckpt", absent, "--data", absent, "--configs", "pelvis", "--out", out],
+             "bench": ["--ckpt", absent, "--out", out]}[cmd]
+    with pytest.raises(SystemExit) as e:
+        cli.main([cmd] + rest + files)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_missing_trial_fails_cleanly(workdir, tmp_path):

@@ -567,6 +567,10 @@ class _ListIngestor:
         return inf.IngestedMeasurement(t_ms=ref.t_ms, measurement=meas)
 
 
+def _unit(q):
+    return q / np.linalg.norm(q)
+
+
 def _random_stream(seed, n):
     """Records with per-site dropouts, uneven spacing, a few out-of-order
     timestamps and intermittent insoles."""
@@ -575,7 +579,7 @@ def _random_stream(seed, n):
     for _ in range(n):
         t += rng.uniform(2.0, 30.0)
         t_ms = t - 40.0 if rng.random() < 0.05 else t
-        sites = {name: (rng.standard_normal(4), rng.standard_normal(3))
+        sites = {name: (_unit(rng.standard_normal(4)), rng.standard_normal(3))
                  for name in ("pelvis", "head", "wrist_l") if rng.random() < 0.8}
         insoles = rng.integers(0, 2, ft.B_LEN).astype(float) if rng.random() < 0.5 else None
         frames.append(inf.StreamFrame(t_ms=t_ms, sites=sites, insoles=insoles))
@@ -637,6 +641,19 @@ def test_ingest_bad_samples_become_dropouts():
         assert o.measurement.insole_labels is None
         if "pelvis" in o.measurement.site_accel:
             np.testing.assert_allclose(o.measurement.site_accel["pelvis"], [1, 2, 3], rtol=1e-12)
+
+
+def test_ingest_quaternions_far_from_unit_are_dropped():
+    frames = _const_stream(20)
+    q = np.array([0.5, 0.5, 0.5, 0.5])
+    tol = inf.QUAT_NORM_TOL
+    for k, scale in enumerate((1e-3, 1e3, 0.5, 2.0, 1 - 2 * tol, 1 + 2 * tol, 1 - tol / 2, 1 + tol / 2)):
+        frames[2 * k] = inf.StreamFrame(t_ms=frames[2 * k].t_ms, sites={"pelvis": (scale * q, np.ones(3))})
+    ing = inf.StreamIngestor()
+    outs = [o for fr in frames for o in ing.push(fr)] + ing.finish()
+    assert ing.bad_samples == 6 and len(outs) == 7
+    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.site_orient6d]
+    assert absent == [0, 6]  # the bad records at decimation instants; 12 and 14 are within tolerance
 
 
 def test_ingest_insoles_outside_zero_one_are_dropped():
