@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -47,6 +48,20 @@ def _count(minimum: int):
             raise ValueError(f"must be at least {minimum}, got {n}")
         return n
     return count
+
+
+@_usage_error
+def _learning_rate(text: str) -> float:
+    lr = float(text)
+    if not 0.0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"must be finite and positive, got {lr}")
+    return lr
+
+
+@_usage_error
+def _schedule_length(text: str) -> int:
+    """A diffusion step count T that `build_cosine_schedule` accepts."""
+    return df.build_cosine_schedule(int(text)).T
 
 
 @_usage_error
@@ -97,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="layers/width/feedforward")
     tr.add_argument("--steps", type=_count(1), default=2000)
     tr.add_argument("--batch", type=_count(1), default=16)
-    tr.add_argument("--lr", type=float, default=1e-4)
+    tr.add_argument("--lr", type=_learning_rate, default=1e-4)
     tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--diffusion-steps", type=int, default=1000, metavar="T")
+    tr.add_argument("--diffusion-steps", type=_schedule_length, default=1000, metavar="T")
     tr.add_argument("--holdout", type=_count(0), default=0, help="trials held out for eval logging")
     tr.add_argument("--out", required=True)
 
@@ -159,12 +174,9 @@ def main(argv=None) -> int:
             "bench": cmd_bench,
         }[args.cmd](args)
     except (dg.GenerationError, dg.DatasetError, df.CheckpointError, df.ScheduleError,
-            ft.FeatureError, inf.SpreadError, inf.InferenceError, mt.MetricsError,
-            SkeletonError, FileNotFoundError) as e:
+            df.TrainingDiverged, ft.FeatureError, inf.SpreadError, inf.InferenceError,
+            mt.MetricsError, SkeletonError, FileNotFoundError) as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
-        return 1
-    except df.TrainingDiverged as e:
-        print(f"error (TrainingDiverged): {e}", file=sys.stderr)
         return 1
 
 
@@ -200,6 +212,10 @@ def cmd_train(args) -> int:
         holdout, trials = trials[: args.holdout], trials[args.holdout:]
     if not trials:
         raise dg.DatasetError("no trials left to train on")
+    skipped = sum(not dg.holds_window(t) for t in holdout + trials)
+    holdout = [t for t in holdout if dg.holds_window(t)]
+    if args.holdout and not holdout:
+        raise dg.DatasetError(f"no held-out trial has the {ft.WINDOW_LEN} frames of a window")
     dg.compute_trial_weights(trials, tree)
     cfg = df.TrainConfig(model=args.size, steps=args.steps,
                          batch=args.batch, lr=args.lr, seed=args.seed, T=args.diffusion_steps)
@@ -220,7 +236,8 @@ def cmd_train(args) -> int:
     if result.eval_curve:
         print(json.dumps({"holdout_simple_loss": result.eval_curve}))
     print(json.dumps({"checkpoint": str(args.out), "model": cfg.model.label(),
-                      "parameters": df.param_count(cfg.model), "final_loss": result.losses[-1].total}))
+                      "parameters": df.param_count(cfg.model), "final_loss": result.losses[-1].total,
+                      "skipped_trials": skipped}))
     return 0
 
 

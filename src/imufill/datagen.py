@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import struct
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +28,7 @@ import numpy as np
 from . import features as ft
 from .container import CheckedReader
 from .kinematics import (
+    GROUND_CLEARANCE_M,
     KinematicTree,
     default_tree,
     forward_kinematics,
@@ -119,20 +119,18 @@ class Trial:
 # -- small signal utilities ---------------------------------------------
 
 
-def moving_average(x: np.ndarray, width: int = SMOOTH_WINDOW, axis: int = 0) -> np.ndarray:
-    """Centered box filter with edge replication; unity gain at DC."""
-    if width % 2 != 1:
-        raise GenerationError(f"window width must be odd, got {width}")
-    half = width // 2
-    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+def moving_average(x: np.ndarray) -> np.ndarray:
+    """Centered SMOOTH_WINDOW-frame box filter along axis 0, with edge
+    replication; unity gain at DC."""
+    half = SMOOTH_WINDOW // 2
+    x = np.asarray(x, dtype=np.float64)
     padded = np.concatenate([np.repeat(x[:1], half, axis=0), x, np.repeat(x[-1:], half, axis=0)], axis=0)
-    kernel = np.ones(width) / width
+    kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
     flat = padded.reshape(padded.shape[0], -1)
     res = np.empty((x.shape[0], flat.shape[1]))
     for j in range(flat.shape[1]):
         res[:, j] = np.convolve(flat[:, j], kernel, mode="valid")
-    out = res.reshape(x.shape)
-    return np.moveaxis(out, 0, axis)
+    return res.reshape(x.shape)
 
 
 def second_central_difference(p: np.ndarray, rate: float) -> np.ndarray:
@@ -219,7 +217,7 @@ def _generate_random_smooth(tree, t, seed, amplitude: float = 0.2):
     root[:, 1] = standing_root_height(tree) + 0.03 * np.sin(2 * np.pi * rng.uniform(0.1, 0.3) * t)
     # lift so the lowest contact point grazes the ground without crossing it
     fk = forward_kinematics(tree, rot, root)
-    root[:, 1] += 0.005 - fk.contacts[..., 1].min()
+    root[:, 1] += GROUND_CLEARANCE_M - fk.contacts[..., 1].min()
     return rot, root, None
 
 
@@ -426,7 +424,7 @@ def synthesize_imu(motion: MotionSequence, tree: KinematicTree,
     scaled = tree.scaled(motion.height)
     fk = forward_kinematics(scaled, motion.rotations, motion.root_positions)
     acc = second_central_difference(fk.sites, RAW_RATE_HZ)
-    acc = moving_average(acc, SMOOTH_WINDOW, axis=0)
+    acc = moving_average(acc)
     if noise_std > 0:
         rng = np.random.default_rng([noise_seed, 303])
         acc = acc + rng.normal(0.0, noise_std, size=acc.shape)
@@ -531,22 +529,23 @@ def compute_trial_weights(trials: list[Trial], tree: KinematicTree) -> np.ndarra
     return probs
 
 
-def window_sampler(trials: list[Trial], tree: KinematicTree, seed: int,
-                   weights: np.ndarray | None = None):
+def holds_window(trial: Trial) -> bool:
+    """Whether a trial is long enough to take a feature window from: the
+    one test of the training sampler, the holdout windows and the count
+    of skipped trials."""
+    return trial.motion.n_frames >= ft.WINDOW_LEN
+
+
+def window_sampler(trials: list[Trial], tree: KinematicTree, seed: int):
     """Infinite stream of (61-frame feature window, subject height).
 
-    Trial picked by weight, start frame uniform. Trials shorter than the
-    window are skipped with a warning.
+    Trial picked by its `weight` among those that hold a window
+    (`holds_window`; the caller counts the others), start frame uniform.
     """
-    if weights is None:
-        weights = np.array([tr.weight for tr in trials])
-    eligible = [i for i, tr in enumerate(trials) if tr.motion.n_frames >= ft.WINDOW_LEN]
-    for i, tr in enumerate(trials):
-        if i not in eligible:
-            warnings.warn(f"trial {tr.trial_id!r} shorter than {ft.WINDOW_LEN} frames; skipped")
+    eligible = [i for i, tr in enumerate(trials) if holds_window(tr)]
     if not eligible:
         raise GenerationError("no trial long enough to sample windows from")
-    w = np.asarray([weights[i] for i in eligible], dtype=np.float64)
+    w = np.asarray([trials[i].weight for i in eligible], dtype=np.float64)
     w = w / w.sum()
     feats = {i: trials[i].features(tree) for i in eligible}
     rng = np.random.default_rng([seed, 404])

@@ -26,6 +26,8 @@ probabilities.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import struct
 import time
@@ -389,8 +391,7 @@ class LossBreakdown:
     total: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"simple": self.simple, "vel": self.vel, "fk": self.fk,
-                "drift": self.drift, "slide": self.slide, "total": self.total}
+        return dataclasses.asdict(self)
 
 
 def _sumsq(x: Tensor) -> Tensor:
@@ -438,21 +439,11 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, ctx: FkContext,
     slide = _sumsq(gated)
 
     inv_b = 1.0 / B
-    parts = {
-        "simple": tt.mul(simple, weights.simple * inv_b),
-        "vel": tt.mul(vel, weights.vel * inv_b),
-        "fk": tt.mul(fk, weights.fk * inv_b),
-        "drift": tt.mul(drift, weights.drift * inv_b),
-        "slide": tt.mul(slide, weights.slide * inv_b),
-    }
-    total = parts["simple"]
-    for key in ("vel", "fk", "drift", "slide"):
-        total = tt.add(total, parts[key])
-    breakdown = LossBreakdown(
-        simple=float(parts["simple"].data), vel=float(parts["vel"].data),
-        fk=float(parts["fk"].data), drift=float(parts["drift"].data),
-        slide=float(parts["slide"].data), total=float(total.data),
-    )
+    terms = {"simple": simple, "vel": vel, "fk": fk, "drift": drift, "slide": slide}
+    parts = {name: tt.mul(term, getattr(weights, name) * inv_b) for name, term in terms.items()}
+    total = functools.reduce(tt.add, parts.values())
+    breakdown = LossBreakdown(**{name: float(part.data) for name, part in parts.items()},
+                              total=float(total.data))
     return total, breakdown
 
 
@@ -463,8 +454,6 @@ def training_step(cfg: DenoiserConfig, params: dict[str, Tensor], schedule: Diff
     """Noise a batch of clean windows at steps ts, predict, differentiate."""
     dtype = params["in_proj.w"].dtype
     x = np.asarray(windows, dtype=dtype)
-    if x.ndim == 2:
-        x = x[None]
     z = noise_window(x.astype(np.float64), ts, schedule, rng).astype(dtype)
     pred = denoiser_forward(cfg, params, z, ts, heights)
     ctx = make_fk_context(tree, np.atleast_1d(heights))

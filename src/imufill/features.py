@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import KinematicTree, encode_rot6d, decode_rot6d, global_to_local, forward_kinematics
+from .kinematics import N_SITES, KinematicTree, encode_rot6d, forward_kinematics, identity_pose
 
 N_SEGMENTS = 24
-N_SITES = 13
 WINDOW_LEN = 61
 FRAME_RATE_HZ = 20.0
 SUBJECT_HEIGHT_M = (0.5, 2.75)  # any human subject; scales the skeleton and conditions the model
@@ -157,30 +156,6 @@ def encode_frames(
     return frames
 
 
-def decode_frames(
-    tree: KinematicTree,
-    frames: np.ndarray,
-    initial_xz: tuple[float, float] = (0.0, 0.0),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack (T, 190) frames -> local rotations, root positions, contacts.
-
-    The horizontal root path is the cumulative sum of dp plus initial_xz;
-    the true initial offset is unobservable from features.
-    """
-    frames = np.asarray(frames)
-    T = frames.shape[0]
-    g6 = frames[:, R_OFF:R_OFF + R_LEN].reshape(T, N_SEGMENTS, 6)
-    globals_ = decode_rot6d(g6, strict=False)
-    locals_ = global_to_local(tree, globals_)
-    root = np.zeros((T, 3))
-    path = np.cumsum(frames[:, DP_OFF:DP_OFF + DP_LEN], axis=0)
-    root[:, 0] = initial_xz[0] + path[:, 0]
-    root[:, 2] = initial_xz[1] + path[:, 1]
-    root[:, 1] = frames[:, PY_OFF]
-    contacts = frames[:, B_OFF:B_OFF + B_LEN]
-    return locals_, root, contacts
-
-
 def measurement_channels(tree: KinematicTree, meas: Measurement) -> tuple[np.ndarray, np.ndarray]:
     """Expand a Measurement into (values, observed) 190-channel vectors."""
     vals = np.zeros(FRAME_DIM)
@@ -235,16 +210,9 @@ def apply_observation(
     return out, mask
 
 
-def neutral_frame(tree: KinematicTree, height: float) -> np.ndarray:
-    """Cold-start frame: T-pose orientations, zero accel/dp, standing
-    root height, all contacts set."""
-    from .kinematics import identity_pose, forward_kinematics
-
-    scaled = tree if abs(tree.reference_height - height) < 1e-12 else tree.scaled(height)
-    pose = identity_pose(scaled)
-    fk = forward_kinematics(scaled, pose.rotations, pose.root_position)
-    f = np.zeros(FRAME_DIM)
-    f[R_OFF:R_OFF + R_LEN] = encode_rot6d(fk.globals_).reshape(R_LEN)
-    f[PY_OFF] = pose.root_position[1]
-    f[B_OFF:B_OFF + B_LEN] = 1.0
-    return f
+def neutral_frame(tree: KinematicTree) -> np.ndarray:
+    """Cold-start frame of a tree scaled to the subject: the encoded
+    T-pose (`identity_pose`) standing still, all contacts set."""
+    pose = identity_pose(tree)
+    return encode_frames(tree, pose.rotations[None], pose.root_position[None],
+                         np.zeros((1, N_SITES, 3)), np.ones((1, B_LEN)))[0]

@@ -5,9 +5,10 @@ rolling 61-frame window (unobserved channels seeded from the previous
 frame), run inpainting denoising over the configured step spread, take
 the generated channels of the last frame alongside the measured ones,
 decode that frame once into local rotations and, with root correction
-on, its contact points; correct the root displacement from the contact
-points of this frame and of the last one, which the previous step kept;
-then shift the emitted frame into history. History rows are fully
+on, its contact points (`Reconstructor._decode_frame`, the one decoder
+from feature frame to pose); correct the root displacement from the
+contact points of this frame and of the last one, which the previous
+step kept; then shift the emitted frame into history. History rows are fully
 observed, so the denoiser predicts only rows with generated channels:
 in a session, the newest frame.
 
@@ -28,6 +29,10 @@ Wire formats (JSON lines, versioned by a header record):
                 quaternion whose norm is further than QUAT_NORM_TOL
                 from 1, an acceleration beyond MAX_ACCEL or insoles
                 outside {0, 1} are a dropout too (see StreamIngestor).
+                Accelerations pass the same centered SMOOTH_WINDOW-frame
+                moving average as training data, so a 20 Hz instant is
+                released SMOOTH_WINDOW // 2 = 5 records (83 ms) after it
+                was sampled, a fixed lag of the stream path.
 
   output, 20 Hz {"format": "pose-stream", "version": 1, "rate_hz": 20,
                  "segments": [... 24 names ...]}
@@ -228,23 +233,19 @@ def inpaint_denoise(
     return result
 
 
-def root_correct(
-    prev_xz: np.ndarray,
-    cur_frame: np.ndarray,
-    cur_xz: np.ndarray,
-    threshold: float = CONTACT_THRESHOLD,
-) -> np.ndarray:
+def root_correct(prev_xz: np.ndarray, cur_frame: np.ndarray, cur_xz: np.ndarray) -> np.ndarray:
     """Corrected horizontal root step for cur_frame.
 
     prev_xz and cur_xz are the root-relative horizontal contact points,
     (4, 2), of the previous and the current frame. Subtracts the mean
     world-horizontal displacement of the contact points predicted to be
-    in contact; with one such point that point becomes exactly static,
-    with several only their mean does.
+    in contact (probability at least CONTACT_THRESHOLD); with one such
+    point that point becomes exactly static, with several only their
+    mean does.
     """
     dp = cur_frame[ft.DP_OFF:ft.DP_OFF + 2].copy()
     b = cur_frame[ft.B_OFF:ft.B_OFF + ft.B_LEN]
-    in_contact = b >= threshold
+    in_contact = b >= CONTACT_THRESHOLD
     if not in_contact.any():
         return dp
     disp = (cur_xz - prev_xz) + dp[None, :]
@@ -303,7 +304,7 @@ class Reconstructor:
     def cold_start(self, measurement: ft.Measurement | None = None) -> None:
         """Fill the window with a neutral standing frame; write the first
         observation (if any) into the last frame."""
-        neutral = ft.neutral_frame(self.tree, self.height)
+        neutral = ft.neutral_frame(self.scaled_tree)
         self.window = np.tile(neutral, (ft.WINDOW_LEN, 1))
         if measurement is not None:
             self.window, _ = ft.apply_observation(self.window, measurement, self.tree, self.config)
@@ -340,7 +341,7 @@ class Reconstructor:
         root-relative horizontal contact points (4, 2) of a frame. Both
         read only its rotation channels, which root correction keeps."""
         g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
-        locals_ = global_to_local(self.tree, decode_rot6d(g6, strict=False))
+        locals_ = global_to_local(self.tree, decode_rot6d(g6))
         if not self.root_correction:
             return locals_, None
         fk = kinematics.forward_kinematics(self.scaled_tree, locals_, np.zeros(3))
@@ -407,7 +408,6 @@ class StreamFrame:
 class IngestedMeasurement:
     t_ms: float
     measurement: ft.Measurement
-    latency_frames: int = SMOOTH_WINDOW // 2  # future 60 Hz frames the centered filter waits for
 
 
 class StreamIngestor:

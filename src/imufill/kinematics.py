@@ -22,14 +22,12 @@ SKELETON_FORMAT = "imufill-skeleton"
 SKELETON_VERSION = 1
 N_SITES = 13
 N_CONTACTS = 4
+GROUND_CLEARANCE_M = 0.005  # height of the lowest contact point of a standing or grounded pose
+_ROT6D_EPS = 1e-8  # floor of a column norm in decode_rot6d
 
 
 class SkeletonError(ValueError):
     """Skeleton file is malformed or violates tree invariants."""
-
-
-class DegenerateRotationError(ValueError):
-    """6-DOF rotation input is too close to singular to orthonormalize."""
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,6 @@ class KinematicTree:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    def site_index(self, name: str) -> int:
-        return self.site_names.index(name)
 
     def scaled(self, height: float) -> "KinematicTree":
         """Linearly scale all offsets to a subject of the given height."""
@@ -163,31 +158,22 @@ def encode_rot6d(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
-def decode_rot6d(r6: np.ndarray, strict: bool = True, eps: float = 1e-8) -> np.ndarray:
+def decode_rot6d(r6: np.ndarray) -> np.ndarray:
     """Gram-Schmidt the two encoded columns back into a rotation matrix.
 
-    Output is orthonormal with det +1 even for non-orthonormal input.
-    With strict=True, near-zero or near-parallel columns raise
-    DegenerateRotationError; strict=False clamps norms at eps instead
-    (used on raw network output inside losses).
+    Output is orthonormal with det +1 for any input whose columns are
+    neither near zero nor near parallel; it is what decodes the
+    denoiser's raw output, so degenerate input is not rejected: each
+    column norm is floored at 1e-8, which keeps the result finite.
     """
     r6 = np.asarray(r6, dtype=np.float64)
     a1, a2 = r6[..., :3], r6[..., 3:]
     n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    if strict and (n1 < eps).any():
-        raise DegenerateRotationError("first 6-DOF column has near-zero norm")
-    b1 = a1 / np.maximum(n1, eps)
+    b1 = a1 / np.maximum(n1, _ROT6D_EPS)
     proj = (b1 * a2).sum(axis=-1, keepdims=True)
     u2 = a2 - proj * b1
     n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    if strict:
-        n2full = np.linalg.norm(a2, axis=-1, keepdims=True)
-        if (n2full < eps).any():
-            raise DegenerateRotationError("second 6-DOF column has near-zero norm")
-        cosang = np.abs(proj / np.maximum(n2full, eps))
-        if (cosang > 1.0 - 1e-8).any():
-            raise DegenerateRotationError("6-DOF columns are near-parallel")
-    b2 = u2 / np.maximum(n2, eps)
+    b2 = u2 / np.maximum(n2, _ROT6D_EPS)
     b3 = np.cross(b1, b2)
     return np.stack([b1, b2, b3], axis=-1)
 
@@ -337,11 +323,12 @@ def identity_pose(tree: KinematicTree) -> Pose:
     return Pose(rotations=rot, root_position=np.array([0.0, standing_root_height(tree), 0.0]))
 
 
-def standing_root_height(tree: KinematicTree, clearance: float = 0.005) -> float:
-    """Root height that puts the lowest contact point `clearance` above ground."""
+def standing_root_height(tree: KinematicTree) -> float:
+    """Root height that puts the lowest contact point of the T-pose
+    GROUND_CLEARANCE_M above ground."""
     fk = forward_kinematics(
         tree,
         np.broadcast_to(np.eye(3), (tree.n_segments, 3, 3)).copy(),
         np.zeros(3),
     )
-    return float(clearance - fk.contacts[..., 1].min())
+    return float(GROUND_CLEARANCE_M - fk.contacts[..., 1].min())

@@ -1,9 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Just enough machinery for a small transformer denoiser: broadcast
-elementwise arithmetic, (batched) matmul, softmax/attention, reductions,
-cumulative sums, shape surgery, Adam, and a finite-difference gradient
-checker. Arrays are numpy; the graph is a thin closure-based tape.
+Just enough machinery to train the transformer denoiser, and no more.
+The op set is what `diffusion` builds its graph from: broadcast `add`,
+`sub`, `mul`, `div`, `tsqrt`, `gelu` and `layernorm`; (batched)
+`matmul`; `softmax` and `softmax_attention`; `tsum` and `cumsum`;
+`reshape`, `transpose`, `take`, `concat` and `stack`. Ops are called as
+functions: `Tensor` defines no arithmetic operators, and its one piece
+of syntax is indexing, `x[idx]` for `take(x, idx)`. Then `backward`,
+Adam and a finite-difference gradient checker. Arrays are numpy; the
+graph is a thin closure-based tape.
 
 Conventions:
   * float64 for oracle/gradient-check work, float32 for training and
@@ -100,52 +105,9 @@ class Tensor:
         out._vjp = vjp if track else None
         return out
 
-    # -- operators -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
+    # -- indexing --------------------------------------------------------
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(x, dtype=None) -> Tensor:
@@ -219,47 +181,6 @@ def div(a, b) -> Tensor:
     return Tensor._make(out, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def vjp(g):
-        return (-g,)
-
-    return Tensor._make(-a.data, (a,), vjp)
-
-
-def power(a, p: float) -> Tensor:
-    a = _as_tensor(a)
-    p = float(p)
-    out = a.data**p
-
-    def vjp(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return Tensor._make(out, (a,), vjp)
-
-
-def texp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return Tensor._make(out, (a,), vjp)
-
-
-def tlog(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(divide="warn", invalid="warn"):
-        out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return Tensor._make(out, (a,), vjp)
-
-
 def tsqrt(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(invalid="warn"):
@@ -267,16 +188,6 @@ def tsqrt(a) -> Tensor:
 
     def vjp(g):
         return (g * 0.5 / out,)
-
-    return Tensor._make(out, (a,), vjp)
-
-
-def ttanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
 
     return Tensor._make(out, (a,), vjp)
 
@@ -393,15 +304,10 @@ def softmax_attention(q, k, v) -> Tensor:
         raise ShapeError(f"q/k head dims disagree: {q.shape} vs {k.shape}")
     if v.shape[-2] != k.shape[-2]:
         raise ShapeError(f"k/v lengths disagree: {k.shape} vs {v.shape}")
-    scores = mul(matmul(q, transpose_last(k)), 1.0 / math.sqrt(d))
-    return matmul(softmax(scores, axis=-1), v)
-
-
-def transpose_last(a) -> Tensor:
-    a = _as_tensor(a)
-    axes = list(range(a.ndim))
+    axes = list(range(k.ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(a, tuple(axes))
+    scores = mul(matmul(q, transpose(k, tuple(axes))), 1.0 / math.sqrt(d))
+    return matmul(softmax(scores, axis=-1), v)
 
 
 # -- reductions and shape surgery -----------------------------------------
@@ -420,12 +326,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return Tensor._make(np.asarray(out), (a,), vjp)
-
-
-def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def cumsum(a, axis: int) -> Tensor:

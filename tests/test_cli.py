@@ -94,7 +94,29 @@ def test_train_logs_one_json_object_per_line(workdir, tmp_path, capsys):
         assert r["step_s"] > 0 and r["grad_norm"] > 0 and np.isfinite(r["total"])
     assert len(holdout["holdout_simple_loss"]) == 3
     assert final["checkpoint"] == str(ck) and final["model"] == "1/16/32"
-    assert final["final_loss"] == steps[-1]["total"]
+    assert final["final_loss"] == steps[-1]["total"] and final["skipped_trials"] == 0
+
+
+def test_train_skips_trials_shorter_than_a_window(tmp_path, capsys):
+    # a 1.5 s trial (31 frames at 20 Hz) holds no 61-frame window
+    tree = default_tree()
+    trials = [dg.make_trial(dg.generate_motion(kind, seed=i, duration_s=s, trial_id=f"{kind}-{i}"), tree)
+              for i, (kind, s) in enumerate([("gait", 1.5), ("gait", 4.0), ("stationary", 4.0)])]
+    dg.compute_trial_weights(trials, tree)
+    data = tmp_path / "short.imfd"
+    dg.save_dataset(trials, tree, data)
+    train = ["train", "--data", str(data), "--size", "1/16/32", "--steps", "2", "--batch", "2"]
+
+    # the short trial is the only one held out: no holdout window, no training
+    assert cli.main(train + ["--holdout", "1", "--out", str(tmp_path / "a.imfc")]) == 1
+    err = capsys.readouterr().err
+    assert "error (DatasetError): no held-out trial has the 61 frames of a window" in err
+    assert "Traceback" not in err and not (tmp_path / "a.imfc").exists()
+
+    # held out with a long one, it is skipped and counted
+    assert cli.main(train + ["--holdout", "2", "--out", str(tmp_path / "b.imfc")]) == 0
+    final = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert final["skipped_trials"] == 1
 
 
 def test_reconstruct_deterministic_given_seed(workdir, tmp_path):
@@ -236,6 +258,13 @@ def test_bench_rejects_nonpositive_frames(workdir, capsys):
     (["train", "--steps", "2.5"], "argument --steps: ValueError: invalid literal for int()"),
     (["sweep", "--trials", "-1"], "argument --trials: ValueError: must be at least 0, got -1"),
     (["bench", "--frames", "-2"], "argument --frames: ValueError: must be at least 1, got -2"),
+    (["train", "--lr", "-1"], "argument --lr: ValueError: must be finite and positive, got -1.0"),
+    (["train", "--lr", "0"], "argument --lr: ValueError: must be finite and positive, got 0.0"),
+    (["train", "--lr", "nan"], "argument --lr: ValueError: must be finite and positive, got nan"),
+    (["train", "--lr", "inf"], "argument --lr: ValueError: must be finite and positive, got inf"),
+    (["train", "--diffusion-steps", "1"], "argument --diffusion-steps: ScheduleError: T must be in [2, "),
+    (["train", "--diffusion-steps", str(df.MAX_T + 1)], "argument --diffusion-steps: ScheduleError: "
+     f"T must be in [2, {df.MAX_T}], got {df.MAX_T + 1}"),
 ])
 def test_bad_count_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv, message):
     cmd, *rest = argv
@@ -420,10 +449,12 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, tmp_path, capsys, corrupt):
 
 
 def test_train_diffusion_steps_past_max_fails_cleanly(workdir, tmp_path, capsys):
-    rc = cli.main(["train", "--data", str(workdir / "corpus.imfd"), "--size", "1/16/32", "--steps", "1",
-                   "--batch", "2", "--diffusion-steps", str(df.MAX_T + 1), "--out", str(tmp_path / "m.imfc")])
-    assert rc == 1
-    assert "error (ScheduleError)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["train", "--data", str(workdir / "corpus.imfd"), "--size", "1/16/32", "--steps", "1",
+                  "--batch", "2", "--diffusion-steps", str(df.MAX_T + 1), "--out", str(tmp_path / "m.imfc")])
+    assert e.value.code == 2
+    assert "argument --diffusion-steps: ScheduleError: " in capsys.readouterr().err
+    assert not (tmp_path / "m.imfc").exists()
 
 
 # trial 0 ("gait-000") of the corpus: id at 80, then rate, height, mass,

@@ -53,7 +53,7 @@ def test_invalid_params_rejected(tree):
 def test_moving_average_impulse_response():
     x = np.zeros(60)
     x[30] = 11.0
-    y = dg.moving_average(x, 11)
+    y = dg.moving_average(x)
     np.testing.assert_array_equal(y[25:36], 1.0)
     np.testing.assert_array_equal(y[:25], 0.0)
     np.testing.assert_array_equal(y[36:], 0.0)
@@ -61,7 +61,7 @@ def test_moving_average_impulse_response():
 
 def test_moving_average_unity_at_dc():
     x = np.full((40, 3), 2.5)
-    np.testing.assert_allclose(dg.moving_average(x, 11), 2.5, rtol=1e-15)
+    np.testing.assert_allclose(dg.moving_average(x), 2.5, rtol=1e-15)
 
 
 def test_synthesize_stationary_accel_zero(tree):
@@ -199,11 +199,11 @@ def test_window_sampler_single_trial(tree):
 def test_window_sampler_frequencies(tree):
     t1 = dg.make_trial(dg.generate_motion("stationary", seed=1, duration_s=5.0, trial_id="a"), tree)
     t2 = dg.make_trial(dg.generate_motion("stationary", seed=2, duration_s=5.0, trial_id="b"), tree)
-    weights = np.array([0.75, 0.25])
+    t1.weight, t2.weight = 0.75, 0.25
     # tag features so draws are identifiable
     t1.features(tree)[:, 0] = 123.0
     t2.features(tree)[:, 0] = 456.0
-    it = dg.window_sampler([t1, t2], tree, seed=42, weights=weights)
+    it = dg.window_sampler([t1, t2], tree, seed=42)
     n = 100_000
     hits = sum(1 for _ in range(n) if next(it)[0][0, 0] == 123.0)
     assert abs(hits / n - 0.75) < 0.01
@@ -224,10 +224,12 @@ def test_window_sampler_skips_short_trials(tree):
     long = dg.make_trial(dg.generate_motion("stationary", seed=1, duration_s=5.0, trial_id="long"), tree)
     short = dg.make_trial(dg.generate_motion("stationary", seed=2, duration_s=2.0, trial_id="short"), tree)
     assert short.motion.n_frames < 61
-    with pytest.warns(UserWarning, match="short"):
-        it = dg.window_sampler([long, short], tree, seed=0, weights=np.array([0.5, 0.5]))
+    assert dg.holds_window(long) and not dg.holds_window(short)
+    long.weight = short.weight = 0.5
+    it = dg.window_sampler([long, short], tree, seed=0)
+    for _ in range(20):
         win, _ = next(it)
-    assert win.shape == (61, 190)
+        assert win.shape == (61, 190)
 
 
 def test_corpus_generation_and_rate_consistency(tree):

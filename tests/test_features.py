@@ -46,7 +46,14 @@ def test_encode_decode_round_trip_random_motion(tree):
     acc = rng.standard_normal((T, 13, 3))
     con = (rng.random((T, 4)) < 0.5).astype(float)
     frames = ft.encode_frames(tree, rot, root, acc, con)
-    loc, root2, con2 = ft.decode_frames(tree, frames, initial_xz=(root[0, 0], root[0, 2]))
+    # decode as the reconstructor does: orientations through 6-DOF and
+    # the tree, the horizontal root path as the sum of dp from the
+    # (unobservable) initial offset
+    g6 = frames[:, ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(T, ft.N_SEGMENTS, 6)
+    loc = kin.global_to_local(tree, kin.decode_rot6d(g6))
+    path = np.cumsum(frames[:, ft.DP_OFF:ft.DP_OFF + ft.DP_LEN], axis=0)
+    root2 = np.stack([root[0, 0] + path[:, 0], frames[:, ft.PY_OFF], root[0, 2] + path[:, 1]], axis=1)
+    con2 = frames[:, ft.B_OFF:ft.B_OFF + ft.B_LEN]
     # orientations reproduced exactly (through global encoding)
     g = kin.local_to_global(tree, rot)
     g2 = kin.local_to_global(tree, loc)
@@ -179,9 +186,15 @@ def test_sensor_dropout_clears_mask_bits(tree):
         site_accel={"pelvis": rng.standard_normal(3)},
     )
     out, mask = ft.apply_observation(window, meas, tree, cfg)
-    head_seg = int(tree.site_segments[tree.site_index("head")])
+    head_seg = int(tree.site_segments[tree.site_names.index("head")])
     np.testing.assert_array_equal(mask[-1, ft.seg_r_slice(head_seg)], 0.0)
     assert mask[-1].sum() == 9
+
+
+def test_all_sites_in_skeleton_order(tree):
+    # dataset site arrays are laid out in skeleton order and indexed by
+    # ALL_SITES position when a trial is replayed
+    assert ft.ALL_SITES == tree.site_names
 
 
 def test_config_parse():
@@ -192,7 +205,7 @@ def test_config_parse():
 
 
 def test_neutral_frame(tree):
-    f = ft.neutral_frame(tree, 1.75)
+    f = ft.neutral_frame(tree)
     assert f.shape == (190,)
     np.testing.assert_array_equal(f[ft.B_OFF:], 1.0)
     assert 0.8 < f[ft.PY_OFF] < 1.1

@@ -223,7 +223,7 @@ def _contact_xz(frame, tree):
     """Root-relative horizontal contact points of one frame, decoded on
     its own: the reference for the points a Reconstructor carries."""
     g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
-    locals_ = kin.global_to_local(tree, kin.decode_rot6d(g6, strict=False))
+    locals_ = kin.global_to_local(tree, kin.decode_rot6d(g6))
     return kin.forward_kinematics(tree, locals_, np.zeros(3)).contacts[:, [0, 2]]
 
 
@@ -287,7 +287,7 @@ def _reference_session(recon, first, measurements):
         emitted[ft.DP_OFF:ft.DP_OFF + 2] = _reference_root_correct(recon.window[-1], emitted,
                                                                    recon.scaled_tree)
         g6 = emitted[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
-        rots.append(kin.global_to_local(recon.tree, kin.decode_rot6d(g6, strict=False)))
+        rots.append(kin.global_to_local(recon.tree, kin.decode_rot6d(g6)))
         root_xz = root_xz + emitted[ft.DP_OFF:ft.DP_OFF + 2]
         roots.append(np.array([root_xz[0], emitted[ft.PY_OFF], root_xz[1]]))
         recon.window = np.concatenate([x_input[:-1], emitted[None]], axis=0)
@@ -451,7 +451,7 @@ def test_per_sensor_dropout_generates_channels(tree, tiny_model, gait_trial):
         site_accel={"pelvis": meas_full.site_accel["pelvis"]},
     )
     res = recon.step(partial)
-    head_seg = int(tree.site_segments[tree.site_index("head")])
+    head_seg = int(tree.site_segments[tree.site_names.index("head")])
     prev_head = recon.window[-2][ft.seg_r_slice(head_seg)]
     assert not np.array_equal(res.frame[ft.seg_r_slice(head_seg)], prev_head)
 
@@ -589,7 +589,7 @@ def _random_stream(seed, n):
 def _assert_same_measurements(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.t_ms == w.t_ms and g.latency_frames == w.latency_frames
+        assert g.t_ms == w.t_ms
         gm, wm = g.measurement, w.measurement
         assert list(gm.site_orient6d) == list(wm.site_orient6d)
         for name in wm.site_orient6d:
@@ -687,9 +687,11 @@ def test_ingest_dropout_bookkeeping():
 def test_ingest_latency_metadata():
     ing = inf.StreamIngestor()
     outs = []
-    for fr in _const_stream(12):
+    frames = _const_stream(12)
+    for fr in frames:
         outs.extend(ing.push(fr))
-    assert outs and all(o.latency_frames == 5 for o in outs)
+    # the centered filter holds each instant back by SMOOTH_WINDOW // 2 = 5 records
+    assert [o.t_ms for o in outs] == [frames[k].t_ms for k in (0, 3, 6)]
     # first instant only emitted once 5 future frames exist
     ing2 = inf.StreamIngestor()
     early = []

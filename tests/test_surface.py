@@ -1,0 +1,59 @@
+"""The program's public surface is what the program uses.
+
+Every public top-level function and class of `src/imufill` must be
+referenced somewhere in the program, that is in `src/imufill` or the
+benchmark's `perfbench/*.py`, outside its own definition. A name that
+only tests call is either dead code or belongs in the tests. The few
+exceptions are oracles that tests check the program against.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "imufill"
+PROGRAM = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+# test oracles: kept for the tests, not run by the program
+ORACLES = {"local_to_global", "rotation_about", "gradcheck", "GradCheckReport", "load_report"}
+
+
+def _public_definitions(tree: ast.Module):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names, attributes, imported names and exact-name strings (as in a
+    getattr table) anywhere in `node`."""
+    found: set[str] = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.add(n.value)
+    return found
+
+
+def test_every_public_definition_is_used_by_the_program():
+    modules = {path: ast.parse(path.read_text(), filename=str(path)) for path in PROGRAM}
+    # the references of each top-level statement, so that a definition's
+    # own body (recursion, a class naming itself) does not count
+    uses = [(statement, _references(statement)) for module in modules.values() for statement in module.body]
+    unused = [f"{path.relative_to(ROOT)}: {definition.name}"
+              for path, module in modules.items() if PACKAGE in path.parents
+              for definition in _public_definitions(module)
+              if definition.name not in ORACLES
+              and not any(definition.name in refs for statement, refs in uses if statement is not definition)]
+    assert not unused, "defined but used only by tests (or not at all):\n" + "\n".join(unused)
+
+
+def test_oracles_are_still_defined():
+    # an oracle that is gone should leave the exception list too
+    defined = {d.name for path in PACKAGE.rglob("*.py") for d in _public_definitions(ast.parse(path.read_text()))}
+    assert ORACLES <= defined

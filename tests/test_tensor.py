@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_matmul_noncontiguous_batched_by_2d_gradient():
     at = tt.transpose(a, (0, 2, 1))  # (3, 4, 5), not contiguous
     assert not at.data.flags.c_contiguous
     np.testing.assert_allclose(tt.matmul(at, b).data, at.data @ b.data, rtol=1e-12)
-    report = tt.gradcheck(lambda: tt.tsum(tt.texp(tt.matmul(at, b))), {"a": a, "b": b})
+    report = tt.gradcheck(lambda: tt.tsum(tt.gelu(tt.matmul(at, b))), {"a": a, "b": b})
     assert report.max_rel_err < 1e-6, report
 
 
@@ -63,7 +64,7 @@ def test_matmul_batched_by_batched_gradient():
     rng = np.random.default_rng(15)
     a = randt(rng, 2, 3, 4)
     b = randt(rng, 2, 4, 5)
-    report = tt.gradcheck(lambda: tt.tsum(tt.texp(tt.mul(tt.matmul(a, b), 0.3))), {"a": a, "b": b})
+    report = tt.gradcheck(lambda: tt.tsum(tt.gelu(tt.mul(tt.matmul(a, b), 0.3))), {"a": a, "b": b})
     assert report.max_rel_err < 1e-6, report
 
 
@@ -74,7 +75,7 @@ def test_take_basic_index_gradient():
 
     def loss():
         parts = [x[1:3], x[2], x[..., 1], x[:, None, ::2, 0], x[-1, 1:, :]]
-        return sum((tt.tsum(tt.mul(p, p)) for p in parts), tt.tsum(tt.mul(x, w)))
+        return functools.reduce(tt.add, (tt.tsum(tt.mul(p, p)) for p in parts), tt.tsum(tt.mul(x, w)))
 
     report = tt.gradcheck(loss, {"x": x})
     assert report.max_rel_err < 1e-6, report
@@ -98,8 +99,9 @@ def test_take_slices_direct_use_and_repeated_fancy_index_gradient():
 
     def loss():
         fancy = x[np.array([0, 2, 0, 0]), 1:]
-        return (tt.tsum(tt.mul(x[1:3], x[1:3])) + tt.tsum(tt.mul(x, w)) + tt.tsum(tt.texp(x[:, 2]))
-                + tt.tsum(tt.mul(fancy, fancy)) + tt.tsum(x[..., ::2]))
+        return functools.reduce(tt.add, (
+            tt.tsum(tt.mul(x[1:3], x[1:3])), tt.tsum(tt.mul(x, w)), tt.tsum(tt.gelu(x[:, 2])),
+            tt.tsum(tt.mul(fancy, fancy)), tt.tsum(x[..., ::2])))
 
     report = tt.gradcheck(loss, {"x": x})
     assert report.max_rel_err < 1e-6, report
@@ -113,7 +115,7 @@ def test_slice_gradient_never_writes_an_array_add_shares(slice_first):
     y = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
     k = Tensor(np.full((2, 3), 3.0))
     shared = tt.tsum(tt.mul(tt.add(x, y), k))
-    sliced = tt.tsum(x[0]) + tt.tsum(x[:, 1:])
+    sliced = tt.add(tt.tsum(x[0]), tt.tsum(x[:, 1:]))
     loss = tt.add(sliced, shared) if slice_first else tt.add(shared, sliced)
     g = tt.grads_by_name(loss, {"x": x, "y": y})
     np.testing.assert_array_equal(g["y"], np.full((2, 3), 3.0))
@@ -125,17 +127,19 @@ def test_slice_gradient_of_another_dtype_is_cast_like_a_dense_one():
     # float32 before it is added, as the zero-padded buffer did
     x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
     c = Tensor(np.full(3, 1.0 + 2.0**-40))
-    loss = tt.tsum(tt.mul(x[0], c)) + tt.tsum(tt.mul(x[:, 1:], c[:2]))
+    loss = tt.add(tt.tsum(tt.mul(x[0], c)), tt.tsum(tt.mul(x[:, 1:], c[:2])))
     g = tt.grads_by_name(loss, {"x": x})
     assert g["x"].dtype == np.float32
     np.testing.assert_array_equal(g["x"], [[1.0, 2.0, 2.0], [0.0, 1.0, 1.0]])
 
 
 def _layernorm_nodes(x, g, b, eps=1e-5):
-    """layernorm as the composition of nine graph nodes."""
-    mu = tt.tmean(x, axis=-1, keepdims=True)
+    """layernorm as the composition of nine ops, each mean being a sum
+    times 1/n."""
+    inv_n = 1.0 / x.shape[-1]
+    mu = tt.mul(tt.tsum(x, axis=-1, keepdims=True), inv_n)
     xc = tt.sub(x, mu)
-    var = tt.tmean(tt.mul(xc, xc), axis=-1, keepdims=True)
+    var = tt.mul(tt.tsum(tt.mul(xc, xc), axis=-1, keepdims=True), inv_n)
     return tt.add(tt.mul(tt.div(xc, tt.tsqrt(tt.add(var, eps))), g), b)
 
 
@@ -169,8 +173,8 @@ def test_layernorm_matches_nine_node_composition():
 def test_elementwise_trivial():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 4)))
-    np.testing.assert_array_equal((x + 0.0).data, x.data)
-    np.testing.assert_allclose(tt.texp(Tensor(0.0)).data, 1.0)
+    np.testing.assert_array_equal(tt.add(x, 0.0).data, x.data)
+    np.testing.assert_allclose(tt.tsqrt(Tensor(4.0)).data, 2.0)
 
 
 def test_division_by_zero_flags_nonfinite():
@@ -179,8 +183,8 @@ def test_division_by_zero_flags_nonfinite():
     assert np.isinf(out.data).all()
 
 
-def test_softmax_cross_entropy_gradient():
-    # composite: logits -> softmax -> cross entropy against fixed labels
+def test_softmax_composite_gradient():
+    # composite: logits -> softmax -> a score against fixed labels
     rng = np.random.default_rng(3)
     logits = randt(rng, 6, 10)
     labels = rng.integers(0, 10, size=6)
@@ -189,7 +193,7 @@ def test_softmax_cross_entropy_gradient():
 
     def loss():
         p = tt.softmax(logits, axis=-1)
-        return tt.neg(tt.tsum(tt.mul(Tensor(onehot), tt.tlog(p))))
+        return tt.mul(tt.tsum(tt.mul(Tensor(onehot), tt.tsqrt(p))), -1.0)
 
     report = tt.gradcheck(loss, {"logits": logits})
     assert report.max_rel_err < 1e-5, report
@@ -199,7 +203,7 @@ def test_broadcast_gradients():
     rng = np.random.default_rng(4)
     a = randt(rng, 4, 1, 5)
     b = randt(rng, 3, 1)
-    report = tt.gradcheck(lambda: tt.tsum(tt.mul(a, b) + tt.texp(b)), {"a": a, "b": b})
+    report = tt.gradcheck(lambda: tt.tsum(tt.add(tt.mul(a, b), tt.gelu(b))), {"a": a, "b": b})
     assert report.max_rel_err < 1e-6, report
 
 
@@ -209,8 +213,8 @@ def test_gelu_tanh_relu_sqrt_gradients():
     y = randt(rng, 3, 7)
 
     def loss():
-        h = tt.gelu(x) + tt.ttanh(y)
-        return tt.tsum(tt.tsqrt(tt.texp(h)))
+        h = tt.add(tt.gelu(x), tt.gelu(y))
+        return tt.tsum(tt.tsqrt(tt.add(tt.mul(h, h), 1.0)))
 
     report = tt.gradcheck(loss, {"x": x, "y": y})
     assert report.max_rel_err < 1e-5, report
@@ -266,7 +270,7 @@ def test_attention_rows_sum_to_one():
     rng = np.random.default_rng(9)
     q = Tensor(rng.standard_normal((4, 8)))
     k = Tensor(rng.standard_normal((4, 8)))
-    w = tt.softmax(tt.mul(tt.matmul(q, tt.transpose_last(k)), 1 / np.sqrt(8)), axis=-1)
+    w = tt.softmax(tt.mul(tt.matmul(q, tt.transpose(k, (1, 0))), 1 / np.sqrt(8)), axis=-1)
     np.testing.assert_allclose(w.data.sum(-1), np.ones(4), atol=1e-12)
 
 
@@ -292,7 +296,7 @@ def test_backward_half_square_gives_identity():
 def test_backward_rejects_nonscalar():
     w = Tensor(np.zeros((3,)), requires_grad=True)
     with pytest.raises(tt.ContractError):
-        tt.backward(w + 1.0)
+        tt.backward(tt.add(w, 1.0))
 
 
 def test_backward_unreachable_param_gets_zeros():
@@ -304,7 +308,7 @@ def test_backward_unreachable_param_gets_zeros():
 
 def test_backward_shared_subexpression_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)
-    y = x + x  # dy/dx = 2
+    y = tt.add(x, x)  # dy/dx = 2
     g = tt.grads_by_name(tt.tsum(tt.mul(y, y)), {"x": x})  # d/dx (2x)^2 = 8x
     np.testing.assert_allclose(g["x"], 8.0 * x.data)
 
@@ -317,14 +321,14 @@ def test_ops_do_not_mutate_inputs():
     tt.softmax(x)
     tt.matmul(x, x)
     tt.cumsum(x, 0)
-    x + x
+    tt.add(x, x)
     np.testing.assert_array_equal(x.data, before)
 
     # the flattened batched-by-2-D product and both take paths, forward and backward
     a = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     w = Tensor(x.data, requires_grad=True)
     a_before = a.data.copy()
-    loss = tt.tsum(tt.matmul(a, w)) + tt.tsum(a[:, 1:]) + tt.tsum(a[[0, 0], 2])
+    loss = tt.add(tt.add(tt.tsum(tt.matmul(a, w)), tt.tsum(a[:, 1:])), tt.tsum(a[[0, 0], 2]))
     tt.grads_by_name(loss, {"a": a, "w": w})
     np.testing.assert_array_equal(a.data, a_before)
     np.testing.assert_array_equal(w.data, before)
@@ -432,8 +436,8 @@ def test_property_random_composite_gradcheck(seed):
     def loss():
         h = tt.gelu(tt.matmul(a, b))
         p = tt.softmax(h, axis=-1)
-        return (tt.tsum(tt.mul(p, p)) + tt.tsum(tt.texp(tt.mul(a, 0.1)))
-                + tt.tsum(tt.gelu(tt.layernorm(a, g, c))))
+        return tt.add(tt.add(tt.tsum(tt.mul(p, p)), tt.tsum(tt.gelu(tt.mul(a, 0.1)))),
+                      tt.tsum(tt.gelu(tt.layernorm(a, g, c))))
 
     report = tt.gradcheck(loss, {"a": a, "b": b, "g": g, "c": c})
     assert report.max_rel_err < 1e-4, report
