@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import datagen as dg
 from . import diffusion as df
 from . import features as ft
@@ -48,6 +46,25 @@ def _count(minimum: int):
             raise ValueError(f"must be at least {minimum}, got {n}")
         return n
     return count
+
+
+def _finite_at_least(minimum: float):
+    """An argparse type for a finite real number of at least `minimum`."""
+    @_usage_error
+    def real(text: str) -> float:
+        x = float(text)
+        if not minimum <= x < math.inf:  # NaN fails too
+            raise ValueError(f"must be finite and at least {minimum}, got {x}")
+        return x
+    return real
+
+
+@_usage_error
+def _motion_kinds(text: str) -> tuple[str, ...]:
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    if not kinds or not set(kinds) <= set(dg.MOTION_KINDS):
+        raise dg.GenerationError(f"need one or more of {', '.join(dg.MOTION_KINDS)}; got {text!r}")
+    return kinds
 
 
 @_usage_error
@@ -97,11 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     skv.add_argument("file")
 
     dgp = sub.add_parser("datagen", help="generate a synthetic training corpus")
-    dgp.add_argument("--kinds", default="gait,random_smooth,stationary,jump")
-    dgp.add_argument("--trials", type=int, default=20)
-    dgp.add_argument("--seconds", type=float, default=30.0)
-    dgp.add_argument("--seed", type=int, default=0)
-    dgp.add_argument("--noise-std", type=float, default=0.0,
+    dgp.add_argument("--kinds", type=_motion_kinds, default=",".join(dg.MOTION_KINDS))
+    dgp.add_argument("--trials", type=_count(1), default=20)
+    dgp.add_argument("--seconds", type=_finite_at_least(dg.MIN_DURATION_S), default=30.0)
+    dgp.add_argument("--seed", type=_count(0), default=0)
+    dgp.add_argument("--noise-std", type=_finite_at_least(0.0), default=0.0,
                      help="optional Gaussian acceleration noise, m/s^2")
     dgp.add_argument("--out", required=True)
     dgp.add_argument("--export-text", default=None, help="also write a lossless text mirror here")
@@ -113,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--steps", type=_count(1), default=2000)
     tr.add_argument("--batch", type=_count(1), default=16)
     tr.add_argument("--lr", type=_learning_rate, default=1e-4)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_count(0), default=0)
     tr.add_argument("--diffusion-steps", type=_schedule_length, default=1000, metavar="T")
     tr.add_argument("--holdout", type=_count(0), default=0, help="trials held out for eval logging")
     tr.add_argument("--out", required=True)
@@ -128,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--trial", default=None, help="trial id when --in is a dataset")
     rc.add_argument("--height", type=_height, default=None,
                     help="subject height, required for stream input")
-    rc.add_argument("--seed", type=int, default=0)
+    rc.add_argument("--seed", type=_count(0), default=0)
     rc.add_argument("--variant", choices=("renoise", "ddim"), default="renoise")
     rc.add_argument("--no-root-correction", action="store_true")
     rc.add_argument("--out", required=True)
@@ -147,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--objectives", type=_objectives, default="GA,legsLA,backLA,RE10")
     sw.add_argument("--spread", default="30")
     sw.add_argument("--trials", type=_count(0), default=0, help="limit number of trials (0 = all)")
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--seed", type=_count(0), default=0)
     sw.add_argument("--out", required=True)
 
     bn = sub.add_parser("bench", help="per-frame latency of the reconstruction loop")
@@ -156,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--frames", type=_count(1), default=200)
     bn.add_argument("--config", type=_usage_error(ft.SensorConfig.parse),
                     default="pelvis,head,wrist_l,wrist_r,shank_l,shank_r")
-    bn.add_argument("--seed", type=int, default=0)
+    bn.add_argument("--seed", type=_count(0), default=0)
     bn.add_argument("--out", default=None)
     return p
 
@@ -190,47 +207,31 @@ def cmd_skeleton(args) -> int:
 
 def cmd_datagen(args) -> int:
     tree = default_tree()
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     t0 = time.perf_counter()
     trials = dg.generate_corpus(tree, n_trials=args.trials, seconds=args.seconds,
-                                seed=args.seed, kinds=kinds, noise_std=args.noise_std)
+                                seed=args.seed, kinds=args.kinds, noise_std=args.noise_std)
     dg.save_dataset(trials, tree, args.out)
     if args.export_text:
         dg.export_dataset_text(trials, args.export_text)
     dur = time.perf_counter() - t0
     total_s = sum(t.motion.duration_s for t in trials)
     print(f"wrote {len(trials)} trials ({total_s:.0f} s of motion) to {args.out} "
-          f"in {dur:.1f} s; kinds: {', '.join(kinds)}")
+          f"in {dur:.1f} s; kinds: {', '.join(args.kinds)}")
     return 0
 
 
 def cmd_train(args) -> int:
     tree = default_tree()
     trials = dg.load_dataset(args.data, tree)
-    holdout = []
-    if args.holdout > 0:
-        holdout, trials = trials[: args.holdout], trials[args.holdout:]
+    holdout, trials = trials[:args.holdout], trials[args.holdout:]
     if not trials:
         raise dg.DatasetError("no trials left to train on")
     skipped = sum(not dg.holds_window(t) for t in holdout + trials)
-    holdout = [t for t in holdout if dg.holds_window(t)]
-    if args.holdout and not holdout:
-        raise dg.DatasetError(f"no held-out trial has the {ft.WINDOW_LEN} frames of a window")
+    eval_windows = df.holdout_windows(holdout, tree) if holdout else None
     dg.compute_trial_weights(trials, tree)
     cfg = df.TrainConfig(model=args.size, steps=args.steps,
                          batch=args.batch, lr=args.lr, seed=args.seed, T=args.diffusion_steps)
-    sampler = df.corpus_sampler(trials, tree, seed=args.seed)
-    eval_windows = None
-    if holdout:
-        ws, hs = [], []
-        for t in holdout:
-            f = t.features(tree)
-            for s in range(0, max(f.shape[0] - ft.WINDOW_LEN, 1), ft.WINDOW_LEN):
-                ws.append(f[s:s + ft.WINDOW_LEN])
-                hs.append(t.motion.height)
-        eval_windows = (np.stack(ws), np.array(hs))
-    result = df.train(sampler, tree, cfg, eval_windows=eval_windows,
-                      eval_every=max(args.steps // 10, 1) if holdout else 0,
+    result = df.train(df.corpus_sampler(trials, tree, seed=args.seed), tree, cfg, eval_windows=eval_windows,
                       log=lambda rec: print(json.dumps(rec), flush=True))
     df.save_checkpoint(args.out, cfg.model, result.params, result.schedule, tree)
     if result.eval_curve:

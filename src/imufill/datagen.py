@@ -44,6 +44,7 @@ SMOOTH_WINDOW = 11  # frames at 60 Hz, centered: 5 past + current + 5 future
 CONTACT_SPEED_THRESHOLD = 0.3  # m/s, label = speed strictly below
 ENERGY_FLOOR_FRACTION = 0.01   # epsilon = 1% of corpus mean energy
 MAX_MASS_KG = 650.0  # any human subject
+MIN_DURATION_S = 0.5  # shortest motion `generate_motion` makes
 
 DATASET_MAGIC = b"IMFD"
 DATASET_VERSION = 1
@@ -96,7 +97,6 @@ class Trial:
     site_accels: np.ndarray         # (T, 13, 3) smoothed world accelerations
     contacts: np.ndarray            # (T, 4) uint8
     weight: float = 0.0             # sampling probability, set corpus-wide
-    energy: float = 0.0             # mean kinetic energy, J
     _features: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -166,8 +166,8 @@ def generate_motion(kind: str, seed: int, duration_s: float = 10.0, height: floa
     """
     if kind not in MOTION_KINDS:
         raise GenerationError(f"unknown motion kind {kind!r}; choose from {MOTION_KINDS}")
-    if duration_s < 0.5:
-        raise GenerationError(f"duration too short: {duration_s}")
+    if not MIN_DURATION_S <= duration_s < np.inf:
+        raise GenerationError(f"duration must be finite and at least {MIN_DURATION_S} s, got {duration_s}")
     if not (1.2 <= height <= 2.2):
         raise GenerationError(f"height out of range: {height}")
     gen = {
@@ -263,13 +263,14 @@ class _LegIK:
         rot[:, tree.index(f"foot_{side}")] = _axis_angle(x, theta2)
 
 
-def _swing_profile(tau: float, dist: float, rate: float, accel: float = 54.0):
+def _swing_profile(tau: float, dist: float, rate: float):
     """Trapezoidal forward profile over swing time tau covering dist.
 
     The acceleration is tuned so the centered-difference speed estimate
     at 60 Hz stays below the contact threshold on the last stance frame
     and above it from the first full swing frame.
     """
+    accel = 54.0  # m/s^2
     n = max(int(round(tau * rate)), 2)
     t = np.arange(n + 1) / rate
     if dist <= 0:
@@ -293,7 +294,7 @@ def _swing_profile(tau: float, dist: float, rate: float, accel: float = 54.0):
     return t, np.clip(s, 0.0, dist) * (dist / max(s[-1], 1e-12))
 
 
-def _generate_gait(tree, t, seed, speed: float = 1.2, cycle_s: float | None = None):
+def _generate_gait(tree, t, seed, speed: float = 1.2):
     if not (0.0 <= speed <= 3.0):
         raise GenerationError(f"gait speed out of range [0, 3]: {speed}")
     if speed < 0.05:
@@ -301,9 +302,7 @@ def _generate_gait(tree, t, seed, speed: float = 1.2, cycle_s: float | None = No
     scale = tree.reference_height / 1.75
     duty = 0.6
     stride = float(np.clip(0.5 + 0.5 * speed, 0.4, 1.55 * scale))
-    T_c = stride / speed if cycle_s is None else cycle_s
-    if cycle_s is not None:
-        stride = speed * T_c
+    T_c = stride / speed
 
     T = len(t)
     ik = _LegIK(tree)
@@ -349,9 +348,10 @@ def _generate_gait(tree, t, seed, speed: float = 1.2, cycle_s: float | None = No
     return rot, root, stance
 
 
-def _generate_jump(tree, t, seed, hop_height: float = 0.18, hop_length: float = 0.3):
+def _generate_jump(tree, t, seed, hop_height: float = 0.18):
     if not (0.05 <= hop_height <= 0.4):
         raise GenerationError(f"hop height out of range [0.05, 0.4]: {hop_height}")
+    hop_length = 0.3  # m forward per hop
     scale = tree.reference_height / 1.75
     g = 9.81
     T = len(t)
@@ -409,13 +409,14 @@ def _generate_jump(tree, t, seed, hop_height: float = 0.18, hop_length: float = 
 
 
 def synthesize_imu(motion: MotionSequence, tree: KinematicTree,
-                   noise_std: float = 0.0, noise_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                   noise_std: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Site orientations + smoothed accelerations at 20 Hz.
 
     Acceleration: second central difference of 60 Hz site positions,
     11-frame centered moving average, then every-3rd-frame decimation.
-    Kinematic acceleration only (no gravity term). Orientations are the
-    global segment orientations at the decimation instants.
+    Kinematic acceleration only (no gravity term); the optional Gaussian
+    noise is seeded by the trial id. Orientations are the global segment
+    orientations at the decimation instants.
     """
     if motion.rate != RAW_RATE_HZ:
         raise GenerationError(f"synthesize_imu expects 60 Hz input, got {motion.rate}")
@@ -426,7 +427,7 @@ def synthesize_imu(motion: MotionSequence, tree: KinematicTree,
     acc = second_central_difference(fk.sites, RAW_RATE_HZ)
     acc = moving_average(acc)
     if noise_std > 0:
-        rng = np.random.default_rng([noise_seed, 303])
+        rng = np.random.default_rng([_stable_seed(motion.trial_id), 303])
         acc = acc + rng.normal(0.0, noise_std, size=acc.shape)
     idx = np.arange(0, motion.n_frames, DECIMATION)
     orient = fk.globals_[idx][:, tree.site_segments]
@@ -471,8 +472,7 @@ def _stable_seed(text: str) -> int:
 
 def make_trial(motion60: MotionSequence, tree: KinematicTree, noise_std: float = 0.0) -> Trial:
     """Run the full 60 Hz -> 20 Hz synthesis pipeline for one motion."""
-    orient, accel = synthesize_imu(motion60, tree, noise_std=noise_std,
-                                   noise_seed=_stable_seed(motion60.trial_id))
+    orient, accel = synthesize_imu(motion60, tree, noise_std=noise_std)
     return Trial(
         motion=decimate_motion(motion60),
         site_rotations=orient,
@@ -523,8 +523,7 @@ def compute_trial_weights(trials: list[Trial], tree: KinematicTree) -> np.ndarra
         probs = np.full(len(trials), 1.0 / len(trials))
     else:
         probs = raw / raw.sum()
-    for tr, e, p in zip(trials, energies, probs):
-        tr.energy = float(e)
+    for tr, p in zip(trials, probs):
         tr.weight = float(p)
     return probs
 
@@ -532,28 +531,8 @@ def compute_trial_weights(trials: list[Trial], tree: KinematicTree) -> np.ndarra
 def holds_window(trial: Trial) -> bool:
     """Whether a trial is long enough to take a feature window from: the
     one test of the training sampler, the holdout windows and the count
-    of skipped trials."""
+    of skipped trials (`diffusion.corpus_sampler`, `holdout_windows`)."""
     return trial.motion.n_frames >= ft.WINDOW_LEN
-
-
-def window_sampler(trials: list[Trial], tree: KinematicTree, seed: int):
-    """Infinite stream of (61-frame feature window, subject height).
-
-    Trial picked by its `weight` among those that hold a window
-    (`holds_window`; the caller counts the others), start frame uniform.
-    """
-    eligible = [i for i, tr in enumerate(trials) if holds_window(tr)]
-    if not eligible:
-        raise GenerationError("no trial long enough to sample windows from")
-    w = np.asarray([trials[i].weight for i in eligible], dtype=np.float64)
-    w = w / w.sum()
-    feats = {i: trials[i].features(tree) for i in eligible}
-    rng = np.random.default_rng([seed, 404])
-    while True:
-        i = eligible[int(rng.choice(len(eligible), p=w))]
-        T = trials[i].motion.n_frames
-        s = int(rng.integers(0, T - ft.WINDOW_LEN + 1))
-        yield feats[i][s:s + ft.WINDOW_LEN], trials[i].motion.height
 
 
 def generate_corpus(tree: KinematicTree, n_trials: int = 20, seconds: float = 10.0, seed: int = 0,

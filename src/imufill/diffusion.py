@@ -37,17 +37,19 @@ from typing import Callable
 
 import numpy as np
 
+from . import datagen as dg
 from . import features as ft
 from . import tensor as tt
 from .container import CheckedReader
 from .kinematics import KinematicTree, skeleton_hash
-from .tensor import Tensor
+from .tensor import LAYERNORM_EPS, Tensor
 
 CHECKPOINT_MAGIC = b"IMFC"
 CHECKPOINT_VERSION = 1
 DEFAULT_T = 1000
 MAX_T = 100 * DEFAULT_T  # beyond this a schedule length is a corrupt field, not a choice
 COSINE_S = 0.008
+LOG_EVERY = 50  # training steps between log records
 
 
 class ScheduleError(ValueError):
@@ -124,10 +126,6 @@ class DenoiserConfig:
     @property
     def head_dim(self) -> int:
         return self.width // self.nhead
-
-    @staticmethod
-    def toy() -> "DenoiserConfig":
-        return DenoiserConfig(layers=2, width=64, ff=128)
 
     @staticmethod
     def parse(text: str) -> "DenoiserConfig":
@@ -292,8 +290,9 @@ def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
 # -- differentiable feature-space kinematics --------------------------------
 
 
-def _graph_decode6d(r6: Tensor, eps: float = 1e-12) -> Tensor:
+def _graph_decode6d(r6: Tensor) -> Tensor:
     """(..., 6) -> (..., 3, 3) via eps-stabilized Gram-Schmidt, in-graph."""
+    eps = 1e-12
     a1 = r6[..., 0:3]
     a2 = r6[..., 3:6]
     n1 = tt.tsqrt(tt.add(tt.tsum(tt.mul(a1, a1), axis=-1, keepdims=True), eps))
@@ -469,20 +468,19 @@ def training_step(cfg: DenoiserConfig, params: dict[str, Tensor], schedule: Diff
 
 @dataclass
 class TrainConfig:
-    model: DenoiserConfig = field(default_factory=DenoiserConfig.toy)
+    """One field per `imufill train` flag (--size, --steps, --batch, --lr,
+    --seed, --diffusion-steps); the class constants are fixed."""
+
+    model: DenoiserConfig
     steps: int = 2000
     batch: int = 16
     lr: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
     seed: int = 0
     T: int = DEFAULT_T
-    weights: LossWeights = field(default_factory=LossWeights)
-    dtype: str = "float32"
-    log_every: int = 50
 
-    @property
-    def np_dtype(self):
-        return {"float32": np.float32, "float64": np.float64}[self.dtype]
+    betas = (0.9, 0.999)  # Adam's
+    weights = LossWeights()
+    np_dtype = np.float32
 
     def lr_at(self, step: int) -> float:
         """Learning rate for a step; the schedule is constant."""
@@ -491,7 +489,6 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    cfg: TrainConfig
     params: dict[str, Tensor]
     schedule: DiffusionSchedule
     losses: list[LossBreakdown]
@@ -501,16 +498,18 @@ class TrainResult:
 def train(sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
           tree: KinematicTree, cfg: TrainConfig,
           eval_windows: tuple[np.ndarray, np.ndarray] | None = None,
-          eval_every: int = 0,
           log: Callable[[dict], None] | None = None) -> TrainResult:
     """Generic training loop; sample_batch(n) returns (windows, heights).
 
-    Every cfg.log_every steps and at the last one, `log` gets one record:
+    Every LOG_EVERY steps and at the last one, `log` gets one record:
     the step, the five loss terms and their total, the step's seconds
     (batch draw, training step and Adam) and the global gradient norm,
-    which is computed on logged steps only. Deterministic for a fixed
+    which is computed on logged steps only. Given `eval_windows`, every
+    `max(steps // 10, 1)` steps adds their `evaluate_simple_loss` to the
+    eval curve. Deterministic for a fixed
     cfg.seed and sampler. Raises TrainingDiverged on a non-finite loss.
     """
+    eval_every = max(cfg.steps // 10, 1)
     schedule = build_cosine_schedule(cfg.T)
     params = init_denoiser(cfg.model, seed=cfg.seed, dtype=cfg.np_dtype)
     rng = np.random.default_rng([cfg.seed, 707])
@@ -526,12 +525,12 @@ def train(sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
         params, state = tt.adam_step(params, grads, state, lr=cfg.lr_at(step), betas=cfg.betas)
         step_s = time.perf_counter() - t0
         losses.append(breakdown)
-        if log and (step % cfg.log_every == 0 or step == cfg.steps - 1):
+        if log and (step % LOG_EVERY == 0 or step == cfg.steps - 1):
             grad_norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
             log({"step": step, **breakdown.as_dict(), "step_s": step_s, "grad_norm": grad_norm})
-        if eval_windows is not None and eval_every and (step + 1) % eval_every == 0:
+        if eval_windows is not None and (step + 1) % eval_every == 0:
             eval_curve.append(evaluate_simple_loss(cfg.model, params, schedule, *eval_windows, seed=cfg.seed))
-    return TrainResult(cfg=cfg, params=params, schedule=schedule, losses=losses, eval_curve=eval_curve)
+    return TrainResult(params=params, schedule=schedule, losses=losses, eval_curve=eval_curve)
 
 
 def evaluate_simple_loss(model_cfg: DenoiserConfig, params: dict[str, Tensor],
@@ -550,21 +549,44 @@ def evaluate_simple_loss(model_cfg: DenoiserConfig, params: dict[str, Tensor],
     return float(((pred.data - x) ** 2).sum() / x.shape[0])
 
 
-def corpus_sampler(trials, tree: KinematicTree, seed: int) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
-    """Adapter: energy-weighted window sampler -> batched arrays."""
-    from .datagen import window_sampler
-
-    it = window_sampler(trials, tree, seed=seed)
+def corpus_sampler(trials: list[dg.Trial], tree: KinematicTree,
+                   seed: int) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """The training batches: sample(n) draws n (61-frame feature window,
+    subject height) pairs. Each picks a trial by its `weight` among those
+    that hold a window (`holds_window`; the caller counts the others),
+    then a start frame uniformly."""
+    eligible = [tr for tr in trials if dg.holds_window(tr)]
+    if not eligible:
+        raise dg.GenerationError("no trial long enough to sample windows from")
+    w = np.asarray([tr.weight for tr in eligible], dtype=np.float64)
+    w = w / w.sum()
+    feats = [tr.features(tree) for tr in eligible]
+    rng = np.random.default_rng([seed, 404])
 
     def sample(n: int) -> tuple[np.ndarray, np.ndarray]:
         ws, hs = [], []
         for _ in range(n):
-            w, h = next(it)
-            ws.append(w)
-            hs.append(h)
+            i = int(rng.choice(len(eligible), p=w))
+            s = int(rng.integers(0, len(feats[i]) - ft.WINDOW_LEN + 1))
+            ws.append(feats[i][s:s + ft.WINDOW_LEN])
+            hs.append(eligible[i].motion.height)
         return np.stack(ws), np.array(hs)
 
     return sample
+
+
+def holdout_windows(trials: list[dg.Trial], tree: KinematicTree) -> tuple[np.ndarray, np.ndarray]:
+    """(windows, heights) of every whole window that fits in the trials,
+    back to back from frame 0; DatasetError when none holds a window."""
+    ws, hs = [], []
+    for tr in filter(dg.holds_window, trials):
+        f = tr.features(tree)
+        for s in range(0, len(f) - ft.WINDOW_LEN + 1, ft.WINDOW_LEN):
+            ws.append(f[s:s + ft.WINDOW_LEN])
+            hs.append(tr.motion.height)
+    if not ws:
+        raise dg.DatasetError(f"no held-out trial has the {ft.WINDOW_LEN} frames of a window")
+    return np.stack(ws), np.array(hs)
 
 
 # -- fast inference forward ----------------------------------------------
@@ -729,8 +751,8 @@ def _pair_softmax_inplace(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _add_layernorm_inplace(y: np.ndarray, x: np.ndarray, bias: np.ndarray, g: np.ndarray, b: np.ndarray,
-                           eps: float = 1e-5) -> np.ndarray:
+def _add_layernorm_inplace(y: np.ndarray, x: np.ndarray, bias: np.ndarray, g: np.ndarray,
+                           b: np.ndarray) -> np.ndarray:
     """Layernorm over the last axis of the residual sum `x + y + bias`, in
     y (`y + x` has the bits of `x + y`). Each mean is `ndarray.mean`'s
     arithmetic (pairwise sum, then divide) without its Python wrapper."""
@@ -741,7 +763,7 @@ def _add_layernorm_inplace(y: np.ndarray, x: np.ndarray, bias: np.ndarray, g: np
     y -= m
     var = np.add.reduce(y * y, -1, keepdims=True)
     var /= y.shape[-1]
-    var += eps
+    var += LAYERNORM_EPS
     y /= np.sqrt(var, out=var)
     y *= g
     y += b

@@ -44,6 +44,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+LAYERNORM_EPS = 1e-5  # the graph and the fast forward both read it, so they agree
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -221,8 +222,9 @@ def gelu(a) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
-def layernorm(x, g, b, eps: float = 1e-5) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node.
+def layernorm(x, g, b) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node,
+    with eps = LAYERNORM_EPS.
 
     With xhat the normalized input and dy = grad * g, the vjp is the
     closed form dx = (dy - mean(dy) - xhat * mean(dy * xhat)) / sqrt(var
@@ -230,7 +232,7 @@ def layernorm(x, g, b, eps: float = 1e-5) -> Tensor:
     """
     x, g, b = _as_tensor(x), _as_tensor(g, x.dtype), _as_tensor(b, x.dtype)
     xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
     xhat = np.divide(xc, std, out=xc)
     prod = xhat * g.data
     out = _into(np.add, prod, b.data, prod)

@@ -88,7 +88,7 @@ def test_train_logs_one_json_object_per_line(workdir, tmp_path, capsys):
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert all(isinstance(r, dict) for r in records)
     *steps, holdout, final = records
-    assert [r["step"] for r in steps] == [0, 2]  # log_every 50, and the last step
+    assert [r["step"] for r in steps] == [0, 2]  # LOG_EVERY 50, and the last step
     for r in steps:
         assert set(r) == {"step", "simple", "vel", "fk", "drift", "slide", "total", "step_s", "grad_norm"}
         assert r["step_s"] > 0 and r["grad_norm"] > 0 and np.isfinite(r["total"])
@@ -265,11 +265,26 @@ def test_bench_rejects_nonpositive_frames(workdir, capsys):
     (["train", "--diffusion-steps", "1"], "argument --diffusion-steps: ScheduleError: T must be in [2, "),
     (["train", "--diffusion-steps", str(df.MAX_T + 1)], "argument --diffusion-steps: ScheduleError: "
      f"T must be in [2, {df.MAX_T}], got {df.MAX_T + 1}"),
+    *[([cmd, "--seed", "-1"], "argument --seed: ValueError: must be at least 0, got -1")
+      for cmd in ("datagen", "train", "reconstruct", "sweep", "bench")],
+    (["datagen", "--kinds", ","], "argument --kinds: GenerationError: need one or more of gait, random_smooth, "
+     "stationary, jump; got ','"),
+    (["datagen", "--kinds", "gait,bogus"], "argument --kinds: GenerationError: need one or more of "),
+    (["datagen", "--trials", "0"], "argument --trials: ValueError: must be at least 1, got 0"),
+    (["datagen", "--seconds", "nan"], "argument --seconds: ValueError: must be finite and at least 0.5, got nan"),
+    (["datagen", "--seconds", "inf"], "argument --seconds: ValueError: must be finite and at least 0.5, got inf"),
+    (["datagen", "--seconds", "0.4"], "argument --seconds: ValueError: must be finite and at least 0.5, got 0.4"),
+    (["datagen", "--noise-std", "-1"], "argument --noise-std: ValueError: must be finite and at least 0.0, "
+     "got -1.0"),
+    (["datagen", "--noise-std", "nan"], "argument --noise-std: ValueError: must be finite and at least 0.0, "
+     "got nan"),
 ])
 def test_bad_count_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv, message):
     cmd, *rest = argv
     absent, out = str(tmp_path / "absent"), str(tmp_path / "out")
-    files = {"train": ["--data", absent, "--out", out],
+    files = {"datagen": ["--out", out],
+             "train": ["--data", absent, "--out", out],
+             "reconstruct": ["--ckpt", absent, "--config", "pelvis", "--in", absent, "--out", out],
              "sweep": ["--ckpt", absent, "--data", absent, "--configs", "pelvis", "--out", out],
              "bench": ["--ckpt", absent, "--out", out]}[cmd]
     with pytest.raises(SystemExit) as e:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from imufill import datagen as dg
+from imufill import diffusion as df
 from imufill import features as ft
 from imufill import kinematics as kin
 
@@ -164,10 +165,11 @@ def test_trial_weights_floor_and_symmetry(tree):
     probs = dg.compute_trial_weights([stat, g1, g2], tree)
     assert probs.sum() == pytest.approx(1.0)
     assert probs[1] == pytest.approx(probs[2], rel=1e-12)  # identical trials
-    assert stat.energy == pytest.approx(0.0, abs=1e-9)
+    energies = [dg.mean_kinetic_energy(t.motion, tree) for t in (stat, g1, g2)]
+    assert energies[0] == pytest.approx(0.0, abs=1e-9)
     # stationary gets exactly the epsilon-floor share
-    eps = dg.ENERGY_FLOOR_FRACTION * np.mean([t.energy for t in (stat, g1, g2)])
-    expect = eps / (np.sum([t.energy for t in (stat, g1, g2)]) + 3 * eps)
+    eps = dg.ENERGY_FLOOR_FRACTION * np.mean(energies)
+    expect = eps / (np.sum(energies) + 3 * eps)
     assert probs[0] == pytest.approx(expect, rel=1e-9)
 
 
@@ -185,15 +187,16 @@ def test_empty_corpus_rejected(tree):
         dg.compute_trial_weights([], tree)
 
 
+# the window sampler is `diffusion.corpus_sampler`
+
+
 def test_window_sampler_single_trial(tree):
     m = dg.generate_motion("gait", seed=5, duration_s=8.0, speed=1.0, trial_id="only")
     trial = dg.make_trial(m, tree)
     dg.compute_trial_weights([trial], tree)
-    it = dg.window_sampler([trial], tree, seed=0)
-    for _ in range(5):
-        win, h = next(it)
-        assert win.shape == (61, 190)
-        assert h == m.height
+    wins, hs = df.corpus_sampler([trial], tree, seed=0)(5)
+    assert wins.shape == (5, 61, 190)
+    np.testing.assert_array_equal(hs, m.height)
 
 
 def test_window_sampler_frequencies(tree):
@@ -203,9 +206,9 @@ def test_window_sampler_frequencies(tree):
     # tag features so draws are identifiable
     t1.features(tree)[:, 0] = 123.0
     t2.features(tree)[:, 0] = 456.0
-    it = dg.window_sampler([t1, t2], tree, seed=42)
-    n = 100_000
-    hits = sum(1 for _ in range(n) if next(it)[0][0, 0] == 123.0)
+    sample = df.corpus_sampler([t1, t2], tree, seed=42)
+    n, chunk = 100_000, 100  # a chunk at a time, not 100 000 windows at once
+    hits = sum(int((sample(chunk)[0][:, 0, 0] == 123.0).sum()) for _ in range(n // chunk))
     assert abs(hits / n - 0.75) < 0.01
 
 
@@ -213,8 +216,7 @@ def test_window_sampler_determinism(tree):
     trials = dg.generate_corpus(tree, n_trials=3, seconds=5.0, seed=3)
 
     def draws(seedval):
-        it = dg.window_sampler(trials, tree, seed=seedval)
-        return np.stack([next(it)[0] for _ in range(10)])
+        return df.corpus_sampler(trials, tree, seed=seedval)(10)[0]
 
     np.testing.assert_array_equal(draws(9), draws(9))
     assert not np.array_equal(draws(9), draws(10))
@@ -226,10 +228,34 @@ def test_window_sampler_skips_short_trials(tree):
     assert short.motion.n_frames < 61
     assert dg.holds_window(long) and not dg.holds_window(short)
     long.weight = short.weight = 0.5
-    it = dg.window_sampler([long, short], tree, seed=0)
-    for _ in range(20):
-        win, _ = next(it)
-        assert win.shape == (61, 190)
+    wins, _ = df.corpus_sampler([long, short], tree, seed=0)(20)
+    assert wins.shape == (20, 61, 190)
+    with pytest.raises(dg.GenerationError):
+        df.corpus_sampler([short], tree, seed=0)
+
+
+def _trial_of(trial: dg.Trial, n: int) -> dg.Trial:
+    """The first n frames of a 20 Hz trial."""
+    m = trial.motion
+    return dg.Trial(dg.MotionSequence(m.rate, m.rotations[:n], m.root_positions[:n], m.height, m.mass,
+                                      f"{m.trial_id}-{n}"),
+                    trial.site_rotations[:n], trial.site_accels[:n], trial.contacts[:n])
+
+
+def test_holdout_windows_take_every_whole_window(tree):
+    full = dg.make_trial(dg.generate_motion("gait", seed=3, duration_s=10.0, trial_id="g"), tree)
+    lengths, counts = [61, 100, 121, 122, 183], [1, 1, 1, 2, 3]
+    trials = [_trial_of(full, n) for n in lengths]
+    for tr, count in zip(trials, counts):
+        wins, hs = df.holdout_windows([tr], tree)
+        assert wins.shape == (count, 61, 190) and hs.tolist() == [full.motion.height] * count
+        for k in range(count):  # back to back from frame 0
+            np.testing.assert_array_equal(wins[k], tr.features(tree)[61 * k:61 * (k + 1)])
+    short = _trial_of(full, 60)
+    wins, _ = df.holdout_windows([short] + trials, tree)
+    assert len(wins) == sum(counts)
+    with pytest.raises(dg.DatasetError, match="no held-out trial"):
+        df.holdout_windows([short], tree)
 
 
 def test_corpus_generation_and_rate_consistency(tree):

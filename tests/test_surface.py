@@ -5,6 +5,10 @@ referenced somewhere in the program, that is in `src/imufill` or the
 benchmark's `perfbench/*.py`, outside its own definition. A name that
 only tests call is either dead code or belongs in the tests. The few
 exceptions are oracles that tests check the program against.
+
+The count of settable values (function parameters with a default plus
+dataclass fields with a default) may not grow: a change that adds an
+option raises `MAX_SETTABLE_VALUES` on purpose.
 """
 
 import ast
@@ -16,6 +20,8 @@ PROGRAM = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py
 
 # test oracles: kept for the tests, not run by the program
 ORACLES = {"local_to_global", "rotation_about", "gradcheck", "GradCheckReport", "load_report"}
+
+MAX_SETTABLE_VALUES = 89
 
 
 def _public_definitions(tree: ast.Module):
@@ -57,3 +63,21 @@ def test_oracles_are_still_defined():
     # an oracle that is gone should leave the exception list too
     defined = {d.name for path in PACKAGE.rglob("*.py") for d in _public_definitions(ast.parse(path.read_text()))}
     assert ORACLES <= defined
+
+
+def _settable_values(module: ast.Module) -> int:
+    count = 0
+    for node in ast.walk(module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         and "ClassVar" not in ast.unparse(s.annotation) for s in node.body)
+    return count
+
+
+def test_settable_values_do_not_grow():
+    count = sum(_settable_values(ast.parse(path.read_text())) for path in PACKAGE.rglob("*.py"))
+    assert count <= MAX_SETTABLE_VALUES, (
+        f"{count} settable values in src/imufill, more than {MAX_SETTABLE_VALUES}: "
+        "give the new value one definition, or raise the bound on purpose")
