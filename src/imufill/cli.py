@@ -48,13 +48,15 @@ def _count(minimum: int):
     return count
 
 
-def _finite_at_least(minimum: float):
-    """An argparse type for a finite real number of at least `minimum`."""
+def _finite_in(minimum: float, maximum: float):
+    """An argparse type for a finite real number in [minimum, maximum]."""
     @_usage_error
     def real(text: str) -> float:
         x = float(text)
         if not minimum <= x < math.inf:  # NaN fails too
             raise ValueError(f"must be finite and at least {minimum}, got {x}")
+        if x > maximum:
+            raise ValueError(f"must be at most {maximum}, got {x}")
         return x
     return real
 
@@ -116,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     dgp = sub.add_parser("datagen", help="generate a synthetic training corpus")
     dgp.add_argument("--kinds", type=_motion_kinds, default=",".join(dg.MOTION_KINDS))
     dgp.add_argument("--trials", type=_count(1), default=20)
-    dgp.add_argument("--seconds", type=_finite_at_least(dg.MIN_DURATION_S), default=30.0)
+    dgp.add_argument("--seconds", type=_finite_in(dg.MIN_DURATION_S, dg.MAX_DURATION_S), default=30.0)
     dgp.add_argument("--seed", type=_count(0), default=0)
-    dgp.add_argument("--noise-std", type=_finite_at_least(0.0), default=0.0,
+    dgp.add_argument("--noise-std", type=_finite_in(0.0, math.inf), default=0.0,
                      help="optional Gaussian acceleration noise, m/s^2")
     dgp.add_argument("--out", required=True)
     dgp.add_argument("--export-text", default=None, help="also write a lossless text mirror here")
@@ -347,7 +349,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     tree = default_tree()
-    m = dg.generate_motion("gait", seed=123, duration_s=max(args.frames / 20.0 + 1, 2.0),
+    m = dg.generate_motion("gait", seed=123, duration_s=max(args.frames / ft.FRAME_RATE_HZ + 1, 2.0),
                            speed=1.2, trial_id="bench")
     trial = dg.make_trial(m, tree)
     measurements = itertools.islice(inf.measurements_from_trial(trial, args.config), args.frames)
@@ -358,11 +360,11 @@ def cmd_bench(args) -> int:
         "kind": "bench", "model": cfg.label(), "params": df.param_count(cfg),
         "spread_steps": len(recon.spread), "frames": n,
         "p50_ms": lat["p50"], "p95_ms": lat["p95"],
-        "budget_ms": 50.0,
+        "budget_ms": inf.FRAME_BUDGET_MS,
     }
     print(f"bench {cfg.label()} ({df.param_count(cfg):,} params), {len(recon.spread)}-step spread, "
           f"{n} frames: p50 {lat['p50']:.1f} ms, p95 {lat['p95']:.1f} ms "
-          f"({'within' if lat['p95'] < 50.0 else 'OVER'} the 50 ms budget)")
+          f"({'within' if lat['p95'] < inf.FRAME_BUDGET_MS else 'OVER'} the {inf.FRAME_BUDGET_MS:g} ms budget)")
     if args.out:
         mt.save_report(args.out, payload)
     return 0

@@ -38,13 +38,18 @@ from .kinematics import (
     standing_root_height,
 )
 
-RAW_RATE_HZ = 60.0
-DECIMATION = 3  # 60 Hz -> 20 Hz
+DECIMATION = 3  # raw motion and IMU samples per model frame
+RAW_RATE_HZ = DECIMATION * ft.FRAME_RATE_HZ  # 60 Hz
 SMOOTH_WINDOW = 11  # frames at 60 Hz, centered: 5 past + current + 5 future
 CONTACT_SPEED_THRESHOLD = 0.3  # m/s, label = speed strictly below
 ENERGY_FLOOR_FRACTION = 0.01   # epsilon = 1% of corpus mean energy
 MAX_MASS_KG = 650.0  # any human subject
 MIN_DURATION_S = 0.5  # shortest motion `generate_motion` makes
+# Longest motion `generate_motion` makes: ten minutes. A motion is built
+# whole in memory, at a peak of about 0.4 MB per second of motion (a gait
+# trial, measured with tracemalloc), so this caps one motion near 0.25 GB;
+# a longer capture is several trials.
+MAX_DURATION_S = 600.0
 
 DATASET_MAGIC = b"IMFD"
 DATASET_VERSION = 1
@@ -58,7 +63,7 @@ class GenerationError(ValueError):
 
 @dataclass
 class MotionSequence:
-    rate: float                 # Hz, 60 for raw, 20 after decimation
+    rate: float                 # Hz, RAW_RATE_HZ for raw, FRAME_RATE_HZ after decimation
     rotations: np.ndarray       # (T, 24, 3, 3) local joint rotations
     root_positions: np.ndarray  # (T, 3) world, y up
     height: float               # subject height, m
@@ -67,8 +72,8 @@ class MotionSequence:
     stance: np.ndarray | None = None  # (T, 4) uint8 generator stance flags; None for random_smooth
 
     def __post_init__(self):
-        if self.rate not in (60.0, 20.0):
-            raise GenerationError(f"rate must be 60 or 20 Hz, got {self.rate}")
+        if self.rate not in (RAW_RATE_HZ, ft.FRAME_RATE_HZ):
+            raise GenerationError(f"rate must be {RAW_RATE_HZ:g} or {ft.FRAME_RATE_HZ:g} Hz, got {self.rate}")
         lo, hi = ft.SUBJECT_HEIGHT_M
         if not lo <= self.height <= hi:
             raise GenerationError(f"subject height must be in [{lo}, {hi}] m, got {self.height}")
@@ -166,8 +171,8 @@ def generate_motion(kind: str, seed: int, duration_s: float = 10.0, height: floa
     """
     if kind not in MOTION_KINDS:
         raise GenerationError(f"unknown motion kind {kind!r}; choose from {MOTION_KINDS}")
-    if not MIN_DURATION_S <= duration_s < np.inf:
-        raise GenerationError(f"duration must be finite and at least {MIN_DURATION_S} s, got {duration_s}")
+    if not MIN_DURATION_S <= duration_s <= MAX_DURATION_S:  # NaN fails too
+        raise GenerationError(f"duration must be in [{MIN_DURATION_S}, {MAX_DURATION_S}] s, got {duration_s}")
     if not (1.2 <= height <= 2.2):
         raise GenerationError(f"height out of range: {height}")
     gen = {
@@ -454,7 +459,7 @@ def decimate_motion(motion: MotionSequence) -> MotionSequence:
         raise GenerationError("decimate_motion expects 60 Hz input")
     idx = np.arange(0, motion.n_frames, DECIMATION)
     return MotionSequence(
-        rate=20.0,
+        rate=ft.FRAME_RATE_HZ,
         rotations=motion.rotations[idx].copy(),
         root_positions=motion.root_positions[idx].copy(),
         height=motion.height,

@@ -8,14 +8,17 @@ added to the frame tokens. The network predicts the clean window
 directly from a noised one.
 
 Two forward implementations share the same parameters: a graph-building
-one (training, gradient checks) and FastDenoiser, the float32 inference
-path. Both fold the two-token cross-attention into three small arrays
-per layer, so its d-by-d query and output projections never run over
-the tokens: the graph forms the fold as graph ops for every batch item
-(`_cross_attention`), FastDenoiser keeps it in a per-(t, h) cache and
-also runs its last layer only on the requested frame `rows`. Besides its
-weights FastDenoiser keeps only that cache, so one instance can be
-shared. Their agreement is covered by tests.
+one (training, gradient checks, and the reference the other is checked
+against) and FastDenoiser, the float32 inference path, which also runs
+its last layer only on the requested frame `rows`. The conditioning has
+one definition, used by both: `_condition_tokens` maps (t, h) to the
+step and height tokens, and `_cross_fold` folds a layer's two-token
+cross-attention into three small arrays, so its d-by-d query and output
+projections never run over the tokens. The graph calls them for every
+batch, FastDenoiser on its weights once per (t, h), and caches the
+result. Besides its weights FastDenoiser keeps only that cache, so one
+instance can be shared. The per-token block is written twice, as graph
+ops and as in-place numpy; their agreement is covered by tests.
 
 The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
@@ -49,6 +52,7 @@ CHECKPOINT_VERSION = 1
 DEFAULT_T = 1000
 MAX_T = 100 * DEFAULT_T  # beyond this a schedule length is a corrupt field, not a choice
 COSINE_S = 0.008
+SCHEDULE_KIND = "cosine"  # the one schedule; checkpoints record its name
 LOG_EVERY = 50  # training steps between log records
 
 
@@ -71,7 +75,6 @@ class CheckpointError(RuntimeError):
 class DiffusionSchedule:
     T: int
     alpha_bar: np.ndarray  # (T+1,), alpha_bar[0] == 1, monotone decreasing
-    kind: str = "cosine"
 
     def __post_init__(self):
         ab = self.alpha_bar
@@ -210,23 +213,36 @@ def _merge_heads(x: Tensor) -> Tensor:
     return tt.reshape(tt.transpose(x, (0, 2, 1, 3)), (B, T, nh * hd))
 
 
-def _cross_attention(x: Tensor, memory: Tensor, P: dict[str, Tensor], prefix: str,
-                     nhead: int) -> Tensor:
-    """One layer's cross-attention of x (B, T, d) over the two memory
-    tokens (B, 2, d), output projection and bias included, folded.
+def _condition_tokens(P: dict[str, Tensor], t: np.ndarray, h: np.ndarray) -> tuple[Tensor, Tensor]:
+    """The step and height tokens (B, 1, d) of step indices t (B,) and
+    subject heights h (B,): each is an MLP of its input."""
+    dtype = P["step_mlp.w1"].dtype
+    d = P["step_mlp.w1"].shape[0]
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
+    B = len(t)
+    step_in = Tensor(sinusoidal_embedding(t, d).reshape(B, 1, d).astype(dtype))
+    step_tok = _linear(tt.gelu(_linear(step_in, P["step_mlp.w1"], P["step_mlp.b1"])),
+                       P["step_mlp.w2"], P["step_mlp.b2"])
+    h_in = Tensor(h.reshape(B, 1, 1).astype(dtype))
+    height_tok = _linear(tt.gelu(_linear(h_in, P["height_mlp.w1"], P["height_mlp.b1"])),
+                         P["height_mlp.w2"], P["height_mlp.b2"])
+    return step_tok, height_tok
 
-    With ck, cv the memory keys and values, it forms ws = scale * Wq_h
-    ck^T (B, d, 2*nhead), bs = scale * bq_h ck^T and vo = cv Wo_h (B,
-    2*nhead, d), columns and rows ordered (head, memory token); the block
-    is a softmax over each head's pair of `x @ ws + bs`, times vo, plus
-    the output bias. Each fold is one product per head over the whole
-    batch, so no weight is broadcast over B, and the d-by-d query and
-    output projections of the T tokens never run.
+
+def _cross_fold(ckv: Tensor, P: dict[str, Tensor], prefix: str,
+                nhead: int) -> tuple[Tensor, Tensor, Tensor]:
+    """One layer's cross-attention over two memory tokens, folded.
+
+    With ck, cv the memory keys and values (ckv, (B, 2, 2d)), it forms
+    ws = scale * Wq_h ck^T (B, d, 2*nhead), bs = scale * bq_h ck^T (B, 1,
+    2*nhead) and vo = cv Wo_h (B, 2*nhead, d), columns and rows ordered
+    (head, memory token). Each fold is one product per head over the
+    whole batch, so no weight is broadcast over B.
     """
-    B, T, d = x.shape
+    B, d = ckv.shape[0], ckv.shape[2] // 2
     hd = d // nhead
     scale = 1.0 / math.sqrt(hd)
-    ckv = _linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])  # (B, 2, 2d)
     # (B, 2, nh, hd) -> (nh, hd, 2B) and (nh, 2B, hd), batch-major along 2B
     ck = tt.reshape(tt.transpose(tt.reshape(ckv[:, :, :d], (B, 2, nhead, hd)), (2, 3, 0, 1)),
                     (nhead, hd, 2 * B))
@@ -239,28 +255,31 @@ def _cross_attention(x: Tensor, memory: Tensor, P: dict[str, Tensor], prefix: st
     bs = tt.reshape(tt.transpose(tt.reshape(bs, (nhead, B, 2)), (1, 0, 2)), (B, 1, 2 * nhead))
     vo = tt.matmul(cv, tt.reshape(P[prefix + "cross.wo"], (nhead, hd, d)))             # (nh, 2B, d)
     vo = tt.reshape(tt.transpose(tt.reshape(vo, (nhead, B, 2, d)), (1, 0, 2, 3)), (B, 2 * nhead, d))
+    return ws, bs, vo
+
+
+def _cross_attention(x: Tensor, memory: Tensor, P: dict[str, Tensor], prefix: str,
+                     nhead: int) -> Tensor:
+    """One layer's cross-attention of x (B, T, d) over the two memory
+    tokens (B, 2, d), output projection and bias included: a softmax over
+    each head's pair of `x @ ws + bs`, times vo, plus the output bias,
+    with (ws, bs, vo) from `_cross_fold`. The d-by-d query and output
+    projections of the T tokens never run."""
+    B, T, _ = x.shape
+    ckv = _linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])  # (B, 2, 2d)
+    ws, bs, vo = _cross_fold(ckv, P, prefix, nhead)
     weights = tt.softmax(tt.reshape(tt.add(tt.matmul(x, ws), bs), (B, T, nhead, 2)), axis=-1)
     return tt.add(tt.matmul(tt.reshape(weights, (B, T, 2 * nhead)), vo), P[prefix + "cross.bo"])
 
 
 def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
-                     z: np.ndarray | Tensor, t: np.ndarray, h: np.ndarray) -> Tensor:
+                     z: np.ndarray, t: np.ndarray, h: np.ndarray) -> Tensor:
     """Graph forward: z (B, 61, 190), t (B,) step indices, h (B,) heights."""
     P = params
     dtype = P["in_proj.w"].dtype
-    if not isinstance(z, Tensor):
-        z = Tensor(np.asarray(z, dtype=dtype))
-    B = z.shape[0]
+    z = Tensor(np.asarray(z, dtype=dtype))
     d = cfg.width
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
-
-    step_in = Tensor(sinusoidal_embedding(t, d).reshape(B, 1, d).astype(dtype))
-    step_tok = _linear(tt.gelu(_linear(step_in, P["step_mlp.w1"], P["step_mlp.b1"])),
-                       P["step_mlp.w2"], P["step_mlp.b2"])
-    h_in = Tensor(h.reshape(B, 1, 1).astype(dtype))
-    height_tok = _linear(tt.gelu(_linear(h_in, P["height_mlp.w1"], P["height_mlp.b1"])),
-                         P["height_mlp.w2"], P["height_mlp.b2"])
+    step_tok, height_tok = _condition_tokens(P, t, h)
 
     pos = Tensor(sinusoidal_embedding(np.arange(ft.WINDOW_LEN), d)[None].astype(dtype))
     frames = tt.add(_linear(z, P["in_proj.w"], P["in_proj.b"]), pos)
@@ -319,50 +338,32 @@ def _graph_cross(a: Tensor, b: Tensor) -> Tensor:
     ], axis=-1)
 
 
-@dataclass(frozen=True)
-class FkContext:
-    """Per-batch constants for in-graph FK: offsets scaled by subject height."""
-
-    parents: np.ndarray
-    offsets: np.ndarray          # (B, S, 3)
-    contact_segments: np.ndarray
-    contact_offsets: np.ndarray  # (B, 4, 3)
-
-
-def make_fk_context(tree: KinematicTree, heights: np.ndarray) -> FkContext:
-    s = (np.atleast_1d(heights) / tree.reference_height)[:, None, None]
-    return FkContext(
-        parents=tree.parents,
-        offsets=tree.offsets[None] * s,
-        contact_segments=tree.contact_segments,
-        contact_offsets=tree.contact_offsets[None] * s,
-    )
-
-
-def _graph_fk_positions(G: Tensor, ctx: FkContext, dtype) -> tuple[list[Tensor], Tensor]:
+def _graph_fk_positions(G: Tensor, parents: np.ndarray, offsets: np.ndarray,
+                        dtype) -> tuple[list[Tensor], Tensor]:
     """Root-relative joint positions from global orientations.
 
-    G: (B, N, S, 3, 3). Returns per-segment list of (B, N, 3) and the
-    stacked (B, N, S, 3).
+    G: (B, N, S, 3, 3), offsets: (B, S, 3), each window's own. Returns
+    per-segment list of (B, N, 3) and the stacked (B, N, S, 3).
     """
     B, N = G.shape[0], G.shape[1]
-    S = len(ctx.parents)
     zero = Tensor(np.zeros((B, N, 3), dtype=dtype))
     pos: list[Tensor] = [zero]
-    for i in range(1, S):
-        par = int(ctx.parents[i])
-        off = Tensor(ctx.offsets[:, i].reshape(B, 1, 3, 1).astype(dtype))
+    for i in range(1, len(parents)):
+        par = int(parents[i])
+        off = Tensor(offsets[:, i].reshape(B, 1, 3, 1).astype(dtype))
         disp = tt.reshape(tt.matmul(G[:, :, par], off), (B, N, 3))
         pos.append(tt.add(pos[par], disp))
     return pos, tt.stack(pos, axis=2)
 
 
-def _graph_contact_xz(G: Tensor, pos: list[Tensor], ctx: FkContext, dtype) -> Tensor:
-    """Root-relative horizontal contact-point positions: (B, N, 4, 2)."""
+def _graph_contact_xz(G: Tensor, pos: list[Tensor], segments: np.ndarray, offsets: np.ndarray,
+                      dtype) -> Tensor:
+    """Root-relative horizontal contact-point positions: (B, N, 4, 2), from
+    contact offsets (B, 4, 3)."""
     B, N = G.shape[0], G.shape[1]
     pts = []
-    for c, seg in enumerate(ctx.contact_segments):
-        off = Tensor(ctx.contact_offsets[:, c].reshape(B, 1, 3, 1).astype(dtype))
+    for c, seg in enumerate(segments):
+        off = Tensor(offsets[:, c].reshape(B, 1, 3, 1).astype(dtype))
         p = tt.add(pos[int(seg)], tt.reshape(tt.matmul(G[:, :, int(seg)], off), (B, N, 3)))
         pts.append(tt.concat([p[..., 0:1], p[..., 2:3]], axis=-1))
     return tt.stack(pts, axis=2)
@@ -397,13 +398,17 @@ def _sumsq(x: Tensor) -> Tensor:
     return tt.tsum(tt.mul(x, x))
 
 
-def diffusion_losses(pred: Tensor, target: np.ndarray, ctx: FkContext,
+def diffusion_losses(pred: Tensor, target: np.ndarray, tree: KinematicTree, heights: np.ndarray,
                      weights: LossWeights = LossWeights()) -> tuple[Tensor, LossBreakdown]:
     """Five-term training loss; sums follow the written objective, then a
-    mean over the batch axis. Returns (total graph scalar, float breakdown)."""
+    mean over the batch axis. The FK terms scale the tree to each
+    window's subject height. Returns (total graph scalar, float breakdown)."""
     dtype = pred.dtype
     B = pred.shape[0]
     tgt = Tensor(np.asarray(target, dtype=dtype))
+    subjects = [tree.scaled(h) for h in np.atleast_1d(heights)]
+    offsets = np.stack([s.offsets for s in subjects])                  # (B, S, 3)
+    contact_offsets = np.stack([s.contact_offsets for s in subjects])  # (B, 4, 3)
 
     simple = _sumsq(tt.sub(pred, tgt))
 
@@ -417,8 +422,8 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, ctx: FkContext,
     B_, N = pred.shape[0], pred.shape[1]
     g_pred = _graph_decode6d(tt.reshape(r_pred, (B_, N, ft.N_SEGMENTS, 6)))
     g_tgt = _graph_decode6d(tt.reshape(r_tgt, (B_, N, ft.N_SEGMENTS, 6)))
-    pos_pred_list, pos_pred = _graph_fk_positions(g_pred, ctx, dtype)
-    _, pos_tgt = _graph_fk_positions(g_tgt, ctx, dtype)
+    pos_pred_list, pos_pred = _graph_fk_positions(g_pred, tree.parents, offsets, dtype)
+    _, pos_tgt = _graph_fk_positions(g_tgt, tree.parents, offsets, dtype)
     fk = _sumsq(tt.sub(pos_pred, pos_tgt))
 
     dp_pred = pred[:, :, ft.DP_OFF:ft.DP_OFF + 2]
@@ -428,7 +433,7 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, ctx: FkContext,
     # foot sliding: world horizontal displacement of predicted contact points
     # between frames i and i+1 (root-relative difference plus the root step
     # into frame i+1), gated by the predicted contact probability at frame i
-    ftxz = _graph_contact_xz(g_pred, pos_pred_list, ctx, dtype)
+    ftxz = _graph_contact_xz(g_pred, pos_pred_list, tree.contact_segments, contact_offsets, dtype)
     disp = tt.add(
         tt.sub(ftxz[:, 1:], ftxz[:, :-1]),
         tt.reshape(dp_pred[:, 1:], (B_, N - 1, 1, 2)),
@@ -455,8 +460,7 @@ def training_step(cfg: DenoiserConfig, params: dict[str, Tensor], schedule: Diff
     x = np.asarray(windows, dtype=dtype)
     z = noise_window(x.astype(np.float64), ts, schedule, rng).astype(dtype)
     pred = denoiser_forward(cfg, params, z, ts, heights)
-    ctx = make_fk_context(tree, np.atleast_1d(heights))
-    total, breakdown = diffusion_losses(pred, x, ctx, weights)
+    total, breakdown = diffusion_losses(pred, x, tree, heights, weights)
     if not math.isfinite(breakdown.total):
         raise TrainingDiverged(f"non-finite loss: {breakdown.as_dict()}")
     grads = tt.grads_by_name(total, params)
@@ -601,11 +605,13 @@ class FastDenoiser:
     - The cross-attention memory is the step and height tokens, which
       depend only on (t, h). `_conditioning` caches, per (t, h), both
       tokens and each layer's cross-attention folded into three small
-      arrays: `ws = scale * Wq_h ck_h^T` (d, 2*nhead), `bs = scale *
-      bq_h ck_h^T` (2*nhead,) and `vo = cv_h Wo_h` (2*nhead, d). A
-      layer's cross block is then a softmax over each head's pair of
-      `x @ ws + bs`, times `vo`, plus the output bias; its d-by-d query
-      and output projections never run.
+      arrays `ws` (d, 2*nhead), `bs` (2*nhead,) and `vo` (2*nhead, d).
+      It builds them with the graph's own `_condition_tokens` and
+      `_cross_fold` on its weights (no gradient, so no tape), the fold in
+      float64 and rounded once to the model dtype. A layer's cross block
+      is then a softmax over each head's pair of `x @ ws + bs`, times
+      `vo`, plus the output bias; its d-by-d query and output
+      projections never run.
     - `predict(..., rows=r)` returns only the frame rows `r`. Every
       layer but the last runs on all 63 tokens, because the last layer's
       keys and values read them all; the last layer computes keys and
@@ -639,28 +645,17 @@ class FastDenoiser:
         hit = cache.get(key)
         if hit is not None:
             return hit
-        w = self.w
-        cfg = self.cfg
-        d, nh, hd = cfg.width, cfg.nhead, cfg.head_dim
-        step_in = sinusoidal_embedding(np.array([t], dtype=np.float64), d).astype(self.dtype)
-        step_tok = _gelu_inplace(step_in @ w["step_mlp.w1"] + w["step_mlp.b1"]) @ w["step_mlp.w2"] + w["step_mlp.b2"]
-        h_in = np.array([[h]], dtype=self.dtype)
-        height_tok = _gelu_inplace(h_in @ w["height_mlp.w1"] + w["height_mlp.b1"]) @ w["height_mlp.w2"] + w["height_mlp.b2"]
-        mem = np.concatenate([step_tok, height_tok], axis=0)  # (2, d)
-        scale = 1.0 / math.sqrt(hd)
+        P = {k: Tensor(v) for k, v in self.w.items()}
+        step_tok, height_tok = _condition_tokens(P, t, h)  # (1, 1, d) each
+        memory = tt.concat([step_tok, height_tok], axis=1)
         folds = []
-        for lw in self._layers:
-            # the fold is formed in float64 and rounded once to the model dtype
-            ckv = (mem @ lw["cross.wkv"] + lw["cross.bkv"]).astype(np.float64)
-            ck = ckv[:, :d].reshape(2, nh, hd).transpose(1, 2, 0)  # (nh, hd, 2)
-            cv = ckv[:, d:].reshape(2, nh, hd).transpose(1, 0, 2)  # (nh, 2, hd)
-            ws = scale * (lw["cross.wq"].reshape(d, nh, hd).transpose(1, 0, 2) @ ck)  # (nh, d, 2)
-            bs = scale * (lw["cross.bq"].reshape(nh, 1, hd) @ ck)                     # (nh, 1, 2)
-            vo = cv @ lw["cross.wo"].reshape(nh, hd, d)                               # (nh, 2, d)
-            folds.append((np.ascontiguousarray(ws.transpose(1, 0, 2).reshape(d, 2 * nh), dtype=self.dtype),
-                          bs.reshape(2 * nh).astype(self.dtype),
-                          vo.reshape(2 * nh, d).astype(self.dtype)))
-        out = (step_tok, height_tok, folds)
+        for i in range(self.cfg.layers):
+            p = f"layers.{i}."
+            ckv = _linear(memory, P[p + "cross.wkv"], P[p + "cross.bkv"])
+            ws, bs, vo = _cross_fold(Tensor(ckv.data.astype(np.float64)), P, p, self.cfg.nhead)
+            folds.append((np.ascontiguousarray(ws.data[0], dtype=self.dtype),
+                          bs.data.reshape(-1).astype(self.dtype), vo.data[0].astype(self.dtype)))
+        out = (step_tok.data[0], height_tok.data[0], folds)
         if key[1] == height:
             cache[key] = out
         else:  # a session has one height: a new one replaces the last one's entries
@@ -782,7 +777,7 @@ def save_checkpoint(path: str | Path, cfg: DenoiserConfig, params: dict[str, Ten
         f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<IIII", cfg.layers, cfg.width, cfg.ff, cfg.nhead))
         f.write(struct.pack("<I", schedule.T))
-        kind = schedule.kind.encode()
+        kind = SCHEDULE_KIND.encode()
         f.write(struct.pack("<I", len(kind)))
         f.write(kind)
         f.write(skeleton_hash(tree).encode())
@@ -818,7 +813,7 @@ def load_checkpoint(path: str | Path, tree: KinematicTree) -> tuple[DenoiserConf
             raise CheckpointError("checkpoint was trained against a different skeleton")
         if r.text(64, "feature-layout hash") != ft.layout_hash():
             raise CheckpointError("checkpoint feature layout does not match this build")
-        if kind != "cosine":
+        if kind != SCHEDULE_KIND:
             raise CheckpointError(f"unknown schedule kind {kind!r}")
         try:
             cfg = DenoiserConfig(layers=L, width=d, ff=ff_, nhead=nh)

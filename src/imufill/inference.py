@@ -38,6 +38,10 @@ Wire formats (JSON lines, versioned by a header record):
                  "segments": [... 24 names ...]}
                 {"t_ms": 0, "root": [x,y,z], "q": [[w,x,y,z] x 24],
                  "contact": [c0,c1,c2,c3], "latency_ms": 1.2}
+
+  A reader refuses a header whose "rate_hz" is missing or is not its
+  format's rate: the ingestor decimates by record count, so a stream at
+  another rate would be reconstructed at the wrong speed.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import numpy as np
 
 from . import features as ft
 from . import kinematics
-from .datagen import DECIMATION, SMOOTH_WINDOW
+from .datagen import DECIMATION, RAW_RATE_HZ, SMOOTH_WINDOW
 from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .kinematics import (
     KinematicTree,
@@ -68,6 +72,7 @@ STREAM_IN_FORMAT = "imu-stream"
 STREAM_OUT_FORMAT = "pose-stream"
 STREAM_VERSION = 1
 CONTACT_THRESHOLD = 0.5
+FRAME_BUDGET_MS = 1000.0 / ft.FRAME_RATE_HZ  # a frame is due before the next one arrives
 # Largest acceleration component (m/s^2) a stream sample may carry: about
 # 1000 g, far beyond the full scale of any body-worn IMU (16 g is usual,
 # high-g parts reach 400 g), so a larger value can only be a corrupt
@@ -515,10 +520,11 @@ def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
 # -- JSONL wire formats ------------------------------------------------------
 
 
-def _read_wire(path, fmt: str, decode) -> list:
-    """The records of a v1 `fmt` JSON-lines file, each passed through
-    `decode`, after its header; blank lines are skipped. A bad header,
-    line of JSON, field or vector raises InferenceError("<path>:<line>: ...")."""
+def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
+    """The records of a v1 `fmt` JSON-lines file at `rate_hz`, each passed
+    through `decode`, after its header; blank lines are skipped. A bad
+    header (another rate included), line of JSON, field or vector raises
+    InferenceError("<path>:<line>: ...")."""
     records, n = [], 0
     with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
@@ -531,6 +537,8 @@ def _read_wire(path, fmt: str, decode) -> list:
                 if n == 1:
                     if rec.get("format") != fmt or rec.get("version") != STREAM_VERSION:
                         raise ValueError(f"not a v{STREAM_VERSION} {fmt} header: {rec}")
+                    if rec.get("rate_hz") != rate_hz:
+                        raise ValueError(f"{fmt} rate_hz must be {rate_hz:g}, got {rec.get('rate_hz')!r}")
                 else:
                     records.append(decode(rec))
             except (ValueError, TypeError, AttributeError) as e:
@@ -558,7 +566,7 @@ def _stream_frame(rec: dict) -> StreamFrame:
 
 
 def parse_stream_file(path) -> list[StreamFrame]:
-    return _read_wire(path, STREAM_IN_FORMAT, _stream_frame)
+    return _read_wire(path, STREAM_IN_FORMAT, RAW_RATE_HZ, _stream_frame)
 
 
 def _write_wire(path, header: dict, records) -> None:
@@ -580,7 +588,7 @@ def _wire_values(x: np.ndarray, decimals: int) -> list[float]:
 
 
 def write_stream_file(path, frames: list[StreamFrame]) -> None:
-    _write_wire(path, {"format": STREAM_IN_FORMAT, "version": STREAM_VERSION, "rate_hz": 60}, ({
+    _write_wire(path, {"format": STREAM_IN_FORMAT, "version": STREAM_VERSION, "rate_hz": int(RAW_RATE_HZ)}, ({
         "t_ms": fr.t_ms,
         "sites": {n: {"q": _wire_values(q, 9), "a": _wire_values(a, 9)} for n, (q, a) in fr.sites.items()},
         **({} if fr.insoles is None else {"insoles": [int(x) for x in fr.insoles]}),
@@ -602,17 +610,17 @@ def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree
     T = trial.motion.n_frames
     for k in range(T):
         q = rot_to_quat(trial.site_rotations[k])
-        for rep in range(3):
-            idx = k * 3 + rep
+        for rep in range(DECIMATION):
+            idx = k * DECIMATION + rep
             if drop_ranges and any(a <= idx < b for a, b in drop_ranges):
-                frames.append(StreamFrame(t_ms=idx * 1000.0 / 60.0, sites={}))
+                frames.append(StreamFrame(t_ms=idx * 1000.0 / RAW_RATE_HZ, sites={}))
                 continue
             sites = {
                 n: (q[site_idx[n]], trial.site_accels[k, site_idx[n]])
                 for n in config.imu_sites
             }
             ins = trial.contacts[k].astype(float) if config.insoles else None
-            frames.append(StreamFrame(t_ms=idx * 1000.0 / 60.0, sites=sites, insoles=ins))
+            frames.append(StreamFrame(t_ms=idx * 1000.0 / RAW_RATE_HZ, sites=sites, insoles=ins))
     return frames
 
 
@@ -634,7 +642,7 @@ def _pose_record(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def read_pose_stream(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-> (local rotations (T,24,3,3), root positions (T,3), contacts (T,4))."""
-    records = _read_wire(path, STREAM_OUT_FORMAT, _pose_record)
+    records = _read_wire(path, STREAM_OUT_FORMAT, ft.FRAME_RATE_HZ, _pose_record)
     if not records:
         raise InferenceError(f"{path}: no pose records")
     rots, roots, contacts = zip(*records)

@@ -69,14 +69,20 @@ class KinematicTree:
         p = self.parents
         if (p == -1).sum() != 1 or p[0] != -1:
             raise SkeletonError("expected exactly one root at index 0")
-        if not all(p[i] < i for i in range(1, len(p))):
-            raise SkeletonError("segments must be topologically ordered (parent < child)")
+        if not all(0 <= p[i] < i for i in range(1, len(p))):
+            raise SkeletonError("segments must be topologically ordered (0 <= parent < child)")
         if len(self.site_segments) != N_SITES:
             raise SkeletonError(f"expected {N_SITES} instrumentable sites, got {len(self.site_segments)}")
         if len(self.contact_segments) != N_CONTACTS:
             raise SkeletonError(f"expected {N_CONTACTS} contact points, got {len(self.contact_segments)}")
+        for what, arr, n in (("segment", self.offsets, len(p)), ("site", self.site_offsets, N_SITES),
+                             ("contact", self.contact_offsets, N_CONTACTS)):
+            if arr.shape != (n, 3):
+                raise SkeletonError(f"{what} offsets must be {n} vectors of 3, got shape {arr.shape}")
         if not np.isfinite(self.offsets).all() or not np.isfinite(self.site_offsets).all():
             raise SkeletonError("offsets must be finite")
+        if not 0.0 < self.reference_height < np.inf:
+            raise SkeletonError(f"reference height must be finite and positive, got {self.reference_height}")
         if (self.mass_fractions <= 0).any():
             raise SkeletonError("mass fractions must be positive")
         if abs(self.mass_fractions.sum() - 1.0) > 1e-6:
@@ -92,34 +98,46 @@ class Pose:
 
 
 def load_skeleton(path: str | Path) -> KinematicTree:
-    with open(path) as f:
-        doc = json.load(f)
+    """The tree of a skeleton file; SkeletonError for a file that is not
+    JSON or not a well-formed skeleton."""
+    with open(path, "rb") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # bad JSON or bad UTF-8
+            raise SkeletonError(f"not JSON: {e}") from None
     return _tree_from_doc(doc)
 
 
 def _tree_from_doc(doc: dict) -> KinematicTree:
+    if not isinstance(doc, dict):
+        raise SkeletonError(f"not a skeleton file (top level is a {type(doc).__name__})")
     if doc.get("format") != SKELETON_FORMAT:
         raise SkeletonError(f"not a skeleton file (format={doc.get('format')!r})")
     if doc.get("version") != SKELETON_VERSION:
         raise SkeletonError(f"unsupported skeleton version {doc.get('version')!r}")
-    segs = doc["segments"]
-    names = tuple(s["name"] for s in segs)
-    by_name = {n: i for i, n in enumerate(names)}
+    try:
+        segs = doc["segments"]
+        names = tuple(s["name"] for s in segs)
+        by_name = {n: i for i, n in enumerate(names)}
+        tree = KinematicTree(
+            names=names,
+            parents=np.array([s["parent"] for s in segs], dtype=np.int64),
+            offsets=np.array([s["offset"] for s in segs], dtype=np.float64),
+            mass_fractions=np.array([s["mass_fraction"] for s in segs], dtype=np.float64),
+            site_names=tuple(s["name"] for s in doc["sites"]),
+            site_segments=np.array([by_name[s["segment"]] for s in doc["sites"]], dtype=np.int64),
+            site_offsets=np.array([s["offset"] for s in doc["sites"]], dtype=np.float64),
+            contact_names=tuple(c["name"] for c in doc["contact_points"]),
+            contact_segments=np.array([by_name[c["segment"]] for c in doc["contact_points"]], dtype=np.int64),
+            contact_offsets=np.array([c["offset"] for c in doc["contact_points"]], dtype=np.float64),
+            reference_height=float(doc["reference_height_m"]),
+        )
+    except KeyError as e:
+        raise SkeletonError(f"missing field or unknown segment {e}") from None
+    except (TypeError, ValueError) as e:  # a wrong type, or offset lists of unequal length
+        raise SkeletonError(f"malformed skeleton: {e}") from None
     if len(by_name) != len(names):
         raise SkeletonError("duplicate segment names")
-    tree = KinematicTree(
-        names=names,
-        parents=np.array([s["parent"] for s in segs], dtype=np.int64),
-        offsets=np.array([s["offset"] for s in segs], dtype=np.float64),
-        mass_fractions=np.array([s["mass_fraction"] for s in segs], dtype=np.float64),
-        site_names=tuple(s["name"] for s in doc["sites"]),
-        site_segments=np.array([by_name[s["segment"]] for s in doc["sites"]], dtype=np.int64),
-        site_offsets=np.array([s["offset"] for s in doc["sites"]], dtype=np.float64),
-        contact_names=tuple(c["name"] for c in doc["contact_points"]),
-        contact_segments=np.array([by_name[c["segment"]] for c in doc["contact_points"]], dtype=np.int64),
-        contact_offsets=np.array([c["offset"] for c in doc["contact_points"]], dtype=np.float64),
-        reference_height=float(doc["reference_height_m"]),
-    )
     tree.validate()
     return tree
 

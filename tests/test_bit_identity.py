@@ -1,19 +1,28 @@
-"""Bit-identity oracles for the inference hot path.
+"""Bit-identity oracles for the inference hot path and the shared model code.
 
 `FastDenoiser.predict`, its helpers and `inference.inpaint_denoise` are
 written for speed (in-place residual adds, reductions without numpy's
 Python wrappers, reused noise buffers). The frozen copies below are the
 plain expressions they replaced; every output must equal theirs bit for
-bit, not merely within a tolerance.
+bit, not merely within a tolerance. The same holds for code that now has
+one definition where it had two: `FastDenoiser`'s conditioning, built
+from the graph's token and fold functions, against the numpy copy it
+replaced, and the losses' in-graph FK, which scales the tree per window,
+against the per-batch context it replaced.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from imufill import datagen as dg
 from imufill import diffusion as df
+from imufill import features as ft
 from imufill import inference as inf
+from imufill import tensor as tt
+from imufill.tensor import Tensor
 
 
 # -- frozen reference: the plain expressions --------------------------------
@@ -181,3 +190,136 @@ def test_inpaint_matches_frozen_reference_bit_for_bit(variant):
         want = _ref_inpaint(model, schedule, x, mask, 1.7, spread, want_rng, variant)
         assert np.array_equal(got, want), seed
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# -- conditioning -------------------------------------------------------------
+
+
+def _ref_conditioning(model, t, h):
+    """The numpy copy of the token MLPs and the cross-attention fold that
+    `FastDenoiser._conditioning` used before it called the graph's."""
+    w = model.w
+    cfg = model.cfg
+    d, nh, hd = cfg.width, cfg.nhead, cfg.head_dim
+    step_in = df.sinusoidal_embedding(np.array([t], dtype=np.float64), d).astype(model.dtype)
+    step_tok = df._gelu_inplace(step_in @ w["step_mlp.w1"] + w["step_mlp.b1"]) @ w["step_mlp.w2"] + w["step_mlp.b2"]
+    h_in = np.array([[h]], dtype=model.dtype)
+    height_tok = df._gelu_inplace(h_in @ w["height_mlp.w1"] + w["height_mlp.b1"]) @ w["height_mlp.w2"] + w["height_mlp.b2"]
+    mem = np.concatenate([step_tok, height_tok], axis=0)
+    scale = 1.0 / math.sqrt(hd)
+    folds = []
+    for lw in model._layers:
+        ckv = (mem @ lw["cross.wkv"] + lw["cross.bkv"]).astype(np.float64)
+        ck = ckv[:, :d].reshape(2, nh, hd).transpose(1, 2, 0)
+        cv = ckv[:, d:].reshape(2, nh, hd).transpose(1, 0, 2)
+        ws = scale * (lw["cross.wq"].reshape(d, nh, hd).transpose(1, 0, 2) @ ck)
+        bs = scale * (lw["cross.bq"].reshape(nh, 1, hd) @ ck)
+        vo = cv @ lw["cross.wo"].reshape(nh, hd, d)
+        folds.append((np.ascontiguousarray(ws.transpose(1, 0, 2).reshape(d, 2 * nh), dtype=model.dtype),
+                      bs.reshape(2 * nh).astype(model.dtype),
+                      vo.reshape(2 * nh, d).astype(model.dtype)))
+    return step_tok, height_tok, folds
+
+
+def _with_biases(params, seed):
+    """params with every bias and layernorm shift drawn nonzero."""
+    rng = np.random.default_rng(seed)
+    return {k: Tensor((0.3 * rng.standard_normal(v.shape)).astype(v.dtype))
+            if k.rsplit(".", 1)[-1].startswith("b") else v for k, v in params.items()}
+
+
+def _same(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nhead", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers,width,ff", [(2, 64, 128), (3, 96, 160)])
+def test_conditioning_matches_frozen_numpy_copy_bit_for_bit(layers, width, ff, dtype, nhead):
+    cfg = df.DenoiserConfig(layers=layers, width=width, ff=ff, nhead=nhead)
+    params = _with_biases(df.init_denoiser(cfg, seed=layers, dtype=dtype), seed=width + nhead)
+    model = df.FastDenoiser(cfg, params, dtype=dtype)
+    for t, h in [(0, 1.75), (500, 1.62), (1000, 1.9)]:
+        step_tok, height_tok, folds = model._conditioning(t, h)
+        want_step, want_height, want_folds = _ref_conditioning(model, t, h)
+        assert _same(step_tok, want_step) and _same(height_tok, want_height), (t, h)
+        assert len(folds) == len(want_folds) == layers
+        for fold, want in zip(folds, want_folds):
+            assert all(_same(a, b) for a, b in zip(fold, want)), (t, h)
+
+
+# -- losses -------------------------------------------------------------------
+
+
+def _ref_fk_context(tree, heights):
+    s = (np.atleast_1d(heights) / tree.reference_height)[:, None, None]
+    return tree.parents, tree.offsets[None] * s, tree.contact_segments, tree.contact_offsets[None] * s
+
+
+def _ref_fk_positions(G, ctx, dtype):
+    parents, offsets, _, _ = ctx
+    B, N = G.shape[0], G.shape[1]
+    pos = [Tensor(np.zeros((B, N, 3), dtype=dtype))]
+    for i in range(1, len(parents)):
+        par = int(parents[i])
+        off = Tensor(offsets[:, i].reshape(B, 1, 3, 1).astype(dtype))
+        pos.append(tt.add(pos[par], tt.reshape(tt.matmul(G[:, :, par], off), (B, N, 3))))
+    return pos, tt.stack(pos, axis=2)
+
+
+def _ref_contact_xz(G, pos, ctx, dtype):
+    _, _, segments, offsets = ctx
+    B, N = G.shape[0], G.shape[1]
+    pts = []
+    for c, seg in enumerate(segments):
+        off = Tensor(offsets[:, c].reshape(B, 1, 3, 1).astype(dtype))
+        p = tt.add(pos[int(seg)], tt.reshape(tt.matmul(G[:, :, int(seg)], off), (B, N, 3)))
+        pts.append(tt.concat([p[..., 0:1], p[..., 2:3]], axis=-1))
+    return tt.stack(pts, axis=2)
+
+
+def _ref_diffusion_losses(pred, target, ctx):
+    """`diffusion_losses` as it was with a per-batch FK context."""
+    dtype = pred.dtype
+    B, N = pred.shape[0], pred.shape[1]
+    tgt = Tensor(np.asarray(target, dtype=dtype))
+    simple = df._sumsq(tt.sub(pred, tgt))
+    r_pred = pred[:, :, ft.R_OFF:ft.R_OFF + ft.R_LEN]
+    r_tgt = tgt[:, :, ft.R_OFF:ft.R_OFF + ft.R_LEN]
+    vel = df._sumsq(tt.sub(tt.sub(r_pred[:, 1:], r_pred[:, :-1]), tt.sub(r_tgt[:, 1:], r_tgt[:, :-1])))
+    g_pred = df._graph_decode6d(tt.reshape(r_pred, (B, N, ft.N_SEGMENTS, 6)))
+    g_tgt = df._graph_decode6d(tt.reshape(r_tgt, (B, N, ft.N_SEGMENTS, 6)))
+    pos_pred_list, pos_pred = _ref_fk_positions(g_pred, ctx, dtype)
+    _, pos_tgt = _ref_fk_positions(g_tgt, ctx, dtype)
+    fk = df._sumsq(tt.sub(pos_pred, pos_tgt))
+    dp_pred = pred[:, :, ft.DP_OFF:ft.DP_OFF + 2]
+    dp_tgt = tgt[:, :, ft.DP_OFF:ft.DP_OFF + 2]
+    drift = df._sumsq(tt.sub(tt.cumsum(dp_pred, axis=1), tt.cumsum(dp_tgt, axis=1)))
+    ftxz = _ref_contact_xz(g_pred, pos_pred_list, ctx, dtype)
+    disp = tt.add(tt.sub(ftxz[:, 1:], ftxz[:, :-1]), tt.reshape(dp_pred[:, 1:], (B, N - 1, 1, 2)))
+    b_pred = pred[:, :, ft.B_OFF:ft.B_OFF + ft.B_LEN]
+    slide = df._sumsq(tt.mul(tt.reshape(b_pred[:, :-1], (B, N - 1, ft.B_LEN, 1)), disp))
+    terms = {"simple": simple, "vel": vel, "fk": fk, "drift": drift, "slide": slide}
+    parts = {name: tt.mul(term, 1.0 / B) for name, term in terms.items()}
+    total = functools.reduce(tt.add, parts.values())
+    return total, {**{name: float(part.data) for name, part in parts.items()}, "total": float(total.data)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_losses_of_mixed_heights_match_per_batch_fk_context(tree, dtype):
+    feats = dg.make_trial(dg.generate_motion("gait", seed=4, duration_s=8.0, speed=1.3), tree).features(tree)
+    x = np.stack([feats[s:s + 61] for s in (0, 17, 40, 90)])
+    heights = np.array([1.55, 1.75, 1.93, 1.62])
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = _with_biases(df.init_denoiser(cfg, seed=3, dtype=dtype), seed=5)
+    params = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
+    ts = np.array([10, 300, 600, 990])
+    z = df.noise_window(x, ts, df.build_cosine_schedule(), np.random.default_rng(6))
+
+    total, bd = df.diffusion_losses(df.denoiser_forward(cfg, params, z, ts, heights), x, tree, heights)
+    ref_total, ref_bd = _ref_diffusion_losses(df.denoiser_forward(cfg, params, z, ts, heights), x,
+                                              _ref_fk_context(tree, heights))
+    assert bd.as_dict() == ref_bd
+    got, want = tt.grads_by_name(total, params), tt.grads_by_name(ref_total, params)
+    for name in params:
+        assert _same(got[name], want[name]), name

@@ -46,6 +46,44 @@ def test_skeleton_validate_rejects_bad_file(tmp_path):
     assert cli.main(["skeleton", "validate", str(f)]) == 1
 
 
+def _malformed_skeleton(case: str) -> str:
+    from importlib import resources
+
+    doc = json.loads(resources.files("imufill.data").joinpath("skeleton_default24.json").read_text())
+    if case == "bad-json":
+        return '{"format": "imufill-skeleton",'
+    if case == "top-level-list":
+        return json.dumps([doc])
+    if case == "no-segments":
+        del doc["segments"]
+    elif case == "unknown-segment":
+        doc["sites"][0]["segment"] = "tail"
+    elif case == "offset-of-2":
+        doc["segments"][3]["offset"] = [0.0, 0.1]
+    elif case == "negative-parent":
+        doc["segments"][5]["parent"] = -3
+    elif case == "reference-height":
+        doc["reference_height_m"] = -1.0
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("case, where", [
+    ("bad-json", "not JSON"),
+    ("top-level-list", "top level is a list"),
+    ("no-segments", "missing field or unknown segment 'segments'"),
+    ("unknown-segment", "missing field or unknown segment 'tail'"),
+    ("offset-of-2", "malformed skeleton"),
+    ("negative-parent", "topologically ordered"),
+    ("reference-height", "reference height must be finite and positive, got -1.0"),
+])
+def test_skeleton_validate_malformed_file_is_typed_error(tmp_path, capsys, case, where):
+    f = tmp_path / "bad.json"
+    f.write_text(_malformed_skeleton(case))
+    assert cli.main(["skeleton", "validate", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "error (SkeletonError)" in err and where in err
+
+
 def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as e:
         cli.main(["datagen", "--definitely-not-a-flag", "1"])
@@ -278,6 +316,9 @@ def test_bench_rejects_nonpositive_frames(workdir, capsys):
      "got -1.0"),
     (["datagen", "--noise-std", "nan"], "argument --noise-std: ValueError: must be finite and at least 0.0, "
      "got nan"),
+    (["datagen", "--seconds", "1e300"], "argument --seconds: ValueError: must be at most 600.0, got 1e+300"),
+    (["datagen", "--seconds", str(float(np.nextafter(dg.MAX_DURATION_S, np.inf)))],
+     "argument --seconds: ValueError: must be at most 600.0, got 600.0000000000001"),
 ])
 def test_bad_count_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv, message):
     cmd, *rest = argv
@@ -401,6 +442,7 @@ def test_train_bad_size_is_usage_error(workdir, tmp_path, size):
 
 
 STREAM_HEADER = b'{"format": "imu-stream", "version": 1, "rate_hz": 60}\n'
+POSE_RECORD = json.dumps({"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0] * 4}).encode() + b"\n"
 
 
 @pytest.mark.parametrize("content, where", [
@@ -410,7 +452,9 @@ STREAM_HEADER = b'{"format": "imu-stream", "version": 1, "rate_hz": 60}\n'
      ":2: field 'sites.pelvis.q' has shape (2,)"),
     (b"", "empty file"),
     (b"\xc3\x28\n", ":1: "),
-], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8"])
+    (STREAM_HEADER.replace(b"60", b"120") + b'{"t_ms": 0}\n', ":1: imu-stream rate_hz must be 60, got 120"),
+    (b'{"format": "imu-stream", "version": 1}\n{"t_ms": 0}\n', ":1: imu-stream rate_hz must be 60, got None"),
+], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8", "rate-120", "no-rate"])
 def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     stream = tmp_path / "s.jsonl"
     stream.write_bytes(content)
@@ -422,9 +466,11 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("content, where", [
-    (b'{"format": "pose-stream", "version": 1}\n{"t_ms": 0, "root": [0, 0\n', ":2: "),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n{"t_ms": 0, "root": [0, 0\n', ":2: "),
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n\n', "no pose records"),
-], ids=["bad-json", "no-records"])
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 7}\n' + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got 7"),
+    (b'{"format": "pose-stream", "version": 1}\n' + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got None"),
+], ids=["bad-json", "no-records", "rate-7", "no-rate"])
 def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     rec = tmp_path / "rec.jsonl"
     rec.write_bytes(content)

@@ -51,6 +51,12 @@ def test_invalid_params_rejected(tree):
         dg.generate_motion("jump", seed=0, hop_height=0.9)
 
 
+@pytest.mark.parametrize("seconds", [1e300, np.nextafter(dg.MAX_DURATION_S, np.inf)])
+def test_duration_beyond_the_bound_rejected(seconds):
+    with pytest.raises(dg.GenerationError, match=r"duration must be in \[0.5, 600.0\] s"):
+        dg.generate_motion("stationary", seed=0, duration_s=seconds)
+
+
 def test_moving_average_impulse_response():
     x = np.zeros(60)
     x[30] = 11.0

@@ -272,19 +272,19 @@ def test_one_fast_denoiser_shared_by_two_threads(gait_window):
 
 
 def _ctx(tree, h=1.75, batch=1):
-    return df.make_fk_context(tree, np.full(batch, h))
+    return tree, np.full(batch, h)
 
 
 def test_all_losses_zero_on_perfect_stationary_prediction(tree, stationary_window):
     pred = Tensor(stationary_window[None].astype(np.float64))
-    total, bd = df.diffusion_losses(pred, stationary_window[None], _ctx(tree))
+    total, bd = df.diffusion_losses(pred, stationary_window[None], *_ctx(tree))
     for name, val in bd.as_dict().items():
         assert val == pytest.approx(0.0, abs=1e-15), name
 
 
 def test_simple_vel_fk_drift_zero_on_perfect_gait_prediction(tree, gait_window):
     pred = Tensor(gait_window[None].astype(np.float64))
-    total, bd = df.diffusion_losses(pred, gait_window[None], _ctx(tree))
+    total, bd = df.diffusion_losses(pred, gait_window[None], *_ctx(tree))
     assert bd.simple == 0 and bd.vel == 0 and bd.fk == 0 and bd.drift == 0
     # slide may be small-positive even on ground truth: a point labeled
     # in contact at frame i can start its swing inside the i -> i+1 interval
@@ -292,14 +292,14 @@ def test_simple_vel_fk_drift_zero_on_perfect_gait_prediction(tree, gait_window):
     # with contact channels zeroed the gate kills the term entirely
     unlabeled = gait_window.copy()
     unlabeled[:, ft.B_OFF:ft.B_OFF + ft.B_LEN] = 0.0
-    _, bd0 = df.diffusion_losses(Tensor(unlabeled[None]), unlabeled[None], _ctx(tree))
+    _, bd0 = df.diffusion_losses(Tensor(unlabeled[None]), unlabeled[None], *_ctx(tree))
     assert bd0.slide == 0.0
 
 
 def test_total_is_sum_of_parts(tree, gait_window):
     rng = np.random.default_rng(0)
     pred = Tensor(gait_window[None] + 0.1 * rng.standard_normal((1, 61, 190)))
-    total, bd = df.diffusion_losses(pred, gait_window[None], _ctx(tree))
+    total, bd = df.diffusion_losses(pred, gait_window[None], *_ctx(tree))
     assert bd.total == pytest.approx(bd.simple + bd.vel + bd.fk + bd.drift + bd.slide, rel=1e-12)
     for v in bd.as_dict().values():
         assert v >= 0
@@ -310,12 +310,12 @@ def test_drift_perturbation_algebra(tree, stationary_window):
     x = stationary_window[None].astype(np.float64)
     pred = x.copy()
     pred[0, k, ft.DP_OFF] += delta
-    _, bd = df.diffusion_losses(Tensor(pred), x, _ctx(tree))
+    _, bd = df.diffusion_losses(Tensor(pred), x, *_ctx(tree))
     assert bd.drift == pytest.approx((61 - k) * delta**2, rel=1e-12)
     # frame 0 perturbation hits every cumulative sum
     pred = x.copy()
     pred[0, 0, ft.DP_OFF + 1] += delta
-    _, bd = df.diffusion_losses(Tensor(pred), x, _ctx(tree))
+    _, bd = df.diffusion_losses(Tensor(pred), x, *_ctx(tree))
     assert bd.drift == pytest.approx(61 * delta**2, rel=1e-12)
 
 
@@ -330,7 +330,7 @@ def test_slide_brute_force_oracle_three_frames(tree):
     frames = ft.encode_frames(tree, rot, root, np.zeros((T, 13, 3)), contacts)
 
     pred = Tensor(frames[None].astype(np.float64))
-    _, bd = df.diffusion_losses(pred, frames[None], _ctx(tree))
+    _, bd = df.diffusion_losses(pred, frames[None], *_ctx(tree))
 
     # brute force: sum_i sum_c b[i,c] * |world horizontal displacement|^2
     fk = kin.forward_kinematics(tree, rot, root)
@@ -348,10 +348,10 @@ def test_losses_batched_mean(tree, gait_window, stationary_window):
     xa, xb = gait_window[None], stationary_window[None]
     rng = np.random.default_rng(3)
     noise = 0.05 * rng.standard_normal((1, 61, 190))
-    _, bda = df.diffusion_losses(Tensor(xa + noise), xa, _ctx(tree))
-    _, bdb = df.diffusion_losses(Tensor(xb + noise), xb, _ctx(tree))
+    _, bda = df.diffusion_losses(Tensor(xa + noise), xa, *_ctx(tree))
+    _, bdb = df.diffusion_losses(Tensor(xb + noise), xb, *_ctx(tree))
     both = np.concatenate([xa + noise, xb + noise])
-    _, bd2 = df.diffusion_losses(Tensor(both), np.concatenate([xa, xb]), _ctx(tree, batch=2))
+    _, bd2 = df.diffusion_losses(Tensor(both), np.concatenate([xa, xb]), *_ctx(tree, batch=2))
     assert bd2.total == pytest.approx((bda.total + bdb.total) / 2, rel=1e-9)
 
 
@@ -368,7 +368,7 @@ def test_training_step_gradcheck_small(tree, gait_window):
 
     def loss():
         pred = df.denoiser_forward(cfg, params, z, np.array([40]), np.array([1.75]))
-        total, _ = df.diffusion_losses(pred, x, ctx)
+        total, _ = df.diffusion_losses(pred, x, *ctx)
         return total
 
     rep = tt.gradcheck(loss, params, subset=6, rng=np.random.default_rng(9))

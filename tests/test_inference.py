@@ -755,7 +755,7 @@ def test_stream_file_rejects_malformed_record(tmp_path, record):
 def test_pose_stream_rejects_wrong_length_vector(tmp_path, field, value):
     record = {"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0, 0, 0, 0], field: value}
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"format": "pose-stream", "version": 1}\n' + json.dumps(record) + "\n")
+    p.write_text('{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + json.dumps(record) + "\n")
     with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:2: field '{field}' has shape"):
         inf.read_pose_stream(p)
 
