@@ -28,10 +28,14 @@ import numpy as np
 from . import features as ft
 from .container import CheckedReader
 from .kinematics import (
-    GROUND_CLEARANCE_M,
+    N_CONTACTS,
+    N_SEGMENTS,
+    N_SITES,
     KinematicTree,
     default_tree,
     forward_kinematics,
+    ground_lift,
+    identity_rotations,
     quat_to_rot,
     rot_to_quat,
     skeleton_hash,
@@ -186,15 +190,11 @@ def generate_motion(kind: str, seed: int, duration_s: float = 10.0, height: floa
     return MotionSequence(RAW_RATE_HZ, rotations, root, height, mass, trial_id or f"{kind}-{seed}", stance)
 
 
-def _identity_rotations(T: int) -> np.ndarray:
-    return np.broadcast_to(np.eye(3), (T, 24, 3, 3)).copy()
-
-
 def _generate_stationary(tree, t, seed):
     T = len(t)
     root = np.zeros((T, 3))
     root[:, 1] = standing_root_height(tree)
-    return _identity_rotations(T), root, np.ones((T, 4), dtype=np.uint8)
+    return identity_rotations(tree, T), root, np.ones((T, N_CONTACTS), dtype=np.uint8)
 
 
 def _generate_random_smooth(tree, t, seed, amplitude: float = 0.2):
@@ -202,8 +202,8 @@ def _generate_random_smooth(tree, t, seed, amplitude: float = 0.2):
         raise GenerationError(f"amplitude out of range: {amplitude}")
     rng = np.random.default_rng([seed, 101])
     T = len(t)
-    rot = _identity_rotations(T)
-    for seg in range(1, 24):
+    rot = identity_rotations(tree, T)
+    for seg in range(1, tree.n_segments):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         angle = np.zeros(T)
@@ -221,8 +221,7 @@ def _generate_random_smooth(tree, t, seed, amplitude: float = 0.2):
         root[:, axis_i] = amp * np.sin(2 * np.pi * rng.uniform(0.05, 0.25) * t + rng.uniform(0, 6.28))
     root[:, 1] = standing_root_height(tree) + 0.03 * np.sin(2 * np.pi * rng.uniform(0.1, 0.3) * t)
     # lift so the lowest contact point grazes the ground without crossing it
-    fk = forward_kinematics(tree, rot, root)
-    root[:, 1] += GROUND_CLEARANCE_M - fk.contacts[..., 1].min()
+    root[:, 1] += ground_lift(tree, rot, root)
     return rot, root, None
 
 
@@ -322,8 +321,8 @@ def _generate_gait(tree, t, seed, speed: float = 1.2):
     root[:, 2] = speed * t
     root[:, 1] = root_y0 + 0.012 * np.cos(4 * np.pi * t / T_c)
 
-    rot = _identity_rotations(T)
-    stance = np.zeros((T, 4), dtype=np.uint8)
+    rot = identity_rotations(tree, T)
+    stance = np.zeros((T, N_CONTACTS), dtype=np.uint8)
 
     swing_tau = (1 - duty) * T_c
     for side, phase0, col in (("l", 0.0, 0), ("r", 0.5, 2)):
@@ -373,8 +372,8 @@ def _generate_jump(tree, t, seed, hop_height: float = 0.18):
     root_y0 = ankle_h + stand_drop + 0.07 * scale
 
     root = np.zeros((T, 3))
-    rot = _identity_rotations(T)
-    stance = np.zeros((T, 4), dtype=np.uint8)
+    rot = identity_rotations(tree, T)
+    stance = np.zeros((T, N_CONTACTS), dtype=np.uint8)
 
     cyc = np.floor(t / T_cyc).astype(int)
     u = t - cyc * T_cyc
@@ -414,40 +413,29 @@ def _generate_jump(tree, t, seed, hop_height: float = 0.18):
 
 
 def synthesize_imu(motion: MotionSequence, tree: KinematicTree,
-                   noise_std: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Site orientations + smoothed accelerations at 20 Hz.
+                   noise_std: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site orientations, smoothed accelerations and contact labels at
+    20 Hz, from one forward-kinematics pass over the 60 Hz motion.
 
     Acceleration: second central difference of 60 Hz site positions,
     11-frame centered moving average, then every-3rd-frame decimation.
     Kinematic acceleration only (no gravity term); the optional Gaussian
-    noise is seeded by the trial id. Orientations are the global segment
-    orientations at the decimation instants.
+    noise is seeded by the trial id. Orientations (global segment
+    orientations) and contact labels (`labels_from_speeds`) are taken at
+    the decimation instants.
     """
     if motion.rate != RAW_RATE_HZ:
         raise GenerationError(f"synthesize_imu expects 60 Hz input, got {motion.rate}")
     if motion.n_frames < 13:
         raise GenerationError(f"motion too short to synthesize: {motion.n_frames} frames")
-    scaled = tree.scaled(motion.height)
-    fk = forward_kinematics(scaled, motion.rotations, motion.root_positions)
-    acc = second_central_difference(fk.sites, RAW_RATE_HZ)
-    acc = moving_average(acc)
+    fk = forward_kinematics(tree.scaled(motion.height), motion.rotations, motion.root_positions)
+    acc = moving_average(second_central_difference(fk.sites, RAW_RATE_HZ))
     if noise_std > 0:
         rng = np.random.default_rng([_stable_seed(motion.trial_id), 303])
         acc = acc + rng.normal(0.0, noise_std, size=acc.shape)
-    idx = np.arange(0, motion.n_frames, DECIMATION)
-    orient = fk.globals_[idx][:, tree.site_segments]
-    return orient, acc[idx]
-
-
-def label_contacts(motion: MotionSequence, tree: KinematicTree) -> np.ndarray:
-    """(T20, 4) uint8 labels: contact-point speed strictly below 0.3 m/s."""
-    if motion.rate != RAW_RATE_HZ:
-        raise GenerationError(f"label_contacts expects 60 Hz input, got {motion.rate}")
-    scaled = tree.scaled(motion.height)
-    fk = forward_kinematics(scaled, motion.rotations, motion.root_positions)
     speeds = np.linalg.norm(central_velocity(fk.contacts, RAW_RATE_HZ), axis=-1)  # (T, 4)
-    labels = labels_from_speeds(speeds)
-    return labels[:: DECIMATION]
+    idx = np.arange(0, motion.n_frames, DECIMATION)
+    return fk.globals_[idx][:, tree.site_segments], acc[idx], labels_from_speeds(speeds[idx])
 
 
 def labels_from_speeds(speeds: np.ndarray) -> np.ndarray:
@@ -477,12 +465,12 @@ def _stable_seed(text: str) -> int:
 
 def make_trial(motion60: MotionSequence, tree: KinematicTree, noise_std: float = 0.0) -> Trial:
     """Run the full 60 Hz -> 20 Hz synthesis pipeline for one motion."""
-    orient, accel = synthesize_imu(motion60, tree, noise_std=noise_std)
+    orient, accel, contacts = synthesize_imu(motion60, tree, noise_std=noise_std)
     return Trial(
         motion=decimate_motion(motion60),
         site_rotations=orient,
         site_accels=accel,
-        contacts=label_contacts(motion60, tree),
+        contacts=contacts,
     )
 
 
@@ -615,12 +603,12 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
             (id_len,) = r.unpack("<I", f"trial {k} id")
             tid = r.text(id_len, f"trial {k} id")
             rate, height, mass, weight, T, has_stance = r.unpack("<dddd I B", f"{tid} metadata")
-            quats = r.array((T, 24, 4), np.float64, f"{tid} rotations")
+            quats = r.array((T, N_SEGMENTS, 4), np.float64, f"{tid} rotations")
             root = r.array((T, 3), np.float64, f"{tid} root positions")
-            site_q = r.array((T, 13, 4), np.float64, f"{tid} site rotations")
-            accel = r.array((T, 13, 3), np.float64, f"{tid} site accelerations")
-            contacts = r.array((T, 4), np.uint8, f"{tid} contacts")
-            stance = r.array((T, 4), np.uint8, f"{tid} stance flags") if has_stance else None
+            site_q = r.array((T, N_SITES, 4), np.float64, f"{tid} site rotations")
+            accel = r.array((T, N_SITES, 3), np.float64, f"{tid} site accelerations")
+            contacts = r.array((T, N_CONTACTS), np.uint8, f"{tid} contacts")
+            stance = r.array((T, N_CONTACTS), np.uint8, f"{tid} stance flags") if has_stance else None
             _check_unit(quats, f"{tid} rotations")
             _check_unit(site_q, f"{tid} site rotations")
             try:

@@ -338,6 +338,14 @@ def _graph_cross(a: Tensor, b: Tensor) -> Tensor:
     ], axis=-1)
 
 
+def _graph_point(G: Tensor, pos: list[Tensor], seg: int, offset: np.ndarray, dtype) -> Tensor:
+    """Root-relative (B, N, 3) position of the point at each window's own
+    `offset` (B, 3) in segment `seg`'s frame."""
+    B, N = G.shape[0], G.shape[1]
+    off = Tensor(offset.reshape(B, 1, 3, 1).astype(dtype))
+    return tt.add(pos[seg], tt.reshape(tt.matmul(G[:, :, seg], off), (B, N, 3)))
+
+
 def _graph_fk_positions(G: Tensor, parents: np.ndarray, offsets: np.ndarray,
                         dtype) -> tuple[list[Tensor], Tensor]:
     """Root-relative joint positions from global orientations.
@@ -346,13 +354,9 @@ def _graph_fk_positions(G: Tensor, parents: np.ndarray, offsets: np.ndarray,
     per-segment list of (B, N, 3) and the stacked (B, N, S, 3).
     """
     B, N = G.shape[0], G.shape[1]
-    zero = Tensor(np.zeros((B, N, 3), dtype=dtype))
-    pos: list[Tensor] = [zero]
+    pos: list[Tensor] = [Tensor(np.zeros((B, N, 3), dtype=dtype))]
     for i in range(1, len(parents)):
-        par = int(parents[i])
-        off = Tensor(offsets[:, i].reshape(B, 1, 3, 1).astype(dtype))
-        disp = tt.reshape(tt.matmul(G[:, :, par], off), (B, N, 3))
-        pos.append(tt.add(pos[par], disp))
+        pos.append(_graph_point(G, pos, int(parents[i]), offsets[:, i], dtype))
     return pos, tt.stack(pos, axis=2)
 
 
@@ -360,11 +364,9 @@ def _graph_contact_xz(G: Tensor, pos: list[Tensor], segments: np.ndarray, offset
                       dtype) -> Tensor:
     """Root-relative horizontal contact-point positions: (B, N, 4, 2), from
     contact offsets (B, 4, 3)."""
-    B, N = G.shape[0], G.shape[1]
     pts = []
     for c, seg in enumerate(segments):
-        off = Tensor(offsets[:, c].reshape(B, 1, 3, 1).astype(dtype))
-        p = tt.add(pos[int(seg)], tt.reshape(tt.matmul(G[:, :, int(seg)], off), (B, N, 3)))
+        p = _graph_point(G, pos, int(seg), offsets[:, c], dtype)
         pts.append(tt.concat([p[..., 0:1], p[..., 2:3]], axis=-1))
     return tt.stack(pts, axis=2)
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import N_SITES, KinematicTree, encode_rot6d, forward_kinematics, identity_pose
+from .kinematics import (N_CONTACTS, N_SEGMENTS, N_SITES, KinematicTree, encode_rot6d, forward_kinematics,
+                         identity_pose)
 
-N_SEGMENTS = 24
 WINDOW_LEN = 61
 FRAME_RATE_HZ = 20.0
 SUBJECT_HEIGHT_M = (0.5, 2.75)  # any human subject; scales the skeleton and conditions the model
@@ -41,7 +41,7 @@ DP_OFF = A_OFF + A_LEN          # 183
 DP_LEN = 2
 PY_OFF = DP_OFF + DP_LEN        # 185
 B_OFF = PY_OFF + 1              # 186
-B_LEN = 4
+B_LEN = N_CONTACTS
 FRAME_DIM = B_OFF + B_LEN       # 190
 
 assert FRAME_DIM == 190, "feature layout drifted"

@@ -369,6 +369,9 @@ def latency_percentiles(results: list[StepResult]) -> dict[str, float]:
 
 # -- measurement sources -------------------------------------------------
 
+# site name -> index in a trial's site arrays, which are in skeleton file order: ALL_SITES
+_TRIAL_SITE = {n: i for i, n in enumerate(ft.ALL_SITES)}
+
 
 def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | None = None):
     """Per-frame Measurements replaying a dataset trial's synthesized
@@ -376,14 +379,13 @@ def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | N
     sensors lost that frame."""
     T = trial.motion.n_frames
     orient6d = encode_rot6d(trial.site_rotations)  # (T, 13, 6)
-    site_idx = {n: i for i, n in enumerate(ft.ALL_SITES)}
     for k in range(T):
         if drop is not None and drop[k]:
             yield ft.Measurement()
             continue
         m = ft.Measurement(
-            site_orient6d={n: orient6d[k, site_idx[n]] for n in config.imu_sites},
-            site_accel={n: trial.site_accels[k, site_idx[n]] for n in config.imu_sites},
+            site_orient6d={n: orient6d[k, _TRIAL_SITE[n]] for n in config.imu_sites},
+            site_accel={n: trial.site_accels[k, _TRIAL_SITE[n]] for n in config.imu_sites},
             insole_labels=trial.contacts[k].astype(np.float64) if config.insoles else None,
         )
         yield m
@@ -421,13 +423,14 @@ class StreamIngestor:
     Accelerations get the centered SMOOTH_WINDOW-frame moving average
     (windows with dropped frames average over what is present); both
     channels are decimated by DECIMATION. Both constants come from
-    `datagen`, so live input is filtered exactly as the training signals
-    were synthesized. A site absent at a decimation instant is dropped
-    from that Measurement. A bad sample is a dropout too: a site whose
-    quaternion norm is not within QUAT_NORM_TOL of 1, or whose
-    acceleration has a component that is not finite or exceeds MAX_ACCEL
-    in magnitude, is dropped from its record, and so are insoles with a
-    value outside {0, 1}; `bad_samples` counts them. Records whose
+    `datagen`, so live input gets the same filter as the training
+    signals, equal within rounding (`np.mean` here, `np.convolve`
+    there). A site absent at a decimation instant is dropped from that
+    Measurement. A bad sample is a dropout too: a site whose quaternion
+    norm is not within QUAT_NORM_TOL of 1, or whose acceleration has a
+    component that is not finite or exceeds MAX_ACCEL in magnitude, is
+    dropped from its record, and so are insoles with a value outside
+    {0, 1}; `bad_samples` counts them. Records whose
     timestamp is not after the last one are discarded and counted in
     `out_of_order`. Output lags input by SMOOTH_WINDOW // 2 raw frames.
     Only the last SMOOTH_WINDOW records are held, so memory stays flat
@@ -605,7 +608,6 @@ def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree
     used; this keeps round trips deterministic. drop_ranges are raw
     frame index intervals [a, b) with all sensors absent.
     """
-    site_idx = {n: i for i, n in enumerate(ft.ALL_SITES)}
     frames = []
     T = trial.motion.n_frames
     for k in range(T):
@@ -616,7 +618,7 @@ def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree
                 frames.append(StreamFrame(t_ms=idx * 1000.0 / RAW_RATE_HZ, sites={}))
                 continue
             sites = {
-                n: (q[site_idx[n]], trial.site_accels[k, site_idx[n]])
+                n: (q[_TRIAL_SITE[n]], trial.site_accels[k, _TRIAL_SITE[n]])
                 for n in config.imu_sites
             }
             ins = trial.contacts[k].astype(float) if config.insoles else None

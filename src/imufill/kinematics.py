@@ -20,6 +20,7 @@ import numpy as np
 
 SKELETON_FORMAT = "imufill-skeleton"
 SKELETON_VERSION = 1
+N_SEGMENTS = 24
 N_SITES = 13
 N_CONTACTS = 4
 GROUND_CLEARANCE_M = 0.005  # height of the lowest contact point of a standing or grounded pose
@@ -71,6 +72,8 @@ class KinematicTree:
             raise SkeletonError("expected exactly one root at index 0")
         if not all(0 <= p[i] < i for i in range(1, len(p))):
             raise SkeletonError("segments must be topologically ordered (0 <= parent < child)")
+        if len(p) != N_SEGMENTS:
+            raise SkeletonError(f"expected {N_SEGMENTS} segments, got {len(p)}")
         if len(self.site_segments) != N_SITES:
             raise SkeletonError(f"expected {N_SITES} instrumentable sites, got {len(self.site_segments)}")
         if len(self.contact_segments) != N_CONTACTS:
@@ -289,13 +292,11 @@ def forward_kinematics(tree: KinematicTree, rotations: np.ndarray, root_position
     S = tree.n_segments
     if rotations.shape[-3:] != (S, 3, 3):
         raise SkeletonError(f"pose has {rotations.shape} rotations, tree needs (..., {S}, 3, 3)")
-    G = np.empty_like(rotations)
+    G = local_to_global(tree, rotations)
     P = np.empty(rotations.shape[:-3] + (S, 3))
-    G[..., 0, :, :] = rotations[..., 0, :, :]
     P[..., 0, :] = root_position
     for i in range(1, S):
         p = tree.parents[i]
-        G[..., i, :, :] = G[..., p, :, :] @ rotations[..., i, :, :]
         P[..., i, :] = P[..., p, :] + np.einsum("...ij,j->...i", G[..., p, :, :], tree.offsets[i])
     sites = P[..., tree.site_segments, :] + np.einsum(
         "...sij,sj->...si", G[..., tree.site_segments, :, :], tree.site_offsets
@@ -335,18 +336,23 @@ def geodesic_angle_deg(Ra: np.ndarray, Rb: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
 
 
+def identity_rotations(tree: KinematicTree, *batch: int) -> np.ndarray:
+    """(*batch, S, 3, 3) identity local rotations: the T-pose."""
+    return np.broadcast_to(np.eye(3), batch + (tree.n_segments, 3, 3)).copy()
+
+
 def identity_pose(tree: KinematicTree) -> Pose:
-    """T-pose: all rotations identity, root at standing height over origin."""
-    rot = np.broadcast_to(np.eye(3), (tree.n_segments, 3, 3)).copy()
-    return Pose(rotations=rot, root_position=np.array([0.0, standing_root_height(tree), 0.0]))
+    """T-pose standing over the origin at `standing_root_height`."""
+    return Pose(identity_rotations(tree), np.array([0.0, standing_root_height(tree), 0.0]))
+
+
+def ground_lift(tree: KinematicTree, rotations: np.ndarray, root_positions: np.ndarray) -> float:
+    """Height to add to the root positions of a pose or motion that puts
+    its lowest contact point GROUND_CLEARANCE_M above ground."""
+    fk = forward_kinematics(tree, rotations, root_positions)
+    return float(GROUND_CLEARANCE_M - fk.contacts[..., 1].min())
 
 
 def standing_root_height(tree: KinematicTree) -> float:
-    """Root height that puts the lowest contact point of the T-pose
-    GROUND_CLEARANCE_M above ground."""
-    fk = forward_kinematics(
-        tree,
-        np.broadcast_to(np.eye(3), (tree.n_segments, 3, 3)).copy(),
-        np.zeros(3),
-    )
-    return float(GROUND_CLEARANCE_M - fk.contacts[..., 1].min())
+    """Root height that grounds the T-pose (`ground_lift`)."""
+    return ground_lift(tree, identity_rotations(tree), np.zeros(3))

@@ -16,8 +16,9 @@ Conventions, fixed here (the root README points to this list):
     `score_trial` before metrics (the initial offset is unobservable
     from relative root displacements).
 
-`OBJECTIVES` is the one metric-name table: it maps each objective name
-(`--objectives`, sweep rankings) to its key in reports and aggregates.
+`_METRICS` is the one metric-name table: it pairs each objective name
+(`--objectives`, sweep rankings, `OBJECTIVES`) with its key in reports
+and aggregates and with the `MetricsReport` field that holds it.
 """
 
 from __future__ import annotations
@@ -43,11 +44,14 @@ BACK_JOINTS = ("spine1", "spine2", "spine3", "neck", "upper_arm_l", "upper_arm_r
 
 RE_HORIZONS_S = (2.0, 5.0, 10.0)
 
-# objective name -> report key, in MetricsReport's field order (as_dict pairs them)
-OBJECTIVES = {
-    "LA": "LA_deg", "legsLA": "legsLA_deg", "backLA": "backLA_deg", "GA": "GA_deg",
-    "JPE": "JPE_cm", "jitter": "jitter", "RE2": "RE2_m", "RE5": "RE5_m", "RE10": "RE10_m",
-}
+# (objective name, report key, MetricsReport field), in report order
+_METRICS = (
+    ("LA", "LA_deg", "la_deg"), ("legsLA", "legsLA_deg", "legs_la_deg"),
+    ("backLA", "backLA_deg", "back_la_deg"), ("GA", "GA_deg", "ga_deg"), ("JPE", "JPE_cm", "jpe_cm"),
+    ("jitter", "jitter", "jitter"), ("RE2", "RE2_m", "re2_m"), ("RE5", "RE5_m", "re5_m"),
+    ("RE10", "RE10_m", "re10_m"),
+)
+OBJECTIVES = {name: key for name, key, _ in _METRICS}
 
 
 class MetricsError(ValueError):
@@ -68,9 +72,7 @@ class MetricsReport:
     trial_id: str = ""
 
     def as_dict(self) -> dict:
-        values = (self.la_deg, self.legs_la_deg, self.back_la_deg, self.ga_deg, self.jpe_cm,
-                  self.jitter, self.re2_m, self.re5_m, self.re10_m)
-        return {"trial_id": self.trial_id, **dict(zip(OBJECTIVES.values(), values))}
+        return {"trial_id": self.trial_id, **{key: getattr(self, name) for _, key, name in _METRICS}}
 
 
 def _included(tree: KinematicTree) -> np.ndarray:
@@ -174,7 +176,7 @@ class SweepResult:
 
     def as_dict(self) -> dict:
         return {
-            "format": REPORT_FORMAT, "version": REPORT_VERSION, "kind": "sweep",
+            "kind": "sweep",
             "configs": {
                 label: {
                     "n_sensors": e.config.n_sensors,

@@ -7,8 +7,11 @@ plain expressions they replaced; every output must equal theirs bit for
 bit, not merely within a tolerance. The same holds for code that now has
 one definition where it had two: `FastDenoiser`'s conditioning, built
 from the graph's token and fold functions, against the numpy copy it
-replaced, and the losses' in-graph FK, which scales the tree per window,
-against the per-batch context it replaced.
+replaced; the losses' in-graph FK, which scales the tree per window,
+against the per-batch context it replaced; and the body model's one
+synthesis pass per motion and forward kinematics through
+`local_to_global`, against the two passes and the own orientation loop
+they replaced.
 """
 
 import functools
@@ -21,8 +24,11 @@ from imufill import datagen as dg
 from imufill import diffusion as df
 from imufill import features as ft
 from imufill import inference as inf
+from imufill import kinematics as kin
 from imufill import tensor as tt
 from imufill.tensor import Tensor
+
+from conftest import random_rotations
 
 
 # -- frozen reference: the plain expressions --------------------------------
@@ -323,3 +329,80 @@ def test_losses_of_mixed_heights_match_per_batch_fk_context(tree, dtype):
     got, want = tt.grads_by_name(total, params), tt.grads_by_name(ref_total, params)
     for name in params:
         assert _same(got[name], want[name]), name
+
+
+# -- body model ---------------------------------------------------------------
+
+
+def _ref_forward_kinematics(tree, rotations, root_position):
+    rotations = np.asarray(rotations, dtype=np.float64)
+    root_position = np.asarray(root_position, dtype=np.float64)
+    S = tree.n_segments
+    G = np.empty_like(rotations)
+    P = np.empty(rotations.shape[:-3] + (S, 3))
+    G[..., 0, :, :] = rotations[..., 0, :, :]
+    P[..., 0, :] = root_position
+    for i in range(1, S):
+        p = tree.parents[i]
+        G[..., i, :, :] = G[..., p, :, :] @ rotations[..., i, :, :]
+        P[..., i, :] = P[..., p, :] + np.einsum("...ij,j->...i", G[..., p, :, :], tree.offsets[i])
+    sites = P[..., tree.site_segments, :] + np.einsum(
+        "...sij,sj->...si", G[..., tree.site_segments, :, :], tree.site_offsets
+    )
+    contacts = P[..., tree.contact_segments, :] + np.einsum(
+        "...cij,cj->...ci", G[..., tree.contact_segments, :, :], tree.contact_offsets
+    )
+    return kin.FKResult(globals_=G, joints=P, sites=sites, contacts=contacts)
+
+
+def _ref_synthesize_imu(motion, tree, noise_std=0.0):
+    scaled = tree.scaled(motion.height)
+    fk = _ref_forward_kinematics(scaled, motion.rotations, motion.root_positions)
+    acc = dg.second_central_difference(fk.sites, dg.RAW_RATE_HZ)
+    acc = dg.moving_average(acc)
+    if noise_std > 0:
+        rng = np.random.default_rng([dg._stable_seed(motion.trial_id), 303])
+        acc = acc + rng.normal(0.0, noise_std, size=acc.shape)
+    idx = np.arange(0, motion.n_frames, dg.DECIMATION)
+    orient = fk.globals_[idx][:, tree.site_segments]
+    return orient, acc[idx]
+
+
+def _ref_label_contacts(motion, tree):
+    scaled = tree.scaled(motion.height)
+    fk = _ref_forward_kinematics(scaled, motion.rotations, motion.root_positions)
+    speeds = np.linalg.norm(dg.central_velocity(fk.contacts, dg.RAW_RATE_HZ), axis=-1)
+    labels = dg.labels_from_speeds(speeds)
+    return labels[:: dg.DECIMATION]
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+@pytest.mark.parametrize("kind", dg.MOTION_KINDS)
+def test_one_synthesis_pass_matches_frozen_two_passes(tree, kind, noise_std):
+    m = dg.generate_motion(kind, seed=5, duration_s=4.0, height=1.68, trial_id=f"{kind}-5")
+    got = dg.synthesize_imu(m, tree, noise_std=noise_std)
+    want = (*_ref_synthesize_imu(m, tree, noise_std), _ref_label_contacts(m, tree))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[2].dtype == want[2].dtype == np.uint8
+
+
+def _toy_tree():
+    """Two segments, one site and one contact point: FK does not assume
+    the default skeleton's sizes."""
+    return kin.KinematicTree(
+        names=("root", "tip"), parents=np.array([-1, 0]),
+        offsets=np.array([[0.0, 0, 0], [0.1, -1.0, 0.2]]), mass_fractions=np.array([0.5, 0.5]),
+        site_names=("s",), site_segments=np.array([1]), site_offsets=np.array([[0.05, -0.3, 0.0]]),
+        contact_names=("c",), contact_segments=np.array([1]), contact_offsets=np.array([[0.0, -0.1, 0.1]]),
+    )
+
+
+@pytest.mark.parametrize("toy, batch", [(False, ()), (False, (1801,)), (True, (61,))])
+def test_forward_kinematics_matches_frozen_own_orientation_loop(tree, toy, batch):
+    body = _toy_tree() if toy else tree.scaled(1.83)
+    rng = np.random.default_rng(len(batch) + toy)
+    rot = random_rotations(rng, *batch, body.n_segments)
+    root = rng.standard_normal(batch + (3,))
+    got, want = kin.forward_kinematics(body, rot, root), _ref_forward_kinematics(body, rot, root)
+    for name in ("globals_", "joints", "sites", "contacts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

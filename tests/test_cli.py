@@ -64,6 +64,11 @@ def _malformed_skeleton(case: str) -> str:
         doc["segments"][5]["parent"] = -3
     elif case == "reference-height":
         doc["reference_height_m"] = -1.0
+    elif case == "23-segments":  # without the leaf fingers_r, masses renormalized
+        leaf = next(s for s in doc["segments"] if s["name"] == "fingers_r")
+        doc["segments"].remove(leaf)
+        for seg in doc["segments"]:
+            seg["mass_fraction"] /= 1.0 - leaf["mass_fraction"]
     return json.dumps(doc)
 
 
@@ -75,6 +80,7 @@ def _malformed_skeleton(case: str) -> str:
     ("offset-of-2", "malformed skeleton"),
     ("negative-parent", "topologically ordered"),
     ("reference-height", "reference height must be finite and positive, got -1.0"),
+    ("23-segments", "expected 24 segments, got 23"),
 ])
 def test_skeleton_validate_malformed_file_is_typed_error(tmp_path, capsys, case, where):
     f = tmp_path / "bad.json"

@@ -14,7 +14,7 @@ def test_stationary_motion(tree):
     assert m.rate == 60.0
     np.testing.assert_array_equal(np.diff(m.root_positions, axis=0), 0.0)
     np.testing.assert_array_equal(m.rotations[1:], m.rotations[:-1])
-    labels = dg.label_contacts(m, tree)
+    _, _, labels = dg.synthesize_imu(m, tree)
     np.testing.assert_array_equal(labels, 1)
 
 
@@ -73,7 +73,7 @@ def test_moving_average_unity_at_dc():
 
 def test_synthesize_stationary_accel_zero(tree):
     m = dg.generate_motion("stationary", seed=1, duration_s=2.0)
-    orient, acc = dg.synthesize_imu(m, tree)
+    orient, acc, _ = dg.synthesize_imu(m, tree)
     assert np.abs(acc).max() < 1e-9
     # orientations are the segment globals (identity in T-pose)
     np.testing.assert_allclose(orient, np.broadcast_to(np.eye(3), orient.shape), atol=1e-12)
@@ -87,7 +87,7 @@ def test_synthesize_constant_velocity_accel_zero(tree):
     root[:, 1] = 1.0
     root[:, 2] = 0.8 * t
     m = dg.MotionSequence(60.0, rot, root, 1.75, 70.0, "cv")
-    _, acc = dg.synthesize_imu(m, tree)
+    _, acc, _ = dg.synthesize_imu(m, tree)
     assert np.abs(acc).max() < 1e-9
 
 
@@ -100,7 +100,7 @@ def test_synthesize_circular_motion_centripetal_oracle(tree):
     rot = np.broadcast_to(np.eye(3), (T, 24, 3, 3)).copy()
     root = np.stack([r * np.cos(w * t), np.full(T, 1.0), r * np.sin(w * t)], axis=1)
     m = dg.MotionSequence(60.0, rot, root, 1.75, 70.0, "circ")
-    _, acc = dg.synthesize_imu(m, tree)
+    _, acc, _ = dg.synthesize_imu(m, tree)
     mag = np.linalg.norm(acc, axis=-1)
     interior = mag[4:-4]  # clear of edge-replicated differences
     np.testing.assert_allclose(interior, r * w * w, rtol=0.01)
@@ -129,7 +129,7 @@ def test_contact_labels_near_threshold_motion(tree):
         root[:, 1] = 1.0
         root[:, 2] = v * t
         m = dg.MotionSequence(60.0, rot, root, 1.75, 70.0)
-        return dg.label_contacts(m, tree)
+        return dg.synthesize_imu(m, tree)[2]
 
     np.testing.assert_array_equal(labels_at(0.28), 1)
     np.testing.assert_array_equal(labels_at(0.32), 0)

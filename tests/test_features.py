@@ -195,6 +195,7 @@ def test_all_sites_in_skeleton_order(tree):
     # dataset site arrays are laid out in skeleton order and indexed by
     # ALL_SITES position when a trial is replayed
     assert ft.ALL_SITES == tree.site_names
+    assert tree.n_segments == kin.N_SEGMENTS == ft.R_LEN // 6
 
 
 def test_config_parse():

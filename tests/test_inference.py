@@ -518,6 +518,28 @@ def test_ingest_impulse_box_response():
     assert vals[24] == pytest.approx(0.0) and vals[36] == pytest.approx(0.0)
 
 
+def test_ingest_filter_matches_the_training_filter():
+    # raw 60 Hz site accelerations of a gait trial, no dropouts: each 20 Hz
+    # instant, the edges included, equals datagen's smoothed and decimated
+    # signal within rounding (np.mean and np.convolve round differently)
+    tree = kin.default_tree()
+    m = dg.generate_motion("gait", seed=2, duration_s=5.0, speed=1.3)
+    fk = kin.forward_kinematics(tree.scaled(m.height), m.rotations, m.root_positions)
+    raw = dg.second_central_difference(fk.sites, dg.RAW_RATE_HZ)
+    q = kin.rot_to_quat(fk.globals_[:, tree.site_segments])
+    ing = inf.StreamIngestor()
+    outs = []
+    for i in range(m.n_frames):
+        sites = {name: (q[i, s], raw[i, s]) for s, name in enumerate(ft.ALL_SITES)}
+        outs.extend(ing.push(inf.StreamFrame(t_ms=i * 1000 / 60, sites=sites)))
+    outs.extend(ing.finish())
+    want = dg.moving_average(raw)[::dg.DECIMATION]
+    assert m.n_frames == 301 and len(outs) == len(want) == 101
+    for k, o in enumerate(outs):
+        got = np.stack([o.measurement.site_accel[name] for name in ft.ALL_SITES])
+        np.testing.assert_allclose(got, want[k], rtol=0, atol=1e-12)
+
+
 def test_ingest_out_of_order_dropped():
     ing = inf.StreamIngestor()
     ing.push(_const_stream(2)[1])

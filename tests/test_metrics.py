@@ -219,3 +219,12 @@ def test_objectives_name_every_aggregated_metric(tree, gait20):
     rep = mt.compute_metrics(gait20, _copy(gait20), tree)
     assert set(mt.aggregate_reports([rep])) == set(mt.OBJECTIVES.values())
     assert set(rep.as_dict()) == set(mt.OBJECTIVES.values()) | {"trial_id"}
+
+
+def test_report_keys_pair_with_their_fields_by_name():
+    rep = mt.MetricsReport(la_deg=1.0, legs_la_deg=2.0, back_la_deg=3.0, ga_deg=4.0, jpe_cm=5.0,
+                           jitter=6.0, re2_m=7.0, re5_m=8.0, re10_m=9.0, trial_id="t")
+    assert rep.as_dict() == {"trial_id": "t", "LA_deg": 1.0, "legsLA_deg": 2.0, "backLA_deg": 3.0,
+                             "GA_deg": 4.0, "JPE_cm": 5.0, "jitter": 6.0, "RE2_m": 7.0, "RE5_m": 8.0,
+                             "RE10_m": 9.0}
+    assert list(rep.as_dict()) == ["trial_id", *mt.OBJECTIVES.values()]

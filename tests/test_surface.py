@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "imufill"
 PROGRAM = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 # test oracles: kept for the tests, not run by the program
-ORACLES = {"local_to_global", "rotation_about", "gradcheck", "GradCheckReport", "load_report"}
+ORACLES = {"rotation_about", "gradcheck", "GradCheckReport", "load_report"}
 
 MAX_SETTABLE_VALUES = 88
 
