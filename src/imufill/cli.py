@@ -255,12 +255,18 @@ def _session(args, tree, height: float, measurements,
     return recon, inf.run_session(recon, measurements)
 
 
-def _stream_measurements(ingestor: inf.StreamIngestor, frames):
+def _stream_measurements(ingestor: inf.StreamIngestor, frames, config: ft.SensorConfig):
+    """The ingestor's measurements of the records, without the sites and
+    insoles that `config` lacks, which dataset input leaves out too."""
+    def within(m: ft.Measurement) -> ft.Measurement:
+        return ft.Measurement({n: v for n, v in m.site_orient6d.items() if n in config.imu_sites},
+                              {n: v for n, v in m.site_accel.items() if n in config.imu_sites},
+                              m.insole_labels if config.insoles else None)
     for fr in frames:
         for im in ingestor.push(fr):
-            yield im.measurement
+            yield within(im.measurement)
     for im in ingestor.finish():
-        yield im.measurement
+        yield within(im.measurement)
 
 
 def cmd_reconstruct(args) -> int:
@@ -276,7 +282,7 @@ def cmd_reconstruct(args) -> int:
             raise inf.InferenceError("--height is required for stream input")
         height = args.height
         ingestor = inf.StreamIngestor()
-        measurements = _stream_measurements(ingestor, inf.parse_stream_file(src))
+        measurements = _stream_measurements(ingestor, inf.parse_stream_file(src), args.config)
     recon, results = _session(args, tree, height, measurements, variant=args.variant,
                               root_correction=not args.no_root_correction)
     inf.write_pose_stream(args.out, tree, results)

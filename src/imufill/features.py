@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import (N_CONTACTS, N_SEGMENTS, N_SITES, KinematicTree, encode_rot6d, forward_kinematics,
-                         identity_pose)
+from .kinematics import (ALL_SITES, N_CONTACTS, N_SEGMENTS, N_SITES, SITE_INDEX, KinematicTree, encode_rot6d,
+                         forward_kinematics, identity_pose)
 
 WINDOW_LEN = 61
 FRAME_RATE_HZ = 20.0
@@ -83,7 +83,7 @@ class SensorConfig:
     def __post_init__(self):
         if len(set(self.imu_sites)) != len(self.imu_sites):
             raise FeatureError(f"duplicate sites in config: {self.imu_sites}")
-        unknown = [n for n in self.imu_sites if n not in ALL_SITES]
+        unknown = [n for n in self.imu_sites if n not in SITE_INDEX]
         if unknown:
             raise FeatureError(f"unknown sites in config: {unknown}; known: {ALL_SITES}")
 
@@ -107,11 +107,6 @@ class SensorConfig:
             toks = list(ALL_SITES)
         return SensorConfig(imu_sites=tuple(toks), insoles=insoles)
 
-
-ALL_SITES = (
-    "pelvis", "thigh_l", "thigh_r", "shank_l", "shank_r", "foot_l", "foot_r",
-    "upper_arm_l", "upper_arm_r", "wrist_l", "wrist_r", "torso", "head",
-)
 
 SIX_IMU_SITES = ("pelvis", "head", "wrist_l", "wrist_r", "shank_l", "shank_r")
 
@@ -160,18 +155,17 @@ def measurement_channels(tree: KinematicTree, meas: Measurement) -> tuple[np.nda
     """Expand a Measurement into (values, observed) 190-channel vectors."""
     vals = np.zeros(FRAME_DIM)
     obs = np.zeros(FRAME_DIM)
-    site_by_name = {n: i for i, n in enumerate(tree.site_names)}
     for name, r6 in meas.site_orient6d.items():
-        if name not in site_by_name:
+        if name not in SITE_INDEX:
             raise FeatureError(f"measurement for unknown site {name!r}")
-        s = site_by_name[name]
+        s = SITE_INDEX[name]
         seg = int(tree.site_segments[s])
         vals[seg_r_slice(seg)] = np.asarray(r6, dtype=np.float64)
         obs[seg_r_slice(seg)] = 1.0
     for name, a in meas.site_accel.items():
-        if name not in site_by_name:
+        if name not in SITE_INDEX:
             raise FeatureError(f"measurement for unknown site {name!r}")
-        s = site_by_name[name]
+        s = SITE_INDEX[name]
         vals[site_a_slice(s)] = np.asarray(a, dtype=np.float64)
         obs[site_a_slice(s)] = 1.0
     if meas.insole_labels is not None:

@@ -25,10 +25,14 @@ Wire formats (JSON lines, versioned by a header record):
                 {"t_ms": 0, "sites": {"pelvis": {"q": [w,x,y,z],
                  "a": [ax,ay,az]}, ...}, "insoles": [1,0,1,1]}
                 absent sites mean per-sensor dropout for that frame;
-                "insoles" is optional; a non-finite sample, a
-                quaternion whose norm is further than QUAT_NORM_TOL
-                from 1, an acceleration beyond MAX_ACCEL or insoles
-                outside {0, 1} are a dropout too (see StreamIngestor).
+                "insoles" is optional; a site name outside ALL_SITES,
+                a non-finite sample, a quaternion whose norm is further
+                than QUAT_NORM_TOL from 1, an acceleration beyond
+                MAX_ACCEL or insoles outside {0, 1} are a dropout too
+                (see StreamIngestor); a record whose "t_ms" is not
+                finite or not after the last one is dropped. Sites and
+                insoles that the session's sensor config lacks are left
+                out of every measurement, as for dataset input.
                 Accelerations pass the same centered SMOOTH_WINDOW-frame
                 moving average as training data, so a 20 Hz instant is
                 released SMOOTH_WINDOW // 2 = 5 records (83 ms) after it
@@ -41,7 +45,11 @@ Wire formats (JSON lines, versioned by a header record):
 
   A reader refuses a header whose "rate_hz" is missing or is not its
   format's rate: the ingestor decimates by record count, so a stream at
-  another rate would be reconstructed at the wrong speed.
+  another rate would be reconstructed at the wrong speed. The pose
+  reader also refuses a record that the writer cannot produce: a
+  non-finite "root", "q" or "contact", a quaternion whose norm is
+  further than QUAT_NORM_TOL from 1 (the writer rounds to 9 places) or
+  a contact outside [0, 1] (the writer clips it).
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from . import kinematics
 from .datagen import DECIMATION, RAW_RATE_HZ, SMOOTH_WINDOW
 from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .kinematics import (
+    SITE_INDEX,
     KinematicTree,
     Pose,
     decode_rot6d,
@@ -267,7 +276,8 @@ class StepResult:
 
 
 class Reconstructor:
-    """Single-session autoregressive reconstruction state machine.
+    """Single-session autoregressive reconstruction state machine:
+    `cold_start`, then one `step` per 20 Hz measurement.
 
     Not thread-safe; one reconstruction loop per instance, stepping a
     `model` that other sessions may share. Deterministic for a fixed
@@ -282,7 +292,7 @@ class Reconstructor:
         tree: KinematicTree,
         config: ft.SensorConfig,
         height: float,
-        spread: StepSpread | None = None,
+        spread: StepSpread,
         seed: int = 0,
         variant: str = "renoise",
         root_correction: bool = True,
@@ -295,35 +305,31 @@ class Reconstructor:
         self.scaled_tree = tree.scaled(height)
         self.config = config
         self.height = float(height)
-        self.spread = spread or StepSpread.like_10d(30, schedule.T)
-        if self.spread.steps[0] > schedule.T:
+        self.spread = spread
+        if spread.steps[0] > schedule.T:
             raise SpreadError(f"spread exceeds schedule T={schedule.T}")
         self.rng = np.random.default_rng([seed, 606])
         self.variant = variant
         self.root_correction = root_correction
-        self.window: np.ndarray | None = None
+        self.window: np.ndarray | None = None  # set by cold_start
         self.frame_index = 0
         self.root_xz = np.zeros(2)
         self.contact_xz: np.ndarray | None = None  # of window[-1], with root correction on
 
-    def cold_start(self, measurement: ft.Measurement | None = None) -> None:
-        """Fill the window with a neutral standing frame; write the first
-        observation (if any) into the last frame."""
-        neutral = ft.neutral_frame(self.scaled_tree)
-        self.window = np.tile(neutral, (ft.WINDOW_LEN, 1))
-        if measurement is not None:
-            self.window, _ = ft.apply_observation(self.window, measurement, self.tree, self.config)
+    def cold_start(self) -> None:
+        """Start (or restart) the session: fill the window with a neutral
+        standing frame."""
+        self.window = np.tile(ft.neutral_frame(self.scaled_tree), (ft.WINDOW_LEN, 1))
         self.frame_index = 0
         self.root_xz = np.zeros(2)
         self.contact_xz = self._decode_frame(self.window[-1])[1]
 
-    def step(self, measurement: ft.Measurement | None = None) -> StepResult:
-        """Consume one 20 Hz observation (None = total signal loss)."""
+    def step(self, measurement: ft.Measurement) -> StepResult:
+        """Consume one 20 Hz observation (an empty Measurement is total
+        signal loss) of a session that `cold_start` started."""
         t0 = time.perf_counter()
-        if measurement is None:
-            measurement = ft.Measurement()
         if self.window is None:
-            self.cold_start(measurement)
+            raise InferenceError("step before cold_start")
         shifted = np.concatenate([self.window[1:], self.window[-1:]], axis=0)
         x_input, mask = ft.apply_observation(shifted, measurement, self.tree, self.config)
         out = inpaint_denoise(self.fast, self.schedule, x_input, mask, self.height,
@@ -369,9 +375,6 @@ def latency_percentiles(results: list[StepResult]) -> dict[str, float]:
 
 # -- measurement sources -------------------------------------------------
 
-# site name -> index in a trial's site arrays, which are in skeleton file order: ALL_SITES
-_TRIAL_SITE = {n: i for i, n in enumerate(ft.ALL_SITES)}
-
 
 def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | None = None):
     """Per-frame Measurements replaying a dataset trial's synthesized
@@ -384,8 +387,8 @@ def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | N
             yield ft.Measurement()
             continue
         m = ft.Measurement(
-            site_orient6d={n: orient6d[k, _TRIAL_SITE[n]] for n in config.imu_sites},
-            site_accel={n: trial.site_accels[k, _TRIAL_SITE[n]] for n in config.imu_sites},
+            site_orient6d={n: orient6d[k, SITE_INDEX[n]] for n in config.imu_sites},
+            site_accel={n: trial.site_accels[k, SITE_INDEX[n]] for n in config.imu_sites},
             insole_labels=trial.contacts[k].astype(np.float64) if config.insoles else None,
         )
         yield m
@@ -426,15 +429,15 @@ class StreamIngestor:
     `datagen`, so live input gets the same filter as the training
     signals, equal within rounding (`np.mean` here, `np.convolve`
     there). A site absent at a decimation instant is dropped from that
-    Measurement. A bad sample is a dropout too: a site whose quaternion
-    norm is not within QUAT_NORM_TOL of 1, or whose acceleration has a
-    component that is not finite or exceeds MAX_ACCEL in magnitude, is
-    dropped from its record, and so are insoles with a value outside
-    {0, 1}; `bad_samples` counts them. Records whose
-    timestamp is not after the last one are discarded and counted in
-    `out_of_order`. Output lags input by SMOOTH_WINDOW // 2 raw frames.
-    Only the last SMOOTH_WINDOW records are held, so memory stays flat
-    over a session of any length.
+    Measurement. A bad sample is a dropout too: a site whose name is not
+    in ALL_SITES, whose quaternion norm is not within QUAT_NORM_TOL of 1,
+    or whose acceleration has a component that is not finite or exceeds
+    MAX_ACCEL in magnitude, is dropped from its record, and so are
+    insoles with a value outside {0, 1}; `bad_samples` counts them.
+    Records whose timestamp is not finite or not after the last one are
+    discarded and counted in `out_of_order`. Output lags input by
+    SMOOTH_WINDOW // 2 raw frames. Only the last SMOOTH_WINDOW records
+    are held, so memory stays flat over a session of any length.
     """
 
     half = SMOOTH_WINDOW // 2
@@ -448,7 +451,7 @@ class StreamIngestor:
         self.out_of_order = 0
 
     def push(self, frame: StreamFrame) -> list[IngestedMeasurement]:
-        if frame.t_ms <= self.last_ms:
+        if not self.last_ms < frame.t_ms < np.inf:  # NaN fails too
             self.out_of_order += 1
             return []
         self.last_ms = frame.t_ms
@@ -463,7 +466,8 @@ class StreamIngestor:
     def _without_bad_samples(self, frame: StreamFrame) -> StreamFrame:
         """frame itself when every sample is good, else a copy without the
         bad ones; the caller's frame is never changed."""
-        sites = {name: (q, a) for name, (q, a) in frame.sites.items() if _usable_sample(q, a)}
+        sites = {name: (q, a) for name, (q, a) in frame.sites.items()
+                 if name in SITE_INDEX and _usable_sample(q, a)}
         insoles = frame.insoles
         if insoles is not None and not all(v in (0.0, 1.0) for v in insoles.tolist()):
             insoles = None
@@ -618,7 +622,7 @@ def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree
                 frames.append(StreamFrame(t_ms=idx * 1000.0 / RAW_RATE_HZ, sites={}))
                 continue
             sites = {
-                n: (q[_TRIAL_SITE[n]], trial.site_accels[k, _TRIAL_SITE[n]])
+                n: (q[SITE_INDEX[n]], trial.site_accels[k, SITE_INDEX[n]])
                 for n in config.imu_sites
             }
             ins = trial.contacts[k].astype(float) if config.insoles else None
@@ -638,8 +642,17 @@ def write_pose_stream(path, tree: KinematicTree, results: list[StepResult]) -> N
 
 
 def _pose_record(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (quat_to_rot(_field(rec, "q", (ft.N_SEGMENTS, 4))), _field(rec, "root", (3,)),
-            _field(rec, "contact", (ft.B_LEN,)))
+    """The values `write_pose_stream` can write: finite, unit quaternions
+    within QUAT_NORM_TOL and contacts in [0, 1] (NaN fails each test)."""
+    q = _field(rec, "q", (ft.N_SEGMENTS, 4))
+    root, contact = _field(rec, "root", (3,)), _field(rec, "contact", (ft.B_LEN,))
+    if not np.isfinite(root).all():
+        raise ValueError(f"field 'root' is not finite: {root.tolist()}")
+    if not (np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= QUAT_NORM_TOL).all():
+        raise ValueError(f"field 'q' holds a quaternion whose norm is not within {QUAT_NORM_TOL} of 1")
+    if not ((0.0 <= contact) & (contact <= 1.0)).all():
+        raise ValueError(f"field 'contact' is not in [0, 1]: {contact.tolist()}")
+    return quat_to_rot(q), root, contact
 
 
 def read_pose_stream(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

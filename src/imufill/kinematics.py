@@ -21,7 +21,14 @@ import numpy as np
 SKELETON_FORMAT = "imufill-skeleton"
 SKELETON_VERSION = 1
 N_SEGMENTS = 24
-N_SITES = 13
+# The instrumentable sites, in skeleton file order: dataset site arrays and
+# the feature layout's acceleration channels are indexed by SITE_INDEX.
+ALL_SITES = (
+    "pelvis", "thigh_l", "thigh_r", "shank_l", "shank_r", "foot_l", "foot_r",
+    "upper_arm_l", "upper_arm_r", "wrist_l", "wrist_r", "torso", "head",
+)
+N_SITES = len(ALL_SITES)
+SITE_INDEX = {name: i for i, name in enumerate(ALL_SITES)}
 N_CONTACTS = 4
 GROUND_CLEARANCE_M = 0.005  # height of the lowest contact point of a standing or grounded pose
 _ROT6D_EPS = 1e-8  # floor of a column norm in decode_rot6d
@@ -74,8 +81,9 @@ class KinematicTree:
             raise SkeletonError("segments must be topologically ordered (0 <= parent < child)")
         if len(p) != N_SEGMENTS:
             raise SkeletonError(f"expected {N_SEGMENTS} segments, got {len(p)}")
-        if len(self.site_segments) != N_SITES:
-            raise SkeletonError(f"expected {N_SITES} instrumentable sites, got {len(self.site_segments)}")
+        if self.site_names != ALL_SITES:
+            raise SkeletonError(f"expected the sites {', '.join(ALL_SITES)} in that order, "
+                                f"got {', '.join(self.site_names)}")
         if len(self.contact_segments) != N_CONTACTS:
             raise SkeletonError(f"expected {N_CONTACTS} contact points, got {len(self.contact_segments)}")
         for what, arr, n in (("segment", self.offsets, len(p)), ("site", self.site_offsets, N_SITES),

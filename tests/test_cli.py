@@ -64,6 +64,10 @@ def _malformed_skeleton(case: str) -> str:
         doc["segments"][5]["parent"] = -3
     elif case == "reference-height":
         doc["reference_height_m"] = -1.0
+    elif case == "renamed-site":
+        doc["sites"][12]["name"] = "skull"
+    elif case == "reordered-sites":
+        doc["sites"][1], doc["sites"][2] = doc["sites"][2], doc["sites"][1]
     elif case == "23-segments":  # without the leaf fingers_r, masses renormalized
         leaf = next(s for s in doc["segments"] if s["name"] == "fingers_r")
         doc["segments"].remove(leaf)
@@ -81,6 +85,8 @@ def _malformed_skeleton(case: str) -> str:
     ("negative-parent", "topologically ordered"),
     ("reference-height", "reference height must be finite and positive, got -1.0"),
     ("23-segments", "expected 24 segments, got 23"),
+    ("renamed-site", "expected the sites pelvis, thigh_l, thigh_r, "),
+    ("reordered-sites", "got pelvis, thigh_r, thigh_l, "),
 ])
 def test_skeleton_validate_malformed_file_is_typed_error(tmp_path, capsys, case, where):
     f = tmp_path / "bad.json"
@@ -220,6 +226,37 @@ def test_reconstruct_stream_bad_sample_is_a_dropout(workdir, tmp_path, capsys, r
     assert len(rot) == len(range(0, len(frames), 3))
     assert np.isfinite(rot).all() and np.isfinite(root).all()
     assert "dropped 1 bad samples and 0 out-of-order records" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra, record", [("wrist_l", 6), ("bogus", 6), ("wrist_l", 4), ("insoles", None)],
+                         ids=["site-at-instant", "unknown-site", "site-between-instants", "insoles"])
+def test_reconstruct_stream_sensors_outside_config_are_left_out(workdir, tmp_path, capsys, extra, record):
+    # a site or insoles that --config lacks, on any record, are left out as
+    # dataset input leaves them out; a site the skeleton lacks is a bad sample
+    tree = default_tree()
+    trial = dg.load_dataset(workdir / "corpus.imfd", tree)[0]
+
+    def frames(config):
+        return inf.stream_frames_from_trial(trial, SensorConfig.parse(config), tree)[:30]
+
+    extended = frames("pelvis,insoles" if extra == "insoles" else "pelvis")
+    if record is not None:
+        extended[record].sites[extra] = extended[record].sites["pelvis"]
+    poses, summaries = [], []
+    for name, stream_frames in (("plain", frames("pelvis")), ("extended", extended)):
+        stream, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-rec.jsonl"
+        inf.write_stream_file(stream, stream_frames)
+        rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                       "--spread", "3", "--in", str(stream), "--height", f"{trial.motion.height}",
+                       "--out", str(out)])
+        assert rc == 0
+        poses.append(inf.read_pose_stream(out))
+        summaries.append(capsys.readouterr().out)
+    for plain, got in zip(*poses):
+        np.testing.assert_array_equal(got, plain)
+    assert "dropped 0 bad samples and 0 out-of-order records" in summaries[0]
+    bad = 1 if extra == "bogus" else 0
+    assert f"dropped {bad} bad samples and 0 out-of-order records" in summaries[1]
 
 
 def test_reconstruct_stream_requires_height(workdir, tmp_path):
@@ -476,7 +513,20 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n\n', "no pose records"),
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 7}\n' + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got 7"),
     (b'{"format": "pose-stream", "version": 1}\n' + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got None"),
-], ids=["bad-json", "no-records", "rate-7", "no-rate"])
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b"[[1, 0, 0, 0], ", b"[[0, 0, 0, 0], ", 1), ":2: field 'q' holds a quaternion whose norm"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b"[[1, 0, 0, 0], ", b"[[0, 2, 0, 0], ", 1), ":2: field 'q' holds a quaternion whose norm"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b'"root": [0, 0, 0]', b'"root": [0, NaN, 0]'), ":2: field 'root' is not finite"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [0, NaN, 0, 0]'),
+     ":2: field 'contact' is not in [0, 1]"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [0, 0, 1.5, 0]'),
+     ":2: field 'contact' is not in [0, 1]"),
+], ids=["bad-json", "no-records", "rate-7", "no-rate", "zero-q", "q-norm-2", "nan-root", "nan-contact",
+        "contact-1.5"])
 def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     rec = tmp_path / "rec.jsonl"
     rec.write_bytes(content)

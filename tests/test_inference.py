@@ -272,15 +272,15 @@ def test_root_correct_two_contacts_zero_mean_residual(tree):
     assert np.abs(gated).max() > 1e-4  # individuals nonzero, only the mean is static
 
 
-def _reference_session(recon, first, measurements):
+def _reference_session(recon, measurements):
     """(frames, local rotations, root positions) of a session stepped the
     way Reconstructor.step works, with root correction decoding the
     previous and the current frame on their own."""
-    recon.cold_start(first)
+    recon.cold_start()
     frames, rots, roots, root_xz = [], [], [], np.zeros(2)
     for m in measurements:
         shifted = np.concatenate([recon.window[1:], recon.window[-1:]], axis=0)
-        x_input, mask = ft.apply_observation(shifted, m or ft.Measurement(), recon.tree, recon.config)
+        x_input, mask = ft.apply_observation(shifted, m, recon.tree, recon.config)
         out = inf.inpaint_denoise(recon.fast, recon.schedule, x_input, mask, recon.height,
                                   recon.spread, recon.rng, variant=recon.variant)
         emitted = out[-1].copy()
@@ -296,24 +296,22 @@ def _reference_session(recon, first, measurements):
 
 
 @pytest.mark.parametrize("insoles", [False, True])
-@pytest.mark.parametrize("first_measured", [False, True])
-def test_session_matches_reference_root_correction(tree, tiny_model, gait_trial, insoles, first_measured):
+def test_session_matches_reference_root_correction(tree, tiny_model, gait_trial, insoles):
     # the contact points a step carries over give the frames that decoding
     # the previous frame again gives, bit for bit
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=("pelvis", "head", "shank_l"), insoles=insoles)
     meas = list(inf.measurements_from_trial(gait_trial, config))[:25]
-    meas[7] = meas[8] = None  # total signal loss
+    meas[7] = meas[8] = ft.Measurement()  # total signal loss
     if insoles:  # flight frames: the contact gate closes
         for k in (3, 4, 12):
             meas[k] = dataclasses.replace(meas[k], insole_labels=np.zeros(ft.B_LEN))
-    first = meas[0] if first_measured else None
     kw = dict(height=gait_trial.motion.height, spread=inf.StepSpread.like_10d(3), seed=5)
     recon = inf.Reconstructor(cfg, fast, schedule, tree, config, **kw)
-    recon.cold_start(first)
+    recon.cold_start()
     results = [recon.step(m) for m in meas[1:]]
     frames, rots, roots = _reference_session(inf.Reconstructor(cfg, fast, schedule, tree, config, **kw),
-                                             first, meas[1:])
+                                             meas[1:])
     np.testing.assert_array_equal(np.stack([r.frame for r in results]), frames)
     np.testing.assert_array_equal(np.stack([r.pose.rotations for r in results]), rots)
     np.testing.assert_array_equal(np.stack([r.pose.root_position for r in results]), roots)
@@ -372,10 +370,13 @@ def test_root_correct_changes_only_dp(tree, tiny_model, gait_trial):
 
 def test_cold_start_invariants(tree, tiny_model):
     cfg, params, schedule, fast = tiny_model
-    recon = inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=1.75)
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=1.75,
+                              spread=inf.StepSpread.like_10d(30))
+    with pytest.raises(inf.InferenceError, match="before cold_start"):
+        recon.step(ft.Measurement())
     recon.cold_start()
     assert recon.window.shape == (61, 190)
-    r = recon.step(None)
+    r = recon.step(ft.Measurement())
     assert np.isfinite(r.pose.rotations).all() and np.isfinite(r.pose.root_position).all()
 
 
@@ -383,7 +384,8 @@ def test_cold_start_invariants(tree, tiny_model):
 def test_reconstructor_rejects_bad_height(tree, tiny_model, height):
     cfg, params, schedule, fast = tiny_model
     with pytest.raises(ft.FeatureError, match="height"):
-        inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=height)
+        inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=height,
+                          spread=inf.StepSpread.like_10d(30))
 
 
 def test_full_config_passthrough(tree, tiny_model, gait_trial):
@@ -474,7 +476,7 @@ def test_latency_stats(tree, tiny_model):
     cfg, params, schedule, fast = tiny_model
     recon = inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(), height=1.75,
                               spread=inf.StepSpread.like_10d(3))
-    results = inf.run_session(recon, [None] * 5)
+    results = inf.run_session(recon, [ft.Measurement()] * 5)
     p = inf.latency_percentiles(results)
     assert p["p50"] > 0 and p["p95"] >= p["p50"]
     assert np.isnan(inf.latency_percentiles([])["p50"])
@@ -545,6 +547,15 @@ def test_ingest_out_of_order_dropped():
     ing.push(_const_stream(2)[1])
     got = ing.push(_const_stream(2)[0])
     assert got == [] and ing.out_of_order == 1
+    # a non-finite timestamp is out of order too and leaves the order as it was
+    for times, accepted in (([0.0, 100.0, np.nan, 16.7], [0.0, 100.0]),
+                            ([0.0, np.inf, 100.0], [0.0, 100.0]),
+                            ([-np.inf, 0.0], [0.0])):
+        ing = inf.StreamIngestor()
+        for t in times:
+            ing.push(dataclasses.replace(_const_stream(1)[0], t_ms=t))
+        assert [fr.t_ms for fr in ing.frames] == accepted
+        assert ing.out_of_order == len(times) - len(accepted)
 
 
 class _ListIngestor:
