@@ -25,6 +25,11 @@ from . import metrics as mt
 from .kinematics import default_tree, load_skeleton, SkeletonError
 
 
+# `bench` replays frames / FRAME_RATE_HZ + 1 s of motion, and no motion is
+# longer than MAX_DURATION_S
+MAX_BENCH_FRAMES = int((dg.MAX_DURATION_S - 1) * ft.FRAME_RATE_HZ)
+
+
 def _usage_error(parse):
     """An argparse type from `parse`, which raises a (typed) ValueError on
     a bad value: the value is then a usage error, exit 2, before any file
@@ -37,13 +42,15 @@ def _usage_error(parse):
     return checked
 
 
-def _count(minimum: int):
-    """An argparse type for a whole number of at least `minimum`."""
+def _count(minimum: int, maximum: float):
+    """An argparse type for a whole number in [minimum, maximum]."""
     @_usage_error
     def count(text: str) -> int:
         n = int(text)
         if n < minimum:
             raise ValueError(f"must be at least {minimum}, got {n}")
+        if n > maximum:
+            raise ValueError(f"must be at most {maximum}, got {n}")
         return n
     return count
 
@@ -117,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dgp = sub.add_parser("datagen", help="generate a synthetic training corpus")
     dgp.add_argument("--kinds", type=_motion_kinds, default=",".join(dg.MOTION_KINDS))
-    dgp.add_argument("--trials", type=_count(1), default=20)
+    dgp.add_argument("--trials", type=_count(1, math.inf), default=20)
     dgp.add_argument("--seconds", type=_finite_in(dg.MIN_DURATION_S, dg.MAX_DURATION_S), default=30.0)
-    dgp.add_argument("--seed", type=_count(0), default=0)
+    dgp.add_argument("--seed", type=_count(0, math.inf), default=0)
     dgp.add_argument("--noise-std", type=_finite_in(0.0, math.inf), default=0.0,
                      help="optional Gaussian acceleration noise, m/s^2")
     dgp.add_argument("--out", required=True)
@@ -129,12 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--data", required=True)
     tr.add_argument("--size", type=df.DenoiserConfig.parse, default="2/64/128",
                     help="layers/width/feedforward")
-    tr.add_argument("--steps", type=_count(1), default=2000)
-    tr.add_argument("--batch", type=_count(1), default=16)
+    tr.add_argument("--steps", type=_count(1, math.inf), default=2000)
+    tr.add_argument("--batch", type=_count(1, math.inf), default=16)
     tr.add_argument("--lr", type=_learning_rate, default=1e-4)
-    tr.add_argument("--seed", type=_count(0), default=0)
+    tr.add_argument("--seed", type=_count(0, math.inf), default=0)
     tr.add_argument("--diffusion-steps", type=_schedule_length, default=1000, metavar="T")
-    tr.add_argument("--holdout", type=_count(0), default=0, help="trials held out for eval logging")
+    tr.add_argument("--holdout", type=_count(0, math.inf), default=0, help="trials held out for eval logging")
     tr.add_argument("--out", required=True)
 
     rc = sub.add_parser("reconstruct", help="autoregressive reconstruction")
@@ -147,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--trial", default=None, help="trial id when --in is a dataset")
     rc.add_argument("--height", type=_height, default=None,
                     help="subject height, required for stream input")
-    rc.add_argument("--seed", type=_count(0), default=0)
-    rc.add_argument("--variant", choices=("renoise", "ddim"), default="renoise")
+    rc.add_argument("--seed", type=_count(0, math.inf), default=0)
     rc.add_argument("--no-root-correction", action="store_true")
     rc.add_argument("--out", required=True)
 
@@ -165,17 +171,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="semicolon-separated config specs, e.g. 'pelvis+head;shank_l+shank_r'")
     sw.add_argument("--objectives", type=_objectives, default="GA,legsLA,backLA,RE10")
     sw.add_argument("--spread", default="30")
-    sw.add_argument("--trials", type=_count(0), default=0, help="limit number of trials (0 = all)")
-    sw.add_argument("--seed", type=_count(0), default=0)
+    sw.add_argument("--trials", type=_count(0, math.inf), default=0, help="limit number of trials (0 = all)")
+    sw.add_argument("--seed", type=_count(0, math.inf), default=0)
     sw.add_argument("--out", required=True)
 
     bn = sub.add_parser("bench", help="per-frame latency of the reconstruction loop")
     bn.add_argument("--ckpt", required=True)
     bn.add_argument("--spread", default="30")
-    bn.add_argument("--frames", type=_count(1), default=200)
+    bn.add_argument("--frames", type=_count(1, MAX_BENCH_FRAMES), default=200)
     bn.add_argument("--config", type=_usage_error(ft.SensorConfig.parse),
                     default="pelvis,head,wrist_l,wrist_r,shank_l,shank_r")
-    bn.add_argument("--seed", type=_count(0), default=0)
+    bn.add_argument("--seed", type=_count(0, math.inf), default=0)
     bn.add_argument("--out", default=None)
     return p
 
@@ -283,8 +289,7 @@ def cmd_reconstruct(args) -> int:
         height = args.height
         ingestor = inf.StreamIngestor()
         measurements = _stream_measurements(ingestor, inf.parse_stream_file(src), args.config)
-    recon, results = _session(args, tree, height, measurements, variant=args.variant,
-                              root_correction=not args.no_root_correction)
+    recon, results = _session(args, tree, height, measurements, root_correction=not args.no_root_correction)
     inf.write_pose_stream(args.out, tree, results)
     lat = inf.latency_percentiles(results)
     print(f"reconstructed {len(results)} frames -> {args.out} "

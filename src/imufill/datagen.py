@@ -35,7 +35,9 @@ from .kinematics import (
     default_tree,
     forward_kinematics,
     ground_lift,
+    identity_pose,
     identity_rotations,
+    local_to_global,
     quat_to_rot,
     rot_to_quat,
     skeleton_hash,
@@ -114,10 +116,8 @@ class Trial:
 
     def features(self, tree: KinematicTree) -> np.ndarray:
         if self._features is None:
-            scaled = tree.scaled(self.motion.height)
             self._features = ft.encode_frames(
-                scaled,
-                self.motion.rotations,
+                local_to_global(tree, self.motion.rotations),
                 self.motion.root_positions,
                 self.site_accels,
                 self.contacts.astype(np.float64),
@@ -192,8 +192,7 @@ def generate_motion(kind: str, seed: int, duration_s: float = 10.0, height: floa
 
 def _generate_stationary(tree, t, seed):
     T = len(t)
-    root = np.zeros((T, 3))
-    root[:, 1] = standing_root_height(tree)
+    root = np.tile(identity_pose(tree).root_position, (T, 1))  # the T-pose, held still
     return identity_rotations(tree, T), root, np.ones((T, N_CONTACTS), dtype=np.uint8)
 
 
@@ -221,7 +220,7 @@ def _generate_random_smooth(tree, t, seed, amplitude: float = 0.2):
         root[:, axis_i] = amp * np.sin(2 * np.pi * rng.uniform(0.05, 0.25) * t + rng.uniform(0, 6.28))
     root[:, 1] = standing_root_height(tree) + 0.03 * np.sin(2 * np.pi * rng.uniform(0.1, 0.3) * t)
     # lift so the lowest contact point grazes the ground without crossing it
-    root[:, 1] += ground_lift(tree, rot, root)
+    root[:, 1] += ground_lift(forward_kinematics(tree, rot, root))
     return rot, root, None
 
 
@@ -586,7 +585,8 @@ class DatasetError(ValueError):
 
 def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
     """Reads what save_dataset wrote; raises DatasetError on a file that
-    is not a dataset, was made for another skeleton, or is corrupt."""
+    is not a dataset, was made for another skeleton, holds a trial that is
+    not at FRAME_RATE_HZ, or is corrupt."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != DATASET_MAGIC:
@@ -603,6 +603,8 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
             (id_len,) = r.unpack("<I", f"trial {k} id")
             tid = r.text(id_len, f"trial {k} id")
             rate, height, mass, weight, T, has_stance = r.unpack("<dddd I B", f"{tid} metadata")
+            if rate != ft.FRAME_RATE_HZ:
+                raise DatasetError(f"{tid}: a dataset trial is {ft.FRAME_RATE_HZ:g} Hz, got rate {rate:g}")
             quats = r.array((T, N_SEGMENTS, 4), np.float64, f"{tid} rotations")
             root = r.array((T, 3), np.float64, f"{tid} root positions")
             site_q = r.array((T, N_SITES, 4), np.float64, f"{tid} site rotations")

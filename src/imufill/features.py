@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kinematics import (ALL_SITES, N_CONTACTS, N_SEGMENTS, N_SITES, SITE_INDEX, KinematicTree, encode_rot6d,
-                         forward_kinematics, identity_pose)
+                         forward_kinematics, ground_lift, identity_rotations)
 
 WINDOW_LEN = 61
 FRAME_RATE_HZ = 20.0
@@ -125,22 +125,20 @@ class Measurement:
 
 
 def encode_frames(
-    tree: KinematicTree,
-    rotations: np.ndarray,      # (T, 24, 3, 3) local rotations at 20 Hz
+    globals_: np.ndarray,        # (T, 24, 3, 3) world orientations at 20 Hz (`local_to_global`)
     root_positions: np.ndarray,  # (T, 3)
     site_accels: np.ndarray,     # (T, 13, 3) world frame
     contacts: np.ndarray,        # (T, 4) in {0,1}
 ) -> np.ndarray:
     """Pack aligned 20 Hz streams into (T, 190) feature frames."""
-    T = rotations.shape[0]
+    T = globals_.shape[0]
     if not (root_positions.shape[0] == site_accels.shape[0] == contacts.shape[0] == T):
         raise FeatureError(
             f"misaligned streams: rot {T}, root {root_positions.shape[0]}, "
             f"accel {site_accels.shape[0]}, contacts {contacts.shape[0]}"
         )
-    fk = forward_kinematics(tree, rotations, root_positions)
     frames = np.zeros((T, FRAME_DIM))
-    frames[:, R_OFF:R_OFF + R_LEN] = encode_rot6d(fk.globals_).reshape(T, R_LEN)
+    frames[:, R_OFF:R_OFF + R_LEN] = encode_rot6d(globals_).reshape(T, R_LEN)
     frames[:, A_OFF:A_OFF + A_LEN] = site_accels.reshape(T, A_LEN)
     dp = np.zeros((T, 2))
     dp[1:, 0] = np.diff(root_positions[:, 0])
@@ -204,9 +202,14 @@ def apply_observation(
     return out, mask
 
 
-def neutral_frame(tree: KinematicTree) -> np.ndarray:
-    """Cold-start frame of a tree scaled to the subject: the encoded
-    T-pose (`identity_pose`) standing still, all contacts set."""
-    pose = identity_pose(tree)
-    return encode_frames(tree, pose.rotations[None], pose.root_position[None],
-                         np.zeros((1, N_SITES, 3)), np.ones((1, B_LEN)))[0]
+def neutral_frame(tree: KinematicTree) -> tuple[np.ndarray, np.ndarray]:
+    """Cold-start frame of a tree scaled to the subject, the T-pose
+    standing still at its `ground_lift` height with all contacts set, and
+    the T-pose's contact points relative to its root, (4, 3). One forward
+    kinematics pass of the T-pose with its root at the origin gives the
+    height, the contact points and the frame's orientations, which do not
+    depend on where the root is."""
+    tpose = forward_kinematics(tree, identity_rotations(tree), np.zeros(3))
+    root = np.array([[0.0, ground_lift(tpose), 0.0]])
+    frame = encode_frames(tpose.globals_[None], root, np.zeros((1, N_SITES, 3)), np.ones((1, B_LEN)))[0]
+    return frame, tpose.contacts

@@ -15,9 +15,7 @@ in a session, the newest frame.
 The inpainting loop follows the renoise-and-edit algorithm literally:
 every iteration renoises the current estimate at the step's noise level,
 predicts a clean window, and freezes observed channels back to the
-input. A deterministic DDIM-style variant is available behind
-`variant="ddim"`; it keeps a running latent and only edits the
-prediction, matching the cited fast-sampling scheme instead.
+input.
 
 Wire formats (JSON lines, versioned by a header record):
 
@@ -183,14 +181,12 @@ def inpaint_denoise(
     h: float,
     spread: StepSpread,
     rng: np.random.Generator,
-    variant: str = "renoise",
 ) -> np.ndarray:
     """Generate the unmasked channels of x_input; masked channels (mask=1)
     pass through bit-exactly. Only rows with a generated channel are
     predicted, and each step's estimate takes the model output there and
-    the input everywhere else. Each noising draws one window-sized block
-    of noise (renoise: one per step; ddim: one, for the starting latent).
-    The input is checked to be finite once, before the first step."""
+    the input everywhere else. Each step draws one window-sized block of
+    noise. The input is checked to be finite once, before the first step."""
     x_input = np.asarray(x_input)
     if x_input.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
         raise ContractError(f"x_input shape {x_input.shape}")
@@ -198,8 +194,6 @@ def inpaint_denoise(
         raise ContractError(f"mask shape {mask.shape} != {x_input.shape}")
     if spread.steps[0] > schedule.T:
         raise SpreadError(f"spread starts at {spread.steps[0]} > T={schedule.T}")
-    if variant not in ("renoise", "ddim"):
-        raise ValueError(f"unknown variant {variant!r}")
     keep = mask > 0.5
     rows = np.flatnonzero(~keep.all(axis=1))
     dtype = model.dtype
@@ -209,38 +203,20 @@ def inpaint_denoise(
     x = xin.copy()  # the estimate: input in observed channels, model output elsewhere
     keep_rows, xin_rows = keep[rows], xin[rows]
     noise, scaled = np.empty_like(x), np.empty_like(x)  # local, so threads can share the model
-
-    def noised(a: np.ndarray, t: int) -> np.ndarray:
-        """sqrt(ab_t) a + sqrt(1 - ab_t) eps, with fresh noise eps, formed
-        in `noise`, which the next call overwrites; each call draws one
-        window-sized block, the same draws a fresh array would take."""
+    for t in spread.steps:
+        # renoise: sqrt(ab_t) x + sqrt(1 - ab_t) eps, with eps drawn into
+        # `noise`, the same draws a fresh array would take
         ab = schedule.alpha_bar[t]
         z = rng.standard_normal(dtype=dtype, out=noise)
         z *= np.sqrt(1.0 - ab, dtype=dtype)
-        z += np.multiply(np.sqrt(ab, dtype=dtype), a, out=scaled)
-        return z
-
-    def edit(z: np.ndarray, t: int) -> None:
+        z += np.multiply(np.sqrt(ab, dtype=dtype), x, out=scaled)
+        # edit: predict a clean window and freeze the observed channels
         x0 = model.predict(z, t, h, rows=rows)
         if not np.isfinite(x0).all():
             raise InferenceError(f"non-finite denoiser output at step t={t}")
         np.copyto(x0, xin_rows, where=keep_rows)
         x[rows] = x0
-
-    if variant == "renoise":
-        for t in spread.steps:
-            edit(noised(x, t), t)
-    else:
-        # DDIM keeps a running latent z and only edits the prediction
-        z = noised(x, spread.steps[0])
-        for t, t_next in zip(spread.steps, spread.steps[1:] + (None,)):
-            edit(z, t)
-            if t_next is None:
-                break
-            ab, ab_next = schedule.alpha_bar[t], schedule.alpha_bar[t_next]
-            eps_hat = (z - np.sqrt(ab, dtype=dtype) * x) / np.sqrt(1.0 - ab, dtype=dtype)
-            z = np.sqrt(ab_next, dtype=dtype) * x + np.sqrt(1.0 - ab_next, dtype=dtype) * eps_hat
-    # the final edit froze observed channels; make the pass-through exact
+    # the last step froze observed channels; make the pass-through exact
     # in the input's own dtype as well
     result = x_input.copy()
     np.copyto(result, x, where=~keep)
@@ -294,7 +270,6 @@ class Reconstructor:
         height: float,
         spread: StepSpread,
         seed: int = 0,
-        variant: str = "renoise",
         root_correction: bool = True,
     ):
         ft.check_height(height)
@@ -309,7 +284,6 @@ class Reconstructor:
         if spread.steps[0] > schedule.T:
             raise SpreadError(f"spread exceeds schedule T={schedule.T}")
         self.rng = np.random.default_rng([seed, 606])
-        self.variant = variant
         self.root_correction = root_correction
         self.window: np.ndarray | None = None  # set by cold_start
         self.frame_index = 0
@@ -318,11 +292,12 @@ class Reconstructor:
 
     def cold_start(self) -> None:
         """Start (or restart) the session: fill the window with a neutral
-        standing frame."""
-        self.window = np.tile(ft.neutral_frame(self.scaled_tree), (ft.WINDOW_LEN, 1))
+        standing frame, whose contact points root correction starts from."""
+        frame, contacts = ft.neutral_frame(self.scaled_tree)
+        self.window = np.tile(frame, (ft.WINDOW_LEN, 1))
         self.frame_index = 0
         self.root_xz = np.zeros(2)
-        self.contact_xz = self._decode_frame(self.window[-1])[1]
+        self.contact_xz = contacts[:, [0, 2]] if self.root_correction else None
 
     def step(self, measurement: ft.Measurement) -> StepResult:
         """Consume one 20 Hz observation (an empty Measurement is total
@@ -332,8 +307,7 @@ class Reconstructor:
             raise InferenceError("step before cold_start")
         shifted = np.concatenate([self.window[1:], self.window[-1:]], axis=0)
         x_input, mask = ft.apply_observation(shifted, measurement, self.tree, self.config)
-        out = inpaint_denoise(self.fast, self.schedule, x_input, mask, self.height,
-                              self.spread, self.rng, variant=self.variant)
+        out = inpaint_denoise(self.fast, self.schedule, x_input, mask, self.height, self.spread, self.rng)
         emitted = out[-1].copy()
         locals_, cur_xz = self._decode_frame(emitted)
         if self.root_correction:

@@ -354,13 +354,13 @@ def identity_pose(tree: KinematicTree) -> Pose:
     return Pose(identity_rotations(tree), np.array([0.0, standing_root_height(tree), 0.0]))
 
 
-def ground_lift(tree: KinematicTree, rotations: np.ndarray, root_positions: np.ndarray) -> float:
-    """Height to add to the root positions of a pose or motion that puts
-    its lowest contact point GROUND_CLEARANCE_M above ground."""
-    fk = forward_kinematics(tree, rotations, root_positions)
+def ground_lift(fk: FKResult) -> float:
+    """Height to add to the root positions of a pose or motion, given its
+    forward kinematics, that puts its lowest contact point
+    GROUND_CLEARANCE_M above ground."""
     return float(GROUND_CLEARANCE_M - fk.contacts[..., 1].min())
 
 
 def standing_root_height(tree: KinematicTree) -> float:
     """Root height that grounds the T-pose (`ground_lift`)."""
-    return ground_lift(tree, identity_rotations(tree), np.zeros(3))
+    return ground_lift(forward_kinematics(tree, identity_rotations(tree), np.zeros(3)))

@@ -9,7 +9,7 @@ Conventions, fixed here (the root README points to this list):
   * JPE is measured in the root frame, in centimeters, root excluded;
   * jitter is the mean third finite difference of world joint positions
     (raw 20 Hz, edge frames excluded), reconstructed over ground truth;
-    NaN when the ground truth is perfectly still;
+    NaN when the ground truth is perfectly still (null in a saved report);
   * RE is the horizontal (ground-plane) distance between the root
     positions at 2/5/10 s; sequences too short for a horizon report None.
     Reconstructed paths are aligned to ground truth at frame 0 by
@@ -235,8 +235,22 @@ def sweep_configs(model_cfg: DenoiserConfig, params, schedule: DiffusionSchedule
 
 
 def save_report(path: str | Path, payload: dict) -> None:
+    """Strict JSON: a value that is not finite (a jitter ratio against a
+    still ground truth) is written as null, as a missing one is."""
     payload = {"format": REPORT_FORMAT, "version": REPORT_VERSION, **payload}
-    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=True) + "\n")
+    Path(path).write_text(json.dumps(_finite_or_null(payload), indent=1, allow_nan=False) + "\n")
+
+
+def _finite_or_null(value):
+    """value with every float that is not finite replaced by None, in
+    nested dicts and lists."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def load_report(path: str | Path) -> dict:

@@ -169,6 +169,20 @@ def test_train_skips_trials_shorter_than_a_window(tmp_path, capsys):
     assert final["skipped_trials"] == 1
 
 
+def test_evaluate_report_is_strict_json(workdir, tmp_path):
+    # a still ground truth has no jitter ratio: the report says null, not NaN
+    rec, rep = tmp_path / "rec.jsonl", tmp_path / "report.json"
+    assert cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis", "--spread", "3",
+                     "--in", str(workdir / "corpus.imfd"), "--trial", "stationary-001", "--out", str(rec)]) == 0
+    assert cli.main(["evaluate", "--gt", str(workdir / "corpus.imfd"), "--trial", "stationary-001",
+                     "--rec", str(rec), "--out", str(rep)]) == 0
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not strict JSON")
+    doc = json.loads(rep.read_text(), parse_constant=refuse)
+    assert doc["metrics"]["jitter"] is None and np.isfinite(doc["metrics"]["GA_deg"])
+
+
 def test_reconstruct_deterministic_given_seed(workdir, tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for out in (out1, out2):
@@ -303,6 +317,8 @@ def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag,
     (["reconstruct", "--config", "pelvis", "--in", "x.imfd", "--height", "tall"],
      "argument --height: ValueError: could not convert string to float: 'tall'"),
     (["bench", "--config", "pelvis,pelvis"], "argument --config: FeatureError: duplicate sites"),
+    (["reconstruct", "--config", "pelvis", "--in", "x.imfd", "--variant", "ddim"],
+     "unrecognized arguments: --variant ddim"),
 ])
 def test_bad_argument_is_usage_error_before_the_checkpoint_is_read(tmp_path, capsys, argv, message):
     cmd, *rest = argv
@@ -362,6 +378,7 @@ def test_bench_rejects_nonpositive_frames(workdir, capsys):
     (["datagen", "--seconds", "1e300"], "argument --seconds: ValueError: must be at most 600.0, got 1e+300"),
     (["datagen", "--seconds", str(float(np.nextafter(dg.MAX_DURATION_S, np.inf)))],
      "argument --seconds: ValueError: must be at most 600.0, got 600.0000000000001"),
+    (["bench", "--frames", "11981"], "argument --frames: ValueError: must be at most 11980, got 11981"),
 ])
 def test_bad_count_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv, message):
     cmd, *rest = argv

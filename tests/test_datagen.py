@@ -377,6 +377,19 @@ def test_dataset_header_bit_flips_fail_cleanly(tmp_path, tree):
     assert outcomes["load"] and outcomes["DatasetError"]
 
 
+def test_dataset_refuses_a_trial_that_is_not_at_20_hz(tmp_path, tree):
+    trials = dg.generate_corpus(tree, 1, 2.0, seed=0)
+    path = tmp_path / "d.imfd"
+    dg.save_dataset(trials, tree, path)
+    blob = bytearray(path.read_bytes())
+    rate_at = 4 + 4 + 4 + 64 + 4 + len(trials[0].trial_id.encode())
+    assert np.frombuffer(blob[rate_at:rate_at + 8], "<f8")[0] == ft.FRAME_RATE_HZ
+    blob[rate_at:rate_at + 8] = np.float64(dg.RAW_RATE_HZ).tobytes()  # 20 Hz arrays, a 60 Hz label
+    path.write_bytes(blob)
+    with pytest.raises(dg.DatasetError, match=f"{trials[0].trial_id}: a dataset trial is 20 Hz, got rate 60"):
+        dg.load_dataset(path, tree)
+
+
 @pytest.mark.parametrize("value", [1.5, float("nan"), 1e300])
 def test_dataset_rejects_a_quaternion_that_is_not_unit(tmp_path, tree, value):
     trials = dg.generate_corpus(tree, 1, 2.0, seed=0)

@@ -327,7 +327,7 @@ def test_slide_brute_force_oracle_three_frames(tree):
     rot = np.broadcast_to(pose.rotations, (T, 24, 3, 3)).copy()
     root = np.stack([pose.root_position + [0.05 * i, 0.0, -0.02 * i] for i in range(T)])
     contacts = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=float)
-    frames = ft.encode_frames(tree, rot, root, np.zeros((T, 13, 3)), contacts)
+    frames = ft.encode_frames(kin.local_to_global(tree, rot), root, np.zeros((T, 13, 3)), contacts)
 
     pred = Tensor(frames[None].astype(np.float64))
     _, bd = df.diffusion_losses(pred, frames[None], *_ctx(tree))

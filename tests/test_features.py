@@ -19,7 +19,7 @@ def test_stationary_encode(tree):
     pose = kin.identity_pose(tree)
     rot = np.broadcast_to(pose.rotations, (T, 24, 3, 3)).copy()
     root = np.broadcast_to(pose.root_position, (T, 3)).copy()
-    frames = ft.encode_frames(tree, rot, root, np.zeros((T, 13, 3)), np.ones((T, 4)))
+    frames = ft.encode_frames(kin.local_to_global(tree, rot), root, np.zeros((T, 13, 3)), np.ones((T, 4)))
     np.testing.assert_array_equal(frames[:, ft.DP_OFF:ft.DP_OFF + 2], 0.0)
     np.testing.assert_array_equal(frames[:, ft.B_OFF:], 1.0)
     np.testing.assert_allclose(frames[:, ft.PY_OFF], pose.root_position[1])
@@ -32,7 +32,7 @@ def test_constant_velocity_dp(tree):
     rot = np.broadcast_to(pose.rotations, (T, 24, 3, 3)).copy()
     t = np.arange(T)[:, None] / ft.FRAME_RATE_HZ
     root = pose.root_position[None, :] + v[None, :] * t
-    frames = ft.encode_frames(tree, rot, root, np.zeros((T, 13, 3)), np.zeros((T, 4)))
+    frames = ft.encode_frames(kin.local_to_global(tree, rot), root, np.zeros((T, 13, 3)), np.zeros((T, 4)))
     np.testing.assert_allclose(frames[1:, ft.DP_OFF], v[0] / 20.0, atol=1e-12)
     np.testing.assert_allclose(frames[1:, ft.DP_OFF + 1], v[2] / 20.0, atol=1e-12)
     np.testing.assert_array_equal(frames[0, ft.DP_OFF:ft.DP_OFF + 2], 0.0)
@@ -45,7 +45,7 @@ def test_encode_decode_round_trip_random_motion(tree):
     root = np.cumsum(0.02 * rng.standard_normal((T, 3)), axis=0) + [0, 1, 0]
     acc = rng.standard_normal((T, 13, 3))
     con = (rng.random((T, 4)) < 0.5).astype(float)
-    frames = ft.encode_frames(tree, rot, root, acc, con)
+    frames = ft.encode_frames(kin.local_to_global(tree, rot), root, acc, con)
     # decode as the reconstructor does: orientations through 6-DOF and
     # the tree, the horizontal root path as the sum of dp from the
     # (unobservable) initial offset
@@ -66,7 +66,6 @@ def test_encode_decode_round_trip_random_motion(tree):
 def test_encode_misaligned_lengths_raise(tree):
     with pytest.raises(ft.FeatureError, match="misaligned"):
         ft.encode_frames(
-            tree,
             np.broadcast_to(np.eye(3), (5, 24, 3, 3)),
             np.zeros((5, 3)),
             np.zeros((4, 13, 3)),
@@ -206,7 +205,10 @@ def test_config_parse():
 
 
 def test_neutral_frame(tree):
-    f = ft.neutral_frame(tree)
+    f, contacts = ft.neutral_frame(tree)
+    assert contacts.shape == (4, 3)
+    # contact points relative to the root: the lowest is GROUND_CLEARANCE_M above ground at height py
+    assert contacts[:, 1].min() == pytest.approx(kin.GROUND_CLEARANCE_M - f[ft.PY_OFF], abs=1e-12)
     assert f.shape == (190,)
     np.testing.assert_array_equal(f[ft.B_OFF:], 1.0)
     assert 0.8 < f[ft.PY_OFF] < 1.1

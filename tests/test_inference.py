@@ -100,7 +100,7 @@ def test_inpaint_all_zero_mask_single_step(tiny_model):
     np.testing.assert_allclose(a, fast.predict(x.astype(np.float32), 0, 1.75), atol=1e-6)
 
 
-@pytest.mark.parametrize("variant", ["renoise", "ddim"])
+@pytest.mark.parametrize("variant", ["renoise"])
 def test_inpaint_mask_preservation_random(tiny_model, tree, variant):
     cfg, params, schedule, fast = tiny_model
     rng = np.random.default_rng(2)
@@ -108,24 +108,24 @@ def test_inpaint_mask_preservation_random(tiny_model, tree, variant):
         x = rng.standard_normal((61, 190))
         mask = (rng.random((61, 190)) < 0.7).astype(float)
         out = inf.inpaint_denoise(fast, schedule, x, mask, 1.7,
-                                  inf.StepSpread.like_10d(4), rng, variant=variant)
+                                  inf.StepSpread.like_10d(4), rng)
         keep = mask > 0.5
         assert out[keep].tobytes() == x[keep].tobytes()
         assert np.isfinite(out).all()
 
 
-@pytest.mark.parametrize("variant", ["renoise", "ddim"])
+@pytest.mark.parametrize("variant", ["renoise"])
 def test_inpaint_rejects_nonfinite_input(tiny_model, variant):
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(4).standard_normal((61, 190))
     x[3, 7] = np.nan
     with pytest.raises(inf.InferenceError, match="non-finite"):
         inf.inpaint_denoise(fast, schedule, x, np.ones_like(x), 1.75, inf.StepSpread.like_10d(3),
-                            np.random.default_rng(0), variant=variant)
+                            np.random.default_rng(0))
 
 
-def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng, variant):
-    """The inpainting loops written plainly: full-window predictions, fresh
+def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng):
+    """The inpainting loop written plainly: full-window predictions, fresh
     noise arrays and np.where edits."""
     keep = mask > 0.5
     dtype = model.dtype
@@ -136,19 +136,9 @@ def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng, variant):
         return np.sqrt(ab, dtype=dtype) * a + np.sqrt(1.0 - ab, dtype=dtype) * rng.standard_normal(
             a.shape, dtype=dtype)
 
-    if variant == "renoise":
-        x = xin
-        for t in spread.steps:
-            x = np.where(keep, xin, model.predict(noised(x, t), t, h))
-    else:
-        z = noised(xin, spread.steps[0])
-        for t, t_next in zip(spread.steps, spread.steps[1:] + (None,)):
-            x = np.where(keep, xin, model.predict(z, t, h))
-            if t_next is None:
-                break
-            ab, ab_next = schedule.alpha_bar[t], schedule.alpha_bar[t_next]
-            eps_hat = (z - np.sqrt(ab) * x) / np.sqrt(1.0 - ab)
-            z = np.sqrt(ab_next) * x + np.sqrt(1.0 - ab_next) * eps_hat
+    x = xin
+    for t in spread.steps:
+        x = np.where(keep, xin, model.predict(noised(x, t), t, h))
     out = x_input.copy()
     np.copyto(out, x, where=~keep)
     return out
@@ -162,9 +152,8 @@ def model64():
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 61), density=st.floats(0.0, 1.0),
-       variant=st.sampled_from(["renoise", "ddim"]))
-def test_inpaint_matches_full_window_reference(model64, seed, n_rows, density, variant):
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 61), density=st.floats(0.0, 1.0))
+def test_inpaint_matches_full_window_reference(model64, seed, n_rows, density):
     schedule, fast = model64
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((61, 190))
@@ -172,12 +161,12 @@ def test_inpaint_matches_full_window_reference(model64, seed, n_rows, density, v
     rows = rng.choice(61, size=n_rows, replace=False)
     mask[rows] = rng.random((n_rows, 190)) >= density
     spread = inf.StepSpread.like_10d(4)
-    got = inf.inpaint_denoise(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed), variant)
-    want = _inpaint_reference(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed), variant)
+    got = inf.inpaint_denoise(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed))
+    want = _inpaint_reference(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["renoise", "ddim"])
+@pytest.mark.parametrize("variant", ["renoise"])
 def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model, variant):
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(6).standard_normal((61, 190))
@@ -185,21 +174,11 @@ def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model, variant):
     mask[-1, 150:] = 0.0
     spread = inf.StepSpread.like_10d(7)
     rng = np.random.default_rng(13)
-    inf.inpaint_denoise(fast, schedule, x, mask, 1.75, spread, rng, variant=variant)
+    inf.inpaint_denoise(fast, schedule, x, mask, 1.75, spread, rng)
     fresh = np.random.default_rng(13)
-    for _ in range(len(spread) if variant == "renoise" else 1):
+    for _ in range(len(spread)):
         fresh.standard_normal((61, 190), dtype=np.float32)
     assert rng.bit_generator.state == fresh.bit_generator.state
-
-
-def test_inpaint_ddim_deterministic(tiny_model):
-    cfg, params, schedule, fast = tiny_model
-    x = np.random.default_rng(3).standard_normal((61, 190))
-    mask = np.zeros_like(x)
-    spread = inf.StepSpread.like_10d(6)
-    a = inf.inpaint_denoise(fast, schedule, x, mask, 1.75, spread, np.random.default_rng(9), variant="ddim")
-    b = inf.inpaint_denoise(fast, schedule, x, mask, 1.75, spread, np.random.default_rng(9), variant="ddim")
-    np.testing.assert_array_equal(a, b)
 
 
 # -- root correction -------------------------------------------------------
@@ -282,7 +261,7 @@ def _reference_session(recon, measurements):
         shifted = np.concatenate([recon.window[1:], recon.window[-1:]], axis=0)
         x_input, mask = ft.apply_observation(shifted, m, recon.tree, recon.config)
         out = inf.inpaint_denoise(recon.fast, recon.schedule, x_input, mask, recon.height,
-                                  recon.spread, recon.rng, variant=recon.variant)
+                                  recon.spread, recon.rng)
         emitted = out[-1].copy()
         emitted[ft.DP_OFF:ft.DP_OFF + 2] = _reference_root_correct(recon.window[-1], emitted,
                                                                    recon.scaled_tree)
@@ -344,6 +323,37 @@ def test_step_decodes_the_emitted_frame_once(tree, tiny_model, gait_trial, monke
     for m in list(inf.measurements_from_trial(gait_trial, config))[:6]:
         recon.step(m)
     assert calls == {"decode_rot6d": 6, "global_to_local": 6, "forward_kinematics": 6 * fk_calls}
+
+
+@pytest.mark.parametrize("root_correction", [True, False])
+def test_cold_start_runs_forward_kinematics_once(tree, tiny_model, monkeypatch, root_correction):
+    # one pass of the T-pose gives the standing height, the frame's
+    # orientations and the first contact points
+    cfg, params, schedule, fast = tiny_model
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, ft.SensorConfig(("pelvis",), True), height=1.7,
+                              spread=inf.StepSpread.like_10d(3), root_correction=root_correction)
+    calls = 0
+    fk = kin.forward_kinematics
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fk(*args, **kwargs)
+    for owner in (kin, ft):  # features imports it by name
+        monkeypatch.setattr(owner, "forward_kinematics", counted)
+    recon.cold_start()
+    assert calls == 1
+    monkeypatch.undo()
+    scaled = tree.scaled(1.7)
+    want = np.zeros(ft.FRAME_DIM)
+    want[ft.R_OFF:ft.R_OFF + ft.R_LEN] = np.tile([1.0, 0, 0, 0, 1, 0], ft.N_SEGMENTS)
+    want[ft.PY_OFF] = kin.standing_root_height(scaled)
+    want[ft.B_OFF:] = 1.0
+    np.testing.assert_array_equal(recon.window, np.tile(want, (ft.WINDOW_LEN, 1)))
+    if root_correction:
+        np.testing.assert_array_equal(recon.contact_xz, _contact_xz(recon.window[-1], scaled))
+    else:
+        assert recon.contact_xz is None
 
 
 def test_root_correct_changes_only_dp(tree, tiny_model, gait_trial):

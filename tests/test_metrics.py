@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -160,12 +162,19 @@ def test_rank_configs_tiebreak():
 
 
 def test_report_round_trip(tmp_path):
-    payload = {"kind": "evaluate", "metrics": {"GA_deg": 1.25, "RE10_m": None}}
+    payload = {"kind": "evaluate", "metrics": {"GA_deg": 1.25, "RE10_m": None},
+               "per_trial": [{"jitter": float("nan")}, {"jitter": np.float64(np.inf), "RE2_m": -np.inf}]}
     p = tmp_path / "r.json"
     mt.save_report(p, payload)
-    back = mt.load_report(p)
+    back = json.loads(p.read_text(), parse_constant=_refuse_constant)
+    assert back == mt.load_report(p)
     assert back["metrics"] == payload["metrics"]
+    assert back["per_trial"] == [{"jitter": None}, {"jitter": None, "RE2_m": None}]
     assert back["version"] == mt.REPORT_VERSION
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
 
 
 def test_sweep_builds_one_model_and_matches_one_model_per_session(tree, monkeypatch):
