@@ -200,7 +200,7 @@ def init_denoiser(cfg: DenoiserConfig, seed: int = 0, dtype=np.float32) -> dict[
 
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return tt.add(tt.matmul(x, w), b)
+    return tt.linear(x, w, b)
 
 
 def _split_heads(x: Tensor, nhead: int) -> Tensor:
@@ -294,13 +294,13 @@ def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
         k = _split_heads(qkv[:, :, d:2 * d], cfg.nhead)
         v = _split_heads(qkv[:, :, 2 * d:], cfg.nhead)
         attn = _merge_heads(tt.softmax_attention(q, k, v))
-        x = tt.layernorm(tt.add(x, _linear(attn, P[p + "attn.wo"], P[p + "attn.bo"])),
-                         P[p + "ln1.g"], P[p + "ln1.b"])
-        x = tt.layernorm(tt.add(x, _cross_attention(x, memory, P, p, cfg.nhead)),
-                         P[p + "ln2.g"], P[p + "ln2.b"])
+        x = tt.add_layernorm(x, _linear(attn, P[p + "attn.wo"], P[p + "attn.bo"]),
+                             P[p + "ln1.g"], P[p + "ln1.b"])
+        x = tt.add_layernorm(x, _cross_attention(x, memory, P, p, cfg.nhead),
+                             P[p + "ln2.g"], P[p + "ln2.b"])
         ffn = _linear(tt.gelu(_linear(x, P[p + "ff.w1"], P[p + "ff.b1"])),
                       P[p + "ff.w2"], P[p + "ff.b2"])
-        x = tt.layernorm(tt.add(x, ffn), P[p + "ln3.g"], P[p + "ln3.b"])
+        x = tt.add_layernorm(x, ffn, P[p + "ln3.g"], P[p + "ln3.b"])
 
     out = _linear(x[:, 2:, :], P["out_proj.w"], P["out_proj.b"])
     return out
@@ -534,6 +534,7 @@ def train(sample_batch: Callable[[int], tuple[np.ndarray, np.ndarray]],
         if log and (step % LOG_EVERY == 0 or step == cfg.steps - 1):
             grad_norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
             log({"step": step, **breakdown.as_dict(), "step_s": step_s, "grad_norm": grad_norm})
+        del grads  # not held through the next step's forward and backward
         if eval_windows is not None and (step + 1) % eval_every == 0:
             eval_curve.append(evaluate_simple_loss(cfg.model, params, schedule, *eval_windows, seed=cfg.seed))
     return TrainResult(params=params, schedule=schedule, losses=losses, eval_curve=eval_curve)

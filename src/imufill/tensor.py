@@ -2,13 +2,14 @@
 
 Just enough machinery to train the transformer denoiser, and no more.
 The op set is what `diffusion` builds its graph from: broadcast `add`,
-`sub`, `mul`, `div`, `tsqrt`, `gelu` and `layernorm`; (batched)
-`matmul`; `softmax` and `softmax_attention`; `tsum` and `cumsum`;
-`reshape`, `transpose`, `take`, `concat` and `stack`. Ops are called as
-functions: `Tensor` defines no arithmetic operators, and its one piece
-of syntax is indexing, `x[idx]` for `take(x, idx)`. Then `backward`,
-Adam and a finite-difference gradient checker. Arrays are numpy; the
-graph is a thin closure-based tape.
+`sub`, `mul`, `div`, `tsqrt` and `gelu`; the residual layernorm
+`add_layernorm`; `linear` (a batched operand times a 2-D weight plus a
+bias) and (batched) `matmul`; `softmax` and `softmax_attention`; `tsum`
+and `cumsum`; `reshape`, `transpose`, `take`, `concat` and `stack`. Ops
+are called as functions: `Tensor` defines no arithmetic operators, and
+its one piece of syntax is indexing, `x[idx]` for `take(x, idx)`. Then
+`backward`, Adam and a finite-difference gradient checker. Arrays are
+numpy; the graph is a thin closure-based tape.
 
 Conventions:
   * float64 for oracle/gradient-check work, float32 for training and
@@ -17,13 +18,18 @@ Conventions:
     an explicit reshape.
   * ops never mutate their inputs; `backward` returns a gradient map
     instead of scribbling on tensors.
-  * a batched operand times a 2-D weight, (..., m, k) @ (k, n), runs
-    forward and backward as one 2-D GEMM over the flattened batch, so
-    the weight gradient is a single (k, n) product, never a per-batch
-    stack summed afterwards.
-  * `layernorm` is one node whose vjp is the closed form (Ba et al.,
-    arXiv 1607.06450), not the composition of means, square roots and
-    divisions it replaces.
+  * a node keeps only what its vjp reads. A linear layer is one `linear`
+    node, not a product node and a bias-add node, so the tape holds no
+    bias-free product; a residual layernorm is one `add_layernorm` node,
+    so it holds no residual sum.
+  * `linear`'s batched operand times a 2-D weight, (..., m, k) @ (k, n),
+    runs forward and backward as one 2-D GEMM over the flattened batch,
+    so the weight gradient is a single (k, n) product, never a per-batch
+    stack summed afterwards. `matmul` is for products of two batched
+    operands (attention, the cross-attention fold, kinematics).
+  * `add_layernorm` is one node whose vjp is the closed form (Ba et al.,
+    arXiv 1607.06450), not the composition of a sum, means, square roots
+    and divisions it replaces.
   * a basic-index `take` hands `backward` its slice gradient alone;
     `backward` adds it into the one gradient accumulator of the sliced
     tensor, cast first to that tensor's dtype as the zero-padded buffer
@@ -31,8 +37,8 @@ Conventions:
     indices, which may repeat, still scatter with `np.add.at` into a
     buffer of their own. `backward` adds in place only into accumulators
     it allocated itself and only when the dtypes agree: a vjp may hand
-    one array to two parents (`add` does) or return views (`concat`,
-    `reshape`), and those are never written.
+    one array to two parents (`add` and `add_layernorm` do) or return
+    views (`concat`, `reshape`), and those are never written.
 """
 
 from __future__ import annotations
@@ -197,9 +203,16 @@ def gelu(a) -> Tensor:
     """tanh-approximated GELU; smooth everywhere so FD checks behave."""
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x * x * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # tanh(_GELU_C * (x + 0.044715 * x * x * x)), its argument built in
+    # one array
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
 
     def vjp(g):
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner) with
@@ -222,16 +235,20 @@ def gelu(a) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
-def layernorm(x, g, b) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * g + b over the last axis, as one node,
-    with eps = LAYERNORM_EPS.
+def add_layernorm(x, r, g, b) -> Tensor:
+    """(s - mean) / sqrt(var + eps) * g + b over the last axis of the
+    residual sum s = x + r, as one node, with eps = LAYERNORM_EPS; s is
+    normalized in its own array and not kept.
 
-    With xhat the normalized input and dy = grad * g, the vjp is the
-    closed form dx = (dy - mean(dy) - xhat * mean(dy * xhat)) / sqrt(var
-    + eps), dg = sum(grad * xhat) and db = sum(grad) over the leading axes.
+    With xhat the normalized sum and dy = grad * g, the vjp is the closed
+    form ds = (dy - mean(dy) - xhat * mean(dy * xhat)) / sqrt(var + eps),
+    handed to both x and r, dg = sum(grad * xhat) and db = sum(grad) over
+    the leading axes.
     """
-    x, g, b = _as_tensor(x), _as_tensor(g, x.dtype), _as_tensor(b, x.dtype)
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    x, r = _as_tensor(x), _as_tensor(r, x.dtype)
+    g, b = _as_tensor(g, x.dtype), _as_tensor(b, x.dtype)
+    xc = x.data + r.data
+    xc -= xc.mean(axis=-1, keepdims=True)
     std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
     xhat = np.divide(xc, std, out=xc)
     prod = xhat * g.data
@@ -243,9 +260,10 @@ def layernorm(x, g, b) -> Tensor:
         dx = dy - dy.mean(axis=-1, keepdims=True)
         dx = _into(np.subtract, dx, _into(np.multiply, xhat, dot, dy), dx)
         dx = _into(np.divide, dx, std, dx)
-        return dx, _unbroadcast(grad * xhat, g.shape), _unbroadcast(grad, b.shape)
+        return (_unbroadcast(dx, x.shape), _unbroadcast(dx, r.shape),
+                _unbroadcast(grad * xhat, g.shape), _unbroadcast(grad, b.shape))
 
-    return Tensor._make(out, (x, g, b), vjp)
+    return Tensor._make(out, (x, r, g, b), vjp)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -257,19 +275,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.ndim > 2 and b.ndim == 2:
-        # (..., m, k) @ (k, n): one GEMM over the flattened batch, and a
-        # (k, n) weight gradient without a per-batch stack to sum.
-        rows = math.prod(a.shape[:-1])
-        a2 = a.data.reshape(rows, a.shape[-1])
-        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-        def vjp(g):
-            g2 = g.reshape(rows, b.shape[1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
-
-        return Tensor._make(out, (a, b), vjp)
-
     out = a.data @ b.data
 
     def vjp(g):
@@ -278,6 +283,32 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return Tensor._make(out, (a, b), vjp)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a batched x (..., m, k), a 2-D weight w (k, n) and a
+    bias b that broadcasts to the product's shape, as one node.
+
+    The product is one GEMM over the flattened batch, and the bias is
+    added in place into its fresh array, unless numpy would promote the
+    sum to another dtype. The weight gradient is a single (k, n) product,
+    never a per-batch stack summed afterwards.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w, x.dtype), _as_tensor(b, x.dtype)
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"linear needs a >=2-d input and a 2-d weight, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
+    rows = math.prod(x.shape[:-1])
+    x2 = x.data.reshape(rows, x.shape[-1])
+    prod = (x2 @ w.data).reshape(x.shape[:-1] + w.shape[1:])
+    out = _into(np.add, prod, b.data, prod)
+
+    def vjp(g):
+        g2 = g.reshape(rows, w.shape[1])
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, _unbroadcast(g, b.shape)
+
+    return Tensor._make(out, (x, w, b), vjp)
 
 
 def softmax(a, axis: int = -1) -> Tensor:

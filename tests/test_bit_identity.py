@@ -11,7 +11,10 @@ replaced; the losses' in-graph FK, which scales the tree per window,
 against the per-batch context it replaced; and the body model's one
 synthesis pass per motion and forward kinematics through
 `local_to_global`, against the two passes and the own orientation loop
-they replaced.
+they replaced. The training graph's one-node `linear` and `add_layernorm`
+are checked, op by op and through a whole training step, against frozen
+copies of the two-node compositions they replaced, and the tape they
+leave must be smaller by what those compositions kept and no vjp read.
 """
 
 import functools
@@ -396,3 +399,214 @@ def test_forward_kinematics_matches_frozen_own_orientation_loop(tree, toy, batch
     got, want = kin.forward_kinematics(body, rot, root), _ref_forward_kinematics(body, rot, root)
     for name in ("globals_", "joints", "sites", "contacts"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# -- training graph -------------------------------------------------------------
+
+
+def _ref_matmul(a, b):
+    """`tensor.matmul`'s (..., m, k) @ (k, n) branch, as it was."""
+    rows = math.prod(a.shape[:-1])
+    a2 = a.data.reshape(rows, a.shape[-1])
+    out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+    def vjp(g):
+        g2 = g.reshape(rows, b.shape[1])
+        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+    return Tensor._make(out, (a, b), vjp)
+
+
+def _ref_layernorm_node(x, g, b):
+    """`tensor.layernorm`, the one-input node, as it was."""
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + tt.LAYERNORM_EPS)
+    xhat = np.divide(xc, std, out=xc)
+    prod = xhat * g.data
+    out = tt._into(np.add, prod, b.data, prod)
+
+    def vjp(grad):
+        dy = grad * g.data
+        dot = (dy * xhat).mean(axis=-1, keepdims=True)
+        dx = dy - dy.mean(axis=-1, keepdims=True)
+        dx = tt._into(np.subtract, dx, tt._into(np.multiply, xhat, dot, dy), dx)
+        dx = tt._into(np.divide, dx, std, dx)
+        return dx, tt._unbroadcast(grad * xhat, g.shape), tt._unbroadcast(grad, b.shape)
+
+    return Tensor._make(out, (x, g, b), vjp)
+
+
+def _ref_linear(x, w, b, kept):
+    """A linear layer as two nodes; `kept` collects the bias-free product."""
+    kept.append(_ref_matmul(x, w))
+    return tt.add(kept[-1], b)
+
+
+def _ref_add_layernorm(x, r, g, b, kept):
+    """A residual layernorm as two nodes; `kept` collects the residual sum."""
+    kept.append(tt.add(x, r))
+    return _ref_layernorm_node(kept[-1], g, b)
+
+
+def _ref_denoiser_forward(cfg, params, z, t, h, kept):
+    """`denoiser_forward`, with `_condition_tokens` and `_cross_attention`
+    inlined, over the two-node compositions."""
+    P = params
+    dtype = P["in_proj.w"].dtype
+    z = Tensor(np.asarray(z, dtype=dtype))
+    d, nhead = cfg.width, cfg.nhead
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
+    B = len(t)
+    step_in = Tensor(df.sinusoidal_embedding(t, d).reshape(B, 1, d).astype(dtype))
+    step_tok = _ref_linear(tt.gelu(_ref_linear(step_in, P["step_mlp.w1"], P["step_mlp.b1"], kept)),
+                           P["step_mlp.w2"], P["step_mlp.b2"], kept)
+    h_in = Tensor(h.reshape(B, 1, 1).astype(dtype))
+    height_tok = _ref_linear(tt.gelu(_ref_linear(h_in, P["height_mlp.w1"], P["height_mlp.b1"], kept)),
+                             P["height_mlp.w2"], P["height_mlp.b2"], kept)
+
+    pos = Tensor(df.sinusoidal_embedding(np.arange(ft.WINDOW_LEN), d)[None].astype(dtype))
+    frames = tt.add(_ref_linear(z, P["in_proj.w"], P["in_proj.b"], kept), pos)
+    tokens = tt.concat([step_tok, height_tok, frames], axis=1)
+    memory = tt.concat([step_tok, height_tok], axis=1)
+
+    x = tokens
+    for i in range(cfg.layers):
+        p = f"layers.{i}."
+        qkv = _ref_linear(x, P[p + "attn.wqkv"], P[p + "attn.bqkv"], kept)
+        q = df._split_heads(qkv[:, :, :d], nhead)
+        k = df._split_heads(qkv[:, :, d:2 * d], nhead)
+        v = df._split_heads(qkv[:, :, 2 * d:], nhead)
+        attn = df._merge_heads(tt.softmax_attention(q, k, v))
+        x = _ref_add_layernorm(x, _ref_linear(attn, P[p + "attn.wo"], P[p + "attn.bo"], kept),
+                               P[p + "ln1.g"], P[p + "ln1.b"], kept)
+        T = x.shape[1]
+        ckv = _ref_linear(memory, P[p + "cross.wkv"], P[p + "cross.bkv"], kept)
+        ws, bs, vo = df._cross_fold(ckv, P, p, nhead)
+        weights = tt.softmax(tt.reshape(tt.add(tt.matmul(x, ws), bs), (B, T, nhead, 2)), axis=-1)
+        cross = tt.add(tt.matmul(tt.reshape(weights, (B, T, 2 * nhead)), vo), P[p + "cross.bo"])
+        x = _ref_add_layernorm(x, cross, P[p + "ln2.g"], P[p + "ln2.b"], kept)
+        ffn = _ref_linear(tt.gelu(_ref_linear(x, P[p + "ff.w1"], P[p + "ff.b1"], kept)),
+                          P[p + "ff.w2"], P[p + "ff.b2"], kept)
+        x = _ref_add_layernorm(x, ffn, P[p + "ln3.g"], P[p + "ln3.b"], kept)
+
+    return _ref_linear(x[:, 2:, :], P["out_proj.w"], P["out_proj.b"], kept)
+
+
+def _operand(rng, shape, dtype, sliced):
+    """A trainable operand of `shape`, or a `[:, 2:]` slice of a larger one,
+    as `out_proj` reads the frame tokens."""
+    full = (shape[0], shape[1] + 2 * sliced) + shape[2:]
+    leaf = Tensor((2.0 * rng.standard_normal(full)).astype(dtype), requires_grad=True)
+    return leaf[:, 2:] if sliced else leaf
+
+
+@pytest.mark.parametrize("bias_dtype", ["same", "other"])
+@pytest.mark.parametrize("sliced", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 61, 24), (2, 3, 5, 7)])
+def test_linear_matches_frozen_matmul_and_add_bit_for_bit(shape, dtype, sliced, bias_dtype):
+    rng = np.random.default_rng(sum(shape) + sliced)
+    x = _operand(rng, shape, dtype, sliced)
+    assert x.data.flags.c_contiguous != sliced
+    w = Tensor(rng.standard_normal((shape[-1], 9)).astype(dtype), requires_grad=True)
+    other = np.float32 if dtype == np.float64 else np.float64
+    b = Tensor(rng.standard_normal(9).astype(dtype if bias_dtype == "same" else other), requires_grad=True)
+    got, want = tt.linear(x, w, b), tt.add(_ref_matmul(x, w), b)
+    assert _same(got.data, want.data)
+    g = rng.standard_normal(got.shape).astype(got.dtype)
+    g_prod, gb = want._vjp(g)
+    gx, gw = want._parents[0]._vjp(g_prod)
+    grads = got._vjp(g)
+    assert len(grads) == 3 and all(_same(a, e) for a, e in zip(grads, (gx, gw, gb)))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("sliced", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 61, 64), (2, 1, 96)])
+def test_add_layernorm_matches_frozen_add_and_layernorm_bit_for_bit(shape, dtype, sliced, mixed):
+    rng = np.random.default_rng(shape[-1] + sliced + 2 * mixed)
+    x = _operand(rng, shape, dtype, sliced)
+    r_dtype = (np.float32 if dtype == np.float64 else np.float64) if mixed else dtype
+    r = Tensor((50.0 * rng.standard_normal(shape)).astype(r_dtype), requires_grad=True)
+    r.data[0, ::3] = -x.data[0, ::3]  # rows whose residual sum cancels
+    g = Tensor(rng.standard_normal(shape[-1]).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape[-1]).astype(dtype), requires_grad=True)
+    got, want = tt.add_layernorm(x, r, g, b), _ref_layernorm_node(tt.add(x, r), g, b)
+    assert _same(got.data, want.data)
+    grad = rng.standard_normal(got.shape).astype(got.dtype)
+    d_sum, dg, db = want._vjp(grad)
+    dx, dr = want._parents[0]._vjp(d_sum)
+    grads = got._vjp(grad)
+    assert len(grads) == 4 and all(_same(a, e) for a, e in zip(grads, (dx, dr, dg, db)))
+
+
+def _trainable(params):
+    return {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
+
+
+@pytest.fixture(scope="module")
+def batch4(tree):
+    feats = dg.make_trial(dg.generate_motion("gait", seed=4, duration_s=8.0, speed=1.3), tree).features(tree)
+    return np.stack([feats[s:s + 61] for s in (0, 17, 40, 90)]), np.array([1.55, 1.75, 1.93, 1.62])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layers,width,ff", [(2, 64, 128), (3, 32, 48)])
+def test_training_step_matches_frozen_composed_forward_bit_for_bit(tree, batch4, monkeypatch,
+                                                                   layers, width, ff, dtype):
+    # three layers give the cross-attention memory three consumers, so a
+    # change in the order their gradients are summed would show
+    cfg = df.DenoiserConfig(layers=layers, width=width, ff=ff)
+    params = _trainable(_with_biases(df.init_denoiser(cfg, seed=layers, dtype=dtype), seed=width))
+    windows, heights = batch4
+    ts = np.array([3, 250, 600, 1000])
+    schedule = df.build_cosine_schedule()
+    got_bd, got = df.training_step(cfg, params, schedule, windows, heights, ts,
+                                   np.random.default_rng(9), tree)
+    monkeypatch.setattr(df, "denoiser_forward", functools.partial(_ref_denoiser_forward, kept=[]))
+    want_bd, want = df.training_step(cfg, params, schedule, windows, heights, ts,
+                                     np.random.default_rng(9), tree)
+    assert got_bd.as_dict() == want_bd.as_dict()
+    assert set(got) == set(want) == set(params)
+    for name in params:
+        assert _same(got[name], want[name]), name
+
+
+def _tape_bytes(root):
+    """Bytes of the distinct arrays reachable from `root`: every node's
+    data and every array its vjp closure holds, each buffer counted once."""
+    buffers = {}
+
+    def add(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a.nbytes
+
+    for node in tt._toposort(root):
+        add(node.data)
+        for cell in (node._vjp.__closure__ or ()) if node._vjp else ():
+            held = cell.cell_contents
+            held = held.data if isinstance(held, Tensor) else held
+            if isinstance(held, np.ndarray):
+                add(held)
+    return sum(buffers.values())
+
+
+def test_tape_holds_no_bias_free_product_or_residual_sum(tree, batch4):
+    cfg = df.DenoiserConfig(layers=2, width=64, ff=128)
+    params = _trainable(df.init_denoiser(cfg, seed=2))
+    windows, heights = batch4
+    ts = np.array([3, 250, 600, 1000])
+    z = df.noise_window(windows, ts, df.build_cosine_schedule(), np.random.default_rng(6))
+    total, _ = df.diffusion_losses(df.denoiser_forward(cfg, params, z, ts, heights), windows, tree, heights)
+    kept = []
+    ref_total, _ = df.diffusion_losses(_ref_denoiser_forward(cfg, params, z, ts, heights, kept),
+                                       windows, tree, heights)
+    unread = sum(t.data.nbytes for t in kept)
+    # the products of six linear layers outside the blocks and five in each,
+    # and three residual sums in each block
+    assert len(kept) == 6 + 8 * cfg.layers
+    new, old = _tape_bytes(total), _tape_bytes(ref_total)
+    assert new <= old - unread, (new, old, unread)

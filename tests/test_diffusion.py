@@ -1,5 +1,7 @@
+import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -401,6 +403,26 @@ def test_train_loss_decreases_and_is_deterministic(tree, stationary_window):
     c2 = [b.total for b in r2.losses]
     np.testing.assert_array_equal(c1, c2)  # identical loss curve under fixed seed
     assert np.mean(c1[-10:]) < 0.5 * np.mean(c1[:5])
+
+
+def test_train_releases_each_steps_gradients_before_the_next_step(monkeypatch, tree, stationary_window):
+    cfg = df.TrainConfig(model=df.DenoiserConfig(layers=1, width=16, ff=32),
+                         steps=3, batch=1, lr=1e-3, seed=5, T=100)
+    real, held, alive_on_entry, norms = df.training_step, [], [], []
+
+    def spy(*args):
+        alive_on_entry.append(sum(ref() is not None for ref in held))
+        breakdown, grads = real(*args)
+        held[:] = [weakref.ref(g) for g in grads.values()]
+        norms.append(math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values())))
+        return breakdown, grads
+
+    monkeypatch.setattr(df, "training_step", spy)
+    records = []
+    df.train(lambda n: (stationary_window[None], np.array([1.75])), tree, cfg, log=records.append)
+    assert alive_on_entry == [0, 0, 0]  # step n's gradients are gone when step n+1 starts
+    # the logged norm is still that of the step's own gradients
+    assert [r["grad_norm"] for r in records] == [norms[0], norms[2]]
 
 
 def test_checkpoint_round_trip(tmp_path, tree):

@@ -39,25 +39,38 @@ def test_matmul_gradient_vs_finite_differences():
     assert report.max_rel_err < 1e-6, report
 
 
-def test_matmul_batched_by_2d_gradient():
-    # (..., m, k) @ (k, n) runs as one flattened GEMM forward and backward
+def test_linear_batched_by_2d_gradient():
+    # (..., m, k) @ (k, n) + b runs as one flattened GEMM forward and backward
     rng = np.random.default_rng(13)
     a = randt(rng, 2, 3, 4, 5)
-    b = randt(rng, 5, 3)
-    np.testing.assert_allclose(tt.matmul(a, b).data, a.data @ b.data, rtol=1e-12)
-    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.matmul(a, b), tt.matmul(a, b))), {"a": a, "b": b})
+    w = randt(rng, 5, 3)
+    b = randt(rng, 3)
+    np.testing.assert_allclose(tt.linear(a, w, b).data, a.data @ w.data + b.data, rtol=1e-12)
+    leaves = {"a": a, "w": w, "b": b}
+    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.linear(a, w, b), tt.linear(a, w, b))), leaves)
     assert report.max_rel_err < 1e-6, report
 
 
-def test_matmul_noncontiguous_batched_by_2d_gradient():
+def test_linear_noncontiguous_batched_by_2d_gradient():
     rng = np.random.default_rng(14)
     a = randt(rng, 3, 5, 4)
-    b = randt(rng, 5, 2)
+    w = randt(rng, 5, 2)
+    b = randt(rng, 2)
     at = tt.transpose(a, (0, 2, 1))  # (3, 4, 5), not contiguous
     assert not at.data.flags.c_contiguous
-    np.testing.assert_allclose(tt.matmul(at, b).data, at.data @ b.data, rtol=1e-12)
-    report = tt.gradcheck(lambda: tt.tsum(tt.gelu(tt.matmul(at, b))), {"a": a, "b": b})
+    np.testing.assert_allclose(tt.linear(at, w, b).data, at.data @ w.data + b.data, rtol=1e-12)
+    # a quadratic loss, whose central differences are exact: gelu's third
+    # derivative alone puts a 6e-6 truncation error on one small gradient here
+    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.linear(at, w, b), tt.linear(at, w, b))),
+                          {"a": a, "w": w, "b": b})
     assert report.max_rel_err < 1e-6, report
+
+
+def test_linear_shape_mismatch_reports_both_shapes():
+    with pytest.raises(tt.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+        tt.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(tt.ShapeError, match=r"2-d weight"):
+        tt.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros(2)))
 
 
 def test_matmul_batched_by_batched_gradient():
@@ -143,31 +156,33 @@ def _layernorm_nodes(x, g, b, eps=1e-5):
     return tt.add(tt.mul(tt.div(xc, tt.tsqrt(tt.add(var, eps))), g), b)
 
 
-def test_layernorm_gradient_vs_finite_differences():
+def test_add_layernorm_gradient_vs_finite_differences():
     rng = np.random.default_rng(21)
     x = randt(rng, 3, 4, 6)
+    r = randt(rng, 3, 4, 6)
     g = randt(rng, 6)
     b = randt(rng, 6)
     w = Tensor(rng.standard_normal((3, 4, 6)))
-    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.gelu(tt.layernorm(x, g, b)), w)),
-                          {"x": x, "g": g, "b": b})
+    report = tt.gradcheck(lambda: tt.tsum(tt.mul(tt.gelu(tt.add_layernorm(x, r, g, b)), w)),
+                          {"x": x, "r": r, "g": g, "b": b})
     assert report.max_rel_err < 1e-6, report
 
 
-def test_layernorm_matches_nine_node_composition():
+def test_add_layernorm_matches_ten_node_composition():
     rng = np.random.default_rng(22)
     x = randt(rng, 2, 5, 8, scale=3.0)
+    r = randt(rng, 2, 5, 8)
     g = randt(rng, 8)
     b = randt(rng, 8)
     w = Tensor(rng.standard_normal((2, 5, 8)))
-    params = {"x": x, "g": g, "b": b}
-    one = tt.layernorm(x, g, b)
-    nine = _layernorm_nodes(x, g, b)
-    np.testing.assert_allclose(one.data, nine.data, rtol=0, atol=1e-12)
+    params = {"x": x, "r": r, "g": g, "b": b}
+    one = tt.add_layernorm(x, r, g, b)
+    ten = _layernorm_nodes(tt.add(x, r), g, b)
+    np.testing.assert_allclose(one.data, ten.data, rtol=0, atol=1e-12)
     g_one = tt.grads_by_name(tt.tsum(tt.mul(one, w)), params)
-    g_nine = tt.grads_by_name(tt.tsum(tt.mul(nine, w)), params)
+    g_ten = tt.grads_by_name(tt.tsum(tt.mul(ten, w)), params)
     for name in params:
-        np.testing.assert_allclose(g_one[name], g_nine[name], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(g_one[name], g_ten[name], rtol=0, atol=1e-12)
 
 
 def test_elementwise_trivial():
@@ -230,8 +245,11 @@ def test_gelu_vjp_bit_identical_to_closed_form():
         t = np.tanh(c * (x + 0.044715 * x * x * x))
         dinner = c * (1.0 + 3 * 0.044715 * x * x)
         ref = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
-        (got,) = tt.gelu(Tensor(x, requires_grad=True))._vjp(g)
+        node = tt.gelu(Tensor(x, requires_grad=True))
+        (got,) = node._vjp(g)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        out = 0.5 * x * (1.0 + t)
+        assert node.data.dtype == out.dtype and node.data.tobytes() == out.tobytes()
 
 
 def test_cumsum_take_concat_gradients():
@@ -324,23 +342,31 @@ def test_ops_do_not_mutate_inputs():
     tt.add(x, x)
     np.testing.assert_array_equal(x.data, before)
 
-    # the flattened batched-by-2-D product and both take paths, forward and backward
+    # linear (its bias added in place, in both dtypes) and both take paths,
+    # forward and backward
     a = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     w = Tensor(x.data, requires_grad=True)
     a_before = a.data.copy()
-    loss = tt.add(tt.add(tt.tsum(tt.matmul(a, w)), tt.tsum(a[:, 1:])), tt.tsum(a[[0, 0], 2]))
-    tt.grads_by_name(loss, {"a": a, "w": w})
-    np.testing.assert_array_equal(a.data, a_before)
-    np.testing.assert_array_equal(w.data, before)
+    for bias in (rng.standard_normal(3), rng.standard_normal(3).astype(np.float32)):
+        c = Tensor(bias, requires_grad=True)
+        for inp in (a, a[:, 1:]):
+            lin = tt.linear(inp, w, c)
+            loss = tt.add(tt.add(tt.tsum(tt.mul(lin, lin)), tt.tsum(a[:, 1:])), tt.tsum(a[[0, 0], 2]))
+            tt.grads_by_name(loss, {"a": a, "w": w, "c": c})
+        np.testing.assert_array_equal(a.data, a_before)
+        np.testing.assert_array_equal(w.data, before)
+        np.testing.assert_array_equal(c.data, bias)
 
-    # layernorm, forward and backward
+    # add_layernorm, forward and backward
+    r = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     g = Tensor(rng.standard_normal(3), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    kept = (g.data.copy(), b.data.copy())
-    tt.grads_by_name(tt.tsum(tt.mul(tt.layernorm(a, g, b), a)), {"a": a, "g": g, "b": b})
+    kept = (r.data.copy(), g.data.copy(), b.data.copy())
+    leaves = {"a": a, "r": r, "g": g, "b": b}
+    tt.grads_by_name(tt.tsum(tt.mul(tt.add_layernorm(a, r, g, b), a)), leaves)
     np.testing.assert_array_equal(a.data, a_before)
-    np.testing.assert_array_equal(g.data, kept[0])
-    np.testing.assert_array_equal(b.data, kept[1])
+    for t, copy in zip((r, g, b), kept):
+        np.testing.assert_array_equal(t.data, copy)
 
 
 def test_adam_does_not_mutate_inputs():
@@ -432,14 +458,15 @@ def test_property_random_composite_gradcheck(seed):
     b = randt(rng, 4, 2, scale=0.7)
     g = randt(rng, 4, scale=0.7)
     c = randt(rng, 4, scale=0.7)
+    r = randt(rng, 3, 4, scale=0.7)
 
     def loss():
         h = tt.gelu(tt.matmul(a, b))
         p = tt.softmax(h, axis=-1)
         return tt.add(tt.add(tt.tsum(tt.mul(p, p)), tt.tsum(tt.gelu(tt.mul(a, 0.1)))),
-                      tt.tsum(tt.gelu(tt.layernorm(a, g, c))))
+                      tt.tsum(tt.gelu(tt.add_layernorm(a, r, g, c))))
 
-    report = tt.gradcheck(loss, {"a": a, "b": b, "g": g, "c": c})
+    report = tt.gradcheck(loss, {"a": a, "b": b, "g": g, "c": c, "r": r})
     assert report.max_rel_err < 1e-4, report
 
 
