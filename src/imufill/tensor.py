@@ -18,10 +18,27 @@ Conventions:
     an explicit reshape.
   * ops never mutate their inputs; `backward` returns a gradient map
     instead of scribbling on tensors.
+  * `backward` consumes the tape. It pops the nodes off the topological
+    order, and once a node's vjp has run the node drops its vjp and its
+    parents, so each saved activation is freed as soon as the gradients
+    of all its consumers exist. A second backward through a consumed
+    graph raises ContractError.
   * a node keeps only what its vjp reads. A linear layer is one `linear`
     node, not a product node and a bias-add node, so the tape holds no
     bias-free product; a residual layernorm is one `add_layernorm` node,
-    so it holds no residual sum.
+    so it holds no residual sum; `gelu` keeps only its input, and its
+    vjp recomputes the tanh (Chen et al., arXiv 1604.06174).
+  * `linear`, `add`, `sub`, `mul` and `matmul` compute no gradient for
+    an operand that is neither a parameter nor computed from one (the
+    noised window, the attention scale, the position table, the loss
+    targets, the FK offsets): their vjp hands `backward` None for it.
+  * the elementwise chains of `gelu` and `adam_step` run over blocks of
+    about _BLOCK elements of the flattened arrays, written into
+    preallocated outputs, so their intermediates stay in cache instead
+    of streaming full-size temporaries. Each element sees the same
+    operations in the same order and dtypes as the full-array
+    expression, so every result is bit-identical to it. Adam's transient
+    memory is a pair of block-sized scratch arrays.
   * `linear`'s batched operand times a 2-D weight, (..., m, k) @ (k, n),
     runs forward and backward as one 2-D GEMM over the flattened batch,
     so the weight gradient is a single (k, n) product, never a per-batch
@@ -53,6 +70,9 @@ DEFAULT_DTYPE = np.float32
 LAYERNORM_EPS = 1e-5  # the graph and the fast forward both read it, so they agree
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# elements per block of an elementwise chain: the few block-sized arrays
+# of one block (128 KiB each in float32) stay in a 2 MiB L2
+_BLOCK = 1 << 15
 
 
 class ShapeError(ValueError):
@@ -106,7 +126,7 @@ class Tensor:
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
-        track = any(p.requires_grad or p._vjp is not None for p in parents)
+        track = any(_tracked(p) for p in parents)
         out.requires_grad = False
         out._parents = parents if track else ()
         out._vjp = vjp if track else None
@@ -115,6 +135,12 @@ class Tensor:
     # -- indexing --------------------------------------------------------
     def __getitem__(self, idx):
         return take(self, idx)
+
+
+def _tracked(t: Tensor) -> bool:
+    """True for a parameter or a tensor computed from one: only those
+    have a gradient that anything reads."""
+    return t.requires_grad or t._vjp is not None
 
 
 def _as_tensor(x, dtype=None) -> Tensor:
@@ -142,15 +168,24 @@ def _into(ufunc, x, y, spare: np.ndarray) -> np.ndarray:
     return ufunc(x, y, out=spare if spare.dtype == np.result_type(x, y) else None)
 
 
+def _blocks(size: int) -> tuple[int, list[slice]]:
+    """The elements per block, at most _BLOCK and at least one, and the
+    blocks' slices over a flattened array of `size` elements."""
+    step = max(1, min(size, _BLOCK))
+    return step, [slice(i, i + step) for i in range(0, size, step)]
+
+
 # -- elementwise arithmetic ----------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
     out = a.data + b.data
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     return Tensor._make(out, (a, b), vjp)
 
@@ -158,9 +193,11 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
     out = a.data - b.data
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(-g, b.shape) if need_b else None)
 
     return Tensor._make(out, (a, b), vjp)
 
@@ -168,9 +205,11 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b, a.dtype)
     out = a.data * b.data
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if need_a else None,
+                _unbroadcast(g * a.data, b.shape) if need_b else None)
 
     return Tensor._make(out, (a, b), vjp)
 
@@ -199,38 +238,71 @@ def tsqrt(a) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
-def gelu(a) -> Tensor:
-    """tanh-approximated GELU; smooth everywhere so FD checks behave."""
-    a = _as_tensor(a)
-    x = a.data
-    # tanh(_GELU_C * (x + 0.044715 * x * x * x)), its argument built in
-    # one array
-    t = 0.044715 * x
+def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(_GELU_C * (x + 0.044715 * x * x * x)), its argument built in
+    place in `out`."""
+    t = np.multiply(0.044715, x, out=out)
     t *= x
     t *= x
     t += x
     t *= _GELU_C
-    np.tanh(t, out=t)
-    out = 0.5 * x
-    out *= 1.0 + t
+    return np.tanh(t, out=t)
+
+
+def _gelu_block(x: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
+    """0.5 * x * (1 + tanh(...)) into `out`, with `t` as scratch."""
+    t = _gelu_tanh(x, t)
+    t += 1.0
+    np.multiply(0.5, x, out=out)
+    out *= t
+
+
+def _gelu_grad_block(x: np.ndarray, g: np.ndarray, out: np.ndarray,
+                     t: np.ndarray, half: np.ndarray, d: np.ndarray) -> None:
+    """g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner) with
+    dinner = _GELU_C * (1 + 3 * 0.044715 * x * x), term by term in that
+    order, into `out` with three scratch arrays."""
+    t = _gelu_tanh(x, t)
+    half = np.add(1.0, t, out=half)
+    half *= 0.5
+    sech2 = np.multiply(t, t, out=t)
+    np.subtract(1.0, sech2, out=sech2)
+    d = np.multiply(0.5, x, out=d)
+    d *= sech2
+    dinner = np.multiply(3 * 0.044715, x, out=sech2)  # sech2 is spent
+    dinner *= x
+    dinner += 1.0
+    dinner *= _GELU_C
+    d *= dinner
+    np.add(half, d, out=d)
+    np.multiply(g, d, out=out)
+
+
+def gelu(a) -> Tensor:
+    """tanh-approximated GELU; smooth everywhere so FD checks behave.
+
+    The node keeps only its input: the vjp recomputes the tanh. Forward
+    and vjp run block by block over the flattened arrays, into
+    preallocated outputs and scratch.
+    """
+    a = _as_tensor(a)
+    x = a.data
+    step, blocks = _blocks(x.size)
+    out = np.empty(x.shape, x.dtype)
+    xf, of, t = x.reshape(-1), out.reshape(-1), np.empty(step, x.dtype)
+    for s in blocks:
+        xb = xf[s]
+        _gelu_block(xb, of[s], t[:len(xb)])
 
     def vjp(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner) with
-        # dinner = _GELU_C * (1 + 3 * 0.044715 * x * x), term by term in
-        # that order, in three arrays instead of one per operation.
-        dinner = 3 * 0.044715 * x
-        dinner *= x
-        dinner += 1.0
-        dinner *= _GELU_C
-        sech2 = t * t
-        np.subtract(1.0, sech2, out=sech2)
-        d = 0.5 * x
-        d *= sech2
-        d *= dinner
-        half = np.add(1.0, t, out=sech2)  # sech2 is spent; reuse it
-        half *= 0.5
-        np.add(half, d, out=d)
-        return (_into(np.multiply, g, d, d),)
+        res = np.empty(x.shape, np.result_type(g, x))
+        xf, gf, rf = x.reshape(-1), g.reshape(-1), res.reshape(-1)
+        t, half, d = (np.empty(step, x.dtype) for _ in range(3))
+        for s in blocks:
+            xb = xf[s]
+            n = len(xb)
+            _gelu_grad_block(xb, gf[s], rf[s], t[:n], half[:n], d[:n])
+        return (res,)
 
     return Tensor._make(out, (a,), vjp)
 
@@ -276,11 +348,11 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = a.data @ b.data
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if need_a else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if need_b else None)
 
     return Tensor._make(out, (a, b), vjp)
 
@@ -303,10 +375,13 @@ def linear(x, w, b) -> Tensor:
     x2 = x.data.reshape(rows, x.shape[-1])
     prod = (x2 @ w.data).reshape(x.shape[:-1] + w.shape[1:])
     out = _into(np.add, prod, b.data, prod)
+    need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)
 
     def vjp(g):
         g2 = g.reshape(rows, w.shape[1])
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, _unbroadcast(g, b.shape)
+        return ((g2 @ w.data.T).reshape(x.shape) if need_x else None,
+                x2.T @ g2 if need_w else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     return Tensor._make(out, (x, w, b), vjp)
 
@@ -468,35 +543,44 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[int, np.ndarray]:
-    """Reverse-mode sweep from a scalar loss.
+def _released(g):
+    raise ContractError("backward already ran through this graph and released it")
 
-    Returns a map id(tensor) -> gradient for every leaf with
-    requires_grad; parameters listed in `params` but unreachable from the
-    loss get explicit zeros. Visits each graph node exactly once.
+
+def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[int, np.ndarray]:
+    """Reverse-mode sweep from a scalar loss; it consumes the graph.
+
+    Returns a map id(p) -> gradient for each of `params`, which must be
+    leaves with requires_grad; one the loss does not reach gets explicit
+    zeros. Visits each graph node exactly
+    once, popping it off the topological order; once its vjp has run the
+    node drops the vjp and its parents, so what they held is freed as the
+    sweep goes. A second backward through the graph raises ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    params = list(params)
+    if not all(p.requires_grad and p._vjp is None for p in params):
+        raise ContractError("backward computes gradients only for parameters: leaves with requires_grad")
+    wanted = {id(p) for p in params}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()  # ids of nodes whose accumulator this sweep allocated
-    for node in reversed(_toposort(loss)):
+    order = _toposort(loss)
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         owned.discard(id(node))
-        if g is None or node._vjp is None:
-            if g is not None and (node.requires_grad or node._vjp is None):
-                grads[id(node)] = g  # keep leaf grads
+        vjp, parents = node._vjp, node._parents
+        if vjp is None:
+            if g is not None and id(node) in wanted:
+                grads[id(node)] = g  # keep the parameters' gradients
             continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is not None:
-                _accumulate(grads, owned, p, pg)
-    out: dict[int, np.ndarray] = {}
-    if params is not None:
-        for p in params:
-            out[id(p)] = grads.get(id(p), np.zeros_like(p.data))
-    else:
-        out = grads
-    return out
+        node._vjp, node._parents = _released, ()
+        if g is not None:
+            for p, pg in zip(parents, vjp(g)):
+                if pg is not None:
+                    _accumulate(grads, owned, p, pg)
+    return {id(p): grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params}
 
 
 def _accumulate(grads: dict[int, np.ndarray], owned: set[int], p: Tensor, pg) -> None:
@@ -546,11 +630,17 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update; purely functional, deterministic."""
+    """One bias-corrected Adam update; purely functional, deterministic.
+
+    Runs block by block over each flattened parameter, with two
+    block-sized scratch arrays, and writes the new parameter and moments
+    into arrays of the parameter's dtype that it allocates.
+    """
     if state is None:
         state = AdamState()
     b1, b2 = betas
     t = state.step + 1
+    c1, c2 = 1 - b1**t, 1 - b2**t
     new_params: dict[str, Tensor] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
@@ -558,24 +648,35 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"adam: grad shape {g.shape} != param shape {p.shape} for {name}")
-        # m = b1 * m_prev + (1 - b1) * g and so on, each operation as the
-        # closed form evaluates it, but written into arrays this call
-        # allocated, never into the inputs.
-        gm = (1 - b1) * g
-        m = _into(np.add, b1 * state.m.get(name, 0.0), gm, gm)
-        gv = g * g
-        gv = _into(np.multiply, 1 - b2, gv, gv)
-        v = _into(np.add, b2 * state.v.get(name, 0.0), gv, gv)
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        denom = _into(np.add, np.sqrt(vhat, out=vhat), eps, vhat)
-        step = _into(np.multiply, lr, mhat, mhat)
-        step = _into(np.divide, step, denom, step)  # lr * mhat / (sqrt(vhat) + eps)
-        stepped = _into(np.subtract, p.data, step, step)
-        q = Tensor(stepped.astype(p.dtype, copy=False), requires_grad=True)
-        new_params[name] = q
-        new_m[name] = np.asarray(m, dtype=p.dtype)
-        new_v[name] = np.asarray(v, dtype=p.dtype)
+        m_prev, v_prev = (None if a is None else a.reshape(-1) for a in (state.m.get(name), state.v.get(name)))
+        q, m_out, v_out = (np.empty(p.shape, p.dtype) for _ in range(3))
+        gf, pf, qf, mf, vf = (a.reshape(-1) for a in (g, p.data, q, m_out, v_out))
+        block, blocks = _blocks(gf.size)
+        spare_a, spare_b = np.empty(block, g.dtype), np.empty(block, g.dtype)
+        for s in blocks:
+            gb = gf[s]
+            a, b = spare_a[:len(gb)], spare_b[:len(gb)]
+            # m = b1 * m_prev + (1 - b1) * g and so on, each operation as
+            # the closed form evaluates it (m_prev is 0.0 in a fresh
+            # state), written into arrays this call allocated, never into
+            # the inputs.
+            bm = b1 * 0.0 if m_prev is None else _into(np.multiply, b1, m_prev[s], mf[s])
+            m = _into(np.add, bm, _into(np.multiply, 1 - b1, gb, a), a)
+            mf[s] = m
+            gv = _into(np.multiply, gb, gb, b)
+            gv = _into(np.multiply, 1 - b2, gv, gv)
+            bv = b2 * 0.0 if v_prev is None else _into(np.multiply, b2, v_prev[s], vf[s])
+            v = _into(np.add, bv, gv, gv)
+            vf[s] = v
+            mhat = _into(np.divide, m, c1, m)
+            vhat = _into(np.divide, v, c2, v)
+            denom = _into(np.add, np.sqrt(vhat, out=vhat), eps, vhat)
+            step = _into(np.multiply, lr, mhat, mhat)
+            step = _into(np.divide, step, denom, step)  # lr * mhat / (sqrt(vhat) + eps)
+            qf[s] = _into(np.subtract, pf[s], step, step)
+        new_params[name] = Tensor(q, requires_grad=True)
+        new_m[name] = m_out
+        new_v[name] = v_out
     return new_params, AdamState(step=t, m=new_m, v=new_v)
 
 

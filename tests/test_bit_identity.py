@@ -15,10 +15,15 @@ they replaced. The training graph's one-node `linear` and `add_layernorm`
 are checked, op by op and through a whole training step, against frozen
 copies of the two-node compositions they replaced, and the tape they
 leave must be smaller by what those compositions kept and no vjp read.
+The block-by-block `gelu` and `adam_step` are checked byte for byte
+against frozen copies of the full-array expressions they replaced; the
+tape must no longer hold GELU's tanh, and `backward` must release it as
+it runs.
 """
 
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -610,3 +615,184 @@ def test_tape_holds_no_bias_free_product_or_residual_sum(tree, batch4):
     assert len(kept) == 6 + 8 * cfg.layers
     new, old = _tape_bytes(total), _tape_bytes(ref_total)
     assert new <= old - unread, (new, old, unread)
+
+
+# -- blocked elementwise chains -------------------------------------------------
+
+
+def _ref_gelu(x):
+    """`tensor.gelu`'s forward as one full-array expression, with its tanh."""
+    t = 0.044715 * x
+    t *= x
+    t *= x
+    t += x
+    t *= math.sqrt(2.0 / math.pi)
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, t
+
+
+def _ref_gelu_grad(x, t, g):
+    """`tensor.gelu`'s vjp as one full-array expression over the kept tanh."""
+    dinner = 3 * 0.044715 * x
+    dinner *= x
+    dinner += 1.0
+    dinner *= math.sqrt(2.0 / math.pi)
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    d = 0.5 * x
+    d *= sech2
+    d *= dinner
+    half = np.add(1.0, t, out=sech2)
+    half *= 0.5
+    np.add(half, d, out=d)
+    return tt._into(np.multiply, g, d, d)
+
+
+def _ref_adam(p, m_prev, v_prev, g, t, lr, b1, b2, eps):
+    """One `tensor.adam_step` update of one parameter as full-array
+    expressions; m_prev and v_prev are 0.0 in a fresh state."""
+    gm = (1 - b1) * g
+    m = tt._into(np.add, b1 * m_prev, gm, gm)
+    gv = g * g
+    gv = tt._into(np.multiply, 1 - b2, gv, gv)
+    v = tt._into(np.add, b2 * v_prev, gv, gv)
+    mhat = m / (1 - b1**t)
+    vhat = v / (1 - b2**t)
+    denom = tt._into(np.add, np.sqrt(vhat, out=vhat), eps, vhat)
+    step = tt._into(np.multiply, lr, mhat, mhat)
+    step = tt._into(np.divide, step, denom, step)
+    stepped = tt._into(np.subtract, p, step, step)
+    return stepped.astype(p.dtype, copy=False), np.asarray(m, dtype=p.dtype), np.asarray(v, dtype=p.dtype)
+
+
+def _wide(rng, shape, dtype, spread=6):
+    """Values over many decades, with signed zeros, so that a changed
+    operation order or dtype shows in the last bits."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-spread, spread // 2 + 1, shape)
+    a = np.asarray(a, dtype=dtype)
+    a.reshape(-1)[:2] = (0.0, -0.0)[:a.size]
+    return a
+
+
+_B = tt._BLOCK
+# sizes not a multiple of the block, one row wider than a block, zero rows,
+# 1-d and 0-d operands
+_FLAT_SHAPES = [(3 * _B + 5,), (2, _B + 3), (4, 61, 512), (_B,), (0, 64), (7,), ()]
+
+
+def _bytes_same(got, want):
+    """Equal dtype, shape and bytes: unlike `np.array_equal`, this tells
+    -0.0 from +0.0."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _one_d(a):
+    """`a` as a 1-element array if it is 0-d: the full-array expressions
+    above write into their temporaries, which a numpy scalar cannot take."""
+    return a.reshape(1) if a.ndim == 0 else a
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                    (np.float32, np.float64), (np.float64, np.float32)])
+@pytest.mark.parametrize("shape", _FLAT_SHAPES)
+def test_blocked_gelu_matches_full_array_expression(shape, dtypes):
+    x_dtype, g_dtype = dtypes
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    x = _wide(rng, shape, x_dtype, spread=2)
+    if x.size > 3:
+        x.reshape(-1)[2:4] = (40.0, -40.0)
+    g = _wide(rng, shape, g_dtype)
+    node = tt.gelu(Tensor(x, requires_grad=True))
+    want, t = _ref_gelu(_one_d(x))
+    assert _bytes_same(node.data, want.reshape(shape))
+    (got,) = node._vjp(g)
+    assert _bytes_same(got, _ref_gelu_grad(_one_d(x), t, _one_d(g)).reshape(shape))
+
+
+def test_blocked_gelu_reads_a_strided_input_and_gradient():
+    rng = np.random.default_rng(3)
+    x = _wide(rng, (_B + 7, 3), np.float32, spread=2).T
+    g = _wide(rng, (_B + 7, 3), np.float32).T
+    assert not x.flags.c_contiguous and not g.flags.c_contiguous
+    node = tt.gelu(Tensor(x, requires_grad=True))
+    want, t = _ref_gelu(x)
+    assert _bytes_same(node.data, want)
+    assert _bytes_same(node._vjp(g)[0], _ref_gelu_grad(x, t, g))
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                    (np.float32, np.float64), (np.float64, np.float32)])
+def test_blocked_adam_matches_full_array_expressions(dtypes):
+    p_dtype, g_dtype = dtypes
+    rng = np.random.default_rng(41)
+    lr, (b1, b2), eps = 3e-3, (0.9, 0.999), 1e-8
+    shapes = {"long": (3 * _B + 5,), "wide": (2, _B + 3), "mat": (61, 512), "none": (0, 8),
+              "vec": (7,), "scalar": ()}
+    params = {k: Tensor((1e-4 * rng.standard_normal(s)).astype(p_dtype), requires_grad=True)
+              for k, s in shapes.items()}
+    want = {k: (_one_d(p.data), 0.0, 0.0) for k, p in params.items()}
+    state = None
+    for t in range(1, 4):
+        # step 1 is a fresh state, and every step has +0.0 and -0.0 gradients
+        grads = {k: _wide(rng, s, g_dtype) for k, s in shapes.items()}
+        params, state = tt.adam_step(params, grads, state, lr=lr, betas=(b1, b2), eps=eps)
+        want = {k: _ref_adam(*want[k], _one_d(grads[k]), t, lr, b1, b2, eps) for k in shapes}
+        for k, s in shapes.items():
+            p_want, m_want, v_want = (a.reshape(s) for a in want[k])
+            assert _bytes_same(params[k].data, p_want), (t, k)
+            assert _bytes_same(state.m[k], m_want) and _bytes_same(state.v[k], v_want), (t, k)
+
+
+# -- the released tape ------------------------------------------------------------
+
+
+def _ref_gelu_node(a, kept):
+    """`tensor.gelu` as a node that keeps its tanh for the vjp, as it did;
+    `kept` collects the tanh arrays."""
+    x = a.data
+    out, t = _ref_gelu(x)
+    kept.append(t)
+
+    def vjp(g):
+        return (_ref_gelu_grad(x, t, g),)
+
+    return Tensor._make(out, (a,), vjp)
+
+
+def _toy_losses(tree, batch4, params, cfg):
+    windows, heights = batch4
+    ts = np.array([3, 250, 600, 1000])
+    z = df.noise_window(windows, ts, df.build_cosine_schedule(), np.random.default_rng(6))
+    pred = df.denoiser_forward(cfg, params, z, ts, heights)
+    return pred, df.diffusion_losses(pred, windows, tree, heights)[0]
+
+
+def test_tape_holds_no_gelu_tanh(tree, batch4, monkeypatch):
+    cfg = df.DenoiserConfig(layers=2, width=64, ff=128)
+    params = _trainable(df.init_denoiser(cfg, seed=2))
+    _, total = _toy_losses(tree, batch4, params, cfg)
+    kept = []
+    monkeypatch.setattr(tt, "gelu", functools.partial(_ref_gelu_node, kept=kept))
+    _, ref_total = _toy_losses(tree, batch4, params, cfg)
+    # the step and height MLPs and one FFN per layer
+    assert len(kept) == 2 + cfg.layers
+    tanh_bytes = sum(t.nbytes for t in kept)
+    new, old = _tape_bytes(total), _tape_bytes(ref_total)
+    assert new <= old - tanh_bytes, (new, old, tanh_bytes)
+
+
+def test_backward_releases_the_tape(tree, batch4):
+    cfg = df.DenoiserConfig(layers=2, width=64, ff=128)
+    params = _trainable(df.init_denoiser(cfg, seed=2))
+    pred, total = _toy_losses(tree, batch4, params, cfg)
+    held = weakref.ref(pred.data)
+    del pred
+    assert held() is not None  # the losses' nodes hold the prediction
+    grads = tt.grads_by_name(total, params)
+    assert held() is None and total._parents == ()
+    assert set(grads) == set(params)
+    # a second sweep finds the graph consumed instead of returning zeros
+    with pytest.raises(tt.ContractError):
+        tt.grads_by_name(total, params)

@@ -21,7 +21,7 @@ PROGRAM = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py
 # test oracles: kept for the tests, not run by the program
 ORACLES = {"rotation_about", "gradcheck", "GradCheckReport", "load_report"}
 
-MAX_SETTABLE_VALUES = 83
+MAX_SETTABLE_VALUES = 82
 
 
 def _public_definitions(tree: ast.Module):

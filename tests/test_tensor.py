@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -314,7 +315,48 @@ def test_backward_half_square_gives_identity():
 def test_backward_rejects_nonscalar():
     w = Tensor(np.zeros((3,)), requires_grad=True)
     with pytest.raises(tt.ContractError):
-        tt.backward(tt.add(w, 1.0))
+        tt.backward(tt.add(w, 1.0), [w])
+
+
+def test_backward_frees_each_activation_after_its_consumers():
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((4, 8)))  # an input, not a parameter
+    w, b = randt(rng, 8, 16), randt(rng, 16)
+    lin = tt.linear(x, w, b)
+    h = tt.gelu(lin)
+    loss = tt.tsum(tt.mul(h, h))
+    held = [weakref.ref(lin.data), weakref.ref(h.data)]
+    del lin, h
+    assert all(ref() is not None for ref in held)
+    g = tt.grads_by_name(loss, {"w": w, "b": b})
+    assert all(ref() is None for ref in held)
+    assert loss._parents == () and set(g) == {"w", "b"}
+    assert w.requires_grad and w._vjp is None  # parameters are not graph nodes
+    with pytest.raises(tt.ContractError):
+        tt.grads_by_name(loss, {"w": w, "b": b})
+
+
+def test_vjps_skip_operands_without_parameters():
+    rng = np.random.default_rng(22)
+    x, c = Tensor(rng.standard_normal((2, 3, 4))), Tensor(rng.standard_normal(4))
+    w, b = randt(rng, 4, 4), randt(rng, 4)
+    y = tt.linear(x, w, b)
+    g = np.ones(y.shape)
+    assert y._vjp(g)[0] is None and all(a is not None for a in y._vjp(g)[1:])
+    for op in (tt.add, tt.sub, tt.mul):
+        assert op(y, c)._vjp(g)[1] is None and op(c, y)._vjp(g)[0] is None
+    m = tt.matmul(y, Tensor(rng.standard_normal((4, 2))))
+    assert m._vjp(np.ones(m.shape))[1] is None
+    assert all(a is not None for a in tt.add(y, y)._vjp(g))
+
+
+def test_backward_rejects_a_tensor_that_is_not_a_parameter():
+    rng = np.random.default_rng(23)
+    p, w = randt(rng, 3), Tensor(rng.standard_normal(3))
+    with pytest.raises(tt.ContractError):
+        tt.grads_by_name(tt.tsum(tt.mul(p, w)), {"p": p, "w": w})
+    with pytest.raises(tt.ContractError):
+        tt.grads_by_name(tt.tsum(tt.mul(p, p)), {"p": p, "pp": tt.mul(p, p)})
 
 
 def test_backward_unreachable_param_gets_zeros():
