@@ -17,8 +17,9 @@ cross-attention into three small arrays, so its d-by-d query and output
 projections never run over the tokens. The graph calls them for every
 batch, FastDenoiser on its weights once per (t, h), and caches the
 result. Besides its weights FastDenoiser keeps only that cache, so one
-instance can be shared. The per-token block is written twice, as graph
-ops and as in-place numpy; their agreement is covered by tests.
+instance can be shared. The per-token block's structure is written
+twice, as graph ops and as in-place numpy, and its arithmetic once, in
+`tensor`'s kernels; their agreement is covered by tests.
 
 The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
@@ -45,7 +46,7 @@ from . import features as ft
 from . import tensor as tt
 from .container import CheckedReader
 from .kinematics import KinematicTree, skeleton_hash
-from .tensor import LAYERNORM_EPS, Tensor
+from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"IMFC"
 CHECKPOINT_VERSION = 1
@@ -199,10 +200,6 @@ def init_denoiser(cfg: DenoiserConfig, seed: int = 0, dtype=np.float32) -> dict[
     return params
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return tt.linear(x, w, b)
-
-
 def _split_heads(x: Tensor, nhead: int) -> Tensor:
     B, T, d = x.shape
     return tt.transpose(tt.reshape(x, (B, T, nhead, d // nhead)), (0, 2, 1, 3))
@@ -222,11 +219,11 @@ def _condition_tokens(P: dict[str, Tensor], t: np.ndarray, h: np.ndarray) -> tup
     h = np.atleast_1d(np.asarray(h, dtype=np.float64))
     B = len(t)
     step_in = Tensor(sinusoidal_embedding(t, d).reshape(B, 1, d).astype(dtype))
-    step_tok = _linear(tt.gelu(_linear(step_in, P["step_mlp.w1"], P["step_mlp.b1"])),
-                       P["step_mlp.w2"], P["step_mlp.b2"])
+    step_tok = tt.linear(tt.gelu(tt.linear(step_in, P["step_mlp.w1"], P["step_mlp.b1"])),
+                          P["step_mlp.w2"], P["step_mlp.b2"])
     h_in = Tensor(h.reshape(B, 1, 1).astype(dtype))
-    height_tok = _linear(tt.gelu(_linear(h_in, P["height_mlp.w1"], P["height_mlp.b1"])),
-                         P["height_mlp.w2"], P["height_mlp.b2"])
+    height_tok = tt.linear(tt.gelu(tt.linear(h_in, P["height_mlp.w1"], P["height_mlp.b1"])),
+                            P["height_mlp.w2"], P["height_mlp.b2"])
     return step_tok, height_tok
 
 
@@ -266,9 +263,9 @@ def _cross_attention(x: Tensor, memory: Tensor, P: dict[str, Tensor], prefix: st
     with (ws, bs, vo) from `_cross_fold`. The d-by-d query and output
     projections of the T tokens never run."""
     B, T, _ = x.shape
-    ckv = _linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])  # (B, 2, 2d)
+    ckv = tt.linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])  # (B, 2, 2d)
     ws, bs, vo = _cross_fold(ckv, P, prefix, nhead)
-    weights = tt.softmax(tt.reshape(tt.add(tt.matmul(x, ws), bs), (B, T, nhead, 2)), axis=-1)
+    weights = tt.softmax(tt.reshape(tt.add(tt.matmul(x, ws), bs), (B, T, nhead, 2)))
     return tt.add(tt.matmul(tt.reshape(weights, (B, T, 2 * nhead)), vo), P[prefix + "cross.bo"])
 
 
@@ -282,27 +279,27 @@ def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
     step_tok, height_tok = _condition_tokens(P, t, h)
 
     pos = Tensor(sinusoidal_embedding(np.arange(ft.WINDOW_LEN), d)[None].astype(dtype))
-    frames = tt.add(_linear(z, P["in_proj.w"], P["in_proj.b"]), pos)
+    frames = tt.add(tt.linear(z, P["in_proj.w"], P["in_proj.b"]), pos)
     tokens = tt.concat([step_tok, height_tok, frames], axis=1)  # (B, 63, d)
     memory = tt.concat([step_tok, height_tok], axis=1)          # (B, 2, d)
 
     x = tokens
     for i in range(cfg.layers):
         p = f"layers.{i}."
-        qkv = _linear(x, P[p + "attn.wqkv"], P[p + "attn.bqkv"])
+        qkv = tt.linear(x, P[p + "attn.wqkv"], P[p + "attn.bqkv"])
         q = _split_heads(qkv[:, :, :d], cfg.nhead)
         k = _split_heads(qkv[:, :, d:2 * d], cfg.nhead)
         v = _split_heads(qkv[:, :, 2 * d:], cfg.nhead)
         attn = _merge_heads(tt.softmax_attention(q, k, v))
-        x = tt.add_layernorm(x, _linear(attn, P[p + "attn.wo"], P[p + "attn.bo"]),
+        x = tt.add_layernorm(x, tt.linear(attn, P[p + "attn.wo"], P[p + "attn.bo"]),
                              P[p + "ln1.g"], P[p + "ln1.b"])
         x = tt.add_layernorm(x, _cross_attention(x, memory, P, p, cfg.nhead),
                              P[p + "ln2.g"], P[p + "ln2.b"])
-        ffn = _linear(tt.gelu(_linear(x, P[p + "ff.w1"], P[p + "ff.b1"])),
-                      P[p + "ff.w2"], P[p + "ff.b2"])
+        ffn = tt.linear(tt.gelu(tt.linear(x, P[p + "ff.w1"], P[p + "ff.b1"])),
+                         P[p + "ff.w2"], P[p + "ff.b2"])
         x = tt.add_layernorm(x, ffn, P[p + "ln3.g"], P[p + "ln3.b"])
 
-    out = _linear(x[:, 2:, :], P["out_proj.w"], P["out_proj.b"])
+    out = tt.linear(x[:, 2:, :], P["out_proj.w"], P["out_proj.b"])
     return out
 
 
@@ -621,6 +618,8 @@ class FastDenoiser:
       values for every token and everything else (query, both
       attentions, FFN, layernorms, output projection) for `r` alone.
 
+    The block's structure is written here a second time; its GELU,
+    softmax and layernorm arithmetic are the graph's kernels in `tensor`.
     Residual and bias adds go in place into a product's fresh array and
     every reduction is exact (see the helpers), so the speed work changes
     no output bit. An instance keeps only its weights, the position table,
@@ -654,7 +653,7 @@ class FastDenoiser:
         folds = []
         for i in range(self.cfg.layers):
             p = f"layers.{i}."
-            ckv = _linear(memory, P[p + "cross.wkv"], P[p + "cross.bkv"])
+            ckv = tt.linear(memory, P[p + "cross.wkv"], P[p + "cross.bkv"])
             ws, bs, vo = _cross_fold(Tensor(ckv.data.astype(np.float64)), P, p, self.cfg.nhead)
             folds.append((np.ascontiguousarray(ws.data[0], dtype=self.dtype),
                           bs.data.reshape(-1).astype(self.dtype), vo.data[0].astype(self.dtype)))
@@ -703,7 +702,7 @@ class FastDenoiser:
         s = q @ k
         s *= 1.0 / math.sqrt(hd)
         attn = np.empty((n, d), x.dtype)  # each head's output goes straight to its columns
-        np.matmul(_softmax_inplace(s), v, out=attn.reshape(n, nh, hd).transpose(1, 0, 2))
+        np.matmul(tt._softmax_rows(s, s), v, out=attn.reshape(n, nh, hd).transpose(1, 0, 2))
         x = _add_layernorm_inplace(attn @ lw["attn.wo"], x, lw["attn.bo"], lw["ln1.g"], lw["ln1.b"])
 
         ws, bs, vo = fold
@@ -714,34 +713,12 @@ class FastDenoiser:
 
         f = x @ lw["ff.w1"]
         f += lw["ff.b1"]
-        return _add_layernorm_inplace(_gelu_inplace(f) @ lw["ff.w2"], x, lw["ff.b2"], lw["ln3.g"], lw["ln3.b"])
-
-
-def _gelu_inplace(x: np.ndarray) -> np.ndarray:
-    """tanh-approximate GELU of x, in place."""
-    t = 0.044715 * x
-    t *= x
-    t *= x
-    t += x
-    t *= math.sqrt(2.0 / math.pi)
-    np.tanh(t, out=t)
-    t += 1.0
-    x *= 0.5
-    x *= t
-    return x
-
-
-def _softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place; the row maximum of a contiguous
-    transposed copy is faster to reduce, and exact (a maximum does not round)."""
-    s -= np.maximum.reduce(np.ascontiguousarray(s.swapaxes(-1, -2)), -2)[..., None]
-    np.exp(s, out=s)
-    s /= np.add.reduce(s, -1, keepdims=True)
-    return s
+        tt._gelu_block(f, f, np.empty_like(f))  # the whole array at once: no block loop
+        return _add_layernorm_inplace(f @ lw["ff.w2"], x, lw["ff.b2"], lw["ln3.g"], lw["ln3.b"])
 
 
 def _pair_softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """`_softmax_inplace` for a last axis of length 2: max and sum in closed form."""
+    """`tensor._softmax_rows` in place for a last axis of 2: max and sum in closed form."""
     a, b = s[..., :1], s[..., 1:]
     s -= np.maximum(a, b)
     np.exp(s, out=s)
@@ -752,17 +729,10 @@ def _pair_softmax_inplace(s: np.ndarray) -> np.ndarray:
 def _add_layernorm_inplace(y: np.ndarray, x: np.ndarray, bias: np.ndarray, g: np.ndarray,
                            b: np.ndarray) -> np.ndarray:
     """Layernorm over the last axis of the residual sum `x + y + bias`, in
-    y (`y + x` has the bits of `x + y`). Each mean is `ndarray.mean`'s
-    arithmetic (pairwise sum, then divide) without its Python wrapper."""
+    y (`y + x` has the bits of `x + y`), normalized by `tensor._normalize`."""
     y += x
     y += bias
-    m = np.add.reduce(y, -1, keepdims=True)
-    m /= y.shape[-1]
-    y -= m
-    var = np.add.reduce(y * y, -1, keepdims=True)
-    var /= y.shape[-1]
-    var += LAYERNORM_EPS
-    y /= np.sqrt(var, out=var)
+    tt._normalize(y)
     y *= g
     y += b
     return y
@@ -799,8 +769,9 @@ def save_checkpoint(path: str | Path, cfg: DenoiserConfig, params: dict[str, Ten
 
 
 def load_checkpoint(path: str | Path, tree: KinematicTree) -> tuple[DenoiserConfig, dict[str, Tensor], DiffusionSchedule]:
-    """Refuses to load when the skeleton or feature-layout hash disagrees,
-    and raises CheckpointError on a file that is corrupt or ends early."""
+    """Refuses to load when the skeleton or feature-layout hash disagrees
+    or the parameters mix dtypes, and raises CheckpointError on a file
+    that is corrupt or ends early."""
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a checkpoint file")
@@ -842,4 +813,6 @@ def load_checkpoint(path: str | Path, tree: KinematicTree) -> tuple[DenoiserConf
         # building a huge shape table
         if len(params) < cfg.layers or {k: p.shape for k, p in params.items()} != _param_shapes(cfg):
             raise CheckpointError(f"checkpoint parameters do not match a {cfg.label()} nhead {cfg.nhead} model")
+        if len({p.dtype for p in params.values()}) > 1:  # a training graph has one dtype
+            raise CheckpointError("checkpoint parameters mix float32 and float64")
         return cfg, params, schedule

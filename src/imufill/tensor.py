@@ -14,6 +14,10 @@ numpy; the graph is a thin closure-based tape.
 Conventions:
   * float64 for oracle/gradient-check work, float32 for training and
     inference (see DEFAULT_DTYPE).
+  * a tracked graph has one dtype: `Tensor._make` raises ContractError
+    when a node that records a vjp combines parents of two dtypes, so no
+    op promotes. Untracked nodes (no parameter upstream) are exempt:
+    `FastDenoiser` folds its cross-attention in float64 that way.
   * broadcasting is numpy's trailing-dimension rule; anything else needs
     an explicit reshape.
   * ops never mutate their inputs; `backward` returns a gradient map
@@ -36,9 +40,9 @@ Conventions:
     about _BLOCK elements of the flattened arrays, written into
     preallocated outputs, so their intermediates stay in cache instead
     of streaming full-size temporaries. Each element sees the same
-    operations in the same order and dtypes as the full-array
-    expression, so every result is bit-identical to it. Adam's transient
-    memory is a pair of block-sized scratch arrays.
+    operations in the same order as the full-array expression, so every
+    result is bit-identical to it. Adam's transient memory is a pair of
+    block-sized scratch arrays.
   * `linear`'s batched operand times a 2-D weight, (..., m, k) @ (k, n),
     runs forward and backward as one 2-D GEMM over the flattened batch,
     so the weight gradient is a single (k, n) product, never a per-batch
@@ -47,15 +51,17 @@ Conventions:
   * `add_layernorm` is one node whose vjp is the closed form (Ba et al.,
     arXiv 1607.06450), not the composition of a sum, means, square roots
     and divisions it replaces.
-  * a basic-index `take` hands `backward` its slice gradient alone;
-    `backward` adds it into the one gradient accumulator of the sliced
-    tensor, cast first to that tensor's dtype as the zero-padded buffer
-    did, so no operand-sized zero buffer is built per slice. Fancy
-    indices, which may repeat, still scatter with `np.add.at` into a
-    buffer of their own. `backward` adds in place only into accumulators
-    it allocated itself and only when the dtypes agree: a vjp may hand
-    one array to two parents (`add` and `add_layernorm` do) or return
-    views (`concat`, `reshape`), and those are never written.
+  * `take` accepts basic indices only (slices, integers, Ellipsis,
+    None; ContractError on any other), which never select an element
+    twice. It hands `backward` its slice gradient alone, which `backward`
+    adds into the sliced tensor's one gradient accumulator, so no
+    operand-sized zero buffer is built per slice. `backward` adds in
+    place only into accumulators it allocated itself: a vjp may hand one
+    array to two parents (`add` and `add_layernorm` do) or return views
+    (`concat`, `reshape`), and those are never written.
+  * the GELU chain `_gelu_block`, the last-axis softmax `_softmax_rows`
+    and the layernorm normalization `_normalize` are defined once, here;
+    the inference forward `diffusion.FastDenoiser` calls them too.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-LAYERNORM_EPS = 1e-5  # the graph and the fast forward both read it, so they agree
+LAYERNORM_EPS = 1e-5
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 # elements per block of an elementwise chain: the few block-sized arrays
@@ -124,9 +130,12 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], vjp) -> "Tensor":
+        track = any(_tracked(p) for p in parents)
+        if track and any(p.dtype != parents[0].dtype for p in parents):
+            raise ContractError("a tracked graph has one dtype; this op combines "
+                                + " and ".join(sorted({p.dtype.name for p in parents})))
         out = Tensor.__new__(Tensor)
         out.data = data
-        track = any(_tracked(p) for p in parents)
         out.requires_grad = False
         out._parents = parents if track else ()
         out._vjp = vjp if track else None
@@ -160,12 +169,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def _into(ufunc, x, y, spare: np.ndarray) -> np.ndarray:
-    """ufunc(x, y) as numpy evaluates the expression, written into `spare`
-    (a temporary the caller owns) when it has the result's dtype."""
-    return ufunc(x, y, out=spare if spare.dtype == np.result_type(x, y) else None)
 
 
 def _blocks(size: int) -> tuple[int, list[slice]]:
@@ -250,7 +253,7 @@ def _gelu_tanh(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _gelu_block(x: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
-    """0.5 * x * (1 + tanh(...)) into `out`, with `t` as scratch."""
+    """0.5 * x * (1 + tanh(...)) into `out` (may be `x`), `t` as scratch."""
     t = _gelu_tanh(x, t)
     t += 1.0
     np.multiply(0.5, x, out=out)
@@ -295,7 +298,7 @@ def gelu(a) -> Tensor:
         _gelu_block(xb, of[s], t[:len(xb)])
 
     def vjp(g):
-        res = np.empty(x.shape, np.result_type(g, x))
+        res = np.empty(x.shape, x.dtype)
         xf, gf, rf = x.reshape(-1), g.reshape(-1), res.reshape(-1)
         t, half, d = (np.empty(step, x.dtype) for _ in range(3))
         for s in blocks:
@@ -305,6 +308,32 @@ def gelu(a) -> Tensor:
         return (res,)
 
     return Tensor._make(out, (a,), vjp)
+
+
+def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of `x` (at least 2-D) into `out`, which
+    may be `x`. The row maximum of a contiguous transposed copy is faster
+    to reduce, and exact (a maximum does not round)."""
+    row_max = np.maximum.reduce(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -2)
+    np.subtract(x, row_max[..., None], out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, -1, keepdims=True)
+    return out
+
+
+def _normalize(y: np.ndarray) -> np.ndarray:
+    """y = (y - mean) / sqrt(var + LAYERNORM_EPS) over the last axis, in
+    place, each mean `ndarray.mean`'s arithmetic (pairwise sum, then
+    divide) without its Python wrapper; returns the divisor, axis kept."""
+    m = np.add.reduce(y, -1, keepdims=True)
+    m /= y.shape[-1]
+    y -= m
+    var = np.add.reduce(y * y, -1, keepdims=True)
+    var /= y.shape[-1]
+    var += LAYERNORM_EPS
+    std = np.sqrt(var, out=var)
+    y /= std
+    return std
 
 
 def add_layernorm(x, r, g, b) -> Tensor:
@@ -319,19 +348,17 @@ def add_layernorm(x, r, g, b) -> Tensor:
     """
     x, r = _as_tensor(x), _as_tensor(r, x.dtype)
     g, b = _as_tensor(g, x.dtype), _as_tensor(b, x.dtype)
-    xc = x.data + r.data
-    xc -= xc.mean(axis=-1, keepdims=True)
-    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
-    xhat = np.divide(xc, std, out=xc)
-    prod = xhat * g.data
-    out = _into(np.add, prod, b.data, prod)
+    xhat = x.data + r.data
+    std = _normalize(xhat)
+    out = xhat * g.data
+    out += b.data
 
     def vjp(grad):
         dy = grad * g.data
         dot = (dy * xhat).mean(axis=-1, keepdims=True)
         dx = dy - dy.mean(axis=-1, keepdims=True)
-        dx = _into(np.subtract, dx, _into(np.multiply, xhat, dot, dy), dx)
-        dx = _into(np.divide, dx, std, dx)
+        dx -= np.multiply(xhat, dot, out=dy)
+        dx /= std
         return (_unbroadcast(dx, x.shape), _unbroadcast(dx, r.shape),
                 _unbroadcast(grad * xhat, g.shape), _unbroadcast(grad, b.shape))
 
@@ -362,9 +389,8 @@ def linear(x, w, b) -> Tensor:
     bias b that broadcasts to the product's shape, as one node.
 
     The product is one GEMM over the flattened batch, and the bias is
-    added in place into its fresh array, unless numpy would promote the
-    sum to another dtype. The weight gradient is a single (k, n) product,
-    never a per-batch stack summed afterwards.
+    added in place into its fresh array. The weight gradient is a single
+    (k, n) product, never a per-batch stack summed afterwards.
     """
     x, w, b = _as_tensor(x), _as_tensor(w, x.dtype), _as_tensor(b, x.dtype)
     if x.ndim < 2 or w.ndim != 2:
@@ -373,8 +399,8 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}")
     rows = math.prod(x.shape[:-1])
     x2 = x.data.reshape(rows, x.shape[-1])
-    prod = (x2 @ w.data).reshape(x.shape[:-1] + w.shape[1:])
-    out = _into(np.add, prod, b.data, prod)
+    out = (x2 @ w.data).reshape(x.shape[:-1] + w.shape[1:])
+    out += b.data
     need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)
 
     def vjp(g):
@@ -386,14 +412,13 @@ def linear(x, w, b) -> Tensor:
     return Tensor._make(out, (x, w, b), vjp)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Softmax over the last axis of an operand of at least two axes."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_rows(a.data, np.empty_like(a.data))
 
     def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return Tensor._make(out, (a,), vjp)
@@ -415,7 +440,7 @@ def softmax_attention(q, k, v) -> Tensor:
     axes = list(range(k.ndim))
     axes[-1], axes[-2] = axes[-2], axes[-1]
     scores = mul(matmul(q, transpose(k, tuple(axes))), 1.0 / math.sqrt(d))
-    return matmul(softmax(scores, axis=-1), v)
+    return matmul(softmax(scores), v)
 
 
 # -- reductions and shape surgery -----------------------------------------
@@ -487,18 +512,14 @@ class _SliceGrad(NamedTuple):
 
 
 def take(a, idx) -> Tensor:
-    """Basic slicing/indexing with gradient scatter-add."""
+    """Basic indexing; any other index raises ContractError."""
+    if not _is_basic_index(idx):
+        raise ContractError("take accepts basic indices only: slices, integers, Ellipsis and None")
     a = _as_tensor(a)
     out = a.data[idx]
 
-    if _is_basic_index(idx):
-        def vjp(g):
-            return (_SliceGrad(idx, g),)
-    else:
-        def vjp(g):
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)  # fancy indices may repeat: accumulate
-            return (buf,)
+    def vjp(g):
+        return (_SliceGrad(idx, g),)
 
     return Tensor._make(out, (a,), vjp)
 
@@ -589,18 +610,17 @@ def _accumulate(grads: dict[int, np.ndarray], owned: set[int], p: Tensor, pg) ->
     key = id(p)
     acc = grads.get(key)
     if isinstance(pg, _SliceGrad):
-        g = pg.g.astype(p.dtype, copy=False)
         if acc is None:
             acc = grads[key] = np.zeros_like(p.data)
             owned.add(key)
-        elif key not in owned or acc.dtype != np.result_type(acc, g):
-            acc = grads[key] = acc.astype(np.result_type(acc, g))
+        elif key not in owned:
+            acc = grads[key] = acc.copy(order="K")
             owned.add(key)
-        acc[pg.idx] += g
+        acc[pg.idx] += pg.g
         return
     if acc is None:
         grads[key] = pg  # may be shared with another parent or a view: never written
-    elif key in owned and acc.shape == pg.shape and acc.dtype == np.result_type(acc, pg):
+    elif key in owned and acc.shape == pg.shape:
         acc += pg
     else:
         grads[key] = acc + pg
@@ -632,9 +652,10 @@ def adam_step(
 ) -> tuple[dict[str, Tensor], AdamState]:
     """One bias-corrected Adam update; purely functional, deterministic.
 
-    Runs block by block over each flattened parameter, with two
-    block-sized scratch arrays, and writes the new parameter and moments
-    into arrays of the parameter's dtype that it allocates.
+    Each gradient has its parameter's shape and dtype. Runs block by
+    block over each flattened parameter, with two block-sized scratch
+    arrays, and writes the new parameter and moments into arrays that it
+    allocates.
     """
     if state is None:
         state = AdamState()
@@ -648,11 +669,13 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"adam: grad shape {g.shape} != param shape {p.shape} for {name}")
+        if g.dtype != p.dtype:
+            raise ContractError(f"adam: grad dtype {g.dtype} != param dtype {p.dtype} for {name}")
         m_prev, v_prev = (None if a is None else a.reshape(-1) for a in (state.m.get(name), state.v.get(name)))
         q, m_out, v_out = (np.empty(p.shape, p.dtype) for _ in range(3))
         gf, pf, qf, mf, vf = (a.reshape(-1) for a in (g, p.data, q, m_out, v_out))
         block, blocks = _blocks(gf.size)
-        spare_a, spare_b = np.empty(block, g.dtype), np.empty(block, g.dtype)
+        spare_a, spare_b = np.empty(block, p.dtype), np.empty(block, p.dtype)
         for s in blocks:
             gb = gf[s]
             a, b = spare_a[:len(gb)], spare_b[:len(gb)]
@@ -660,20 +683,20 @@ def adam_step(
             # the closed form evaluates it (m_prev is 0.0 in a fresh
             # state), written into arrays this call allocated, never into
             # the inputs.
-            bm = b1 * 0.0 if m_prev is None else _into(np.multiply, b1, m_prev[s], mf[s])
-            m = _into(np.add, bm, _into(np.multiply, 1 - b1, gb, a), a)
+            bm = b1 * 0.0 if m_prev is None else np.multiply(b1, m_prev[s], out=mf[s])
+            m = np.add(bm, np.multiply(1 - b1, gb, out=a), out=a)
             mf[s] = m
-            gv = _into(np.multiply, gb, gb, b)
-            gv = _into(np.multiply, 1 - b2, gv, gv)
-            bv = b2 * 0.0 if v_prev is None else _into(np.multiply, b2, v_prev[s], vf[s])
-            v = _into(np.add, bv, gv, gv)
+            gv = np.multiply(gb, gb, out=b)
+            gv = np.multiply(1 - b2, gv, out=gv)
+            bv = b2 * 0.0 if v_prev is None else np.multiply(b2, v_prev[s], out=vf[s])
+            v = np.add(bv, gv, out=gv)
             vf[s] = v
-            mhat = _into(np.divide, m, c1, m)
-            vhat = _into(np.divide, v, c2, v)
-            denom = _into(np.add, np.sqrt(vhat, out=vhat), eps, vhat)
-            step = _into(np.multiply, lr, mhat, mhat)
-            step = _into(np.divide, step, denom, step)  # lr * mhat / (sqrt(vhat) + eps)
-            qf[s] = _into(np.subtract, pf[s], step, step)
+            mhat = np.divide(m, c1, out=m)
+            vhat = np.divide(v, c2, out=v)
+            denom = np.add(np.sqrt(vhat, out=vhat), eps, out=vhat)
+            step = np.multiply(lr, mhat, out=mhat)
+            step = np.divide(step, denom, out=step)  # lr * mhat / (sqrt(vhat) + eps)
+            qf[s] = np.subtract(pf[s], step, out=step)
         new_params[name] = Tensor(q, requires_grad=True)
         new_m[name] = m_out
         new_v[name] = v_out

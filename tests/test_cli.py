@@ -11,6 +11,7 @@ from imufill import diffusion as df
 from imufill import inference as inf
 from imufill.features import SensorConfig
 from imufill.kinematics import default_tree
+from imufill.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +581,19 @@ def test_corrupt_checkpoint_fails_cleanly(workdir, tmp_path, capsys, corrupt):
                    "--out", str(tmp_path / "rec.jsonl")])
     assert rc == 1
     assert "error (CheckpointError)" in capsys.readouterr().err
+
+
+def test_checkpoint_of_two_dtypes_fails_cleanly(workdir, tmp_path, capsys):
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = df.init_denoiser(cfg, seed=0)
+    params["out_proj.b"] = Tensor(params["out_proj.b"].data.astype(np.float64), requires_grad=True)
+    bad = tmp_path / "mixed.imfc"
+    df.save_checkpoint(bad, cfg, params, df.build_cosine_schedule(1000), default_tree())
+    rc = cli.main(["reconstruct", "--ckpt", str(bad), "--config", "pelvis", "--spread", "3",
+                   "--in", str(workdir / "corpus.imfd"), "--trial", "gait-000",
+                   "--out", str(tmp_path / "rec.jsonl")])
+    assert rc == 1
+    assert "error (CheckpointError): checkpoint parameters mix float32 and float64" in capsys.readouterr().err
 
 
 def test_train_diffusion_steps_past_max_fails_cleanly(workdir, tmp_path, capsys):

@@ -152,11 +152,11 @@ def _unfolded_cross_attention(x, memory, P, prefix, nhead):
     """The cross-attention block as d-by-d query and output projections
     over every token, the reference the folded graph block must match."""
     d = x.shape[-1]
-    cq = df._split_heads(df._linear(x, P[prefix + "cross.wq"], P[prefix + "cross.bq"]), nhead)
-    ckv = df._linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])
+    cq = df._split_heads(tt.linear(x, P[prefix + "cross.wq"], P[prefix + "cross.bq"]), nhead)
+    ckv = tt.linear(memory, P[prefix + "cross.wkv"], P[prefix + "cross.bkv"])
     ck, cv = df._split_heads(ckv[:, :, :d], nhead), df._split_heads(ckv[:, :, d:], nhead)
     cross = df._merge_heads(tt.softmax_attention(cq, ck, cv))
-    return df._linear(cross, P[prefix + "cross.wo"], P[prefix + "cross.bo"])
+    return tt.linear(cross, P[prefix + "cross.wo"], P[prefix + "cross.bo"])
 
 
 @pytest.mark.parametrize("nhead", [1, 2, 4])
@@ -444,6 +444,16 @@ def test_checkpoint_refuses_wrong_skeleton(tmp_path, tree):
     df.save_checkpoint(p, cfg, params, df.build_cosine_schedule(50), tree)
     with pytest.raises(df.CheckpointError, match="skeleton"):
         df.load_checkpoint(p, tree.scaled(1.9))
+
+
+def test_checkpoint_refuses_parameters_of_two_dtypes(tmp_path, tree):
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = df.init_denoiser(cfg, seed=11)
+    params["out_proj.b"] = Tensor(params["out_proj.b"].data.astype(np.float64), requires_grad=True)
+    p = tmp_path / "model.imfc"
+    df.save_checkpoint(p, cfg, params, df.build_cosine_schedule(50), tree)
+    with pytest.raises(df.CheckpointError, match="mix float32 and float64"):
+        df.load_checkpoint(p, tree)
 
 
 def _checkpoint_cuts(params: dict, size: int) -> dict[str, int]:

@@ -1,10 +1,13 @@
-"""The program's public surface is what the program uses.
+"""What the program defines is what the program uses.
 
-Every public top-level function and class of `src/imufill` must be
-referenced somewhere in the program, that is in `src/imufill` or the
-benchmark's `perfbench/*.py`, outside its own definition. A name that
-only tests call is either dead code or belongs in the tests. The few
-exceptions are oracles that tests check the program against.
+Every top-level function and class of `src/imufill`, public or private,
+and every private module-level constant must be referenced somewhere in
+the program, that is in `src/imufill` or the benchmark's modules
+(`perfbench/*.py` but its smoke test), outside its own definition. A name that only tests
+reach is either dead code or belongs in the tests: a helper kept for a
+test, or a second copy of a kernel left behind after its callers moved
+to the first, fails here. The few exceptions are oracles that tests
+check the program against.
 
 The count of settable values (function parameters with a default plus
 dataclass fields with a default) may not grow: a change that adds an
@@ -16,18 +19,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "imufill"
-PROGRAM = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+PROGRAM = sorted(PACKAGE.rglob("*.py")) + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                                                  if not p.name.startswith("test_"))
 
 # test oracles: kept for the tests, not run by the program
 ORACLES = {"rotation_about", "gradcheck", "GradCheckReport", "load_report"}
 
-MAX_SETTABLE_VALUES = 82
+MAX_SETTABLE_VALUES = 81
 
 
-def _public_definitions(tree: ast.Module):
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) of each top-level function and class, and of each
+    private constant: a module-level assignment to a `_name`."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets
+                      if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")]
+    return found
 
 
 def _references(node: ast.AST) -> set[str]:
@@ -46,22 +58,22 @@ def _references(node: ast.AST) -> set[str]:
     return found
 
 
-def test_every_public_definition_is_used_by_the_program():
+def test_every_definition_is_used_by_the_program():
     modules = {path: ast.parse(path.read_text(), filename=str(path)) for path in PROGRAM}
     # the references of each top-level statement, so that a definition's
     # own body (recursion, a class naming itself) does not count
     uses = [(statement, _references(statement)) for module in modules.values() for statement in module.body]
-    unused = [f"{path.relative_to(ROOT)}: {definition.name}"
+    unused = [f"{path.relative_to(ROOT)}: {name}"
               for path, module in modules.items() if PACKAGE in path.parents
-              for definition in _public_definitions(module)
-              if definition.name not in ORACLES
-              and not any(definition.name in refs for statement, refs in uses if statement is not definition)]
+              for name, definition in _definitions(module)
+              if name not in ORACLES
+              and not any(name in refs for statement, refs in uses if statement is not definition)]
     assert not unused, "defined but used only by tests (or not at all):\n" + "\n".join(unused)
 
 
 def test_oracles_are_still_defined():
     # an oracle that is gone should leave the exception list too
-    defined = {d.name for path in PACKAGE.rglob("*.py") for d in _public_definitions(ast.parse(path.read_text()))}
+    defined = {name for path in PACKAGE.rglob("*.py") for name, _ in _definitions(ast.parse(path.read_text()))}
     assert ORACLES <= defined
 
 
