@@ -625,7 +625,12 @@ class FastDenoiser:
     no output bit. An instance keeps only its weights, the position table,
     the token index of each frame row and the (t, h) cache of one height;
     `predict` works on arrays it allocates, so one instance can serve
-    several sessions or threads.
+    several sessions or threads. Its weights share the parameters' arrays
+    when they are already contiguous in its dtype (`np.ascontiguousarray`
+    copies nothing then), and `tensor.adam_step` writes into those arrays
+    in place: an instance built over parameters that are still training
+    would see each step's weights with a stale conditioning cache. Build
+    it after training, as `reconstruct` and `sweep` do.
     """
 
     def __init__(self, cfg: DenoiserConfig, params: dict[str, Tensor], dtype=np.float32):

@@ -21,7 +21,8 @@ Conventions:
   * broadcasting is numpy's trailing-dimension rule; anything else needs
     an explicit reshape.
   * ops never mutate their inputs; `backward` returns a gradient map
-    instead of scribbling on tensors.
+    instead of scribbling on tensors. `adam_step`, which is no op,
+    updates the parameters' arrays in place.
   * `backward` consumes the tape. It pops the nodes off the topological
     order, and once a node's vjp has run the node drops its vjp and its
     parents, so each saved activation is freed as soon as the gradients
@@ -41,8 +42,10 @@ Conventions:
     preallocated outputs, so their intermediates stay in cache instead
     of streaming full-size temporaries. Each element sees the same
     operations in the same order as the full-array expression, so every
-    result is bit-identical to it. Adam's transient memory is a pair of
-    block-sized scratch arrays.
+    result is bit-identical to it. `adam_step` writes the new parameter,
+    m and v over the old ones, so its transient memory is a pair of
+    block-sized scratch arrays; after the first step it allocates
+    nothing else.
   * `linear`'s batched operand times a 2-D weight, (..., m, k) @ (k, n),
     runs forward and backward as one 2-D GEMM over the flattened batch,
     so the weight gradient is a single (k, n) product, never a per-batch
@@ -90,7 +93,8 @@ class ContractError(RuntimeError):
 
 
 class Tensor:
-    """An immutable-by-convention array node in the autodiff graph.
+    """An immutable-by-convention array node in the autodiff graph
+    (`adam_step` alone writes into a parameter's array).
 
     Leaves carry `requires_grad`; interior nodes carry a vjp closure and
     references to their parents. Only the single training thread may
@@ -650,45 +654,51 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> tuple[dict[str, Tensor], AdamState]:
-    """One bias-corrected Adam update; purely functional, deterministic.
+    """One bias-corrected Adam update (Kingma & Ba, arXiv 1412.6980), in
+    place and deterministic.
 
-    Each gradient has its parameter's shape and dtype. Runs block by
-    block over each flattened parameter, with two block-sized scratch
-    arrays, and writes the new parameter and moments into arrays that it
-    allocates.
+    Each gradient has its parameter's shape and dtype, and each
+    parameter array is C-contiguous and writable. Every parameter is
+    checked before anything is written, so a refused call leaves the
+    parameters and the state as they were. Runs block by block over each
+    flattened parameter, with two block-sized scratch arrays, and writes
+    the new parameter, m and v over the old ones; m and v are allocated
+    only for a parameter the state has not seen. The gradients are only
+    read. Returns `params` itself and the updated state, a new
+    `AdamState` when `state` is None.
     """
     if state is None:
         state = AdamState()
-    b1, b2 = betas
-    t = state.step + 1
-    c1, c2 = 1 - b1**t, 1 - b2**t
-    new_params: dict[str, Tensor] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"adam: grad shape {g.shape} != param shape {p.shape} for {name}")
         if g.dtype != p.dtype:
             raise ContractError(f"adam: grad dtype {g.dtype} != param dtype {p.dtype} for {name}")
-        m_prev, v_prev = (None if a is None else a.reshape(-1) for a in (state.m.get(name), state.v.get(name)))
-        q, m_out, v_out = (np.empty(p.shape, p.dtype) for _ in range(3))
-        gf, pf, qf, mf, vf = (a.reshape(-1) for a in (g, p.data, q, m_out, v_out))
+        # reshape(-1) of any other array is a copy, and the update would be lost
+        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+            raise ContractError(f"adam: param {name} is not a C-contiguous, writable array")
+    b1, b2 = betas
+    t = state.step + 1
+    c1, c2 = 1 - b1**t, 1 - b2**t
+    for name, p in params.items():
+        fresh = name not in state.m
+        if fresh:
+            state.m[name], state.v[name] = np.empty(p.shape, p.dtype), np.empty(p.shape, p.dtype)
+        gf, pf, mf, vf = (a.reshape(-1) for a in (grads[name], p.data, state.m[name], state.v[name]))
         block, blocks = _blocks(gf.size)
         spare_a, spare_b = np.empty(block, p.dtype), np.empty(block, p.dtype)
         for s in blocks:
             gb = gf[s]
             a, b = spare_a[:len(gb)], spare_b[:len(gb)]
-            # m = b1 * m_prev + (1 - b1) * g and so on, each operation as
-            # the closed form evaluates it (m_prev is 0.0 in a fresh
-            # state), written into arrays this call allocated, never into
-            # the inputs.
-            bm = b1 * 0.0 if m_prev is None else np.multiply(b1, m_prev[s], out=mf[s])
+            # m = b1 * m + (1 - b1) * g and so on, each operation as the
+            # closed form evaluates it (the old m is 0.0 in a fresh state)
+            bm = b1 * 0.0 if fresh else np.multiply(b1, mf[s], out=mf[s])
             m = np.add(bm, np.multiply(1 - b1, gb, out=a), out=a)
             mf[s] = m
             gv = np.multiply(gb, gb, out=b)
             gv = np.multiply(1 - b2, gv, out=gv)
-            bv = b2 * 0.0 if v_prev is None else np.multiply(b2, v_prev[s], out=vf[s])
+            bv = b2 * 0.0 if fresh else np.multiply(b2, vf[s], out=vf[s])
             v = np.add(bv, gv, out=gv)
             vf[s] = v
             mhat = np.divide(m, c1, out=m)
@@ -696,11 +706,9 @@ def adam_step(
             denom = np.add(np.sqrt(vhat, out=vhat), eps, out=vhat)
             step = np.multiply(lr, mhat, out=mhat)
             step = np.divide(step, denom, out=step)  # lr * mhat / (sqrt(vhat) + eps)
-            qf[s] = np.subtract(pf[s], step, out=step)
-        new_params[name] = Tensor(q, requires_grad=True)
-        new_m[name] = m_out
-        new_v[name] = v_out
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+            np.subtract(pf[s], step, out=pf[s])
+    state.step = t
+    return params, state
 
 
 # -- finite differences -------------------------------------------------

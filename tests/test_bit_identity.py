@@ -740,7 +740,8 @@ def test_blocked_adam_matches_full_array_expressions(dtype):
               "vec": (7,), "scalar": ()}
     params = {k: Tensor((1e-4 * rng.standard_normal(s)).astype(dtype), requires_grad=True)
               for k, s in shapes.items()}
-    want = {k: (_one_d(p.data), 0.0, 0.0) for k, p in params.items()}
+    # adam_step writes into the parameters' arrays: the reference starts from copies
+    want = {k: (_one_d(p.data.copy()), 0.0, 0.0) for k, p in params.items()}
     state = None
     for t in range(1, 4):
         # step 1 is a fresh state, and every step has +0.0 and -0.0 gradients

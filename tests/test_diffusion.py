@@ -417,12 +417,23 @@ def test_train_releases_each_steps_gradients_before_the_next_step(monkeypatch, t
         norms.append(math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values())))
         return breakdown, grads
 
+    real_init, initial = df.init_denoiser, []
+
+    def init_spy(*args, **kwargs):
+        params = real_init(*args, **kwargs)
+        initial.append({k: p.data for k, p in params.items()})
+        return params
+
     monkeypatch.setattr(df, "training_step", spy)
+    monkeypatch.setattr(df, "init_denoiser", init_spy)
     records = []
-    df.train(lambda n: (stationary_window[None], np.array([1.75])), tree, cfg, log=records.append)
+    result = df.train(lambda n: (stationary_window[None], np.array([1.75])), tree, cfg, log=records.append)
     assert alive_on_entry == [0, 0, 0]  # step n's gradients are gone when step n+1 starts
     # the logged norm is still that of the step's own gradients
     assert [r["grad_norm"] for r in records] == [norms[0], norms[2]]
+    # Adam stepped the initial parameter arrays in place
+    (arrays,) = initial
+    assert all(result.params[k].data is a for k, a in arrays.items())
 
 
 def test_checkpoint_round_trip(tmp_path, tree):

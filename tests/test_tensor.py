@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -436,17 +437,71 @@ def test_ops_do_not_mutate_inputs():
         np.testing.assert_array_equal(t.data, copy)
 
 
-def test_adam_does_not_mutate_inputs():
+def test_adam_updates_parameters_and_moments_in_place():
     rng = np.random.default_rng(17)
-    params = {"w": Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)}
-    grads = {"w": rng.standard_normal((4, 3)).astype(np.float32)}
-    params, state = tt.adam_step(params, grads, None, lr=0.01)
-    kept = (params["w"].data.copy(), grads["w"].copy(), state.m["w"].copy(), state.v["w"].copy())
-    new_params, new_state = tt.adam_step(params, grads, state, lr=0.01)
-    for arr, copy in zip((params["w"].data, grads["w"], state.m["w"], state.v["w"]), kept):
-        np.testing.assert_array_equal(arr, copy)
-    assert state.step == 1 and new_state.step == 2
-    assert new_state.m["w"] is not state.m["w"] and new_params["w"].data is not params["w"].data
+    params = {"w": Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True),
+              "s": Tensor(np.float32(0.5), requires_grad=True)}
+    grads = {"w": rng.standard_normal((4, 3)).astype(np.float32), "s": np.array(0.25, np.float32)}
+    grad_bytes = {k: g.tobytes() for k, g in grads.items()}
+    tensors = dict(params)
+    arrays = {k: p.data for k, p in params.items()}
+    out, state = tt.adam_step(params, grads, None, lr=0.01)
+    assert out is params and state.step == 1
+    m, v = dict(state.m), dict(state.v)
+    before = {k: a.copy() for k, a in arrays.items()}
+    out, new_state = tt.adam_step(params, grads, state, lr=0.01)
+    assert out is params and new_state is state and state.step == 2
+    for k in params:
+        assert params[k] is tensors[k] and params[k].data is arrays[k]
+        assert state.m[k] is m[k] and state.v[k] is v[k]
+        assert grads[k].tobytes() == grad_bytes[k]
+        assert not np.array_equal(arrays[k], before[k])  # stepped, the 0-d one too
+    assert params["s"].data.shape == ()
+
+
+def test_adam_refuses_a_transposed_parameter():
+    p = {"w": Tensor(np.ones((3, 4), dtype=np.float32).T, requires_grad=True)}
+    with pytest.raises(tt.ContractError, match="C-contiguous"):
+        tt.adam_step(p, {"w": np.ones((4, 3), dtype=np.float32)}, None)
+
+
+def test_adam_refuses_a_read_only_parameter():
+    arr = np.ones(4, dtype=np.float32)
+    arr.flags.writeable = False
+    with pytest.raises(tt.ContractError, match="writable"):
+        tt.adam_step({"w": Tensor(arr, requires_grad=True)}, {"w": np.ones(4, dtype=np.float32)}, None)
+
+
+def test_adam_refused_call_changes_nothing():
+    rng = np.random.default_rng(19)
+    params = {k: Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True) for k in "abc"}
+    grads = {k: rng.standard_normal(5).astype(np.float32) for k in "abc"}
+    _, state = tt.adam_step(params, grads, None, lr=0.01)
+    kept = {k: (p.data.copy(), state.m[k].copy(), state.v[k].copy()) for k, p in params.items()}
+    grads["c"] = grads["c"].astype(np.float64)  # the last parameter's gradient is bad
+    with pytest.raises(tt.ContractError, match="dtype"):
+        tt.adam_step(params, grads, state, lr=0.01)
+    assert state.step == 1
+    for k, (p, m, v) in kept.items():
+        assert params[k].data.tobytes() == p.tobytes()
+        assert state.m[k].tobytes() == m.tobytes() and state.v[k].tobytes() == v.tobytes()
+
+
+def test_adam_allocates_only_its_scratch_after_the_first_step():
+    rng = np.random.default_rng(20)
+    n = 3 * tt._BLOCK + 5
+    params = {"w": Tensor(rng.standard_normal(n).astype(np.float32), requires_grad=True)}
+    grads = {"w": rng.standard_normal(n).astype(np.float32)}
+    _, state = tt.adam_step(params, grads, None, lr=0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tt.adam_step(params, grads, state, lr=0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # two float32 block-sized scratch arrays, well under the parameter's bytes
+    assert peak <= 2 * tt._BLOCK * 4 + 16 * 1024, peak
 
 
 def test_adam_bit_identical_to_closed_form():
@@ -474,8 +529,9 @@ def test_adam_bit_identical_to_closed_form():
 def test_adam_zero_gradient_fresh_state_keeps_params():
     p = {"w": Tensor(np.ones(4), requires_grad=True)}
     g = {"w": np.zeros(4)}
+    before = p["w"].data.copy()
     newp, state = tt.adam_step(p, g, None, lr=0.1)
-    np.testing.assert_array_equal(newp["w"].data, p["w"].data)
+    np.testing.assert_array_equal(newp["w"].data, before)
     assert state.step == 1
 
 
