@@ -236,7 +236,6 @@ def cmd_train(args) -> int:
         raise dg.DatasetError("no trials left to train on")
     skipped = sum(not dg.holds_window(t) for t in holdout + trials)
     eval_windows = df.holdout_windows(holdout, tree) if holdout else None
-    dg.compute_trial_weights(trials, tree)
     cfg = df.TrainConfig(model=args.size, steps=args.steps,
                          batch=args.batch, lr=args.lr, seed=args.seed, T=args.diffusion_steps)
     result = df.train(df.corpus_sampler(trials, tree, seed=args.seed), tree, cfg, eval_windows=eval_windows,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ MIN_DURATION_S = 0.5  # shortest motion `generate_motion` makes
 MAX_DURATION_S = 600.0
 
 DATASET_MAGIC = b"IMFD"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 MOTION_KINDS = ("gait", "random_smooth", "stationary", "jump")
 
@@ -107,22 +107,14 @@ class Trial:
     site_rotations: np.ndarray      # (T, 13, 3, 3) synthesized IMU orientations
     site_accels: np.ndarray         # (T, 13, 3) smoothed world accelerations
     contacts: np.ndarray            # (T, 4) uint8
-    weight: float = 0.0             # sampling probability, set corpus-wide
-    _features: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def trial_id(self) -> str:
         return self.motion.trial_id
 
     def features(self, tree: KinematicTree) -> np.ndarray:
-        if self._features is None:
-            self._features = ft.encode_frames(
-                local_to_global(tree, self.motion.rotations),
-                self.motion.root_positions,
-                self.site_accels,
-                self.contacts.astype(np.float64),
-            )
-        return self._features
+        return ft.encode_frames(local_to_global(tree, self.motion.rotations), self.motion.root_positions,
+                                self.site_accels, self.contacts.astype(np.float64))
 
 
 # -- small signal utilities ---------------------------------------------
@@ -504,20 +496,17 @@ def mean_kinetic_energy(motion: MotionSequence, tree: KinematicTree) -> float:
 
 
 def compute_trial_weights(trials: list[Trial], tree: KinematicTree) -> np.ndarray:
-    """Sampling probabilities proportional to (energy + eps), eps = 1% of
-    the corpus mean energy; a zero-energy corpus falls back to uniform."""
+    """Sampling probabilities of the trials, in order, proportional to
+    (energy + eps), eps = 1% of their mean energy; a zero-energy corpus
+    falls back to uniform. Only reads the trials (`corpus_sampler` calls it)."""
     if not trials:
         raise GenerationError("empty corpus")
     energies = np.array([mean_kinetic_energy(tr.motion, tree) for tr in trials])
     eps = ENERGY_FLOOR_FRACTION * energies.mean()
     raw = energies + eps
     if raw.sum() <= 0:
-        probs = np.full(len(trials), 1.0 / len(trials))
-    else:
-        probs = raw / raw.sum()
-    for tr, p in zip(trials, probs):
-        tr.weight = float(p)
-    return probs
+        return np.full(len(trials), 1.0 / len(trials))
+    return raw / raw.sum()
 
 
 def holds_window(trial: Trial) -> bool:
@@ -546,7 +535,6 @@ def generate_corpus(tree: KinematicTree, n_trials: int = 20, seconds: float = 10
         m = generate_motion(kind, seed=seed * 100_003 + i, duration_s=seconds,
                             height=height, mass=mass, trial_id=f"{kind}-{i:03d}", **params)
         trials.append(make_trial(m, tree, noise_std=noise_std))
-    compute_trial_weights(trials, tree)
     return trials
 
 
@@ -554,10 +542,12 @@ def generate_corpus(tree: KinematicTree, n_trials: int = 20, seconds: float = 10
 
 
 def save_dataset(trials: list[Trial], tree: KinematicTree, path: str | Path) -> None:
-    """Binary container: magic, version, trial count, skeleton hash, then
-    per trial: id, metadata (rate, height, mass, weight, frame count,
-    has-stance byte), raw float64 arrays (rotations as wxyz quaternions)
-    and uint8 contacts and stance flags, in declared order."""
+    """Binary container of recorded data only: magic, version, trial count,
+    skeleton hash, then per trial: id length and id, metadata `<ddd I B`
+    (rate, height, mass, frame count, has-stance byte), raw float64 arrays
+    (rotations as wxyz quaternions) and uint8 contacts and stance flags,
+    in declared order. Sampling weights are not stored:
+    `diffusion.corpus_sampler` makes them."""
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<I", DATASET_VERSION))
@@ -568,8 +558,7 @@ def save_dataset(trials: list[Trial], tree: KinematicTree, path: str | Path) -> 
             tid = m.trial_id.encode()
             f.write(struct.pack("<I", len(tid)))
             f.write(tid)
-            f.write(struct.pack("<dddd I B", m.rate, m.height, m.mass, tr.weight,
-                                m.n_frames, 0 if m.stance is None else 1))
+            f.write(struct.pack("<ddd I B", m.rate, m.height, m.mass, m.n_frames, 0 if m.stance is None else 1))
             f.write(rot_to_quat(m.rotations).tobytes())
             f.write(m.root_positions.astype(np.float64).tobytes())
             f.write(rot_to_quat(tr.site_rotations).tobytes())
@@ -585,8 +574,9 @@ class DatasetError(ValueError):
 
 def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
     """Reads what save_dataset wrote; raises DatasetError on a file that
-    is not a dataset, was made for another skeleton, holds a trial that is
-    not at FRAME_RATE_HZ, or is corrupt."""
+    is not a dataset of this version (`datagen` makes a version 1 file
+    again), was made for another skeleton, holds a trial that is not at
+    FRAME_RATE_HZ, or is corrupt (naming the trial where it can)."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != DATASET_MAGIC:
@@ -602,7 +592,7 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
         for k in range(n_trials):
             (id_len,) = r.unpack("<I", f"trial {k} id")
             tid = r.text(id_len, f"trial {k} id")
-            rate, height, mass, weight, T, has_stance = r.unpack("<dddd I B", f"{tid} metadata")
+            rate, height, mass, T, has_stance = r.unpack("<ddd I B", f"{tid} metadata")
             if rate != ft.FRAME_RATE_HZ:
                 raise DatasetError(f"{tid}: a dataset trial is {ft.FRAME_RATE_HZ:g} Hz, got rate {rate:g}")
             quats = r.array((T, N_SEGMENTS, 4), np.float64, f"{tid} rotations")
@@ -613,6 +603,11 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
             stance = r.array((T, N_CONTACTS), np.uint8, f"{tid} stance flags") if has_stance else None
             _check_unit(quats, f"{tid} rotations")
             _check_unit(site_q, f"{tid} site rotations")
+            if not np.isfinite(accel).all():
+                raise DatasetError(f"{tid}: non-finite site accelerations")
+            for flags, what in ((contacts, "contact labels"), (stance, "stance flags")):
+                if flags is not None and (flags > 1).any():
+                    raise DatasetError(f"{tid}: {what} must be 0 or 1")
             try:
                 motion = MotionSequence(rate, quat_to_rot(quats), root, height, mass, tid, stance)
             except GenerationError as e:
@@ -622,7 +617,6 @@ def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
                 site_rotations=quat_to_rot(site_q),
                 site_accels=accel,
                 contacts=contacts,
-                weight=weight,
             ))
         return trials
 
@@ -644,7 +638,7 @@ def export_dataset_text(trials: list[Trial], out_dir: str | Path) -> None:
         d.mkdir(exist_ok=True)
         m = tr.motion
         meta = {"trial_id": m.trial_id, "rate_hz": m.rate, "height_m": m.height,
-                "mass_kg": m.mass, "weight": tr.weight, "n_frames": m.n_frames}
+                "mass_kg": m.mass, "n_frames": m.n_frames}
         (d / "meta.json").write_text(json.dumps(meta, indent=1))
         np.savetxt(d / "local_quat_wxyz.txt", rot_to_quat(m.rotations).reshape(m.n_frames, -1), fmt="%.17g")
         np.savetxt(d / "root_xyz.txt", m.root_positions, fmt="%.17g")

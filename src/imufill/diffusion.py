@@ -556,13 +556,15 @@ def evaluate_simple_loss(model_cfg: DenoiserConfig, params: dict[str, Tensor],
 def corpus_sampler(trials: list[dg.Trial], tree: KinematicTree,
                    seed: int) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
     """The training batches: sample(n) draws n (61-frame feature window,
-    subject height) pairs. Each picks a trial by its `weight` among those
-    that hold a window (`holds_window`; the caller counts the others),
-    then a start frame uniformly."""
-    eligible = [tr for tr in trials if dg.holds_window(tr)]
-    if not eligible:
+    subject height) pairs. Each picks a trial among those that hold a
+    window (`holds_window`; the caller counts the others) by its sampling
+    weight, then a start frame uniformly. The weights are made here, from
+    `dg.compute_trial_weights` of all the trials given, renormalized."""
+    keep = [dg.holds_window(tr) for tr in trials]
+    if not any(keep):
         raise dg.GenerationError("no trial long enough to sample windows from")
-    w = np.asarray([tr.weight for tr in eligible], dtype=np.float64)
+    eligible = [tr for tr, k in zip(trials, keep) if k]
+    w = dg.compute_trial_weights(trials, tree)[keep]
     w = w / w.sum()
     feats = [tr.features(tree) for tr in eligible]
     rng = np.random.default_rng([seed, 404])

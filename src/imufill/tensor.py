@@ -662,9 +662,9 @@ def adam_step(
     checked before anything is written, so a refused call leaves the
     parameters and the state as they were. Runs block by block over each
     flattened parameter, with two block-sized scratch arrays, and writes
-    the new parameter, m and v over the old ones; m and v are allocated
-    only for a parameter the state has not seen. The gradients are only
-    read. Returns `params` itself and the updated state, a new
+    the new parameter, m and v over the old ones; zero m and v are
+    allocated only for a parameter the state has not seen. The gradients
+    are only read. Returns `params` itself and the updated state, a new
     `AdamState` when `state` is None.
     """
     if state is None:
@@ -682,9 +682,8 @@ def adam_step(
     t = state.step + 1
     c1, c2 = 1 - b1**t, 1 - b2**t
     for name, p in params.items():
-        fresh = name not in state.m
-        if fresh:
-            state.m[name], state.v[name] = np.empty(p.shape, p.dtype), np.empty(p.shape, p.dtype)
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros(p.shape, p.dtype), np.zeros(p.shape, p.dtype)
         gf, pf, mf, vf = (a.reshape(-1) for a in (grads[name], p.data, state.m[name], state.v[name]))
         block, blocks = _blocks(gf.size)
         spare_a, spare_b = np.empty(block, p.dtype), np.empty(block, p.dtype)
@@ -692,14 +691,12 @@ def adam_step(
             gb = gf[s]
             a, b = spare_a[:len(gb)], spare_b[:len(gb)]
             # m = b1 * m + (1 - b1) * g and so on, each operation as the
-            # closed form evaluates it (the old m is 0.0 in a fresh state)
-            bm = b1 * 0.0 if fresh else np.multiply(b1, mf[s], out=mf[s])
-            m = np.add(bm, np.multiply(1 - b1, gb, out=a), out=a)
+            # closed form evaluates it
+            m = np.add(np.multiply(b1, mf[s], out=mf[s]), np.multiply(1 - b1, gb, out=a), out=a)
             mf[s] = m
             gv = np.multiply(gb, gb, out=b)
             gv = np.multiply(1 - b2, gv, out=gv)
-            bv = b2 * 0.0 if fresh else np.multiply(b2, vf[s], out=vf[s])
-            v = np.add(bv, gv, out=gv)
+            v = np.add(np.multiply(b2, vf[s], out=vf[s]), gv, out=gv)
             vf[s] = v
             mhat = np.divide(m, c1, out=m)
             vhat = np.divide(v, c2, out=v)

@@ -181,8 +181,7 @@ def test_add_layernorm_matches_plain_sum_and_mean(shape, dtype):
 # -- inpainting ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", ["renoise"])
-def test_inpaint_matches_frozen_reference_bit_for_bit(variant):
+def test_inpaint_matches_frozen_reference_bit_for_bit():
     cfg = df.DenoiserConfig(layers=2, width=32, ff=64)
     model = df.FastDenoiser(cfg, df.init_denoiser(cfg, seed=5))
     schedule = df.build_cosine_schedule(1000)

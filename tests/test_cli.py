@@ -153,7 +153,6 @@ def test_train_skips_trials_shorter_than_a_window(tmp_path, capsys):
     tree = default_tree()
     trials = [dg.make_trial(dg.generate_motion(kind, seed=i, duration_s=s, trial_id=f"{kind}-{i}"), tree)
               for i, (kind, s) in enumerate([("gait", 1.5), ("gait", 4.0), ("stationary", 4.0)])]
-    dg.compute_trial_weights(trials, tree)
     data = tmp_path / "short.imfd"
     dg.save_dataset(trials, tree, data)
     train = ["train", "--data", str(data), "--size", "1/16/32", "--steps", "2", "--batch", "2"]
@@ -605,14 +604,26 @@ def test_train_diffusion_steps_past_max_fails_cleanly(workdir, tmp_path, capsys)
     assert not (tmp_path / "m.imfc").exists()
 
 
-# trial 0 ("gait-000") of the corpus: id at 80, then rate, height, mass,
-# weight (float64 each) and the frame count
+# trial 0 ("gait-000") of the corpus: id at 80, then rate, height, mass
+# (float64 each), the frame count at 88 + 24 and the has-stance byte; its
+# arrays follow from 88 + 29: per frame 24 rotation quaternions, a root
+# position and 13 site quaternions (float64), then the accelerations
+# (13 x 3 float64 a frame) and the contacts (4 uint8 a frame)
+def _signals_at(blob: bytes) -> tuple[int, int]:
+    """Offsets of trial 0's accelerations and contacts."""
+    (frames,) = struct.unpack_from("<I", blob, 88 + 24)
+    accels = 88 + 29 + frames * (24 * 4 + 3 + 13 * 4) * 8
+    return accels, accels + frames * 13 * 3 * 8
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda b: _flip(b, 80, 7),                 # a trial-id byte that is not UTF-8
-    lambda b: _flip(b, 88 + 35, 6),            # bit 30 of the frame count
+    lambda b: _flip(b, 88 + 27, 6),            # bit 30 of the frame count
     lambda b: _put(b, 88 + 8, "<d", -1.59),    # a negative height
     lambda b: _put(b, 88 + 8, "<d", 1e300),    # a height that overflows the skeleton
-], ids=["id-not-utf8", "frames-bit30", "height-negative", "height-1e300"])
+    lambda b: _put(b, _signals_at(b)[1] + 5, "<B", 7),             # a contact label of 7
+    lambda b: _put(b, _signals_at(b)[0] + 8, "<d", float("nan")),  # a NaN acceleration
+], ids=["id-not-utf8", "frames-bit30", "height-negative", "height-1e300", "contact-7", "accel-nan"])
 def test_corrupt_dataset_fails_cleanly(workdir, tmp_path, capsys, corrupt):
     bad = tmp_path / "bad.imfd"
     bad.write_bytes(corrupt((workdir / "corpus.imfd").read_bytes()))
@@ -620,4 +631,15 @@ def test_corrupt_dataset_fails_cleanly(workdir, tmp_path, capsys, corrupt):
                    "--out", str(tmp_path / "m.imfc")])
     assert rc == 1
     assert "error (DatasetError)" in capsys.readouterr().err
+    assert not (tmp_path / "m.imfc").exists()
+
+
+def test_dataset_of_version_1_fails_cleanly(workdir, tmp_path, capsys):
+    # version 1 stored a sampling weight per trial; such a file is made again with datagen
+    old = tmp_path / "v1.imfd"
+    old.write_bytes(_put((workdir / "corpus.imfd").read_bytes(), 4, "<I", 1))
+    rc = cli.main(["train", "--data", str(old), "--size", "1/16/32", "--steps", "1", "--batch", "2",
+                   "--out", str(tmp_path / "m.imfc")])
+    assert rc == 1
+    assert "error (DatasetError): unsupported dataset version 1\n" in capsys.readouterr().err
     assert not (tmp_path / "m.imfc").exists()

@@ -199,23 +199,23 @@ def test_empty_corpus_rejected(tree):
 def test_window_sampler_single_trial(tree):
     m = dg.generate_motion("gait", seed=5, duration_s=8.0, speed=1.0, trial_id="only")
     trial = dg.make_trial(m, tree)
-    dg.compute_trial_weights([trial], tree)
     wins, hs = df.corpus_sampler([trial], tree, seed=0)(5)
     assert wins.shape == (5, 61, 190)
     np.testing.assert_array_equal(hs, m.height)
 
 
 def test_window_sampler_frequencies(tree):
-    t1 = dg.make_trial(dg.generate_motion("stationary", seed=1, duration_s=5.0, trial_id="a"), tree)
-    t2 = dg.make_trial(dg.generate_motion("stationary", seed=2, duration_s=5.0, trial_id="b"), tree)
-    t1.weight, t2.weight = 0.75, 0.25
-    # tag features so draws are identifiable
-    t1.features(tree)[:, 0] = 123.0
-    t2.features(tree)[:, 0] = 456.0
+    # a brisk tall walker and a slow short one: a draw is known by its height
+    t1 = dg.make_trial(dg.generate_motion("gait", seed=1, duration_s=5.0, height=1.9, speed=1.6,
+                                          trial_id="a"), tree)
+    t2 = dg.make_trial(dg.generate_motion("gait", seed=2, duration_s=5.0, height=1.6, speed=0.7,
+                                          trial_id="b"), tree)
+    p1 = dg.compute_trial_weights([t1, t2], tree)[0]
+    assert 0.6 < p1 < 0.95  # energy-weighted, far from uniform
     sample = df.corpus_sampler([t1, t2], tree, seed=42)
     n, chunk = 100_000, 100  # a chunk at a time, not 100 000 windows at once
-    hits = sum(int((sample(chunk)[0][:, 0, 0] == 123.0).sum()) for _ in range(n // chunk))
-    assert abs(hits / n - 0.75) < 0.01
+    hits = sum(int((sample(chunk)[1] == 1.9).sum()) for _ in range(n // chunk))
+    assert abs(hits / n - p1) < 0.01
 
 
 def test_window_sampler_determinism(tree):
@@ -233,7 +233,6 @@ def test_window_sampler_skips_short_trials(tree):
     short = dg.make_trial(dg.generate_motion("stationary", seed=2, duration_s=2.0, trial_id="short"), tree)
     assert short.motion.n_frames < 61
     assert dg.holds_window(long) and not dg.holds_window(short)
-    long.weight = short.weight = 0.5
     wins, _ = df.corpus_sampler([long, short], tree, seed=0)(20)
     assert wins.shape == (20, 61, 190)
     with pytest.raises(dg.GenerationError):
@@ -273,7 +272,6 @@ def test_corpus_generation_and_rate_consistency(tree):
         assert tr.site_rotations.shape == (T, 13, 3, 3)
         assert tr.contacts.shape == (T, 4)
         assert tr.motion.rate == 20.0
-    assert sum(t.weight for t in trials) == pytest.approx(1.0)
 
 
 def test_dataset_round_trip(tmp_path, tree):
@@ -285,7 +283,6 @@ def test_dataset_round_trip(tmp_path, tree):
     for a, b in zip(trials, back):
         assert a.trial_id == b.trial_id
         assert a.motion.height == b.motion.height
-        assert a.weight == b.weight
         np.testing.assert_allclose(b.motion.rotations, a.motion.rotations, atol=1e-12)
         np.testing.assert_array_equal(b.motion.root_positions, a.motion.root_positions)
         np.testing.assert_array_equal(b.site_accels, a.site_accels)
@@ -396,10 +393,26 @@ def test_dataset_rejects_a_quaternion_that_is_not_unit(tmp_path, tree, value):
     path = tmp_path / "d.imfd"
     dg.save_dataset(trials, tree, path)
     blob = bytearray(path.read_bytes())
-    first_rotation = 4 + 4 + 4 + 64 + 4 + len(trials[0].trial_id.encode()) + 37
+    first_rotation = 4 + 4 + 4 + 64 + 4 + len(trials[0].trial_id.encode()) + 29
     blob[first_rotation:first_rotation + 8] = np.float64(value).tobytes()
     path.write_bytes(blob)
     with pytest.raises(dg.DatasetError, match="rotations are not unit quaternions"):
+        dg.load_dataset(path, tree)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("contacts", 7, "contact labels must be 0 or 1"),
+    ("stance", 2, "stance flags must be 0 or 1"),
+    ("site_accels", np.nan, "non-finite site accelerations"),
+    ("site_accels", -np.inf, "non-finite site accelerations"),
+])
+def test_dataset_refuses_signals_a_recording_cannot_hold(tmp_path, tree, field, value, message):
+    (trial,) = dg.generate_corpus(tree, 1, 4.0, seed=0)  # a gait: it has stance flags
+    target = trial.motion.stance if field == "stance" else getattr(trial, field)
+    target[(12,) + (0,) * (target.ndim - 1)] = value
+    path = tmp_path / "d.imfd"
+    dg.save_dataset([trial], tree, path)
+    with pytest.raises(dg.DatasetError, match=f"^{trial.trial_id}: {message}$"):
         dg.load_dataset(path, tree)
 
 

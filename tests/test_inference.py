@@ -100,8 +100,7 @@ def test_inpaint_all_zero_mask_single_step(tiny_model):
     np.testing.assert_allclose(a, fast.predict(x.astype(np.float32), 0, 1.75), atol=1e-6)
 
 
-@pytest.mark.parametrize("variant", ["renoise"])
-def test_inpaint_mask_preservation_random(tiny_model, tree, variant):
+def test_inpaint_mask_preservation_random(tiny_model, tree):
     cfg, params, schedule, fast = tiny_model
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -114,8 +113,7 @@ def test_inpaint_mask_preservation_random(tiny_model, tree, variant):
         assert np.isfinite(out).all()
 
 
-@pytest.mark.parametrize("variant", ["renoise"])
-def test_inpaint_rejects_nonfinite_input(tiny_model, variant):
+def test_inpaint_rejects_nonfinite_input(tiny_model):
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(4).standard_normal((61, 190))
     x[3, 7] = np.nan
@@ -166,8 +164,7 @@ def test_inpaint_matches_full_window_reference(model64, seed, n_rows, density):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["renoise"])
-def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model, variant):
+def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model):
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(6).standard_normal((61, 190))
     mask = np.ones_like(x)
