@@ -200,7 +200,7 @@ def main(argv=None) -> int:
         }[args.cmd](args)
     except (dg.GenerationError, dg.DatasetError, df.CheckpointError, df.ScheduleError,
             df.TrainingDiverged, ft.FeatureError, inf.SpreadError, inf.InferenceError,
-            mt.MetricsError, SkeletonError, FileNotFoundError) as e:
+            mt.MetricsError, SkeletonError, OSError) as e:
         print(f"error ({type(e).__name__}): {e}", file=sys.stderr)
         return 1
 

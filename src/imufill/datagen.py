@@ -574,7 +574,7 @@ class DatasetError(ValueError):
 
 def load_dataset(path: str | Path, tree: KinematicTree) -> list[Trial]:
     """Reads what save_dataset wrote; raises DatasetError on a file that
-    is not a dataset of this version (`datagen` makes a version 1 file
+    is not a dataset of version DATASET_VERSION (`datagen` makes one
     again), was made for another skeleton, holds a trial that is not at
     FRAME_RATE_HZ, or is corrupt (naming the trial where it can)."""
     with open(path, "rb") as f:
@@ -630,7 +630,9 @@ def _check_unit(quats: np.ndarray, what: str) -> None:
 
 
 def export_dataset_text(trials: list[Trial], out_dir: str | Path) -> None:
-    """Lossless (%.17g) text mirror of the container, for debugging."""
+    """Lossless (%.17g) text mirror of the container, for debugging; a
+    motion's stance flags go to stance.txt, written only when it has them
+    (meta.json's has_stance)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for tr in trials:
@@ -638,10 +640,12 @@ def export_dataset_text(trials: list[Trial], out_dir: str | Path) -> None:
         d.mkdir(exist_ok=True)
         m = tr.motion
         meta = {"trial_id": m.trial_id, "rate_hz": m.rate, "height_m": m.height,
-                "mass_kg": m.mass, "n_frames": m.n_frames}
+                "mass_kg": m.mass, "n_frames": m.n_frames, "has_stance": m.stance is not None}
         (d / "meta.json").write_text(json.dumps(meta, indent=1))
         np.savetxt(d / "local_quat_wxyz.txt", rot_to_quat(m.rotations).reshape(m.n_frames, -1), fmt="%.17g")
         np.savetxt(d / "root_xyz.txt", m.root_positions, fmt="%.17g")
         np.savetxt(d / "site_quat_wxyz.txt", rot_to_quat(tr.site_rotations).reshape(m.n_frames, -1), fmt="%.17g")
         np.savetxt(d / "site_accel.txt", tr.site_accels.reshape(m.n_frames, -1), fmt="%.17g")
         np.savetxt(d / "contacts.txt", tr.contacts, fmt="%d")
+        if m.stance is not None:
+            np.savetxt(d / "stance.txt", m.stance, fmt="%d")

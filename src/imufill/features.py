@@ -13,10 +13,10 @@ Per-frame layout, fixed and asserted once here, reused everywhere:
                             {0,1} in ground truth, [0,1] for predictions
 
 A window is 61 consecutive frames at 20 Hz plus the subject height
-condition. Each step's inpainting mask comes from `apply_observation`:
-1 marks a channel frozen during inpainting (every history frame, and
-the last frame's channels that a sensor measured this step), 0 a
-generated one.
+condition. `apply_observation` advances a window by one frame and says
+which of the new frame's channels a sensor measured this step; every
+history frame is known, so those channels are all that inpainting keeps
+in the newest frame, and it generates the rest.
 """
 
 from __future__ import annotations
@@ -150,25 +150,25 @@ def encode_frames(
 
 
 def measurement_channels(tree: KinematicTree, meas: Measurement) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a Measurement into (values, observed) 190-channel vectors."""
+    """Expand a Measurement into 190-channel values and observed flags (bool)."""
     vals = np.zeros(FRAME_DIM)
-    obs = np.zeros(FRAME_DIM)
+    obs = np.zeros(FRAME_DIM, dtype=bool)
     for name, r6 in meas.site_orient6d.items():
         if name not in SITE_INDEX:
             raise FeatureError(f"measurement for unknown site {name!r}")
         s = SITE_INDEX[name]
         seg = int(tree.site_segments[s])
         vals[seg_r_slice(seg)] = np.asarray(r6, dtype=np.float64)
-        obs[seg_r_slice(seg)] = 1.0
+        obs[seg_r_slice(seg)] = True
     for name, a in meas.site_accel.items():
         if name not in SITE_INDEX:
             raise FeatureError(f"measurement for unknown site {name!r}")
         s = SITE_INDEX[name]
         vals[site_a_slice(s)] = np.asarray(a, dtype=np.float64)
-        obs[site_a_slice(s)] = 1.0
+        obs[site_a_slice(s)] = True
     if meas.insole_labels is not None:
         vals[B_OFF:B_OFF + B_LEN] = np.asarray(meas.insole_labels, dtype=np.float64)
-        obs[B_OFF:B_OFF + B_LEN] = 1.0
+        obs[B_OFF:B_OFF + B_LEN] = True
     return vals, obs
 
 
@@ -178,12 +178,13 @@ def apply_observation(
     tree: KinematicTree,
     config: SensorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Write a new observation into the last frame of a (61, 190) window.
+    """Advance a (61, 190) window by one frame for a new observation.
 
-    Observed channels take the measured values; everything else in the
-    last frame is initialized from the previous frame. Returns the new
-    window and the effective (61, 190) inpainting mask for this step
-    (base mask minus channels whose sensor dropped out).
+    Returns a new window, the input's last 60 frames followed by the new
+    frame, and the new frame's observed channels, (190,) bool. The new
+    frame takes the measured values in the observed channels and the
+    previous frame's values elsewhere; a sensor that dropped out leaves
+    its channels unobserved. The input window is not changed.
     """
     window = np.asarray(window)
     if window.shape != (WINDOW_LEN, FRAME_DIM):
@@ -194,12 +195,8 @@ def apply_observation(
             raise FeatureError(f"measurement for uninstrumented site {name!r} (config: {config.label()})")
     if meas.insole_labels is not None and not config.insoles:
         raise FeatureError("insole labels supplied but config has no insoles")
-    vals, obs = measurement_channels(tree, meas)
-    out = window.copy()
-    out[-1] = np.where(obs > 0, vals, window[-2])
-    mask = np.ones((WINDOW_LEN, FRAME_DIM), dtype=np.float64)
-    mask[-1] = obs
-    return out, mask
+    vals, observed = measurement_channels(tree, meas)
+    return np.concatenate([window[1:], np.where(observed, vals, window[-1])[None]]), observed
 
 
 def neutral_frame(tree: KinematicTree) -> tuple[np.ndarray, np.ndarray]:

@@ -1,21 +1,21 @@
 """Real-time autoregressive reconstruction from streaming sparse sensors.
 
-Each 20 Hz step: write the new observation into the last frame of the
-rolling 61-frame window (unobserved channels seeded from the previous
-frame), run inpainting denoising over the configured step spread, take
-the generated channels of the last frame alongside the measured ones,
-decode that frame once into local rotations and, with root correction
-on, its contact points (`Reconstructor._decode_frame`, the one decoder
-from feature frame to pose); correct the root displacement from the
-contact points of this frame and of the last one, which the previous
-step kept; then shift the emitted frame into history. History rows are fully
-observed, so the denoiser predicts only rows with generated channels:
-in a session, the newest frame.
+Each 20 Hz step: `features.apply_observation` advances the rolling
+61-frame window by one frame (unobserved channels seeded from the
+previous frame) and names the new frame's observed channels;
+`inpaint_denoise` generates the new frame's other channels over the
+configured step spread; the step decodes that frame once into local
+rotations and, with root correction on, its contact points
+(`Reconstructor._decode_frame`, the one decoder from feature frame to
+pose); corrects the root displacement from the contact points of this
+frame and of the last one, which the previous step kept; then writes the
+emitted frame into the window as its newest row. History rows are fully
+observed, so the denoiser predicts only the newest frame.
 
 The inpainting loop follows the renoise-and-edit algorithm literally:
-every iteration renoises the current estimate at the step's noise level,
-predicts a clean window, and freezes observed channels back to the
-input.
+every iteration renoises the current estimate of the whole window at the
+step's noise level, predicts the clean newest frame, and freezes its
+observed channels back to the input.
 
 Wire formats (JSON lines, versioned by a header record):
 
@@ -173,35 +173,36 @@ class StepSpread:
         return StepSpread(steps)
 
 
+_NEWEST = np.array([ft.WINDOW_LEN - 1])  # the row a session step generates
+
+
 def inpaint_denoise(
     model: FastDenoiser,
     schedule: DiffusionSchedule,
-    x_input: np.ndarray,
-    mask: np.ndarray,
+    window: np.ndarray,
+    observed: np.ndarray,
     h: float,
     spread: StepSpread,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Generate the unmasked channels of x_input; masked channels (mask=1)
-    pass through bit-exactly. Only rows with a generated channel are
-    predicted, and each step's estimate takes the model output there and
-    the input everywhere else. Each step draws one window-sized block of
-    noise. The input is checked to be finite once, before the first step."""
-    x_input = np.asarray(x_input)
-    if x_input.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
-        raise ContractError(f"x_input shape {x_input.shape}")
-    if mask.shape != x_input.shape:
-        raise ContractError(f"mask shape {mask.shape} != {x_input.shape}")
+    """The newest frame of a (61, 190) window, with its unobserved
+    channels generated; its observed channels ((190,) bool) pass through
+    bit-exactly, and the history rows are known. Each step draws one
+    window-sized block of noise, renoises the whole window, predicts the
+    newest row and takes the model output in its unobserved channels. The
+    window is checked to be finite once, before the first step."""
+    window = np.asarray(window)
+    if window.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
+        raise ContractError(f"window shape {window.shape}")
+    if observed.shape != (ft.FRAME_DIM,) or observed.dtype != bool:
+        raise ContractError(f"observed must be ({ft.FRAME_DIM},) bool, got {observed.shape} {observed.dtype}")
     if spread.steps[0] > schedule.T:
         raise SpreadError(f"spread starts at {spread.steps[0]} > T={schedule.T}")
-    keep = mask > 0.5
-    rows = np.flatnonzero(~keep.all(axis=1))
     dtype = model.dtype
-    xin = x_input.astype(dtype)
-    if not np.isfinite(xin).all():
+    x = window.astype(dtype)  # the estimate: the window, model output in the generated channels
+    if not np.isfinite(x).all():
         raise InferenceError("non-finite value in the input window")
-    x = xin.copy()  # the estimate: input in observed channels, model output elsewhere
-    keep_rows, xin_rows = keep[rows], xin[rows]
+    known = x[-1].copy()
     noise, scaled = np.empty_like(x), np.empty_like(x)  # local, so threads can share the model
     for t in spread.steps:
         # renoise: sqrt(ab_t) x + sqrt(1 - ab_t) eps, with eps drawn into
@@ -210,17 +211,17 @@ def inpaint_denoise(
         z = rng.standard_normal(dtype=dtype, out=noise)
         z *= np.sqrt(1.0 - ab, dtype=dtype)
         z += np.multiply(np.sqrt(ab, dtype=dtype), x, out=scaled)
-        # edit: predict a clean window and freeze the observed channels
-        x0 = model.predict(z, t, h, rows=rows)
+        # edit: predict the clean newest frame and freeze its observed channels
+        x0 = model.predict(z, t, h, rows=_NEWEST)[0]
         if not np.isfinite(x0).all():
             raise InferenceError(f"non-finite denoiser output at step t={t}")
-        np.copyto(x0, xin_rows, where=keep_rows)
-        x[rows] = x0
+        np.copyto(x0, known, where=observed)
+        x[-1] = x0
     # the last step froze observed channels; make the pass-through exact
-    # in the input's own dtype as well
-    result = x_input.copy()
-    np.copyto(result, x, where=~keep)
-    return result
+    # in the window's own dtype as well
+    frame = window[-1].copy()
+    np.copyto(frame, x[-1], where=~observed)
+    return frame
 
 
 def root_correct(prev_xz: np.ndarray, cur_frame: np.ndarray, cur_xz: np.ndarray) -> np.ndarray:
@@ -305,10 +306,8 @@ class Reconstructor:
         t0 = time.perf_counter()
         if self.window is None:
             raise InferenceError("step before cold_start")
-        shifted = np.concatenate([self.window[1:], self.window[-1:]], axis=0)
-        x_input, mask = ft.apply_observation(shifted, measurement, self.tree, self.config)
-        out = inpaint_denoise(self.fast, self.schedule, x_input, mask, self.height, self.spread, self.rng)
-        emitted = out[-1].copy()
+        window, observed = ft.apply_observation(self.window, measurement, self.tree, self.config)
+        emitted = inpaint_denoise(self.fast, self.schedule, window, observed, self.height, self.spread, self.rng)
         locals_, cur_xz = self._decode_frame(emitted)
         if self.root_correction:
             emitted[ft.DP_OFF:ft.DP_OFF + 2] = root_correct(self.contact_xz, emitted, cur_xz)
@@ -316,7 +315,8 @@ class Reconstructor:
         self.root_xz = self.root_xz + emitted[ft.DP_OFF:ft.DP_OFF + 2]
         root = np.array([self.root_xz[0], emitted[ft.PY_OFF], self.root_xz[1]])
         contacts = np.clip(emitted[ft.B_OFF:ft.B_OFF + ft.B_LEN], 0.0, 1.0)
-        self.window = np.concatenate([x_input[:-1], emitted[None]], axis=0)
+        window[-1] = emitted
+        self.window = window
         self.frame_index += 1
         return StepResult(pose=Pose(locals_, root), frame=emitted, contacts=contacts,
                           latency_ms=(time.perf_counter() - t0) * 1e3, index=self.frame_index - 1)

@@ -320,9 +320,7 @@ def global_to_local(tree: KinematicTree, globals_: np.ndarray) -> np.ndarray:
     globals_ = np.asarray(globals_)
     L = np.empty_like(globals_)
     L[..., 0, :, :] = globals_[..., 0, :, :]
-    for i in range(1, tree.n_segments):
-        p = tree.parents[i]
-        L[..., i, :, :] = np.swapaxes(globals_[..., p, :, :], -1, -2) @ globals_[..., i, :, :]
+    L[..., 1:, :, :] = np.swapaxes(globals_[..., tree.parents[1:], :, :], -1, -2) @ globals_[..., 1:, :, :]
     return L
 
 

@@ -11,10 +11,12 @@ replaced; the losses' in-graph FK, which scales the tree per window,
 against the per-batch context it replaced; and the body model's one
 synthesis pass per motion and forward kinematics through
 `local_to_global`, against the two passes and the own orientation loop
-they replaced. The training graph's one-node `linear` and `add_layernorm`
-are checked, op by op and through a whole training step, against frozen
-copies of the two-node compositions they replaced, and the tape they
-leave must be smaller by what those compositions kept and no vjp read.
+they replaced, and `global_to_local`'s one product over all segments
+against the per-segment loop it replaced. The training graph's one-node
+`linear` and `add_layernorm` are checked, op by op and through a whole
+training step, against frozen copies of the two-node compositions they
+replaced, and the tape they leave must be smaller by what those
+compositions kept and no vjp read.
 The block-by-block `gelu` and `adam_step` are checked byte for byte
 against frozen copies of the full-array expressions they replaced; the
 tape must no longer hold GELU's tanh, and `backward` must release it as
@@ -189,13 +191,13 @@ def test_inpaint_matches_frozen_reference_bit_for_bit():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((61, 190))
-        mask = np.ones_like(x)
-        rows = rng.choice(61, size=int(rng.integers(1, 8)), replace=False)
-        mask[rows] = rng.random((len(rows), 190)) >= rng.random()
+        observed = rng.random(190) >= rng.random()
+        mask = np.ones_like(x)  # every history row known, as in a session
+        mask[-1] = observed
         got_rng, want_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
-        got = inf.inpaint_denoise(model, schedule, x, mask, 1.7, spread, got_rng)
+        got = inf.inpaint_denoise(model, schedule, x, observed, 1.7, spread, got_rng)
         want = _ref_inpaint(model, schedule, x, mask, 1.7, spread, want_rng)
-        assert np.array_equal(got, want), seed
+        assert np.array_equal(got, want[-1]), seed
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -407,6 +409,23 @@ def test_forward_kinematics_matches_frozen_own_orientation_loop(tree, toy, batch
     got, want = kin.forward_kinematics(body, rot, root), _ref_forward_kinematics(body, rot, root)
     for name in ("globals_", "joints", "sites", "contacts"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _ref_global_to_local(tree, globals_):
+    L = np.empty_like(globals_)
+    L[..., 0, :, :] = globals_[..., 0, :, :]
+    for i in range(1, tree.n_segments):
+        p = tree.parents[i]
+        L[..., i, :, :] = np.swapaxes(globals_[..., p, :, :], -1, -2) @ globals_[..., i, :, :]
+    return L
+
+
+@pytest.mark.parametrize("toy, batch", [(False, ()), (False, (61,)), (False, (5, 7)), (True, (61,))])
+def test_global_to_local_matches_frozen_per_segment_loop(tree, toy, batch):
+    body = _toy_tree() if toy else tree
+    rng = np.random.default_rng(len(batch) + 10 * toy)
+    G = kin.decode_rot6d(rng.standard_normal(batch + (body.n_segments, 6)))
+    assert np.array_equal(kin.global_to_local(body, G), _ref_global_to_local(body, G))
 
 
 # -- training graph -------------------------------------------------------------

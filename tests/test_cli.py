@@ -110,6 +110,20 @@ def test_datagen_deterministic(workdir, tmp_path):
     assert (tmp_path / "again.imfd").read_bytes() == (workdir / "corpus.imfd").read_bytes()
 
 
+@pytest.mark.parametrize("out, export, error", [("a_dir", None, "IsADirectoryError"),
+                                                ("ok.imfd", "a_file", "FileExistsError")])
+def test_datagen_unwritable_path_fails_cleanly(tmp_path, capsys, out, export, error):
+    # --out names a directory, or --export-text a file: exit 1 naming the
+    # OSError, no traceback
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    text = [] if export is None else ["--export-text", str(tmp_path / export)]
+    rc = cli.main(["datagen", "--trials", "1", "--seconds", "1", "--out", str(tmp_path / out), *text])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({error}): ") and "Traceback" not in err
+
+
 def test_train_reconstruct_evaluate_round_trip(workdir, tmp_path):
     ck = tmp_path / "m.imfc"
     rc = cli.main(["train", "--data", str(workdir / "corpus.imfd"), "--size", "1/16/32",

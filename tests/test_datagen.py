@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -430,6 +431,14 @@ def test_text_export(tmp_path, tree):
     assert (d / "meta.json").exists()
     root = np.loadtxt(d / "root_xyz.txt")
     np.testing.assert_array_equal(root, trials[0].motion.root_positions)  # %.17g is lossless
+    # the gait trial's stance flags round-trip; random_smooth has none
+    gait, smooth = (next(tr for tr in trials if tr.trial_id.startswith(k)) for k in ("gait", "random_smooth"))
+    d = tmp_path / "txt" / gait.trial_id
+    assert json.loads((d / "meta.json").read_text())["has_stance"] is True
+    np.testing.assert_array_equal(np.loadtxt(d / "stance.txt", dtype=np.uint8), gait.motion.stance)
+    d = tmp_path / "txt" / smooth.trial_id
+    assert json.loads((d / "meta.json").read_text())["has_stance"] is False
+    assert not (d / "stance.txt").exists()
 
 
 def test_jump_has_flight_and_ground_phases(tree):

@@ -84,8 +84,8 @@ def _full_measurement(rng, sites, insoles=False):
 def test_inference_mask_empty_config(tree):
     window = np.random.default_rng(5).standard_normal((61, 190))
     _, m = ft.apply_observation(window, ft.Measurement(), tree, ft.SensorConfig())
-    np.testing.assert_array_equal(m[:-1], 1.0)
-    np.testing.assert_array_equal(m[-1], 0.0)
+    assert m.shape == (190,) and m.dtype == bool
+    assert not m.any()
 
 
 def test_inference_mask_full_config_counts(tree):
@@ -93,23 +93,20 @@ def test_inference_mask_full_config_counts(tree):
     cfg = ft.SensorConfig(imu_sites=ft.ALL_SITES, insoles=True)
     _, m = ft.apply_observation(rng.standard_normal((61, 190)),
                                 _full_measurement(rng, ft.ALL_SITES, insoles=True), tree, cfg)
-    np.testing.assert_array_equal(m[:-1], 1.0)
-    assert m[-1].sum() == 13 * 6 + 13 * 3 + 4 == 121
+    assert m.sum() == 13 * 6 + 13 * 3 + 4 == 121
     # dp and py never observed
-    assert m[-1, ft.DP_OFF] == 0 and m[-1, ft.DP_OFF + 1] == 0 and m[-1, ft.PY_OFF] == 0
+    assert not m[ft.DP_OFF] and not m[ft.DP_OFF + 1] and not m[ft.PY_OFF]
     # 11 uninstrumented segments stay free
     instrumented = {int(s) for s in tree.site_segments}
     for seg in range(24):
-        expect = 1.0 if seg in instrumented else 0.0
-        np.testing.assert_array_equal(m[-1, ft.seg_r_slice(seg)], expect)
+        np.testing.assert_array_equal(m[ft.seg_r_slice(seg)], seg in instrumented)
 
 
 def test_inference_mask_pelvis_only(tree):
     rng = np.random.default_rng(7)
     _, m = ft.apply_observation(rng.standard_normal((61, 190)), _full_measurement(rng, ("pelvis",)),
                                 tree, ft.SensorConfig(imu_sites=("pelvis",)))
-    np.testing.assert_array_equal(m[:-1], 1.0)
-    assert m[-1].sum() == 9
+    assert m.sum() == 9
 
 
 def test_mask_is_pure_function(tree):
@@ -139,19 +136,22 @@ def test_apply_observation_full(tree):
         site_accel={n: rng.standard_normal(3) for n in ft.ALL_SITES},
         insole_labels=np.array([1.0, 0.0, 1.0, 1.0]),
     )
-    out, mask = ft.apply_observation(window, meas, tree, cfg)
+    out, observed = ft.apply_observation(window, meas, tree, cfg)
     vals, obs = ft.measurement_channels(tree, meas)
     assert obs.sum() == 121
-    np.testing.assert_array_equal(out[-1][obs > 0], vals[obs > 0])
-    np.testing.assert_array_equal(out[:-1], window[:-1])
+    np.testing.assert_array_equal(observed, obs)
+    np.testing.assert_array_equal(out[-1][obs], vals[obs])
+    np.testing.assert_array_equal(out[:-1], window[1:])  # advanced by one frame
 
 
 def test_apply_observation_empty_copies_previous(tree):
     rng = np.random.default_rng(2)
     window = rng.standard_normal((61, 190))
-    out, mask = ft.apply_observation(window, ft.Measurement(), tree, ft.SensorConfig())
-    np.testing.assert_array_equal(out[-1], window[-2])
-    np.testing.assert_array_equal(mask[-1], 0.0)
+    before = window.copy()
+    out, observed = ft.apply_observation(window, ft.Measurement(), tree, ft.SensorConfig())
+    np.testing.assert_array_equal(out[-1], window[-1])
+    assert not observed.any()
+    np.testing.assert_array_equal(window, before)  # the input window is not changed
 
 
 def test_apply_observation_partial_wrists(tree):
@@ -162,10 +162,10 @@ def test_apply_observation_partial_wrists(tree):
         site_orient6d={"wrist_l": rng.standard_normal(6), "wrist_r": rng.standard_normal(6)},
         site_accel={"wrist_l": rng.standard_normal(3), "wrist_r": rng.standard_normal(3)},
     )
-    out, mask = ft.apply_observation(window, meas, tree, cfg)
+    out, observed = ft.apply_observation(window, meas, tree, cfg)
     vals, obs = ft.measurement_channels(tree, meas)
-    np.testing.assert_array_equal(out[-1][obs > 0], vals[obs > 0])
-    np.testing.assert_array_equal(out[-1][obs == 0], window[-2][obs == 0])
+    np.testing.assert_array_equal(out[-1][obs], vals[obs])
+    np.testing.assert_array_equal(out[-1][~obs], window[-1][~obs])
 
 
 def test_apply_observation_uninstrumented_site_rejected(tree):
@@ -184,10 +184,10 @@ def test_sensor_dropout_clears_mask_bits(tree):
         site_orient6d={"pelvis": rng.standard_normal(6)},
         site_accel={"pelvis": rng.standard_normal(3)},
     )
-    out, mask = ft.apply_observation(window, meas, tree, cfg)
+    out, observed = ft.apply_observation(window, meas, tree, cfg)
     head_seg = int(tree.site_segments[tree.site_names.index("head")])
-    np.testing.assert_array_equal(mask[-1, ft.seg_r_slice(head_seg)], 0.0)
-    assert mask[-1].sum() == 9
+    assert not observed[ft.seg_r_slice(head_seg)].any()
+    assert observed.sum() == 9
 
 
 def test_all_sites_in_skeleton_order(tree):

@@ -83,21 +83,21 @@ def test_inpaint_all_ones_mask_is_identity(tiny_model):
     cfg, params, schedule, fast = tiny_model
     rng = np.random.default_rng(0)
     x = rng.standard_normal((61, 190))
-    mask = np.ones_like(x)
-    out = inf.inpaint_denoise(fast, schedule, x, mask, 1.75, inf.StepSpread.like_10d(5), rng)
-    assert out.tobytes() == x.tobytes()  # bit-exact pass-through
+    observed = np.ones(190, bool)
+    out = inf.inpaint_denoise(fast, schedule, x, observed, 1.75, inf.StepSpread.like_10d(5), rng)
+    assert out.tobytes() == x[-1].tobytes()  # bit-exact pass-through
 
 
 def test_inpaint_all_zero_mask_single_step(tiny_model):
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(1).standard_normal((61, 190))
-    mask = np.zeros_like(x)
-    a = inf.inpaint_denoise(fast, schedule, x, mask, 1.75, inf.StepSpread((0,)), np.random.default_rng(5))
-    b = inf.inpaint_denoise(fast, schedule, x, mask, 1.75, inf.StepSpread((0,)), np.random.default_rng(5))
-    assert a.shape == (61, 190)
+    observed = np.zeros(190, bool)
+    a = inf.inpaint_denoise(fast, schedule, x, observed, 1.75, inf.StepSpread((0,)), np.random.default_rng(5))
+    b = inf.inpaint_denoise(fast, schedule, x, observed, 1.75, inf.StepSpread((0,)), np.random.default_rng(5))
+    assert a.shape == (190,)
     np.testing.assert_array_equal(a, b)
     # t=0 renoise is exact, so this equals one clean denoise of x
-    np.testing.assert_allclose(a, fast.predict(x.astype(np.float32), 0, 1.75), atol=1e-6)
+    np.testing.assert_allclose(a, fast.predict(x.astype(np.float32), 0, 1.75)[-1], atol=1e-6)
 
 
 def test_inpaint_mask_preservation_random(tiny_model, tree):
@@ -105,11 +105,10 @@ def test_inpaint_mask_preservation_random(tiny_model, tree):
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = rng.standard_normal((61, 190))
-        mask = (rng.random((61, 190)) < 0.7).astype(float)
-        out = inf.inpaint_denoise(fast, schedule, x, mask, 1.7,
+        observed = rng.random(190) < 0.7
+        out = inf.inpaint_denoise(fast, schedule, x, observed, 1.7,
                                   inf.StepSpread.like_10d(4), rng)
-        keep = mask > 0.5
-        assert out[keep].tobytes() == x[keep].tobytes()
+        assert out[observed].tobytes() == x[-1, observed].tobytes()
         assert np.isfinite(out).all()
 
 
@@ -118,7 +117,16 @@ def test_inpaint_rejects_nonfinite_input(tiny_model):
     x = np.random.default_rng(4).standard_normal((61, 190))
     x[3, 7] = np.nan
     with pytest.raises(inf.InferenceError, match="non-finite"):
-        inf.inpaint_denoise(fast, schedule, x, np.ones_like(x), 1.75, inf.StepSpread.like_10d(3),
+        inf.inpaint_denoise(fast, schedule, x, np.ones(190, bool), 1.75, inf.StepSpread.like_10d(3),
+                            np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("observed", [np.ones((61, 190), bool), np.ones(190)], ids=["window-mask", "float"])
+def test_inpaint_takes_the_newest_frames_observed_flags(tiny_model, observed):
+    cfg, params, schedule, fast = tiny_model
+    x = np.zeros((61, 190))
+    with pytest.raises(inf.ContractError, match=r"observed must be \(190,\) bool"):
+        inf.inpaint_denoise(fast, schedule, x, observed, 1.75, inf.StepSpread.like_10d(3),
                             np.random.default_rng(0))
 
 
@@ -150,28 +158,30 @@ def model64():
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(0, 61), density=st.floats(0.0, 1.0))
-def test_inpaint_matches_full_window_reference(model64, seed, n_rows, density):
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+def test_inpaint_matches_full_window_reference(model64, seed, density):
+    # the newest frame of a full-window inpainting whose mask keeps every
+    # history row and the newest frame's observed channels
     schedule, fast = model64
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((61, 190))
+    observed = rng.random(190) >= density
     mask = np.ones_like(x)
-    rows = rng.choice(61, size=n_rows, replace=False)
-    mask[rows] = rng.random((n_rows, 190)) >= density
+    mask[-1] = observed
     spread = inf.StepSpread.like_10d(4)
-    got = inf.inpaint_denoise(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed))
+    got = inf.inpaint_denoise(fast, schedule, x, observed, 1.7, spread, np.random.default_rng(seed))
     want = _inpaint_reference(fast, schedule, x, mask, 1.7, spread, np.random.default_rng(seed))
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want[-1], rtol=0, atol=1e-12)
 
 
 def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model):
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(6).standard_normal((61, 190))
-    mask = np.ones_like(x)
-    mask[-1, 150:] = 0.0
+    observed = np.ones(190, bool)
+    observed[150:] = False
     spread = inf.StepSpread.like_10d(7)
     rng = np.random.default_rng(13)
-    inf.inpaint_denoise(fast, schedule, x, mask, 1.75, spread, rng)
+    inf.inpaint_denoise(fast, schedule, x, observed, 1.75, spread, rng)
     fresh = np.random.default_rng(13)
     for _ in range(len(spread)):
         fresh.standard_normal((61, 190), dtype=np.float32)
@@ -255,18 +265,16 @@ def _reference_session(recon, measurements):
     recon.cold_start()
     frames, rots, roots, root_xz = [], [], [], np.zeros(2)
     for m in measurements:
-        shifted = np.concatenate([recon.window[1:], recon.window[-1:]], axis=0)
-        x_input, mask = ft.apply_observation(shifted, m, recon.tree, recon.config)
-        out = inf.inpaint_denoise(recon.fast, recon.schedule, x_input, mask, recon.height,
-                                  recon.spread, recon.rng)
-        emitted = out[-1].copy()
+        window, observed = ft.apply_observation(recon.window, m, recon.tree, recon.config)
+        emitted = inf.inpaint_denoise(recon.fast, recon.schedule, window, observed, recon.height,
+                                      recon.spread, recon.rng)
         emitted[ft.DP_OFF:ft.DP_OFF + 2] = _reference_root_correct(recon.window[-1], emitted,
                                                                    recon.scaled_tree)
         g6 = emitted[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
         rots.append(kin.global_to_local(recon.tree, kin.decode_rot6d(g6)))
         root_xz = root_xz + emitted[ft.DP_OFF:ft.DP_OFF + 2]
         roots.append(np.array([root_xz[0], emitted[ft.PY_OFF], root_xz[1]]))
-        recon.window = np.concatenate([x_input[:-1], emitted[None]], axis=0)
+        recon.window = np.concatenate([window[:-1], emitted[None]], axis=0)
         frames.append(emitted)
     return np.stack(frames), np.stack(rots), np.stack(roots)
 
