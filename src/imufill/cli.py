@@ -266,7 +266,7 @@ def _stream_measurements(ingestor: inf.StreamIngestor, frames, config: ft.Sensor
     def within(m: ft.Measurement) -> ft.Measurement:
         return ft.Measurement({n: v for n, v in m.site_orient6d.items() if n in config.imu_sites},
                               {n: v for n, v in m.site_accel.items() if n in config.imu_sites},
-                              m.insole_labels if config.insoles else None)
+                              m.insole_labels if config.insoles else None, m.t_ms)
     for fr in frames:
         for im in ingestor.push(fr):
             yield within(im.measurement)
@@ -324,7 +324,7 @@ def cmd_evaluate(args) -> int:
     tree = default_tree()
     trial = _pick_trial(dg.load_dataset(args.gt, tree), args.trial)
     rot, root, _ = inf.read_pose_stream(args.rec)
-    d = mt.score_trial(trial, rot, root, tree).as_dict()
+    d = mt.score_trial(trial, rot, root, tree)
     print(f"trial {trial.trial_id}: "
           f"LA {d['LA_deg']:.2f} deg, GA {d['GA_deg']:.2f} deg, JPE {d['JPE_cm']:.2f} cm, "
           f"jitter {d['jitter']:.2f}, RE2 {_fmt(d['RE2_m'])}, RE5 {_fmt(d['RE5_m'])}, RE10 {_fmt(d['RE10_m'])}")

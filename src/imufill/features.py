@@ -116,12 +116,14 @@ class Measurement:
     """One 20 Hz observation: per-site 6-DOF orientation + acceleration.
 
     Sites not listed are treated as dropped out for this frame;
-    `insole_labels` is None when no insoles are worn/received.
+    `insole_labels` is None when no insoles are worn/received. `t_ms` is
+    the stream time of the instant, None for an untimed (dataset) one.
     """
 
     site_orient6d: dict[str, np.ndarray] = field(default_factory=dict)  # (6,)
     site_accel: dict[str, np.ndarray] = field(default_factory=dict)     # (3,)
     insole_labels: np.ndarray | None = None                             # (4,)
+    t_ms: float | None = None
 
 
 def encode_frames(

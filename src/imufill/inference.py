@@ -40,6 +40,9 @@ Wire formats (JSON lines, versioned by a header record):
                  "segments": [... 24 names ...]}
                 {"t_ms": 0, "root": [x,y,z], "q": [[w,x,y,z] x 24],
                  "contact": [c0,c1,c2,c3], "latency_ms": 1.2}
+                a pose is stamped with its instant: the "t_ms" of the
+                input record at the centre of its decimation window, or
+                index x 50 ms for untimed (dataset) input.
 
   A reader refuses a header whose "rate_hz" is missing or is not its
   format's rate: the ingestor decimates by record count, so a stream at
@@ -250,6 +253,7 @@ class StepResult:
     contacts: np.ndarray     # (4,) predicted probabilities, clipped to [0, 1]
     latency_ms: float
     index: int
+    t_ms: float              # the measurement's instant; index x 50 ms when it is untimed
 
 
 class Reconstructor:
@@ -317,9 +321,11 @@ class Reconstructor:
         contacts = np.clip(emitted[ft.B_OFF:ft.B_OFF + ft.B_LEN], 0.0, 1.0)
         window[-1] = emitted
         self.window = window
+        index = self.frame_index
         self.frame_index += 1
+        t_ms = index * 1000.0 / ft.FRAME_RATE_HZ if measurement.t_ms is None else measurement.t_ms
         return StepResult(pose=Pose(locals_, root), frame=emitted, contacts=contacts,
-                          latency_ms=(time.perf_counter() - t0) * 1e3, index=self.frame_index - 1)
+                          latency_ms=(time.perf_counter() - t0) * 1e3, index=index, t_ms=t_ms)
 
     def _decode_frame(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Local rotations (24, 3, 3) and, with root correction on, the
@@ -471,17 +477,17 @@ class StreamIngestor:
         lo = max(center - self.half, 0)
         hi = min(center + self.half, self.received - 1)
         meas = ft.Measurement(site_orient6d={}, site_accel={},
-                              insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float))
+                              insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float),
+                              t_ms=ref.t_ms)
         for name, (quat, _acc) in ref.sites.items():
+            # never empty: the centre record holds the site
             acc_parts = [frames[i - base].sites[name][1] for i in range(lo, hi + 1)
                          if name in frames[i - base].sites]
             # edge replication: extend with boundary values when the window
             # sticks out of the recorded range
             pad_lo = self.half - (center - lo)
             pad_hi = self.half - (hi - center)
-            if acc_parts:
-                first, last = acc_parts[0], acc_parts[-1]
-                acc_parts = [first] * pad_lo + acc_parts + [last] * pad_hi
+            acc_parts = [acc_parts[0]] * pad_lo + acc_parts + [acc_parts[-1]] * pad_hi
             acc = np.mean(acc_parts, axis=0)
             meas.site_orient6d[name] = encode_rot6d(quat_to_rot(np.asarray(quat, float)))
             meas.site_accel[name] = acc
@@ -504,8 +510,9 @@ def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
 def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
     """The records of a v1 `fmt` JSON-lines file at `rate_hz`, each passed
     through `decode`, after its header; blank lines are skipped. A bad
-    header (another rate included), line of JSON, field or vector raises
-    InferenceError("<path>:<line>: ...")."""
+    header (another rate included), line of JSON (one nested past the
+    recursion limit included), field or vector (one holding an integer
+    too large for a float included) raises InferenceError("<path>:<line>: ...")."""
     records, n = [], 0
     with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
@@ -522,7 +529,7 @@ def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
                         raise ValueError(f"{fmt} rate_hz must be {rate_hz:g}, got {rec.get('rate_hz')!r}")
                 else:
                     records.append(decode(rec))
-            except (ValueError, TypeError, AttributeError) as e:
+            except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as e:
                 raise InferenceError(f"{path}:{n}: {e}") from None
     if not n:
         raise InferenceError(f"{path}: empty file, expected a {fmt} header")
@@ -607,7 +614,7 @@ def stream_frames_from_trial(trial, config: ft.SensorConfig, tree: KinematicTree
 def write_pose_stream(path, tree: KinematicTree, results: list[StepResult]) -> None:
     _write_wire(path, {"format": STREAM_OUT_FORMAT, "version": STREAM_VERSION,
                        "rate_hz": ft.FRAME_RATE_HZ, "segments": list(tree.names)}, ({
-        "t_ms": round(r.index * 1000.0 / ft.FRAME_RATE_HZ, 3),
+        "t_ms": round(r.t_ms, 3),
         "root": _wire_values(r.pose.root_position, 9),
         "q": _wire_values(rot_to_quat(r.pose.rotations), 9),
         "contact": _wire_values(r.contacts, 6),
@@ -617,12 +624,15 @@ def write_pose_stream(path, tree: KinematicTree, results: list[StepResult]) -> N
 
 def _pose_record(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values `write_pose_stream` can write: finite, unit quaternions
-    within QUAT_NORM_TOL and contacts in [0, 1] (NaN fails each test)."""
+    within QUAT_NORM_TOL and contacts in [0, 1] (NaN fails each test; a
+    norm that overflows is infinite and fails too)."""
     q = _field(rec, "q", (ft.N_SEGMENTS, 4))
     root, contact = _field(rec, "root", (3,)), _field(rec, "contact", (ft.B_LEN,))
     if not np.isfinite(root).all():
         raise ValueError(f"field 'root' is not finite: {root.tolist()}")
-    if not (np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= QUAT_NORM_TOL).all():
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q, axis=-1)
+    if not (np.abs(norm - 1.0) <= QUAT_NORM_TOL).all():
         raise ValueError(f"field 'q' holds a quaternion whose norm is not within {QUAT_NORM_TOL} of 1")
     if not ((0.0 <= contact) & (contact <= 1.0)).all():
         raise ValueError(f"field 'contact' is not in [0, 1]: {contact.tolist()}")

@@ -90,13 +90,13 @@ class KinematicTree:
                              ("contact", self.contact_offsets, N_CONTACTS)):
             if arr.shape != (n, 3):
                 raise SkeletonError(f"{what} offsets must be {n} vectors of 3, got shape {arr.shape}")
-        if not np.isfinite(self.offsets).all() or not np.isfinite(self.site_offsets).all():
+        if not all(np.isfinite(a).all() for a in (self.offsets, self.site_offsets, self.contact_offsets)):
             raise SkeletonError("offsets must be finite")
         if not 0.0 < self.reference_height < np.inf:
             raise SkeletonError(f"reference height must be finite and positive, got {self.reference_height}")
-        if (self.mass_fractions <= 0).any():
+        if not (self.mass_fractions > 0).all():  # NaN fails
             raise SkeletonError("mass fractions must be positive")
-        if abs(self.mass_fractions.sum() - 1.0) > 1e-6:
+        if not abs(self.mass_fractions.sum() - 1.0) <= 1e-6:
             raise SkeletonError(f"mass fractions sum to {self.mass_fractions.sum():.6f}, expected 1")
 
 
@@ -114,7 +114,7 @@ def load_skeleton(path: str | Path) -> KinematicTree:
     with open(path, "rb") as f:
         try:
             doc = json.load(f)
-        except ValueError as e:  # bad JSON or bad UTF-8
+        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8 or nested too deeply
             raise SkeletonError(f"not JSON: {e}") from None
     return _tree_from_doc(doc)
 
@@ -128,11 +128,11 @@ def _tree_from_doc(doc: dict) -> KinematicTree:
         raise SkeletonError(f"unsupported skeleton version {doc.get('version')!r}")
     try:
         segs = doc["segments"]
-        names = tuple(s["name"] for s in segs)
+        names = tuple(_exactly(str, s["name"], "segment name") for s in segs)
         by_name = {n: i for i, n in enumerate(names)}
         tree = KinematicTree(
             names=names,
-            parents=np.array([s["parent"] for s in segs], dtype=np.int64),
+            parents=np.array([_exactly(int, s["parent"], "segment parent") for s in segs], dtype=np.int64),
             offsets=np.array([s["offset"] for s in segs], dtype=np.float64),
             mass_fractions=np.array([s["mass_fraction"] for s in segs], dtype=np.float64),
             site_names=tuple(s["name"] for s in doc["sites"]),
@@ -145,12 +145,20 @@ def _tree_from_doc(doc: dict) -> KinematicTree:
         )
     except KeyError as e:
         raise SkeletonError(f"missing field or unknown segment {e}") from None
-    except (TypeError, ValueError) as e:  # a wrong type, or offset lists of unequal length
+    except (TypeError, ValueError, OverflowError) as e:  # a wrong type or size, or a number out of range
         raise SkeletonError(f"malformed skeleton: {e}") from None
     if len(by_name) != len(names):
         raise SkeletonError("duplicate segment names")
     tree.validate()
     return tree
+
+
+def _exactly(kind: type, value, what: str):
+    """value when its type is exactly `kind` (so a bool is not an int and
+    1.5 is not truncated to one), else TypeError naming `what`."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def default_tree(height: float | None = None) -> KinematicTree:

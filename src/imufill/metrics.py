@@ -11,20 +11,22 @@ Conventions, fixed here (the root README points to this list):
     (raw 20 Hz, edge frames excluded), reconstructed over ground truth;
     NaN when the ground truth is perfectly still (null in a saved report);
   * RE is the horizontal (ground-plane) distance between the root
-    positions at 2/5/10 s; sequences too short for a horizon report None.
+    positions at each of `RE_HORIZONS_S` (2/5/10 s); sequences too short
+    for a horizon report None.
     Reconstructed paths are aligned to ground truth at frame 0 by
     `score_trial` before metrics (the initial offset is unobservable
     from relative root displacements).
 
-`_METRICS` is the one metric-name table: it pairs each objective name
-(`--objectives`, sweep rankings, `OBJECTIVES`) with its key in reports
-and aggregates and with the `MetricsReport` field that holds it.
+`OBJECTIVES` is the one metric table: it maps each objective name
+(`--objectives`, sweep rankings) to its key in reports and aggregates,
+in report order; its RE entries come from `RE_HORIZONS_S`. A report is
+a plain dict: "trial_id", then one value per `OBJECTIVES` key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,35 +46,15 @@ BACK_JOINTS = ("spine1", "spine2", "spine3", "neck", "upper_arm_l", "upper_arm_r
 
 RE_HORIZONS_S = (2.0, 5.0, 10.0)
 
-# (objective name, report key, MetricsReport field), in report order
-_METRICS = (
-    ("LA", "LA_deg", "la_deg"), ("legsLA", "legsLA_deg", "legs_la_deg"),
-    ("backLA", "backLA_deg", "back_la_deg"), ("GA", "GA_deg", "ga_deg"), ("JPE", "JPE_cm", "jpe_cm"),
-    ("jitter", "jitter", "jitter"), ("RE2", "RE2_m", "re2_m"), ("RE5", "RE5_m", "re5_m"),
-    ("RE10", "RE10_m", "re10_m"),
-)
-OBJECTIVES = {name: key for name, key, _ in _METRICS}
+# objective name -> report key, in report order
+OBJECTIVES = {
+    "LA": "LA_deg", "legsLA": "legsLA_deg", "backLA": "backLA_deg", "GA": "GA_deg", "JPE": "JPE_cm",
+    "jitter": "jitter", **{f"RE{h:g}": f"RE{h:g}_m" for h in RE_HORIZONS_S},
+}
 
 
 class MetricsError(ValueError):
     pass
-
-
-@dataclass
-class MetricsReport:
-    la_deg: float
-    legs_la_deg: float
-    back_la_deg: float
-    ga_deg: float
-    jpe_cm: float
-    jitter: float
-    re2_m: float | None
-    re5_m: float | None
-    re10_m: float | None
-    trial_id: str = ""
-
-    def as_dict(self) -> dict:
-        return {"trial_id": self.trial_id, **{key: getattr(self, name) for _, key, name in _METRICS}}
 
 
 def _included(tree: KinematicTree) -> np.ndarray:
@@ -83,49 +65,41 @@ def _joint_set(tree: KinematicTree, names) -> np.ndarray:
     return np.array([tree.index(n) for n in names])
 
 
-def compute_metrics(gt: MotionSequence, rec: MotionSequence, tree: KinematicTree) -> MetricsReport:
-    if gt.n_frames != rec.n_frames:
-        raise MetricsError(f"length mismatch: gt {gt.n_frames} vs rec {rec.n_frames}")
-    if gt.rate != rec.rate:
-        raise MetricsError(f"rate mismatch: gt {gt.rate} vs rec {rec.rate}")
+def compute_metrics(gt: MotionSequence, rotations: np.ndarray, roots: np.ndarray,
+                    tree: KinematicTree) -> dict:
+    """The report of a reconstruction of `gt` at its rate, local rotations
+    (T, 24, 3, 3) and root positions (T, 3): "trial_id", then one value
+    per `OBJECTIVES` key, in table order."""
+    if len(rotations) != gt.n_frames or len(roots) != gt.n_frames:
+        raise MetricsError(f"length mismatch: gt {gt.n_frames} vs rec {len(rotations)} rotations, "
+                           f"{len(roots)} root positions")
     rate = gt.rate
     scaled = tree.scaled(gt.height)
     inc = _included(tree)
     legs = _joint_set(tree, LEG_JOINTS)
     back = _joint_set(tree, BACK_JOINTS)
 
-    la_all = geodesic_angle_deg(gt.rotations, rec.rotations)  # (T, 24) local per joint
-    la = float(la_all[:, inc[inc != 0]].mean())
-    legs_la = float(la_all[:, legs].mean())
-    back_la = float(la_all[:, back].mean())
-
+    la_all = geodesic_angle_deg(gt.rotations, rotations)  # (T, 24) local per joint
     fk_gt = forward_kinematics(scaled, gt.rotations, gt.root_positions)
-    fk_rec = forward_kinematics(scaled, rec.rotations, rec.root_positions)
-    ga = float(geodesic_angle_deg(fk_gt.globals_, fk_rec.globals_)[:, inc].mean())
-    jpe = float(np.linalg.norm(
-        _root_frame(fk_gt) - _root_frame(fk_rec), axis=-1
-    )[:, inc[inc != 0]].mean() * 100.0)
-
+    fk_rec = forward_kinematics(scaled, rotations, roots)
+    jpe_m = np.linalg.norm(_root_frame(fk_gt) - _root_frame(fk_rec), axis=-1)
     jit_gt = _jitter(fk_gt.joints[:, inc], rate)
     jit_rec = _jitter(fk_rec.joints[:, inc], rate)
-    # floor absorbs float residue of constant positions; a still ground
-    # truth has no meaningful jitter ratio
-    jitter = float(jit_rec / jit_gt) if jit_gt > 1e-9 else float("nan")
-
-    res = {}
+    value = {
+        "LA": float(la_all[:, inc[inc != 0]].mean()),
+        "legsLA": float(la_all[:, legs].mean()),
+        "backLA": float(la_all[:, back].mean()),
+        "GA": float(geodesic_angle_deg(fk_gt.globals_, fk_rec.globals_)[:, inc].mean()),
+        "JPE": float(jpe_m[:, inc[inc != 0]].mean() * 100.0),
+        # floor absorbs float residue of constant positions; a still ground
+        # truth has no meaningful jitter ratio
+        "jitter": float(jit_rec / jit_gt) if jit_gt > 1e-9 else float("nan"),
+    }
     for horizon in RE_HORIZONS_S:
         idx = int(round(horizon * rate))
-        if idx >= gt.n_frames:
-            res[horizon] = None
-        else:
-            d = gt.root_positions[idx, [0, 2]] - rec.root_positions[idx, [0, 2]]
-            res[horizon] = float(np.hypot(*d))
-
-    return MetricsReport(
-        la_deg=la, legs_la_deg=legs_la, back_la_deg=back_la, ga_deg=ga, jpe_cm=jpe,
-        jitter=jitter, re2_m=res[2.0], re5_m=res[5.0], re10_m=res[10.0],
-        trial_id=gt.trial_id,
-    )
+        value[f"RE{horizon:g}"] = (float(np.hypot(*(gt.root_positions[idx, [0, 2]] - roots[idx, [0, 2]])))
+                                   if idx < gt.n_frames else None)
+    return {"trial_id": gt.trial_id, **{key: value[name] for name, key in OBJECTIVES.items()}}
 
 
 def _root_frame(fk) -> np.ndarray:
@@ -142,13 +116,13 @@ def _jitter(joints: np.ndarray, rate: float) -> float:
     return float(np.linalg.norm(jerk, axis=-1).mean())
 
 
-def aggregate_reports(reports: list[MetricsReport]) -> dict:
+def aggregate_reports(reports: list[dict]) -> dict:
     """Mean plus worst-trial value per metric (None-aware for RE)."""
     if not reports:
         raise MetricsError("no reports to aggregate")
     out: dict[str, dict] = {}
     for k in OBJECTIVES.values():
-        vals = [r.as_dict()[k] for r in reports]
+        vals = [r[k] for r in reports]
         vals = [v for v in vals if v is not None and np.isfinite(v)]
         out[k] = {
             "mean": float(np.mean(vals)) if vals else None,
@@ -164,7 +138,7 @@ def aggregate_reports(reports: list[MetricsReport]) -> dict:
 @dataclass
 class SweepEntry:
     config: ft.SensorConfig
-    per_trial: list[MetricsReport]
+    per_trial: list[dict]
     aggregate: dict
     mean_latency_ms: float
 
@@ -172,7 +146,7 @@ class SweepEntry:
 @dataclass
 class SweepResult:
     entries: dict[str, SweepEntry]
-    rankings: dict[str, list[str]] = field(default_factory=dict)
+    rankings: dict[str, list[str]]
 
     def as_dict(self) -> dict:
         return {
@@ -182,7 +156,7 @@ class SweepResult:
                     "n_sensors": e.config.n_sensors,
                     "aggregate": e.aggregate,
                     "mean_latency_ms": e.mean_latency_ms,
-                    "per_trial": [r.as_dict() for r in e.per_trial],
+                    "per_trial": e.per_trial,
                 }
                 for label, e in self.entries.items()
             },
@@ -200,15 +174,11 @@ def rank_configs(entries: dict[str, SweepEntry], objective: str) -> list[str]:
     return sorted(entries, key=key)
 
 
-def score_trial(trial: Trial, rotations: np.ndarray, roots: np.ndarray,
-                tree: KinematicTree) -> MetricsReport:
-    """Metrics of a 20 Hz reconstruction of `trial`, local rotations
+def score_trial(trial: Trial, rotations: np.ndarray, roots: np.ndarray, tree: KinematicTree) -> dict:
+    """The report of a 20 Hz reconstruction of `trial`, local rotations
     (T, 24, 3, 3) and root positions (T, 3), aligned to it at frame 0."""
-    gt = trial.motion
-    shift = gt.root_positions[0] - roots[0]
-    roots = roots + np.array([shift[0], 0.0, shift[2]])
-    rec = MotionSequence(ft.FRAME_RATE_HZ, rotations, roots, gt.height, gt.mass, trial.trial_id)
-    return compute_metrics(gt, rec, tree)
+    shift = trial.motion.root_positions[0] - roots[0]
+    return compute_metrics(trial.motion, rotations, roots + np.array([shift[0], 0.0, shift[2]]), tree)
 
 
 def sweep_configs(model_cfg: DenoiserConfig, params, schedule: DiffusionSchedule,

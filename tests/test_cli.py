@@ -55,6 +55,8 @@ def _malformed_skeleton(case: str) -> str:
         return '{"format": "imufill-skeleton",'
     if case == "top-level-list":
         return json.dumps([doc])
+    if case == "nested-past-recursion-limit":
+        return "[" * 100000
     if case == "no-segments":
         del doc["segments"]
     elif case == "unknown-segment":
@@ -69,6 +71,14 @@ def _malformed_skeleton(case: str) -> str:
         doc["sites"][12]["name"] = "skull"
     elif case == "reordered-sites":
         doc["sites"][1], doc["sites"][2] = doc["sites"][2], doc["sites"][1]
+    elif case == "nan-contact-offset":
+        doc["contact_points"][2]["offset"][1] = float("nan")
+    elif case == "nan-mass-fraction":
+        doc["segments"][7]["mass_fraction"] = float("nan")
+    elif case == "fractional-parent":
+        doc["segments"][4]["parent"] = 1.5
+    elif case == "numeric-name":
+        doc["segments"][9]["name"] = 5
     elif case == "23-segments":  # without the leaf fingers_r, masses renormalized
         leaf = next(s for s in doc["segments"] if s["name"] == "fingers_r")
         doc["segments"].remove(leaf)
@@ -88,6 +98,11 @@ def _malformed_skeleton(case: str) -> str:
     ("23-segments", "expected 24 segments, got 23"),
     ("renamed-site", "expected the sites pelvis, thigh_l, thigh_r, "),
     ("reordered-sites", "got pelvis, thigh_r, thigh_l, "),
+    ("nested-past-recursion-limit", "not JSON: maximum recursion depth exceeded"),
+    ("nan-contact-offset", "offsets must be finite"),
+    ("nan-mass-fraction", "mass fractions must be positive"),
+    ("fractional-parent", "segment parent must be of type int, got 1.5"),
+    ("numeric-name", "segment name must be of type str, got 5"),
 ])
 def test_skeleton_validate_malformed_file_is_typed_error(tmp_path, capsys, case, where):
     f = tmp_path / "bad.json"
@@ -210,6 +225,21 @@ def test_reconstruct_deterministic_given_seed(workdir, tmp_path):
     b = inf.read_pose_stream(out2)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+def test_reconstruct_stream_poses_keep_the_stream_clock(workdir, tmp_path):
+    # a pose is stamped with its instant's t_ms, not with its index
+    trial = dg.load_dataset(workdir / "corpus.imfd", default_tree())[0]
+    frames = inf.stream_frames_from_trial(trial, SensorConfig.parse("pelvis"), default_tree())[:30]
+    for fr in frames:
+        fr.t_ms += 5000.0
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "rec.jsonl"
+    inf.write_stream_file(stream, frames)
+    rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis", "--spread", "2",
+                   "--in", str(stream), "--height", "1.7", "--out", str(out)])
+    assert rc == 0
+    stamps = [json.loads(line)["t_ms"] for line in out.read_text().splitlines()[1:]]
+    assert stamps == [5000.0 + 50.0 * k for k in range(10)]
 
 
 def test_reconstruct_from_stream_file(workdir, tmp_path):
@@ -528,7 +558,8 @@ POSE_RECORD = json.dumps({"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24
     (b"\xc3\x28\n", ":1: "),
     (STREAM_HEADER.replace(b"60", b"120") + b'{"t_ms": 0}\n', ":1: imu-stream rate_hz must be 60, got 120"),
     (b'{"format": "imu-stream", "version": 1}\n{"t_ms": 0}\n', ":1: imu-stream rate_hz must be 60, got None"),
-], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8", "rate-120", "no-rate"])
+    (STREAM_HEADER + b"[" * 100000 + b"\n", ":2: maximum recursion depth exceeded"),
+], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8", "rate-120", "no-rate", "nested"])
 def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     stream = tmp_path / "s.jsonl"
     stream.write_bytes(content)
@@ -556,8 +587,10 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
      + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [0, 0, 1.5, 0]'),
      ":2: field 'contact' is not in [0, 1]"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + b"[" * 100000 + b"\n",
+     ":2: maximum recursion depth exceeded"),
 ], ids=["bad-json", "no-records", "rate-7", "no-rate", "zero-q", "q-norm-2", "nan-root", "nan-contact",
-        "contact-1.5"])
+        "contact-1.5", "nested"])
 def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     rec = tmp_path / "rec.jsonl"
     rec.write_bytes(content)
@@ -567,6 +600,37 @@ def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error (InferenceError)" in err and where in err
 
+
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("command, content, error, where", [
+    ("reconstruct", STREAM_HEADER.decode() + '{"t_ms": %s}\n' % HUGE, "InferenceError",
+     ":2: int too large to convert to float"),
+    ("evaluate", '{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.decode().replace('"root": [0, 0, 0]', '"root": [%s, 0, 0]' % HUGE), "InferenceError",
+     ":2: int too large to convert to float"),
+    ("evaluate", '{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.decode().replace("[[1, 0, 0, 0], ", "[[1e200, 0, 0, 0], ", 1), "InferenceError",
+     ":2: field 'q' holds a quaternion whose norm"),
+    ("skeleton", _malformed_skeleton("reference-height").replace('"reference_height_m": -1.0', '"reference_height_m": ' + HUGE), "SkeletonError",
+     "malformed skeleton: int too large to convert to float"),
+    ("skeleton", _malformed_skeleton("negative-parent").replace('"parent": -3', '"parent": 1' + "0" * 30), "SkeletonError",
+     "malformed skeleton: "),
+], ids=["stream-t_ms", "pose-root", "pose-q-1e200", "skeleton-height", "skeleton-parent"])
+def test_number_out_of_range_fails_cleanly(workdir, tmp_path, capsys, command, content, error, where):
+    # a value no float (or parent index) can hold is a typed error, and a
+    # quaternion whose norm overflows is refused without a warning (the
+    # test configuration turns warnings into errors)
+    f = tmp_path / "in.jsonl"
+    f.write_text(content)
+    argv = {"reconstruct": ["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                            "--in", str(f), "--height", "1.7", "--out", str(tmp_path / "o.jsonl")],
+            "evaluate": ["evaluate", "--gt", str(workdir / "corpus.imfd"), "--trial", "gait-000", "--rec", str(f)],
+            "skeleton": ["skeleton", "validate", str(f)]}[command]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error ({error})" in err and where in err
 
 def _put(blob: bytes, at: int, fmt: str, value) -> bytes:
     return blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt):]
