@@ -97,10 +97,16 @@ def _height(text: str) -> float:
 
 @_usage_error
 def _sensor_configs(text: str) -> list[ft.SensorConfig]:
-    configs = [ft.SensorConfig.parse(s) for s in text.split(";") if s.strip()]
+    configs = {}  # sensor set -> (spec, config); a set is its sites in any order and the insoles flag
+    for spec in filter(str.strip, text.split(";")):
+        config = ft.SensorConfig.parse(spec)
+        key = (frozenset(config.imu_sites), config.insoles)
+        if key in configs:
+            raise ft.FeatureError(f"sensor set given twice: {configs[key][0]!r} and {spec!r}")
+        configs[key] = (spec, config)
     if not configs:
         raise ft.FeatureError(f"no sensor configuration in {text!r}")
-    return configs
+    return [config for _, config in configs.values()]
 
 
 @_usage_error
@@ -260,18 +266,13 @@ def _session(args, tree, height: float, measurements,
     return recon, inf.run_session(recon, measurements)
 
 
-def _stream_measurements(ingestor: inf.StreamIngestor, frames, config: ft.SensorConfig):
-    """The ingestor's measurements of the records, without the sites and
-    insoles that `config` lacks, which dataset input leaves out too."""
-    def within(m: ft.Measurement) -> ft.Measurement:
-        return ft.Measurement({n: v for n, v in m.site_orient6d.items() if n in config.imu_sites},
-                              {n: v for n, v in m.site_accel.items() if n in config.imu_sites},
-                              m.insole_labels if config.insoles else None, m.t_ms)
+def _stream_measurements(ingestor: inf.StreamIngestor, frames):
+    """The ingestor's measurements of the records, in order."""
     for fr in frames:
         for im in ingestor.push(fr):
-            yield within(im.measurement)
+            yield im.measurement
     for im in ingestor.finish():
-        yield within(im.measurement)
+        yield im.measurement
 
 
 def cmd_reconstruct(args) -> int:
@@ -287,7 +288,7 @@ def cmd_reconstruct(args) -> int:
             raise inf.InferenceError("--height is required for stream input")
         height = args.height
         ingestor = inf.StreamIngestor()
-        measurements = _stream_measurements(ingestor, inf.parse_stream_file(src), args.config)
+        measurements = _stream_measurements(ingestor, inf.parse_stream_file(src))
     recon, results = _session(args, tree, height, measurements, root_correction=not args.no_root_correction)
     inf.write_pose_stream(args.out, tree, results)
     lat = inf.latency_percentiles(results)

@@ -113,16 +113,15 @@ SIX_IMU_SITES = ("pelvis", "head", "wrist_l", "wrist_r", "shank_l", "shank_r")
 
 @dataclass(frozen=True)
 class Measurement:
-    """One 20 Hz observation: per-site 6-DOF orientation + acceleration.
+    """One 20 Hz observation: `sites` maps a site to its (6-DOF orientation, acceleration) pair.
 
     Sites not listed are treated as dropped out for this frame;
     `insole_labels` is None when no insoles are worn/received. `t_ms` is
     the stream time of the instant, None for an untimed (dataset) one.
     """
 
-    site_orient6d: dict[str, np.ndarray] = field(default_factory=dict)  # (6,)
-    site_accel: dict[str, np.ndarray] = field(default_factory=dict)     # (3,)
-    insole_labels: np.ndarray | None = None                             # (4,)
+    sites: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # (6,), (3,)
+    insole_labels: np.ndarray | None = None  # (4,)
     t_ms: float | None = None
 
 
@@ -155,19 +154,13 @@ def measurement_channels(tree: KinematicTree, meas: Measurement) -> tuple[np.nda
     """Expand a Measurement into 190-channel values and observed flags (bool)."""
     vals = np.zeros(FRAME_DIM)
     obs = np.zeros(FRAME_DIM, dtype=bool)
-    for name, r6 in meas.site_orient6d.items():
+    for name, (r6, a) in meas.sites.items():
         if name not in SITE_INDEX:
             raise FeatureError(f"measurement for unknown site {name!r}")
         s = SITE_INDEX[name]
-        seg = int(tree.site_segments[s])
-        vals[seg_r_slice(seg)] = np.asarray(r6, dtype=np.float64)
-        obs[seg_r_slice(seg)] = True
-    for name, a in meas.site_accel.items():
-        if name not in SITE_INDEX:
-            raise FeatureError(f"measurement for unknown site {name!r}")
-        s = SITE_INDEX[name]
-        vals[site_a_slice(s)] = np.asarray(a, dtype=np.float64)
-        obs[site_a_slice(s)] = True
+        r, acc = seg_r_slice(int(tree.site_segments[s])), site_a_slice(s)
+        vals[r], vals[acc] = r6, a
+        obs[r] = obs[acc] = True
     if meas.insole_labels is not None:
         vals[B_OFF:B_OFF + B_LEN] = np.asarray(meas.insole_labels, dtype=np.float64)
         obs[B_OFF:B_OFF + B_LEN] = True
@@ -183,21 +176,20 @@ def apply_observation(
     """Advance a (61, 190) window by one frame for a new observation.
 
     Returns a new window, the input's last 60 frames followed by the new
-    frame, and the new frame's observed channels, (190,) bool. The new
-    frame takes the measured values in the observed channels and the
-    previous frame's values elsewhere; a sensor that dropped out leaves
-    its channels unobserved. The input window is not changed.
+    frame, and the new frame's observed channels, (190,) bool. Only the
+    sensors `config` names are read: other sites, and insoles when it has
+    none, are left out as if they had dropped out; a site name outside
+    ALL_SITES is a FeatureError. The new frame takes the measured values
+    in the observed channels and the previous frame's values elsewhere.
+    The input window is not changed.
     """
     window = np.asarray(window)
     if window.shape != (WINDOW_LEN, FRAME_DIM):
         raise FeatureError(f"window shape {window.shape}")
-    allowed = set(config.imu_sites)
-    for name in set(meas.site_orient6d) | set(meas.site_accel):
-        if name not in allowed:
-            raise FeatureError(f"measurement for uninstrumented site {name!r} (config: {config.label()})")
-    if meas.insole_labels is not None and not config.insoles:
-        raise FeatureError("insole labels supplied but config has no insoles")
-    vals, observed = measurement_channels(tree, meas)
+    # an unknown name stays, so that measurement_channels refuses it
+    worn = Measurement({n: s for n, s in meas.sites.items() if n in config.imu_sites or n not in SITE_INDEX},
+                       meas.insole_labels if config.insoles else None)
+    vals, observed = measurement_channels(tree, worn)
     return np.concatenate([window[1:], np.where(observed, vals, window[-1])[None]]), observed
 
 

@@ -28,9 +28,9 @@ Wire formats (JSON lines, versioned by a header record):
                 than QUAT_NORM_TOL from 1, an acceleration beyond
                 MAX_ACCEL or insoles outside {0, 1} are a dropout too
                 (see StreamIngestor); a record whose "t_ms" is not
-                finite or not after the last one is dropped. Sites and
-                insoles that the session's sensor config lacks are left
-                out of every measurement, as for dataset input.
+                finite or not after the last one is dropped. A site is
+                one `Measurement.sites` pair; the session reads only the
+                sensors its config names, as for dataset input.
                 Accelerations pass the same centered SMOOTH_WINDOW-frame
                 moving average as training data, so a 20 Hz instant is
                 released SMOOTH_WINDOW // 2 = 5 records (83 ms) after it
@@ -46,11 +46,13 @@ Wire formats (JSON lines, versioned by a header record):
 
   A reader refuses a header whose "rate_hz" is missing or is not its
   format's rate: the ingestor decimates by record count, so a stream at
-  another rate would be reconstructed at the wrong speed. The pose
-  reader also refuses a record that the writer cannot produce: a
-  non-finite "root", "q" or "contact", a quaternion whose norm is
-  further than QUAT_NORM_TOL from 1 (the writer rounds to 9 places) or
-  a contact outside [0, 1] (the writer clips it).
+  another rate would be reconstructed at the wrong speed, and `evaluate`
+  matches poses to trial frames by order. The pose reader also refuses a
+  record that the writer cannot produce: a "t_ms" missing, not finite
+  or before the last one (the writer rounds to 3 places, keeping order),
+  a non-finite "root", "q" or "contact", a quaternion whose norm is
+  further than QUAT_NORM_TOL from 1 (it rounds to 9 places) or a contact
+  outside [0, 1] (it clips it).
 """
 
 from __future__ import annotations
@@ -366,12 +368,9 @@ def measurements_from_trial(trial, config: ft.SensorConfig, drop: np.ndarray | N
         if drop is not None and drop[k]:
             yield ft.Measurement()
             continue
-        m = ft.Measurement(
-            site_orient6d={n: orient6d[k, SITE_INDEX[n]] for n in config.imu_sites},
-            site_accel={n: trial.site_accels[k, SITE_INDEX[n]] for n in config.imu_sites},
-            insole_labels=trial.contacts[k].astype(np.float64) if config.insoles else None,
-        )
-        yield m
+        yield ft.Measurement({n: (orient6d[k, SITE_INDEX[n]], trial.site_accels[k, SITE_INDEX[n]])
+                              for n in config.imu_sites},
+                             trial.contacts[k].astype(np.float64) if config.insoles else None)
 
 
 def reconstruct_trial(recon: Reconstructor, trial, config: ft.SensorConfig,
@@ -476,8 +475,7 @@ class StreamIngestor:
         ref = frames[center - base]
         lo = max(center - self.half, 0)
         hi = min(center + self.half, self.received - 1)
-        meas = ft.Measurement(site_orient6d={}, site_accel={},
-                              insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float),
+        meas = ft.Measurement(insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float),
                               t_ms=ref.t_ms)
         for name, (quat, _acc) in ref.sites.items():
             # never empty: the centre record holds the site
@@ -488,9 +486,7 @@ class StreamIngestor:
             pad_lo = self.half - (center - lo)
             pad_hi = self.half - (hi - center)
             acc_parts = [acc_parts[0]] * pad_lo + acc_parts + [acc_parts[-1]] * pad_hi
-            acc = np.mean(acc_parts, axis=0)
-            meas.site_orient6d[name] = encode_rot6d(quat_to_rot(np.asarray(quat, float)))
-            meas.site_accel[name] = acc
+            meas.sites[name] = (encode_rot6d(quat_to_rot(np.asarray(quat, float))), np.mean(acc_parts, axis=0))
         return IngestedMeasurement(t_ms=ref.t_ms, measurement=meas)
 
 
@@ -641,7 +637,17 @@ def _pose_record(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def read_pose_stream(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-> (local rotations (T,24,3,3), root positions (T,3), contacts (T,4))."""
-    records = _read_wire(path, STREAM_OUT_FORMAT, ft.FRAME_RATE_HZ, _pose_record)
+    last_ms = -np.inf
+
+    def decode(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nonlocal last_ms
+        t_ms = float(_field(rec, "t_ms"))
+        if not last_ms <= t_ms < np.inf:  # NaN fails too
+            raise ValueError(f"field 't_ms' must be finite and not before the previous record's, got {t_ms}")
+        last_ms = t_ms
+        return _pose_record(rec)
+
+    records = _read_wire(path, STREAM_OUT_FORMAT, ft.FRAME_RATE_HZ, decode)
     if not records:
         raise InferenceError(f"{path}: no pose records")
     rots, roots, contacts = zip(*records)

@@ -354,6 +354,10 @@ def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag,
      "unknown objectives ['foo']"),
     (["sweep", "--configs", ";"], "argument --configs: FeatureError: no sensor configuration in ';'"),
     (["sweep", "--configs", "pelvis;foo"], "argument --configs: FeatureError: unknown sites in config: ['foo']"),
+    (["sweep", "--configs", "pelvis;head;pelvis"], "argument --configs: FeatureError: sensor set given twice: "
+     "'pelvis' and 'pelvis'"),
+    (["sweep", "--configs", "head,pelvis+insoles;pelvis;insoles,pelvis,head"], "argument --configs: FeatureError: "
+     "sensor set given twice: 'head,pelvis+insoles' and 'insoles,pelvis,head'"),
     (["reconstruct", "--config", "foo", "--in", "x.imfd"], "argument --config: FeatureError: "
      "unknown sites in config: ['foo']"),
     (["reconstruct", "--config", "pelvis", "--in", "x.imfd", "--height", "nan"],
@@ -589,8 +593,16 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
      ":2: field 'contact' is not in [0, 1]"),
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + b"[" * 100000 + b"\n",
      ":2: maximum recursion depth exceeded"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + POSE_RECORD.replace(b'"t_ms": 0, ', b"") * 3,
+     ":2: missing field 't_ms'"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD + POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": null') + POSE_RECORD,
+     ":3: field 't_ms' must be finite and not before the previous record's, got nan"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + b"".join(POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": %d' % t) for t in (0, 50, 100, 150, 200, 100, 300)),
+     ":7: field 't_ms' must be finite and not before the previous record's, got 100.0"),
 ], ids=["bad-json", "no-records", "rate-7", "no-rate", "zero-q", "q-norm-2", "nan-root", "nan-contact",
-        "contact-1.5", "nested"])
+        "contact-1.5", "nested", "no-t_ms", "null-t_ms", "t_ms-goes-back"])
 def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     rec = tmp_path / "rec.jsonl"
     rec.write_bytes(content)

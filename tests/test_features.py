@@ -75,8 +75,7 @@ def test_encode_misaligned_lengths_raise(tree):
 
 def _full_measurement(rng, sites, insoles=False):
     return ft.Measurement(
-        site_orient6d={n: rng.standard_normal(6) for n in sites},
-        site_accel={n: rng.standard_normal(3) for n in sites},
+        sites={n: (rng.standard_normal(6), rng.standard_normal(3)) for n in sites},
         insole_labels=np.array([1.0, 0.0, 1.0, 1.0]) if insoles else None,
     )
 
@@ -132,8 +131,7 @@ def test_apply_observation_full(tree):
     window = rng.standard_normal((61, 190))
     cfg = ft.SensorConfig(imu_sites=ft.ALL_SITES, insoles=True)
     meas = ft.Measurement(
-        site_orient6d={n: rng.standard_normal(6) for n in ft.ALL_SITES},
-        site_accel={n: rng.standard_normal(3) for n in ft.ALL_SITES},
+        sites={n: (rng.standard_normal(6), rng.standard_normal(3)) for n in ft.ALL_SITES},
         insole_labels=np.array([1.0, 0.0, 1.0, 1.0]),
     )
     out, observed = ft.apply_observation(window, meas, tree, cfg)
@@ -159,8 +157,7 @@ def test_apply_observation_partial_wrists(tree):
     window = rng.standard_normal((61, 190))
     cfg = ft.SensorConfig(imu_sites=("wrist_l", "wrist_r"))
     meas = ft.Measurement(
-        site_orient6d={"wrist_l": rng.standard_normal(6), "wrist_r": rng.standard_normal(6)},
-        site_accel={"wrist_l": rng.standard_normal(3), "wrist_r": rng.standard_normal(3)},
+        sites={n: (rng.standard_normal(6), rng.standard_normal(3)) for n in ("wrist_l", "wrist_r")},
     )
     out, observed = ft.apply_observation(window, meas, tree, cfg)
     vals, obs = ft.measurement_channels(tree, meas)
@@ -168,11 +165,26 @@ def test_apply_observation_partial_wrists(tree):
     np.testing.assert_array_equal(out[-1][~obs], window[-1][~obs])
 
 
-def test_apply_observation_uninstrumented_site_rejected(tree):
-    window = np.zeros((61, 190))
-    meas = ft.Measurement(site_orient6d={"head": np.zeros(6)}, site_accel={})
-    with pytest.raises(ft.FeatureError, match="uninstrumented"):
-        ft.apply_observation(window, meas, tree, ft.SensorConfig(imu_sites=("pelvis",)))
+def test_apply_observation_reads_only_the_configured_sensors(tree):
+    # sites and insoles that the config lacks are left out, so a
+    # measurement of every sensor reads as the pelvis alone
+    rng = np.random.default_rng(9)
+    window = rng.standard_normal((61, 190))
+    full = _full_measurement(rng, ft.ALL_SITES, insoles=True)
+    pelvis = ft.Measurement(sites={"pelvis": full.sites["pelvis"]})
+    cfg = ft.SensorConfig(imu_sites=("pelvis",))
+    got, got_obs = ft.apply_observation(window, full, tree, cfg)
+    want, want_obs = ft.apply_observation(window, pelvis, tree, cfg)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_obs, want_obs)
+    assert got_obs.sum() == 9
+
+
+@pytest.mark.parametrize("config", [("pelvis",), ()], ids=["configured", "empty"])
+def test_apply_observation_unknown_site_rejected(tree, config):
+    meas = ft.Measurement(sites={"pelvis": (np.zeros(6), np.zeros(3)), "tail": (np.zeros(6), np.zeros(3))})
+    with pytest.raises(ft.FeatureError, match="unknown site 'tail'"):
+        ft.apply_observation(np.zeros((61, 190)), meas, tree, ft.SensorConfig(imu_sites=config))
 
 
 def test_sensor_dropout_clears_mask_bits(tree):
@@ -180,10 +192,7 @@ def test_sensor_dropout_clears_mask_bits(tree):
     window = rng.standard_normal((61, 190))
     cfg = ft.SensorConfig(imu_sites=("pelvis", "head"))
     # head dropped out this frame
-    meas = ft.Measurement(
-        site_orient6d={"pelvis": rng.standard_normal(6)},
-        site_accel={"pelvis": rng.standard_normal(3)},
-    )
+    meas = ft.Measurement(sites={"pelvis": (rng.standard_normal(6), rng.standard_normal(3))})
     out, observed = ft.apply_observation(window, meas, tree, cfg)
     head_seg = int(tree.site_segments[tree.site_names.index("head")])
     assert not observed[ft.seg_r_slice(head_seg)].any()

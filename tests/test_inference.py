@@ -463,10 +463,7 @@ def test_per_sensor_dropout_generates_channels(tree, tiny_model, gait_trial):
     meas_full = next(inf.measurements_from_trial(gait_trial, config))
     recon.step(meas_full)
     # head drops out: its channels must change freely (generated, not held)
-    partial = ft.Measurement(
-        site_orient6d={"pelvis": meas_full.site_orient6d["pelvis"]},
-        site_accel={"pelvis": meas_full.site_accel["pelvis"]},
-    )
+    partial = ft.Measurement(sites={"pelvis": meas_full.sites["pelvis"]})
     res = recon.step(partial)
     head_seg = int(tree.site_segments[tree.site_names.index("head")])
     prev_head = recon.window[-2][ft.seg_r_slice(head_seg)]
@@ -516,8 +513,8 @@ def test_ingest_constant_input_unity():
     outs.extend(ing.finish())
     assert len(outs) == 11  # instants 0,3,...,30
     for o in outs:
-        np.testing.assert_allclose(o.measurement.site_accel["pelvis"], [1, 2, 3], rtol=1e-12)
-        np.testing.assert_allclose(o.measurement.site_orient6d["pelvis"], [1, 0, 0, 0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(o.measurement.sites["pelvis"][1], [1, 2, 3], rtol=1e-12)
+        np.testing.assert_allclose(o.measurement.sites["pelvis"][0], [1, 0, 0, 0, 1, 0], atol=1e-12)
 
 
 def test_ingest_impulse_box_response():
@@ -529,7 +526,7 @@ def test_ingest_impulse_box_response():
     for fr in frames:
         outs.extend(ing.push(fr))
     outs.extend(ing.finish())
-    vals = {round(o.t_ms * 60 / 1000): o.measurement.site_accel["pelvis"][0] for o in outs}
+    vals = {round(o.t_ms * 60 / 1000): o.measurement.sites["pelvis"][1][0] for o in outs}
     # centered 11-wide box: instants within 5 frames of the impulse read 1
     assert vals[27] == pytest.approx(1.0) and vals[30] == pytest.approx(1.0) and vals[33] == pytest.approx(1.0)
     assert vals[24] == pytest.approx(0.0) and vals[36] == pytest.approx(0.0)
@@ -553,7 +550,7 @@ def test_ingest_filter_matches_the_training_filter():
     want = dg.moving_average(raw)[::dg.DECIMATION]
     assert m.n_frames == 301 and len(outs) == len(want) == 101
     for k, o in enumerate(outs):
-        got = np.stack([o.measurement.site_accel[name] for name in ft.ALL_SITES])
+        got = np.stack([o.measurement.sites[name][1] for name in ft.ALL_SITES])
         np.testing.assert_allclose(got, want[k], rtol=0, atol=1e-12)
 
 
@@ -603,15 +600,14 @@ class _ListIngestor:
         frames = self.frames
         ref = frames[center]
         lo, hi = max(center - self.half, 0), min(center + self.half, len(frames) - 1)
-        meas = ft.Measurement(site_orient6d={}, site_accel={},
-                              insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float))
+        meas = ft.Measurement(insole_labels=None if ref.insoles is None else np.asarray(ref.insoles, float))
         for name, (quat, _acc) in ref.sites.items():
             acc_parts = [frames[i].sites[name][1] for i in range(lo, hi + 1) if name in frames[i].sites]
             pad_lo, pad_hi = self.half - (center - lo), self.half - (hi - center)
             if acc_parts:
                 acc_parts = [acc_parts[0]] * pad_lo + acc_parts + [acc_parts[-1]] * pad_hi
-            meas.site_orient6d[name] = kin.encode_rot6d(kin.quat_to_rot(np.asarray(quat, float)))
-            meas.site_accel[name] = np.mean(acc_parts, axis=0)
+            meas.sites[name] = (kin.encode_rot6d(kin.quat_to_rot(np.asarray(quat, float))),
+                                np.mean(acc_parts, axis=0))
         return inf.IngestedMeasurement(t_ms=ref.t_ms, measurement=meas)
 
 
@@ -639,10 +635,10 @@ def _assert_same_measurements(got, want):
     for g, w in zip(got, want):
         assert g.t_ms == w.t_ms
         gm, wm = g.measurement, w.measurement
-        assert list(gm.site_orient6d) == list(wm.site_orient6d)
-        for name in wm.site_orient6d:
-            np.testing.assert_array_equal(gm.site_orient6d[name], wm.site_orient6d[name])
-            np.testing.assert_array_equal(gm.site_accel[name], wm.site_accel[name])
+        assert list(gm.sites) == list(wm.sites)
+        for name, (r6, acc) in wm.sites.items():
+            np.testing.assert_array_equal(gm.sites[name][0], r6)
+            np.testing.assert_array_equal(gm.sites[name][1], acc)
         assert (gm.insole_labels is None) == (wm.insole_labels is None)
         if wm.insole_labels is not None:
             np.testing.assert_array_equal(gm.insole_labels, wm.insole_labels)
@@ -683,12 +679,12 @@ def test_ingest_bad_samples_become_dropouts():
     assert ing.bad_samples == len(bad) + 1 and ing.out_of_order == 0
     assert [fr.sites["pelvis"] for fr in frames] == kept  # the caller's records are untouched
     # the instants at bad records lose the site; every average stays exact
-    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.site_accel]
+    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.sites]
     assert absent == [12, 15] and len(outs) == 14
     for o in outs:
         assert o.measurement.insole_labels is None
-        if "pelvis" in o.measurement.site_accel:
-            np.testing.assert_allclose(o.measurement.site_accel["pelvis"], [1, 2, 3], rtol=1e-12)
+        if "pelvis" in o.measurement.sites:
+            np.testing.assert_allclose(o.measurement.sites["pelvis"][1], [1, 2, 3], rtol=1e-12)
 
 
 def test_ingest_quaternions_far_from_unit_are_dropped():
@@ -700,7 +696,7 @@ def test_ingest_quaternions_far_from_unit_are_dropped():
     ing = inf.StreamIngestor()
     outs = [o for fr in frames for o in ing.push(fr)] + ing.finish()
     assert ing.bad_samples == 6 and len(outs) == 7
-    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.site_orient6d]
+    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.sites]
     assert absent == [0, 6]  # the bad records at decimation instants; 12 and 14 are within tolerance
 
 
@@ -727,7 +723,7 @@ def test_ingest_dropout_bookkeeping():
     for fr in frames:
         outs.extend(ing.push(fr))
     outs.extend(ing.finish())
-    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.site_orient6d]
+    absent = [round(o.t_ms * 60 / 1000) for o in outs if "pelvis" not in o.measurement.sites]
     assert len(absent) == 40
     assert min(absent) == 60 and max(absent) == 177
 
@@ -821,6 +817,19 @@ def test_pose_stream_round_trip(tmp_path, tree, tiny_model, gait_trial):
     assert rot.shape == (5, 24, 3, 3)
     np.testing.assert_allclose(root[3], results[3].pose.root_position, atol=1e-8)
     np.testing.assert_allclose(rot[3], results[3].pose.rotations, atol=1e-7)
+
+
+def test_pose_stream_reads_stamps_that_round_equal(tmp_path, tree):
+    # "t_ms" is written to 3 places, which keeps order but may make
+    # neighbouring stamps equal; the reader accepts what the writer writes
+    pose = kin.Pose(kin.identity_rotations(tree), np.zeros(3))
+    results = [inf.StepResult(pose=pose, frame=np.zeros(ft.FRAME_DIM), contacts=np.zeros(ft.B_LEN),
+                              latency_ms=1.0, index=k, t_ms=t)
+               for k, t in enumerate((5000.0001, 5000.0002, 5000.0004, 5050.0))]
+    p = tmp_path / "out.jsonl"
+    inf.write_pose_stream(p, tree, results)
+    assert [json.loads(line)["t_ms"] for line in p.read_text().splitlines()[1:]] == [5000.0] * 3 + [5050.0]
+    assert len(inf.read_pose_stream(p)[0]) == 4
 
 
 def _reference_wire_values(x):
