@@ -1,16 +1,35 @@
-"""Checked reads from the binary containers (datasets and checkpoints).
+"""Checked reads of the program's input files.
 
-Every read is measured against the bytes left in the file before it is
-made, so a corrupt size field fails as the caller's typed error instead
-of asking for more memory than the file could hold. The layouts
-themselves are documented by `datagen.save_dataset` and
-`diffusion.save_checkpoint`.
+Binary containers (datasets and checkpoints): `CheckedReader` measures
+every read against the bytes left in the file before it is made, so a
+corrupt size field fails as the caller's typed error instead of asking
+for more memory than the file could hold. The layouts themselves are
+documented by `datagen.save_dataset` and `diffusion.save_checkpoint`.
+
+JSON documents (the skeleton file and the imu-stream and pose-stream
+wire formats, whose layouts `kinematics` and `inference` document):
+every value is read through this module, which states once what a JSON
+value is.
+
+- A string or an integer is one by its exact type (`exactly`), so a
+  boolean is not an integer and 1.5 is not truncated to one.
+- A number is an `int` or a `float` by exact type, never a boolean, a
+  string or null (`number`), and an array of numbers is nested lists of
+  exactly the given shape holding only numbers (`numbers`).
+- A header names its format and a `version` that is an integer equal to
+  the format's version (`check_header`), so `"version": true` is not
+  version 1.
+
+These raise TypeError or ValueError (OverflowError for an integer too
+large for a float) naming the value, abbreviated by `reprlib`; each
+reader turns them into its format's typed error.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import reprlib
 import struct
 
 import numpy as np
@@ -43,3 +62,62 @@ class CheckedReader:
         dtype = np.dtype(dtype)
         data = self.read(math.prod(shape) * dtype.itemsize, what)
         return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+
+# -- JSON values ---------------------------------------------------------------
+
+_NUMBER = frozenset((int, float))  # exact types: bool, a subclass of int, is not a number
+
+
+def exactly(kind: type, value, what: str):
+    """value when its type is exactly `kind`, else TypeError naming `what`."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be of type {kind.__name__}, got {reprlib.repr(value)}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """A JSON number as a float."""
+    if type(value) not in _NUMBER:
+        raise TypeError(f"{what} must be a number, got {reprlib.repr(value)}")
+    return float(value)
+
+
+def numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A JSON array of numbers, nested lists of exactly `shape` (at least
+    one axis), as a float64 array. The check is one pass in plain Python,
+    which costs about what numpy's conversion does."""
+    if not _holds_numbers(value, shape):
+        raise _refusal(value, shape, what)
+    return np.array(value, dtype=np.float64).reshape(shape)  # reshape: an empty axis keeps the others
+
+
+def _holds_numbers(value, shape: tuple[int, ...]) -> bool:
+    if type(value) is not list or len(value) != shape[0]:
+        return False
+    if len(shape) == 1:
+        return _NUMBER.issuperset(map(type, value))
+    inner = shape[1:]
+    return all(_holds_numbers(v, inner) for v in value)
+
+
+def _refusal(value, shape: tuple[int, ...], what: str) -> Exception:
+    """Why `_holds_numbers` refused `value`: its shape, taken as numpy
+    would (the levels at which every item is a list of one length), when
+    that is not `shape`, else the first item that is not a number."""
+    got, level = [], [value]
+    while all(type(v) is list for v in level) and len({len(v) for v in level}) == 1:
+        got.append(len(level[0]))
+        level = [x for v in level for x in v]
+    if tuple(got) != shape:
+        return ValueError(f"{what} has shape {tuple(got)}, expected {shape}")
+    bad = next(v for v in level if type(v) not in _NUMBER)
+    return TypeError(f"{what} must hold numbers only, got {reprlib.repr(bad)}")
+
+
+def check_header(doc: dict, fmt: str, version: int) -> None:
+    """ValueError unless `doc` names the format `fmt` at `version`."""
+    if doc.get("format") != fmt:
+        raise ValueError(f"expected format {fmt!r}, got {reprlib.repr(doc.get('format'))}")
+    if type(doc.get("version")) is not int or doc["version"] != version:
+        raise ValueError(f"unsupported {fmt} version {reprlib.repr(doc.get('version'))}, expected {version}")

@@ -28,6 +28,7 @@ import numpy as np
 from . import features as ft
 from .container import CheckedReader
 from .kinematics import (
+    CONTACT_NAMES,
     N_CONTACTS,
     N_SEGMENTS,
     N_SITES,
@@ -316,7 +317,7 @@ def _generate_gait(tree, t, seed, speed: float = 1.2):
     stance = np.zeros((T, N_CONTACTS), dtype=np.uint8)
 
     swing_tau = (1 - duty) * T_c
-    for side, phase0, col in (("l", 0.0, 0), ("r", 0.5, 2)):
+    for side, phase0 in (("l", 0.0), ("r", 0.5)):
         cycle_pos = (t / T_c + phase0) % 1.0
         cycle_idx = np.floor(t / T_c + phase0).astype(int)
         plant_z = (cycle_idx - phase0) * stride + stride * duty / 2
@@ -332,7 +333,7 @@ def _generate_gait(tree, t, seed, speed: float = 1.2):
             lift = 0.05 * scale * np.sin(np.pi * np.clip((z_local / stride), 0, 1)) ** 1.0
             foot_y[sw] = ankle_h + lift
         ik.pose(rot, side, root, foot_y, foot_z)
-        stance[:, col:col + 2] = in_stance[:, None]
+        stance[:, [CONTACT_NAMES.index(f"heel_{side}"), CONTACT_NAMES.index(f"toe_{side}")]] = in_stance[:, None]
     # gentle anti-phase arm swing
     arm = np.deg2rad(14) * np.sin(2 * np.pi * t / T_c)
     for side, sgn in (("l", 1.0), ("r", -1.0)):

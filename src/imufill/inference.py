@@ -44,15 +44,19 @@ Wire formats (JSON lines, versioned by a header record):
                 input record at the centre of its decimation window, or
                 index x 50 ms for untimed (dataset) input.
 
-  A reader refuses a header whose "rate_hz" is missing or is not its
-  format's rate: the ingestor decimates by record count, so a stream at
-  another rate would be reconstructed at the wrong speed, and `evaluate`
-  matches poses to trial frames by order. The pose reader also refuses a
-  record that the writer cannot produce: a "t_ms" missing, not finite
-  or before the last one (the writer rounds to 3 places, keeping order),
-  a non-finite "root", "q" or "contact", a quaternion whose norm is
-  further than QUAT_NORM_TOL from 1 (it rounds to 9 places) or a contact
-  outside [0, 1] (it clips it).
+  Both readers take every value through `container`: a number is a JSON
+  int or float, never a boolean, a string or null; a vector or matrix is
+  nested arrays of exactly its shape; and a header's "version" is the
+  integer 1 (not `true` or 1.0). Any other value is refused, naming the
+  file and line. A reader also refuses a header whose "rate_hz" is
+  missing or is not its format's rate: the ingestor decimates by record
+  count, so a stream at another rate would be reconstructed at the wrong
+  speed, and `evaluate` matches poses to trial frames by order. The
+  pose reader also refuses a record that the writer cannot produce: a
+  "t_ms" missing, not finite or before the last one (the writer rounds
+  to 3 places, keeping order), a non-finite "root", "q" or "contact", a
+  quaternion whose norm is further than QUAT_NORM_TOL from 1 (it rounds
+  to 9 places) or a contact outside [0, 1] (it clips it).
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ import numpy as np
 
 from . import features as ft
 from . import kinematics
+from .container import check_header, number, numbers
 from .datagen import DECIMATION, RAW_RATE_HZ, SMOOTH_WINDOW
 from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .kinematics import (
@@ -506,9 +511,11 @@ def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
 def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
     """The records of a v1 `fmt` JSON-lines file at `rate_hz`, each passed
     through `decode`, after its header; blank lines are skipped. A bad
-    header (another rate included), line of JSON (one nested past the
-    recursion limit included), field or vector (one holding an integer
-    too large for a float included) raises InferenceError("<path>:<line>: ...")."""
+    header (another rate or a version that is not the integer 1
+    included), line of JSON (one nested past the recursion limit
+    included), field or vector (one holding a value that is not a number
+    or an integer too large for a float included) raises
+    InferenceError("<path>:<line>: ...")."""
     records, n = [], 0
     with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
@@ -519,8 +526,7 @@ def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 if n == 1:
-                    if rec.get("format") != fmt or rec.get("version") != STREAM_VERSION:
-                        raise ValueError(f"not a v{STREAM_VERSION} {fmt} header: {rec}")
+                    check_header(rec, fmt, STREAM_VERSION)
                     if rec.get("rate_hz") != rate_hz:
                         raise ValueError(f"{fmt} rate_hz must be {rate_hz:g}, got {rec.get('rate_hz')!r}")
                 else:
@@ -532,20 +538,19 @@ def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
     return records
 
 
-def _field(rec: dict, key: str, shape: tuple[int, ...] = (), where: str = "") -> np.ndarray:
-    """rec[key] as a float array of the given shape."""
+def _field(rec: dict, key: str, shape: tuple[int, ...] = (), where: str = "") -> float | np.ndarray:
+    """rec[key] read by `container.number` (a float) for the shape (), else
+    by `container.numbers` (a float array of the given shape)."""
     if key not in rec:
         raise ValueError(f"missing field '{where}{key}'")
-    arr = np.asarray(rec[key], dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"field '{where}{key}' has shape {arr.shape}, expected {shape}")
-    return arr
+    what = f"field '{where}{key}'"
+    return numbers(rec[key], shape, what) if shape else number(rec[key], what)
 
 
 def _stream_frame(rec: dict) -> StreamFrame:
     sites = {name: (_field(v, "q", (4,), f"sites.{name}."), _field(v, "a", (3,), f"sites.{name}."))
              for name, v in rec.get("sites", {}).items()}
-    return StreamFrame(t_ms=float(_field(rec, "t_ms")), sites=sites,
+    return StreamFrame(t_ms=_field(rec, "t_ms"), sites=sites,
                        insoles=None if rec.get("insoles") is None else _field(rec, "insoles", (ft.B_LEN,)))
 
 
@@ -620,15 +625,16 @@ def write_pose_stream(path, tree: KinematicTree, results: list[StepResult]) -> N
 
 def _pose_record(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values `write_pose_stream` can write: finite, unit quaternions
-    within QUAT_NORM_TOL and contacts in [0, 1] (NaN fails each test; a
-    norm that overflows is infinite and fails too)."""
+    within QUAT_NORM_TOL (the squared norm within the squared bounds, as
+    in _usable_sample) and contacts in [0, 1] (NaN fails each test; a
+    square that overflows is infinite and fails too)."""
     q = _field(rec, "q", (ft.N_SEGMENTS, 4))
     root, contact = _field(rec, "root", (3,)), _field(rec, "contact", (ft.B_LEN,))
     if not np.isfinite(root).all():
         raise ValueError(f"field 'root' is not finite: {root.tolist()}")
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(q, axis=-1)
-    if not (np.abs(norm - 1.0) <= QUAT_NORM_TOL).all():
+        norm2 = np.square(q).sum(axis=-1)
+    if not ((_QUAT_NORM2_LO <= norm2) & (norm2 <= _QUAT_NORM2_HI)).all():
         raise ValueError(f"field 'q' holds a quaternion whose norm is not within {QUAT_NORM_TOL} of 1")
     if not ((0.0 <= contact) & (contact <= 1.0)).all():
         raise ValueError(f"field 'contact' is not in [0, 1]: {contact.tolist()}")
@@ -641,7 +647,7 @@ def read_pose_stream(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     def decode(rec: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonlocal last_ms
-        t_ms = float(_field(rec, "t_ms"))
+        t_ms = _field(rec, "t_ms")
         if not last_ms <= t_ms < np.inf:  # NaN fails too
             raise ValueError(f"field 't_ms' must be finite and not before the previous record's, got {t_ms}")
         last_ms = t_ms

@@ -1,8 +1,9 @@
 """Kinematic tree, rotation representations, and forward kinematics.
 
 The default skeleton is a 24-segment rigid body in the SMPL topology with
-13 instrumentable sensor sites and 4 foot contact points (heel/toe per
-side), loaded from a versioned JSON file. Everything here is a pure
+13 instrumentable sensor sites (ALL_SITES) and 4 foot contact points
+(CONTACT_NAMES, heel and toe per side), loaded from a versioned JSON file
+whose values `container` reads and `KinematicTree.validate` checks. Everything here is a pure
 function over immutable trees and is batched over arbitrary leading axes:
 rotations are (..., 24, 3, 3), positions (..., 3). +y is up; the ground
 plane is y = 0.
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import check_header, exactly, number, numbers
+
 SKELETON_FORMAT = "imufill-skeleton"
 SKELETON_VERSION = 1
 N_SEGMENTS = 24
@@ -29,7 +32,10 @@ ALL_SITES = (
 )
 N_SITES = len(ALL_SITES)
 SITE_INDEX = {name: i for i, name in enumerate(ALL_SITES)}
-N_CONTACTS = 4
+# The foot contact points, in skeleton file order: the insole wire order,
+# the feature layout's contact channels and the generators' stance columns.
+CONTACT_NAMES = ("heel_l", "toe_l", "heel_r", "toe_r")
+N_CONTACTS = len(CONTACT_NAMES)
 GROUND_CLEARANCE_M = 0.005  # height of the lowest contact point of a standing or grounded pose
 _ROT6D_EPS = 1e-8  # floor of a column norm in decode_rot6d
 
@@ -84,12 +90,9 @@ class KinematicTree:
         if self.site_names != ALL_SITES:
             raise SkeletonError(f"expected the sites {', '.join(ALL_SITES)} in that order, "
                                 f"got {', '.join(self.site_names)}")
-        if len(self.contact_segments) != N_CONTACTS:
-            raise SkeletonError(f"expected {N_CONTACTS} contact points, got {len(self.contact_segments)}")
-        for what, arr, n in (("segment", self.offsets, len(p)), ("site", self.site_offsets, N_SITES),
-                             ("contact", self.contact_offsets, N_CONTACTS)):
-            if arr.shape != (n, 3):
-                raise SkeletonError(f"{what} offsets must be {n} vectors of 3, got shape {arr.shape}")
+        if self.contact_names != CONTACT_NAMES:
+            raise SkeletonError(f"expected the contact points {', '.join(CONTACT_NAMES)} in that order, "
+                                f"got {', '.join(self.contact_names)}")
         if not all(np.isfinite(a).all() for a in (self.offsets, self.site_offsets, self.contact_offsets)):
             raise SkeletonError("offsets must be finite")
         if not 0.0 < self.reference_height < np.inf:
@@ -122,26 +125,32 @@ def load_skeleton(path: str | Path) -> KinematicTree:
 def _tree_from_doc(doc: dict) -> KinematicTree:
     if not isinstance(doc, dict):
         raise SkeletonError(f"not a skeleton file (top level is a {type(doc).__name__})")
-    if doc.get("format") != SKELETON_FORMAT:
-        raise SkeletonError(f"not a skeleton file (format={doc.get('format')!r})")
-    if doc.get("version") != SKELETON_VERSION:
-        raise SkeletonError(f"unsupported skeleton version {doc.get('version')!r}")
     try:
+        check_header(doc, SKELETON_FORMAT, SKELETON_VERSION)
         segs = doc["segments"]
-        names = tuple(_exactly(str, s["name"], "segment name") for s in segs)
+        names = tuple(exactly(str, s["name"], "segment name") for s in segs)
         by_name = {n: i for i, n in enumerate(names)}
+
+        def points(key: str, what: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+            pts = doc[key]
+            return (tuple(exactly(str, p["name"], f"{what} name") for p in pts),
+                    np.array([by_name[p["segment"]] for p in pts], dtype=np.int64),
+                    numbers([p["offset"] for p in pts], (len(pts), 3), f"{what} offsets"))
+
+        site_names, site_segments, site_offsets = points("sites", "site")
+        contact_names, contact_segments, contact_offsets = points("contact_points", "contact point")
         tree = KinematicTree(
             names=names,
-            parents=np.array([_exactly(int, s["parent"], "segment parent") for s in segs], dtype=np.int64),
-            offsets=np.array([s["offset"] for s in segs], dtype=np.float64),
-            mass_fractions=np.array([s["mass_fraction"] for s in segs], dtype=np.float64),
-            site_names=tuple(s["name"] for s in doc["sites"]),
-            site_segments=np.array([by_name[s["segment"]] for s in doc["sites"]], dtype=np.int64),
-            site_offsets=np.array([s["offset"] for s in doc["sites"]], dtype=np.float64),
-            contact_names=tuple(c["name"] for c in doc["contact_points"]),
-            contact_segments=np.array([by_name[c["segment"]] for c in doc["contact_points"]], dtype=np.int64),
-            contact_offsets=np.array([c["offset"] for c in doc["contact_points"]], dtype=np.float64),
-            reference_height=float(doc["reference_height_m"]),
+            parents=np.array([exactly(int, s["parent"], "segment parent") for s in segs], dtype=np.int64),
+            offsets=numbers([s["offset"] for s in segs], (len(segs), 3), "segment offsets"),
+            mass_fractions=numbers([s["mass_fraction"] for s in segs], (len(segs),), "mass fractions"),
+            site_names=site_names,
+            site_segments=site_segments,
+            site_offsets=site_offsets,
+            contact_names=contact_names,
+            contact_segments=contact_segments,
+            contact_offsets=contact_offsets,
+            reference_height=number(doc["reference_height_m"], "reference height"),
         )
     except KeyError as e:
         raise SkeletonError(f"missing field or unknown segment {e}") from None
@@ -151,14 +160,6 @@ def _tree_from_doc(doc: dict) -> KinematicTree:
         raise SkeletonError("duplicate segment names")
     tree.validate()
     return tree
-
-
-def _exactly(kind: type, value, what: str):
-    """value when its type is exactly `kind` (so a bool is not an int and
-    1.5 is not truncated to one), else TypeError naming `what`."""
-    if type(value) is not kind:
-        raise TypeError(f"{what} must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 def default_tree(height: float | None = None) -> KinematicTree:

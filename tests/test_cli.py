@@ -79,6 +79,24 @@ def _malformed_skeleton(case: str) -> str:
         doc["segments"][4]["parent"] = 1.5
     elif case == "numeric-name":
         doc["segments"][9]["name"] = 5
+    elif case == "true-version":
+        doc["version"] = True
+    elif case == "string-offset":
+        doc["segments"][1]["offset"] = ["0.09", "-0.07", "0"]
+    elif case == "true-site-offset":
+        doc["sites"][4]["offset"] = [True, 0, 0]
+    elif case == "string-mass-fraction":
+        doc["segments"][1]["mass_fraction"] = "0.1"
+    elif case == "true-reference-height":
+        doc["reference_height_m"] = True
+    elif case == "reordered-contacts":
+        doc["contact_points"][0], doc["contact_points"][1] = doc["contact_points"][1], doc["contact_points"][0]
+    elif case == "renamed-contact":
+        doc["contact_points"][3]["name"] = "toe_tip_r"
+    elif case == "duplicate-contact":
+        doc["contact_points"][3]["name"] = "toe_l"
+    elif case == "numeric-contact-name":
+        doc["contact_points"][0]["name"] = 0
     elif case == "23-segments":  # without the leaf fingers_r, masses renormalized
         leaf = next(s for s in doc["segments"] if s["name"] == "fingers_r")
         doc["segments"].remove(leaf)
@@ -103,6 +121,16 @@ def _malformed_skeleton(case: str) -> str:
     ("nan-mass-fraction", "mass fractions must be positive"),
     ("fractional-parent", "segment parent must be of type int, got 1.5"),
     ("numeric-name", "segment name must be of type str, got 5"),
+    ("true-version", "unsupported imufill-skeleton version True, expected 1"),
+    ("string-offset", "segment offsets must hold numbers only, got '0.09'"),
+    ("true-site-offset", "site offsets must hold numbers only, got True"),
+    ("string-mass-fraction", "mass fractions must hold numbers only, got '0.1'"),
+    ("true-reference-height", "reference height must be a number, got True"),
+    ("reordered-contacts", "expected the contact points heel_l, toe_l, heel_r, toe_r in that order, "
+                           "got toe_l, heel_l, heel_r, toe_r"),
+    ("renamed-contact", "got heel_l, toe_l, heel_r, toe_tip_r"),
+    ("duplicate-contact", "got heel_l, toe_l, heel_r, toe_l"),
+    ("numeric-contact-name", "contact point name must be of type str, got 0"),
 ])
 def test_skeleton_validate_malformed_file_is_typed_error(tmp_path, capsys, case, where):
     f = tmp_path / "bad.json"
@@ -563,7 +591,17 @@ POSE_RECORD = json.dumps({"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24
     (STREAM_HEADER.replace(b"60", b"120") + b'{"t_ms": 0}\n', ":1: imu-stream rate_hz must be 60, got 120"),
     (b'{"format": "imu-stream", "version": 1}\n{"t_ms": 0}\n', ":1: imu-stream rate_hz must be 60, got None"),
     (STREAM_HEADER + b"[" * 100000 + b"\n", ":2: maximum recursion depth exceeded"),
-], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8", "rate-120", "no-rate", "nested"])
+    (STREAM_HEADER + b'{"t_ms": "5"}\n', ":2: field 't_ms' must be a number, got '5'"),
+    (STREAM_HEADER + b'{"t_ms": true}\n', ":2: field 't_ms' must be a number, got True"),
+    (STREAM_HEADER + b'{"t_ms": 0, "sites": {"pelvis": {"q": ["1", 0, 0, 0], "a": [0, 0, 0]}}}\n',
+     ":2: field 'sites.pelvis.q' must hold numbers only, got '1'"),
+    (STREAM_HEADER + b'{"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0], "a": [false, 0, 0]}}}\n',
+     ":2: field 'sites.pelvis.a' must hold numbers only, got False"),
+    (STREAM_HEADER + b'{"t_ms": 0, "insoles": [true, 0, 1, 1]}\n', ":2: field 'insoles' must hold numbers only, got True"),
+    (STREAM_HEADER.replace(b'"version": 1', b'"version": true') + b'{"t_ms": 0}\n',
+     ":1: unsupported imu-stream version True, expected 1"),
+], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8", "rate-120", "no-rate", "nested",
+        "string-t_ms", "true-t_ms", "string-q", "false-a", "true-insoles", "true-version"])
 def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     stream = tmp_path / "s.jsonl"
     stream.write_bytes(content)
@@ -597,12 +635,22 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
      ":2: missing field 't_ms'"),
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
      + POSE_RECORD + POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": null') + POSE_RECORD,
-     ":3: field 't_ms' must be finite and not before the previous record's, got nan"),
+     ":3: field 't_ms' must be a number, got None"),
     (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
      + b"".join(POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": %d' % t) for t in (0, 50, 100, 150, 200, 100, 300)),
      ":7: field 't_ms' must be finite and not before the previous record's, got 100.0"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": "5"'),
+     ":2: field 't_ms' must be a number, got '5'"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b'"root": [0, 0, 0]', b'"root": ["0", true, 0]'), ":2: field 'root' must hold numbers only, got '0'"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+     + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [false, 0, 0, 0]'),
+     ":2: field 'contact' must hold numbers only, got False"),
+    (b'{"format": "pose-stream", "version": true, "rate_hz": 20}\n' + POSE_RECORD,
+     ":1: unsupported pose-stream version True, expected 1"),
 ], ids=["bad-json", "no-records", "rate-7", "no-rate", "zero-q", "q-norm-2", "nan-root", "nan-contact",
-        "contact-1.5", "nested", "no-t_ms", "null-t_ms", "t_ms-goes-back"])
+        "contact-1.5", "nested", "no-t_ms", "null-t_ms", "t_ms-goes-back",
+        "string-t_ms", "string-root", "false-contact", "true-version"])
 def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     rec = tmp_path / "rec.jsonl"
     rec.write_bytes(content)

@@ -784,6 +784,14 @@ def test_stream_file_rejects_bad_header(tmp_path):
     {"t_ms": "soon"},
     {"t_ms": 0, "sites": ["pelvis"]},
     [0],
+    # a number is a JSON int or float: never a string, a boolean or null
+    {"t_ms": "5"},
+    {"t_ms": True},
+    {"t_ms": None},
+    {"t_ms": 0, "sites": {"pelvis": {"q": [1, "0", 0, 0], "a": [0, 0, 0]}}},
+    {"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0], "a": [False, 0, 0]}}},
+    {"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0], "a": [[0], 0, 0]}}},
+    {"t_ms": 0, "insoles": [True, 0, 1, 1]},
 ])
 def test_stream_file_rejects_malformed_record(tmp_path, record):
     p = tmp_path / "bad.jsonl"
@@ -802,6 +810,33 @@ def test_pose_stream_rejects_wrong_length_vector(tmp_path, field, value):
     p.write_text('{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + json.dumps(record) + "\n")
     with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:2: field '{field}' has shape"):
         inf.read_pose_stream(p)
+
+
+@pytest.mark.parametrize("field, value, why", [
+    ("t_ms", "5", "field 't_ms' must be a number, got '5'"),
+    ("t_ms", True, "field 't_ms' must be a number, got True"),
+    ("root", ["0", True, 0], "field 'root' must hold numbers only, got '0'"),
+    ("root", [0, True, 0], "field 'root' must hold numbers only, got True"),
+    ("q", [[1, 0, 0, 0]] * 23 + [[1, 0, 0, None]], "field 'q' must hold numbers only, got None"),
+    ("q", [[1, 0, 0, 0]] * 23 + [[1, 0, 0]], "field 'q' has shape (24,), expected (24, 4)"),
+    ("contact", [False, 0, 0, 0], "field 'contact' must hold numbers only, got False"),
+])
+def test_pose_stream_rejects_a_value_that_is_not_a_number(tmp_path, field, value, why):
+    record = {"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0, 0, 0, 0], field: value}
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + json.dumps(record) + "\n")
+    with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:2: {re.escape(why)}$"):
+        inf.read_pose_stream(p)
+
+
+@pytest.mark.parametrize("fmt, rate, read", [
+    ("imu-stream", 60, inf.parse_stream_file), ("pose-stream", 20, inf.read_pose_stream)])
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"', "2", "null"])
+def test_wire_header_version_is_the_integer_1(tmp_path, fmt, rate, read, version):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(f'{{"format": "{fmt}", "version": {version}, "rate_hz": {rate}}}\n')
+    with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:1: unsupported {fmt} version "):
+        read(p)
 
 
 def test_pose_stream_round_trip(tmp_path, tree, tiny_model, gait_trial):
