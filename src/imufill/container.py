@@ -8,9 +8,12 @@ documented by `datagen.save_dataset` and `diffusion.save_checkpoint`.
 
 JSON documents (the skeleton file and the imu-stream and pose-stream
 wire formats, whose layouts `kinematics` and `inference` document):
-every value is read through this module, which states once what a JSON
-value is.
+every object is parsed and every value read through this module, which
+states once what a JSON value is.
 
+- An object names each key once: every reader parses with `parse_json`,
+  whose `object_pairs_hook` is `unique_keys`, so `{"root": [0, 0, 0],
+  "root": [5, 5, 5]}` is refused instead of read as its last value.
 - A string or an integer is one by its exact type (`exactly`), so a
   boolean is not an integer and 1.5 is not truncated to one.
 - A number is an `int` or a `float` by exact type, never a boolean, a
@@ -27,6 +30,7 @@ reader turns them into its format's typed error.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import reprlib
@@ -113,6 +117,31 @@ def _refusal(value, shape: tuple[int, ...], what: str) -> Exception:
         return ValueError(f"{what} has shape {tuple(got)}, expected {shape}")
     bad = next(v for v in level if type(v) not in _NUMBER)
     return TypeError(f"{what} must hold numbers only, got {reprlib.repr(bad)}")
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """`json`'s object_pairs_hook: the object as a dict, or ValueError
+    naming the first key that it repeats."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {reprlib.repr(key)}")
+            seen.add(key)
+    return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=unique_keys)  # built once: json.loads with a hook builds one a call
+
+
+def parse_json(doc: str | bytes):
+    """`json.loads(doc)` (bytes decoded as it decodes them) with
+    `unique_keys` as the object_pairs_hook; ValueError on bad JSON, bad
+    text or a repeated key, RecursionError past the nesting limit."""
+    if isinstance(doc, bytes):
+        doc = doc.decode(json.detect_encoding(doc), "surrogatepass")
+    return _DECODER.decode(doc)
 
 
 def check_header(doc: dict, fmt: str, version: int) -> None:

@@ -48,10 +48,14 @@ Wire formats (JSON lines, versioned by a header record):
   int or float, never a boolean, a string or null; a vector or matrix is
   nested arrays of exactly its shape; and a header's "version" is the
   integer 1 (not `true` or 1.0). Any other value is refused, naming the
-  file and line. A reader also refuses a header whose "rate_hz" is
-  missing or is not its format's rate: the ingestor decimates by record
-  count, so a stream at another rate would be reconstructed at the wrong
-  speed, and `evaluate` matches poses to trial frames by order. The
+  file and line, as is an object that names a key twice. A reader also
+  refuses a header whose "rate_hz" is missing or is not its format's
+  rate: the ingestor decimates by record count, so a stream at another
+  rate would be reconstructed at the wrong speed, and `evaluate` matches
+  poses to trial frames by order. The pose reader refuses a header whose
+  "segments" are missing or are not the default skeleton's names in
+  order, the one tree that any command writes poses with or scores them
+  against, since it reads the "q" rows in that order. The
   pose reader also refuses a record that the writer cannot produce: a
   "t_ms" missing, not finite or before the last one (the writer rounds
   to 3 places, keeping order), a non-finite "root", "q" or "contact", a
@@ -62,6 +66,7 @@ Wire formats (JSON lines, versioned by a header record):
 from __future__ import annotations
 
 import json
+import reprlib
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -70,7 +75,7 @@ import numpy as np
 
 from . import features as ft
 from . import kinematics
-from .container import check_header, number, numbers
+from .container import check_header, number, numbers, parse_json
 from .datagen import DECIMATION, RAW_RATE_HZ, SMOOTH_WINDOW
 from .diffusion import DenoiserConfig, DiffusionSchedule, FastDenoiser
 from .kinematics import (
@@ -508,27 +513,30 @@ def _usable_sample(q: np.ndarray, a: np.ndarray) -> bool:
 # -- JSONL wire formats ------------------------------------------------------
 
 
-def _read_wire(path, fmt: str, rate_hz: float, decode) -> list:
-    """The records of a v1 `fmt` JSON-lines file at `rate_hz`, each passed
-    through `decode`, after its header; blank lines are skipped. A bad
-    header (another rate or a version that is not the integer 1
-    included), line of JSON (one nested past the recursion limit
-    included), field or vector (one holding a value that is not a number
-    or an integer too large for a float included) raises
-    InferenceError("<path>:<line>: ...")."""
+def _read_wire(path, fmt: str, header: dict, decode) -> list:
+    """The records of a v1 `fmt` JSON-lines file, each passed through
+    `decode`, after a header that holds each value of `header` (its rate,
+    and the pose stream's segment names); blank lines are skipped. A bad
+    header (one that differs from `header` or has a version that is not
+    the integer 1 included), line of JSON (one nested past the recursion
+    limit or naming a key twice included), field or vector (one holding a
+    value that is not a number or an integer too large for a float
+    included) raises InferenceError("<path>:<line>: ...")."""
     records, n = [], 0
     with open(path, "rb") as f:
         for n, line in enumerate(f, 1):
             if n > 1 and not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = parse_json(line)
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 if n == 1:
                     check_header(rec, fmt, STREAM_VERSION)
-                    if rec.get("rate_hz") != rate_hz:
-                        raise ValueError(f"{fmt} rate_hz must be {rate_hz:g}, got {rec.get('rate_hz')!r}")
+                    for key, want in header.items():
+                        if rec.get(key) != want:
+                            raise ValueError(f"{fmt} {key} must be {reprlib.repr(want)}, "
+                                             f"got {reprlib.repr(rec.get(key))}")
                 else:
                     records.append(decode(rec))
             except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as e:
@@ -555,7 +563,7 @@ def _stream_frame(rec: dict) -> StreamFrame:
 
 
 def parse_stream_file(path) -> list[StreamFrame]:
-    return _read_wire(path, STREAM_IN_FORMAT, RAW_RATE_HZ, _stream_frame)
+    return _read_wire(path, STREAM_IN_FORMAT, {"rate_hz": int(RAW_RATE_HZ)}, _stream_frame)
 
 
 def _write_wire(path, header: dict, records) -> None:
@@ -653,7 +661,8 @@ def read_pose_stream(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         last_ms = t_ms
         return _pose_record(rec)
 
-    records = _read_wire(path, STREAM_OUT_FORMAT, ft.FRAME_RATE_HZ, decode)
+    header = {"rate_hz": int(ft.FRAME_RATE_HZ), "segments": list(kinematics.default_tree().names)}
+    records = _read_wire(path, STREAM_OUT_FORMAT, header, decode)
     if not records:
         raise InferenceError(f"{path}: no pose records")
     rots, roots, contacts = zip(*records)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import check_header, exactly, number, numbers
+from .container import check_header, exactly, number, numbers, parse_json
 
 SKELETON_FORMAT = "imufill-skeleton"
 SKELETON_VERSION = 1
@@ -116,8 +116,8 @@ def load_skeleton(path: str | Path) -> KinematicTree:
     JSON or not a well-formed skeleton."""
     with open(path, "rb") as f:
         try:
-            doc = json.load(f)
-        except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8 or nested too deeply
+            doc = parse_json(f.read())
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, a repeated key, nested too deeply
             raise SkeletonError(f"not JSON: {e}") from None
     return _tree_from_doc(doc)
 
@@ -164,7 +164,7 @@ def _tree_from_doc(doc: dict) -> KinematicTree:
 
 def default_tree(height: float | None = None) -> KinematicTree:
     with resources.files("imufill.data").joinpath("skeleton_default24.json").open() as f:
-        tree = _tree_from_doc(json.load(f))
+        tree = _tree_from_doc(parse_json(f.read()))
     return tree if height is None else tree.scaled(height)
 
 

@@ -97,6 +97,11 @@ def _malformed_skeleton(case: str) -> str:
         doc["contact_points"][3]["name"] = "toe_l"
     elif case == "numeric-contact-name":
         doc["contact_points"][0]["name"] = 0
+    elif case == "repeated-version":
+        return json.dumps(doc).replace('"version": 1', '"version": 7, "version": 1')
+    elif case == "repeated-offset":
+        first = json.dumps(doc["segments"][2])
+        return json.dumps(doc).replace(first, first.replace('"offset": ', '"offset": [0, 0, 0], "offset": '))
     elif case == "23-segments":  # without the leaf fingers_r, masses renormalized
         leaf = next(s for s in doc["segments"] if s["name"] == "fingers_r")
         doc["segments"].remove(leaf)
@@ -131,6 +136,8 @@ def _malformed_skeleton(case: str) -> str:
     ("renamed-contact", "got heel_l, toe_l, heel_r, toe_tip_r"),
     ("duplicate-contact", "got heel_l, toe_l, heel_r, toe_l"),
     ("numeric-contact-name", "contact point name must be of type str, got 0"),
+    ("repeated-version", "repeated key 'version'"),
+    ("repeated-offset", "repeated key 'offset'"),
 ])
 def test_skeleton_validate_malformed_file_is_typed_error(tmp_path, capsys, case, where):
     f = tmp_path / "bad.json"
@@ -578,6 +585,8 @@ def test_train_bad_size_is_usage_error(workdir, tmp_path, size):
 
 
 STREAM_HEADER = b'{"format": "imu-stream", "version": 1, "rate_hz": 60}\n'
+POSE_HEADER = json.dumps({"format": "pose-stream", "version": 1, "rate_hz": 20,
+                          "segments": list(default_tree().names)}).encode() + b"\n"
 POSE_RECORD = json.dumps({"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0] * 4}).encode() + b"\n"
 
 
@@ -600,8 +609,14 @@ POSE_RECORD = json.dumps({"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24
     (STREAM_HEADER + b'{"t_ms": 0, "insoles": [true, 0, 1, 1]}\n', ":2: field 'insoles' must hold numbers only, got True"),
     (STREAM_HEADER.replace(b'"version": 1', b'"version": true') + b'{"t_ms": 0}\n',
      ":1: unsupported imu-stream version True, expected 1"),
+    (STREAM_HEADER + b'{"t_ms": 0, "t_ms": 5}\n', ":2: repeated key 't_ms'"),
+    (STREAM_HEADER + b'{"t_ms": 0, "sites": {"pelvis": {"q": [1, 0, 0, 0], "a": [0, 0, 0], "q": [0, 1, 0, 0]}}}\n',
+     ":2: repeated key 'q'"),
+    (STREAM_HEADER.replace(b'"version": 1', b'"version": 7, "version": 1') + b'{"t_ms": 0}\n',
+     ":1: repeated key 'version'"),
 ], ids=["bad-json", "no-t_ms", "short-q", "empty", "not-utf8", "rate-120", "no-rate", "nested",
-        "string-t_ms", "true-t_ms", "string-q", "false-a", "true-insoles", "true-version"])
+        "string-t_ms", "true-t_ms", "string-q", "false-a", "true-insoles", "true-version",
+        "repeated-t_ms", "repeated-q", "repeated-version"])
 def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     stream = tmp_path / "s.jsonl"
     stream.write_bytes(content)
@@ -613,44 +628,52 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("content, where", [
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n{"t_ms": 0, "root": [0, 0\n', ":2: "),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n\n', "no pose records"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 7}\n' + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got 7"),
-    (b'{"format": "pose-stream", "version": 1}\n' + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got None"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER + b'{"t_ms": 0, "root": [0, 0\n', ":2: "),
+    (POSE_HEADER + b'\n', "no pose records"),
+    (POSE_HEADER.replace(b'"rate_hz": 20', b'"rate_hz": 7') + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got 7"),
+    (POSE_HEADER.replace(b'"rate_hz": 20, ', b"") + POSE_RECORD, ":1: pose-stream rate_hz must be 20, got None"),
+    (POSE_HEADER
      + POSE_RECORD.replace(b"[[1, 0, 0, 0], ", b"[[0, 0, 0, 0], ", 1), ":2: field 'q' holds a quaternion whose norm"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD.replace(b"[[1, 0, 0, 0], ", b"[[0, 2, 0, 0], ", 1), ":2: field 'q' holds a quaternion whose norm"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD.replace(b'"root": [0, 0, 0]', b'"root": [0, NaN, 0]'), ":2: field 'root' is not finite"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [0, NaN, 0, 0]'),
      ":2: field 'contact' is not in [0, 1]"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [0, 0, 1.5, 0]'),
      ":2: field 'contact' is not in [0, 1]"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + b"[" * 100000 + b"\n",
+    (POSE_HEADER + b"[" * 100000 + b"\n",
      ":2: maximum recursion depth exceeded"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + POSE_RECORD.replace(b'"t_ms": 0, ', b"") * 3,
+    (POSE_HEADER + POSE_RECORD.replace(b'"t_ms": 0, ', b"") * 3,
      ":2: missing field 't_ms'"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD + POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": null') + POSE_RECORD,
      ":3: field 't_ms' must be a number, got None"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + b"".join(POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": %d' % t) for t in (0, 50, 100, 150, 200, 100, 300)),
      ":7: field 't_ms' must be finite and not before the previous record's, got 100.0"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": "5"'),
+    (POSE_HEADER + POSE_RECORD.replace(b'"t_ms": 0', b'"t_ms": "5"'),
      ":2: field 't_ms' must be a number, got '5'"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD.replace(b'"root": [0, 0, 0]', b'"root": ["0", true, 0]'), ":2: field 'root' must hold numbers only, got '0'"),
-    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    (POSE_HEADER
      + POSE_RECORD.replace(b'"contact": [0, 0, 0, 0]', b'"contact": [false, 0, 0, 0]'),
      ":2: field 'contact' must hold numbers only, got False"),
-    (b'{"format": "pose-stream", "version": true, "rate_hz": 20}\n' + POSE_RECORD,
+    (POSE_HEADER.replace(b'"version": 1', b'"version": true') + POSE_RECORD,
      ":1: unsupported pose-stream version True, expected 1"),
+    (POSE_HEADER + POSE_RECORD.replace(b'"root": [0, 0, 0]', b'"root": [0, 0, 0], "root": [5, 5, 5]'),
+     ":2: repeated key 'root'"),
+    (POSE_HEADER.replace(b'"version": 1', b'"version": 7, "version": 1') + POSE_RECORD, ":1: repeated key 'version'"),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20, "segments": ["a", "a", "a"]}\n' + POSE_RECORD,
+     ":1: pose-stream segments must be ['pelvis', "),
+    (b'{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + POSE_RECORD,
+     ":1: pose-stream segments must be ['pelvis', "),
 ], ids=["bad-json", "no-records", "rate-7", "no-rate", "zero-q", "q-norm-2", "nan-root", "nan-contact",
         "contact-1.5", "nested", "no-t_ms", "null-t_ms", "t_ms-goes-back",
-        "string-t_ms", "string-root", "false-contact", "true-version"])
+        "string-t_ms", "string-root", "false-contact", "true-version",
+        "repeated-root", "repeated-version", "segments-a-a-a", "no-segments"])
 def test_evaluate_malformed_pose_stream_fails_cleanly(workdir, tmp_path, capsys, content, where):
     rec = tmp_path / "rec.jsonl"
     rec.write_bytes(content)
@@ -667,10 +690,10 @@ HUGE = "1" + "0" * 400  # a JSON integer too large for a float
 @pytest.mark.parametrize("command, content, error, where", [
     ("reconstruct", STREAM_HEADER.decode() + '{"t_ms": %s}\n' % HUGE, "InferenceError",
      ":2: int too large to convert to float"),
-    ("evaluate", '{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    ("evaluate", POSE_HEADER.decode()
      + POSE_RECORD.decode().replace('"root": [0, 0, 0]', '"root": [%s, 0, 0]' % HUGE), "InferenceError",
      ":2: int too large to convert to float"),
-    ("evaluate", '{"format": "pose-stream", "version": 1, "rate_hz": 20}\n'
+    ("evaluate", POSE_HEADER.decode()
      + POSE_RECORD.decode().replace("[[1, 0, 0, 0], ", "[[1e200, 0, 0, 0], ", 1), "InferenceError",
      ":2: field 'q' holds a quaternion whose norm"),
     ("skeleton", _malformed_skeleton("reference-height").replace('"reference_height_m": -1.0', '"reference_height_m": ' + HUGE), "SkeletonError",

@@ -377,6 +377,18 @@ def test_training_step_gradcheck_small(tree, gait_window):
     assert rep.max_rel_err < 1e-4, (rep.worst_param, rep.max_rel_err)
 
 
+def test_every_parameter_reaches_the_loss(tree, gait_window, stationary_window):
+    # the gradcheck samples a subset, and a parameter the loss never reads
+    # passes it with both gradients zero
+    cfg = df.DenoiserConfig(layers=2, width=16, ff=32, nhead=2)
+    params = df.init_denoiser(cfg, seed=12, dtype=np.float64)
+    _, grads = df.training_step(cfg, params, df.build_cosine_schedule(100),
+                                np.stack([gait_window, stationary_window]), np.array([1.75, 1.62]),
+                                np.array([30, 70]), np.random.default_rng(13), tree)
+    assert list(grads) == list(df._param_shapes(cfg))
+    assert [name for name, g in grads.items() if not np.any(g)] == []
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_training_divergence_detected(tree, stationary_window):
     cfg = df.DenoiserConfig(layers=1, width=8, ff=16)

@@ -801,13 +801,17 @@ def test_stream_file_rejects_malformed_record(tmp_path, record):
         inf.parse_stream_file(p)
 
 
+POSE_HEADER = json.dumps({"format": "pose-stream", "version": 1, "rate_hz": 20,
+                          "segments": list(kin.default_tree().names)}) + "\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("root", [0, 0]), ("q", [[1, 0, 0, 0]] * 23), ("q", [[1, 0, 0]] * 24), ("contact", [0, 0, 0, 0, 0]),
 ])
 def test_pose_stream_rejects_wrong_length_vector(tmp_path, field, value):
     record = {"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0, 0, 0, 0], field: value}
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + json.dumps(record) + "\n")
+    p.write_text(POSE_HEADER + json.dumps(record) + "\n")
     with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:2: field '{field}' has shape"):
         inf.read_pose_stream(p)
 
@@ -824,7 +828,7 @@ def test_pose_stream_rejects_wrong_length_vector(tmp_path, field, value):
 def test_pose_stream_rejects_a_value_that_is_not_a_number(tmp_path, field, value, why):
     record = {"t_ms": 0, "root": [0, 0, 0], "q": [[1, 0, 0, 0]] * 24, "contact": [0, 0, 0, 0], field: value}
     p = tmp_path / "bad.jsonl"
-    p.write_text('{"format": "pose-stream", "version": 1, "rate_hz": 20}\n' + json.dumps(record) + "\n")
+    p.write_text(POSE_HEADER + json.dumps(record) + "\n")
     with pytest.raises(inf.InferenceError, match=f"^{re.escape(str(p))}:2: {re.escape(why)}$"):
         inf.read_pose_stream(p)
 
