@@ -15,11 +15,14 @@ one definition, used by both: `_condition_tokens` maps (t, h) to the
 step and height tokens, and `_cross_fold` folds a layer's two-token
 cross-attention into three small arrays, so its d-by-d query and output
 projections never run over the tokens. The graph calls them for every
-batch, FastDenoiser on its weights once per (t, h), and caches the
-result. Besides its weights FastDenoiser keeps only that cache, so one
-instance can be shared. The per-token block's structure is written
-twice, as graph ops and as in-place numpy, and its arithmetic once, in
-`tensor`'s kernels; their agreement is covered by tests.
+batch and takes a softmax over each head's pair of scores. FastDenoiser
+calls them on its weights once per (t, h) and turns the fold into a tanh
+gate, since a softmax over two scores is a sigmoid of their difference;
+it caches the result. Besides its weights FastDenoiser keeps only that
+cache, so one instance can be shared. The per-token block's structure is
+written twice, as graph ops and as in-place numpy, and its softmax,
+layernorm and GELU arithmetic once, in `tensor`'s kernels; their
+agreement is covered by tests.
 
 The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
@@ -606,14 +609,18 @@ class FastDenoiser:
 
     - The cross-attention memory is the step and height tokens, which
       depend only on (t, h). `_conditioning` caches, per (t, h), both
-      tokens and each layer's cross-attention folded into three small
-      arrays `ws` (d, 2*nhead), `bs` (2*nhead,) and `vo` (2*nhead, d).
-      It builds them with the graph's own `_condition_tokens` and
-      `_cross_fold` on its weights (no gradient, so no tape), the fold in
-      float64 and rounded once to the model dtype. A layer's cross block
-      is then a softmax over each head's pair of `x @ ws + bs`, times
-      `vo`, plus the output bias; its d-by-d query and output
-      projections never run.
+      tokens and each layer's cross-attention as a tanh gate. It builds
+      them with the graph's own `_condition_tokens` and `_cross_fold` on
+      its weights (no gradient, so no tape). A head's softmax over its
+      pair of scores a, b weighs the step token's value by
+      sigma(a - b) = 1/2 + 1/2 tanh((a - b) / 2) and the height token's
+      by the rest, so the block is `tanh(x @ A + c) @ V` plus a bias,
+      with A = (ws_step - ws_height) / 2 (d, nhead), c = (bs_step -
+      bs_height) / 2 (nhead,), V = (vo_step - vo_height) / 2 (nhead, d)
+      and the bias half the sum of every row of vo plus the output
+      bias. The gate is formed in float64 from the fold and rounded once
+      to the model dtype. The d-by-d query and output projections never
+      run, and the block takes four numpy calls.
     - `predict(..., rows=r)` returns only the frame rows `r`. Every
       layer but the last runs on all 63 tokens, because the last layer's
       keys and values read them all; the last layer computes keys and
@@ -622,17 +629,17 @@ class FastDenoiser:
 
     The block's structure is written here a second time; its GELU,
     softmax and layernorm arithmetic are the graph's kernels in `tensor`.
-    Residual and bias adds go in place into a product's fresh array and
-    every reduction is exact (see the helpers), so the speed work changes
-    no output bit. An instance keeps only its weights, the position table,
-    the token index of each frame row and the (t, h) cache of one height;
-    `predict` works on arrays it allocates, so one instance can serve
-    several sessions or threads. Its weights share the parameters' arrays
-    when they are already contiguous in its dtype (`np.ascontiguousarray`
-    copies nothing then), and `tensor.adam_step` writes into those arrays
-    in place: an instance built over parameters that are still training
-    would see each step's weights with a stale conditioning cache. Build
-    it after training, as `reconstruct` and `sweep` do.
+    Residual and bias adds go in place into a product's fresh array (see
+    `_add_layernorm_inplace`). An instance keeps only its weights, the
+    position table, the token index of each frame row and the (t, h)
+    cache of one height; `predict` works on arrays it allocates, so one
+    instance can serve several sessions or threads. Its weights share the
+    parameters' arrays when they are already contiguous in its dtype
+    (`np.ascontiguousarray` copies nothing then), and `tensor.adam_step`
+    writes into those arrays in place: an instance built over parameters
+    that are still training would see each step's weights with a stale
+    conditioning cache. Build it after training, as `reconstruct` and
+    `sweep` do.
     """
 
     def __init__(self, cfg: DenoiserConfig, params: dict[str, Tensor], dtype=np.float32):
@@ -657,14 +664,17 @@ class FastDenoiser:
         P = {k: Tensor(v) for k, v in self.w.items()}
         step_tok, height_tok = _condition_tokens(P, t, h)  # (1, 1, d) each
         memory = tt.concat([step_tok, height_tok], axis=1)
-        folds = []
+        gates = []
         for i in range(self.cfg.layers):
             p = f"layers.{i}."
             ckv = tt.linear(memory, P[p + "cross.wkv"], P[p + "cross.bkv"])
-            ws, bs, vo = _cross_fold(Tensor(ckv.data.astype(np.float64)), P, p, self.cfg.nhead)
-            folds.append((np.ascontiguousarray(ws.data[0], dtype=self.dtype),
-                          bs.data.reshape(-1).astype(self.dtype), vo.data[0].astype(self.dtype)))
-        out = (step_tok.data[0], height_tok.data[0], folds)
+            ws, bs, vo = (a.data[0] for a in _cross_fold(Tensor(ckv.data.astype(np.float64)), P, p,
+                                                           self.cfg.nhead))
+            # columns of ws and bs and rows of vo alternate step, height per head
+            gate = (0.5 * (ws[:, 0::2] - ws[:, 1::2]), 0.5 * (bs[0, 0::2] - bs[0, 1::2]),
+                    0.5 * (vo[0::2] - vo[1::2]), 0.5 * vo.sum(axis=0) + self.w[p + "cross.bo"])
+            gates.append(tuple(np.ascontiguousarray(a, dtype=self.dtype) for a in gate))
+        out = (step_tok.data[0], height_tok.data[0], gates)
         if key[1] == height:
             cache[key] = out
         else:  # a session has one height: a new one replaces the last one's entries
@@ -677,28 +687,28 @@ class FastDenoiser:
         equals `predict(z, t, h)[rows]`."""
         w = self.w
         d = self.cfg.width
-        step_tok, height_tok, folds = self._conditioning(t, h)
+        step_tok, height_tok, gates = self._conditioning(t, h)
         frames = np.asarray(z, dtype=self.dtype) @ w["in_proj.w"]
         frames += w["in_proj.b"]
         frames += self.pos
         x = np.concatenate([step_tok, height_tok, frames])
         *body, last = self._layers
-        for lw, fold in zip(body, folds):
+        for lw, gate in zip(body, gates):
             qkv = x @ lw["attn.wqkv"]
             qkv += lw["attn.bqkv"]
-            x = self._block(x, qkv[:, :d], qkv[:, d:], lw, fold)
+            x = self._block(x, qkv[:, :d], qkv[:, d:], lw, gate)
         wqkv, bqkv = last["attn.wqkv"], last["attn.bqkv"]
         kv = x @ wqkv[:, d:]
         kv += bqkv[d:]
         x = x[self._tokens if rows is None else self._tokens[rows]]
         q = x @ wqkv[:, :d]
         q += bqkv[:d]
-        x = self._block(x, q, kv, last, folds[-1])
+        x = self._block(x, q, kv, last, gates[-1])
         out = x @ w["out_proj.w"]
         out += w["out_proj.b"]
         return out
 
-    def _block(self, x: np.ndarray, q: np.ndarray, kv: np.ndarray, lw: dict, fold: tuple) -> np.ndarray:
+    def _block(self, x: np.ndarray, q: np.ndarray, kv: np.ndarray, lw: dict, gate: tuple) -> np.ndarray:
         """One post-norm layer for the residual rows `x`, whose queries are
         `q`; `kv` holds the keys and values of all 63 tokens."""
         cfg = self.cfg
@@ -712,25 +722,15 @@ class FastDenoiser:
         np.matmul(tt._softmax_rows(s, s), v, out=attn.reshape(n, nh, hd).transpose(1, 0, 2))
         x = _add_layernorm_inplace(attn @ lw["attn.wo"], x, lw["attn.bo"], lw["ln1.g"], lw["ln1.b"])
 
-        ws, bs, vo = fold
-        s = x @ ws
-        s += bs
-        cross = _pair_softmax_inplace(s.reshape(n, nh, 2)).reshape(n, 2 * nh)
-        x = _add_layernorm_inplace(cross @ vo, x, lw["cross.bo"], lw["ln2.g"], lw["ln2.b"])
+        A, c, V, bias = gate
+        u = x @ A
+        u += c
+        x = _add_layernorm_inplace(np.tanh(u, out=u) @ V, x, bias, lw["ln2.g"], lw["ln2.b"])
 
         f = x @ lw["ff.w1"]
         f += lw["ff.b1"]
         tt._gelu_block(f, f, np.empty_like(f))  # the whole array at once: no block loop
         return _add_layernorm_inplace(f @ lw["ff.w2"], x, lw["ff.b2"], lw["ln3.g"], lw["ln3.b"])
-
-
-def _pair_softmax_inplace(s: np.ndarray) -> np.ndarray:
-    """`tensor._softmax_rows` in place for a last axis of 2: max and sum in closed form."""
-    a, b = s[..., :1], s[..., 1:]
-    s -= np.maximum(a, b)
-    np.exp(s, out=s)
-    s /= a + b
-    return s
 
 
 def _add_layernorm_inplace(y: np.ndarray, x: np.ndarray, bias: np.ndarray, g: np.ndarray,

@@ -64,11 +64,17 @@ Conventions:
     (`concat`, `reshape`), and those are never written.
   * the GELU chain `_gelu_block`, the last-axis softmax `_softmax_rows`
     and the layernorm normalization `_normalize` are defined once, here;
-    the inference forward `diffusion.FastDenoiser` calls them too.
+    the inference forward `diffusion.FastDenoiser` calls them too. Every
+    row sum and mean of the softmax, the layernorm and their vjps is the
+    row kernel `_row_reduce`: one BLAS product of the rows with a cached
+    constant column, where numpy's last-axis reduction works row by row.
+    The softmax skips its max shift when every score lies strictly
+    inside +-_EXP_SAFE, which one min and one max over the array decide.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -82,6 +88,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 # elements per block of an elementwise chain: the few block-sized arrays
 # of one block (128 KiB each in float32) stay in a 2 MiB L2
 _BLOCK = 1 << 15
+# scores strictly inside +-_EXP_SAFE need no max shift before exp: e^64
+# times a row of up to 2^31 terms stays below the float32 maximum, and
+# e^-64 stays above its smallest normal
+_EXP_SAFE = 64.0
 
 
 class ShapeError(ValueError):
@@ -314,26 +324,46 @@ def gelu(a) -> Tensor:
     return Tensor._make(out, (a,), vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def _row_column(n: int, dtype: np.dtype, mean: bool) -> np.ndarray:
+    """An (n, 1) column of ones, or of 1/n with `mean`, read-only:
+    `_row_reduce`'s constant operand, built once per length and dtype."""
+    col = np.full((n, 1), 1.0 / n if mean else 1.0, dtype)
+    col.flags.writeable = False
+    return col
+
+
+def _row_reduce(x: np.ndarray, mean: bool) -> np.ndarray:
+    """The sum (or, with `mean`, the mean) of `x` over its last axis, the
+    axis kept, as one BLAS product of the rows with `_row_column`.
+    numpy's last-axis `add.reduce` works row by row and costs about twice
+    as much at the model's shapes."""
+    return x @ _row_column(x.shape[-1], x.dtype, mean)
+
+
 def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of `x` (at least 2-D) into `out`, which
-    may be `x`. The row maximum of a contiguous transposed copy is faster
-    to reduce, and exact (a maximum does not round)."""
-    row_max = np.maximum.reduce(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -2)
-    np.subtract(x, row_max[..., None], out=out)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, -1, keepdims=True)
+    may be `x`, each row's sum from `_row_reduce`. When every score lies
+    strictly inside +-_EXP_SAFE, exp cannot overflow or underflow and the
+    max shift is skipped: one min and one max over the array decide it.
+    Other inputs, NaN and inf among them, are shifted by each row's
+    maximum, reduced from a contiguous transposed copy, which is faster
+    and exact (a maximum does not round)."""
+    if x.size and -_EXP_SAFE < np.minimum.reduce(x, None) and np.maximum.reduce(x, None) < _EXP_SAFE:
+        np.exp(x, out=out)
+    else:
+        row_max = np.maximum.reduce(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -2)
+        np.subtract(x, row_max[..., None], out=out)
+        np.exp(out, out=out)
+    out /= _row_reduce(out, False)
     return out
 
 
 def _normalize(y: np.ndarray) -> np.ndarray:
     """y = (y - mean) / sqrt(var + LAYERNORM_EPS) over the last axis, in
-    place, each mean `ndarray.mean`'s arithmetic (pairwise sum, then
-    divide) without its Python wrapper; returns the divisor, axis kept."""
-    m = np.add.reduce(y, -1, keepdims=True)
-    m /= y.shape[-1]
-    y -= m
-    var = np.add.reduce(y * y, -1, keepdims=True)
-    var /= y.shape[-1]
+    place, both means from `_row_reduce`; returns the divisor, axis kept."""
+    y -= _row_reduce(y, True)
+    var = _row_reduce(y * y, True)
     var += LAYERNORM_EPS
     std = np.sqrt(var, out=var)
     y /= std
@@ -359,8 +389,8 @@ def add_layernorm(x, r, g, b) -> Tensor:
 
     def vjp(grad):
         dy = grad * g.data
-        dot = (dy * xhat).mean(axis=-1, keepdims=True)
-        dx = dy - dy.mean(axis=-1, keepdims=True)
+        dot = _row_reduce(dy * xhat, True)
+        dx = dy - _row_reduce(dy, True)
         dx -= np.multiply(xhat, dot, out=dy)
         dx /= std
         return (_unbroadcast(dx, x.shape), _unbroadcast(dx, r.shape),
@@ -422,7 +452,7 @@ def softmax(a) -> Tensor:
     out = _softmax_rows(a.data, np.empty_like(a.data))
 
     def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
+        dot = _row_reduce(g * out, False)
         return (out * (g - dot),)
 
     return Tensor._make(out, (a,), vjp)
@@ -688,18 +718,19 @@ def adam_step(
         block, blocks = _blocks(gf.size)
         spare_a, spare_b = np.empty(block, p.dtype), np.empty(block, p.dtype)
         for s in blocks:
-            gb = gf[s]
+            gb, m, v = gf[s], mf[s], vf[s]
             a, b = spare_a[:len(gb)], spare_b[:len(gb)]
             # m = b1 * m + (1 - b1) * g and so on, each operation as the
-            # closed form evaluates it
-            m = np.add(np.multiply(b1, mf[s], out=mf[s]), np.multiply(1 - b1, gb, out=a), out=a)
-            mf[s] = m
+            # closed form evaluates it, the new m and v straight into the
+            # state (`m += y` adds in the closed form's order)
+            np.multiply(b1, m, out=m)
+            m += np.multiply(1 - b1, gb, out=a)
             gv = np.multiply(gb, gb, out=b)
             gv = np.multiply(1 - b2, gv, out=gv)
-            v = np.add(np.multiply(b2, vf[s], out=vf[s]), gv, out=gv)
-            vf[s] = v
-            mhat = np.divide(m, c1, out=m)
-            vhat = np.divide(v, c2, out=v)
+            np.multiply(b2, v, out=v)
+            v += gv
+            mhat = np.divide(m, c1, out=a)
+            vhat = np.divide(v, c2, out=b)
             denom = np.add(np.sqrt(vhat, out=vhat), eps, out=vhat)
             step = np.multiply(lr, mhat, out=mhat)
             step = np.divide(step, denom, out=step)  # lr * mhat / (sqrt(vhat) + eps)

@@ -181,6 +181,27 @@ def test_folded_cross_attention_matches_unfolded_block(nhead, batch):
         np.testing.assert_allclose(g_folded[name], g_unfolded[name], rtol=0, atol=1e-10, err_msg=name)
 
 
+@pytest.mark.parametrize("nhead", [1, 2, 4])
+def test_tanh_gate_matches_the_folds_pair_softmax(nhead):
+    # FastDenoiser's cross block, tanh(x @ A + c) @ V + bias, against the
+    # graph's: a softmax over each head's pair of scores of the fold
+    cfg = df.DenoiserConfig(layers=2, width=16, ff=32, nhead=nhead)
+    rng = np.random.default_rng(nhead)
+    params = {k: Tensor(v.data + 0.5 * rng.standard_normal(v.shape)) for k, v in
+              df.init_denoiser(cfg, seed=nhead, dtype=np.float64).items()}
+    fast = df.FastDenoiser(cfg, params, dtype=np.float64)
+    x = 3.0 * rng.standard_normal((7, cfg.width))
+    for t, h in [(0, 1.6), (640, 1.85)]:
+        step_tok, height_tok, gates = fast._conditioning(t, h)
+        memory = Tensor(np.concatenate([step_tok, height_tok])[None])
+        for i, (A, c, V, bias) in enumerate(gates):
+            assert A.shape == (cfg.width, nhead) and c.shape == (nhead,) and V.shape == (nhead, cfg.width)
+            want = df._cross_attention(Tensor(x[None]), memory, params, f"layers.{i}.", nhead).data[0]
+            got = np.tanh(x @ A + c) @ V + bias
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.abs(want).max() > 1.0
+
+
 def test_evaluate_simple_loss_records_no_graph(monkeypatch, gait_window):
     cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
     params = df.init_denoiser(cfg, seed=2)

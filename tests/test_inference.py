@@ -299,8 +299,11 @@ def test_session_matches_reference_root_correction(tree, tiny_model, gait_trial,
     np.testing.assert_array_equal(np.stack([r.frame for r in results]), frames)
     np.testing.assert_array_equal(np.stack([r.pose.rotations for r in results]), rots)
     np.testing.assert_array_equal(np.stack([r.pose.root_position for r in results]), roots)
-    gate = (frames[:, ft.B_OFF:ft.B_OFF + ft.B_LEN] >= inf.CONTACT_THRESHOLD).any(axis=1)
-    assert gate.any() and (gate.all() != insoles)
+    if insoles:  # the gate is asserted only where the inputs fix it, not the random weights
+        gate = (frames[:, ft.B_OFF:ft.B_OFF + ft.B_LEN] >= inf.CONTACT_THRESHOLD).any(axis=1)
+        flight = np.zeros(len(frames), bool)
+        flight[[2, 3, 11]] = True  # meas[3], meas[4] and meas[12]
+        assert not gate[flight].any() and gate[~flight].any()
 
 
 @pytest.mark.parametrize("root_correction, fk_calls", [(True, 1), (False, 0)])

@@ -213,6 +213,31 @@ def test_add_layernorm_matches_ten_node_composition():
         np.testing.assert_allclose(g_one[name], g_ten[name], rtol=0, atol=1e-12)
 
 
+def _strided(rng, dtype):
+    """A (7, 5, 64) view that no reshape can flatten: every other row of
+    the middle axis and every other element of the last."""
+    return rng.standard_normal((7, 10, 128)).astype(dtype)[:, ::2, ::2]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 64), (63, 64), (16, 63, 512), (2, 3, 4, 63), (61, 2), "strided"])
+def test_row_reduce_matches_float64_sum_and_mean(shape, dtype):
+    rng = np.random.default_rng(7)
+    x = _strided(rng, dtype) if shape == "strided" else (10.0 * rng.standard_normal(shape)).astype(dtype)
+    assert (shape == "strided") != x.flags.c_contiguous
+    x64 = x.astype(np.float64)
+    n = x.shape[-1]
+    want_sum = x64.sum(axis=-1, keepdims=True)
+    # the rounding of n terms, each of magnitude up to |x|
+    tol = 4 * n * np.finfo(dtype).eps * np.abs(x64).max()
+    before = x.copy()
+    for mean, want, atol in ((False, want_sum, tol), (True, want_sum / n, tol / n)):
+        got = tt._row_reduce(x, mean)
+        assert got.dtype == dtype and got.shape == x.shape[:-1] + (1,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+    np.testing.assert_array_equal(x, before)
+
+
 def test_elementwise_trivial():
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((3, 4)))
