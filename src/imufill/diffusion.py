@@ -684,7 +684,9 @@ class FastDenoiser:
     def predict(self, z: np.ndarray, t: int, h: float, rows: np.ndarray | None = None) -> np.ndarray:
         """(61, 190) noised window -> predicted clean window. With `rows`,
         a 1-D array of distinct frame indices, only those rows: the result
-        equals `predict(z, t, h)[rows]`."""
+        equals `predict(z, t, h)[rows]` in exact arithmetic and within
+        float32 rounding, because BLAS rounds a row by its place in a
+        product."""
         w = self.w
         d = self.cfg.width
         step_tok, height_tok, gates = self._conditioning(t, h)
