@@ -96,6 +96,16 @@ def _height(text: str) -> float:
 
 
 @_usage_error
+def _spread(text: str) -> str:
+    """A --spread whose syntax `StepSpread.syntax` accepts, kept as text:
+    `StepSpread.parse` reads it again against the checkpoint's T, which
+    bounds every step and resolves a step count, so a spread beyond T is
+    a runtime error (exit 1)."""
+    inf.StepSpread.syntax(text)
+    return text
+
+
+@_usage_error
 def _sensor_configs(text: str) -> list[ft.SensorConfig]:
     configs = {}  # sensor set -> (spec, config); a set is its sites in any order and the insoles flag
     for spec in filter(str.strip, text.split(";")):
@@ -154,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--ckpt", required=True)
     rc.add_argument("--config", required=True, type=_usage_error(ft.SensorConfig.parse),
                     help="comma-separated site list, optionally +insoles; or all13/none")
-    rc.add_argument("--spread", default="30", help="step count, preset name (10A..10D), or explicit list")
+    rc.add_argument("--spread", type=_spread, default="30", help="step count, preset name (10A..10D), or explicit list")
     rc.add_argument("--in", dest="input", required=True,
                     help="dataset (.imfd, with --trial) or a 60 Hz imu-stream .jsonl")
     rc.add_argument("--trial", default=None, help="trial id when --in is a dataset")
@@ -176,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--configs", required=True, type=_sensor_configs,
                     help="semicolon-separated config specs, e.g. 'pelvis+head;shank_l+shank_r'")
     sw.add_argument("--objectives", type=_objectives, default="GA,legsLA,backLA,RE10")
-    sw.add_argument("--spread", default="30")
+    sw.add_argument("--spread", type=_spread, default="30")
     sw.add_argument("--trials", type=_count(0, math.inf), default=0, help="limit number of trials (0 = all)")
     sw.add_argument("--seed", type=_count(0, math.inf), default=0)
     sw.add_argument("--out", required=True)
 
     bn = sub.add_parser("bench", help="per-frame latency of the reconstruction loop")
     bn.add_argument("--ckpt", required=True)
-    bn.add_argument("--spread", default="30")
+    bn.add_argument("--spread", type=_spread, default="30")
     bn.add_argument("--frames", type=_count(1, MAX_BENCH_FRAMES), default=200)
     bn.add_argument("--config", type=_usage_error(ft.SensorConfig.parse),
                     default="pelvis,head,wrist_l,wrist_r,shank_l,shank_r")
@@ -342,10 +352,10 @@ def _fmt(v):
 def cmd_sweep(args) -> int:
     tree = default_tree()
     cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
+    spread = inf.StepSpread.parse(args.spread, schedule.T)
     trials = dg.load_dataset(args.data, tree)
     if args.trials > 0:
         trials = trials[: args.trials]
-    spread = inf.StepSpread.parse(args.spread, schedule.T)
     result = mt.sweep_configs(cfg, params, schedule, tree, trials, args.configs,
                               args.objectives, spread, seed=args.seed)
     mt.save_report(args.out, result.as_dict())

@@ -15,7 +15,9 @@ observed, so the denoiser predicts only the newest frame.
 The inpainting loop follows the renoise-and-edit algorithm literally:
 every iteration renoises the current estimate of the whole window at the
 step's noise level, predicts the clean newest frame, and freezes its
-observed channels back to the input.
+observed channels back to the input. The noise is Box-Muller normals
+from the session's generator (`_standard_normal`); the t = 0 step, whose
+noise level is 0, draws none.
 
 Wire formats (JSON lines, versioned by a header record):
 
@@ -166,8 +168,16 @@ class StepSpread:
 
     @staticmethod
     def parse(text: str, T: int = 1000) -> "StepSpread":
-        """Named presets (10A/10B/10C/10D), a step count, or an explicit
-        comma/slash-separated descending list."""
+        """Named presets (10A/10B/10C/10D), a step count (`like_10d` over
+        T), or an explicit comma/slash-separated descending list."""
+        spec = StepSpread.syntax(text)
+        return StepSpread.like_10d(spec, T) if isinstance(spec, int) else spec
+
+    @staticmethod
+    def syntax(text: str) -> "StepSpread | int":
+        """`parse`'s reading of `text` that needs no schedule: a preset or a
+        list as its spread, a step count as that count (at least 2). Only
+        the schedule's T can refuse what this accepts."""
         text = text.strip()
         presets = {
             "10A": tuple(range(9, -1, -1)),
@@ -177,8 +187,11 @@ class StepSpread:
         }
         if text.upper() in presets:
             return StepSpread(presets[text.upper()])
-        if text.isdigit():
-            return StepSpread.like_10d(int(text), T)
+        if text.isascii() and text.isdigit():
+            n = int(text)
+            if n < 2:
+                raise SpreadError("need at least 2 steps")
+            return n
         sep = "/" if "/" in text else ","
         try:
             steps = tuple(int(x) for x in text.split(sep))
@@ -189,6 +202,33 @@ class StepSpread:
 
 
 _NEWEST = np.array([ft.WINDOW_LEN - 1])  # the row a session step generates
+
+
+def _standard_normal(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill the contiguous array `out` with standard normals by the
+    Box-Muller transform (Box & Muller 1958), in `out`'s dtype. One
+    `out`-sized draw of uniforms u in [0, 1) goes into `scratch` (same
+    shape and dtype, overwritten); the first half gives the radii
+    sqrt(-2 ln(1 - u)), the second the angles 2 pi u, and `out` takes
+    r cos in its first half and r sin in its second. In float32 1 - u lies
+    in [2^-24, 1], so the log is finite and |z| is at most
+    sqrt(-2 ln 2^-24) = 5.77. An odd size takes its last value from one
+    extra pair."""
+    u = rng.random(dtype=out.dtype, out=scratch).reshape(-1)
+    z = out.reshape(-1)
+    h = z.size // 2
+    r, a = u[:h], u[h:2 * h]
+    np.subtract(1, r, out=r)
+    np.log(r, out=r)
+    r *= -2
+    np.sqrt(r, out=r)
+    a *= 2 * np.pi
+    np.multiply(np.cos(a, out=z[:h]), r, out=z[:h])
+    np.multiply(np.sin(a, out=z[h:2 * h]), r, out=z[h:2 * h])
+    if z.size % 2:
+        pair = np.empty(2, out.dtype)
+        _standard_normal(rng, pair, np.empty_like(pair))
+        z[-1] = pair[0]
 
 
 def inpaint_denoise(
@@ -202,10 +242,13 @@ def inpaint_denoise(
 ) -> np.ndarray:
     """The newest frame of a (61, 190) window, with its unobserved
     channels generated; its observed channels ((190,) bool) pass through
-    bit-exactly, and the history rows are known. Each step draws one
-    window-sized block of noise, renoises the whole window, predicts the
-    newest row and takes the model output in its unobserved channels. The
-    window is checked to be finite once, before the first step."""
+    bit-exactly, and the history rows are known. Each step renoises the
+    whole window with one window of Box-Muller noise from `rng`
+    (`_standard_normal`), predicts the newest row and takes the model
+    output in its unobserved channels. A step whose alpha_bar is exactly
+    1 (t = 0 under the cosine schedule) would scale its noise by 0, so it
+    draws nothing and predicts from the estimate itself. The window is
+    checked to be finite once, before the first step."""
     window = np.asarray(window)
     if window.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
         raise ContractError(f"window shape {window.shape}")
@@ -221,11 +264,15 @@ def inpaint_denoise(
     noise, scaled = np.empty_like(x), np.empty_like(x)  # local, so threads can share the model
     for t in spread.steps:
         # renoise: sqrt(ab_t) x + sqrt(1 - ab_t) eps, with eps drawn into
-        # `noise`, the same draws a fresh array would take
+        # `noise` through the uniforms in `scaled`
         ab = schedule.alpha_bar[t]
-        z = rng.standard_normal(dtype=dtype, out=noise)
-        z *= np.sqrt(1.0 - ab, dtype=dtype)
-        z += np.multiply(np.sqrt(ab, dtype=dtype), x, out=scaled)
+        if ab == 1.0:  # the noise would be scaled by 0
+            z = x
+        else:
+            z = noise
+            _standard_normal(rng, z, scaled)
+            z *= np.sqrt(1.0 - ab, dtype=dtype)
+            z += np.multiply(np.sqrt(ab, dtype=dtype), x, out=scaled)
         # edit: predict the clean newest frame and freeze its observed channels
         x0 = model.predict(z, t, h, rows=_NEWEST)[0]
         if not np.isfinite(x0).all():

@@ -22,6 +22,10 @@ against the per-segment loop it replaced. The training graph's one-node
 training step, against frozen copies of the two-node compositions they
 replaced, and the tape they leave must be smaller by what those
 compositions kept and no vjp read.
+The inpainting loop's renoise is pinned to a plain expression of its
+Box-Muller sampler; the ziggurat draws it replaced give another sample,
+so they are no tolerance oracle, and the sampler's distribution tests in
+`test_inference.py` take that role.
 The block-by-block `gelu` and `adam_step` are checked byte for byte
 against frozen copies of the full-array expressions they replaced; the
 tape must no longer hold GELU's tanh, and `backward` must release it as
@@ -176,7 +180,15 @@ def _ref_inpaint(model, schedule, x_input, mask, h, spread, rng):
 
     def noised(a, t):
         ab = schedule.alpha_bar[t]
-        z = rng.standard_normal(a.shape, dtype=dtype)
+        if ab == 1.0:  # no noise, so no draw
+            return a
+        # Box-Muller on one window of uniforms: radii from the first half,
+        # angles from the second
+        u = rng.random(a.size, dtype=dtype)
+        n = a.size // 2
+        r = np.sqrt(-2 * np.log(1 - u[:n]))
+        angle = 2 * np.pi * u[n:]
+        z = np.concatenate([r * np.cos(angle), r * np.sin(angle)]).reshape(a.shape)
         z *= np.sqrt(1.0 - ab, dtype=dtype)
         z += np.sqrt(ab, dtype=dtype) * a
         return z

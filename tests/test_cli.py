@@ -369,8 +369,8 @@ def test_reconstruct_stream_requires_height(workdir, tmp_path):
     ("--height", "1e300", "FeatureError"),
 ])
 def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag, value, error):
-    # a usage error (exit 2), except a bad --spread: a step count resolves
-    # against the checkpoint's T, so that is a runtime error (exit 1)
+    # a usage error (exit 2); a --spread of bad syntax is one too, since
+    # its argparse type checks what needs no checkpoint
     argv = {"--ckpt": str(workdir / "tiny.imfc"), "--config": "pelvis", "--spread": "3",
             "--in": str(workdir / "corpus.imfd"), "--trial": "stationary-001",
             "--out": str(tmp_path / "o.jsonl")}
@@ -379,9 +379,40 @@ def test_reconstruct_bad_argument_fails_cleanly(workdir, tmp_path, capsys, flag,
         rc = cli.main(["reconstruct"] + [x for kv in argv.items() for x in kv])
     except SystemExit as e:
         rc = e.code
-    assert rc == (1 if flag == "--spread" else 2)
+    assert rc == 2
     assert error in capsys.readouterr().err
     assert not (tmp_path / "o.jsonl").exists()
+
+
+@pytest.mark.parametrize("cmd", ["reconstruct", "sweep", "bench"])
+@pytest.mark.parametrize("spread", ["foo", "5,9,0", "3/", "1", "\u00b2"])
+def test_malformed_spread_is_usage_error(tmp_path, capsys, cmd, spread):
+    # refused by the argparse type before any file is read: none of these exist
+    argv = {"reconstruct": ["--config", "pelvis", "--in", str(tmp_path / "x.imfd")],
+            "sweep": ["--data", str(tmp_path / "x.imfd"), "--configs", "pelvis"],
+            "bench": []}[cmd]
+    with pytest.raises(SystemExit) as e:
+        cli.main([cmd, "--ckpt", str(tmp_path / "x.imfc"), "--spread", spread,
+                  "--out", str(tmp_path / "o.json")] + argv)
+    assert e.value.code == 2
+    assert "argument --spread: SpreadError" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["reconstruct", "sweep", "bench"])
+@pytest.mark.parametrize("spread", ["1002", "2000,0"])
+def test_spread_beyond_the_checkpoints_T_is_runtime_error(workdir, tmp_path, capsys, cmd, spread):
+    # well-formed, but tiny.imfc's T = 1000 admits at most 1001 steps, the
+    # largest 1000
+    argv = {"reconstruct": ["--config", "pelvis", "--in", str(workdir / "corpus.imfd"),
+                            "--trial", "stationary-001"],
+            "sweep": ["--data", str(workdir / "corpus.imfd"), "--configs", "pelvis", "--trials", "1"],
+            "bench": ["--frames", "2"]}[cmd]
+    rc = cli.main([cmd, "--ckpt", str(workdir / "tiny.imfc"), "--spread", spread,
+                   "--out", str(tmp_path / "o.json")] + argv)
+    assert rc == 1
+    assert "error (SpreadError)" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

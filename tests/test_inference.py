@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_inpaint_all_zero_mask_single_step(tiny_model):
     b = inf.inpaint_denoise(fast, schedule, x, observed, 1.75, inf.StepSpread((0,)), np.random.default_rng(5))
     assert a.shape == (190,)
     np.testing.assert_array_equal(a, b)
-    # t=0 renoise is exact, so this equals one clean denoise of x
+    # t = 0 adds no noise, so this is one clean denoise of x
     np.testing.assert_allclose(a, fast.predict(x.astype(np.float32), 0, 1.75)[-1], atol=1e-6)
 
 
@@ -139,8 +140,11 @@ def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng):
 
     def noised(a, t):
         ab = schedule.alpha_bar[t]
-        return np.sqrt(ab, dtype=dtype) * a + np.sqrt(1.0 - ab, dtype=dtype) * rng.standard_normal(
-            a.shape, dtype=dtype)
+        if ab == 1.0:  # no noise, so no draw
+            return a
+        eps = np.empty_like(a)
+        inf._standard_normal(rng, eps, np.empty_like(a))
+        return np.sqrt(ab, dtype=dtype) * a + np.sqrt(1.0 - ab, dtype=dtype) * eps
 
     x = xin
     for t in spread.steps:
@@ -175,17 +179,103 @@ def test_inpaint_matches_full_window_reference(model64, seed, density):
 
 
 def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model):
+    # one window of float32 uniforms per step with t > 0, none at t = 0
     cfg, params, schedule, fast = tiny_model
     x = np.random.default_rng(6).standard_normal((61, 190))
     observed = np.ones(190, bool)
     observed[150:] = False
     spread = inf.StepSpread.like_10d(7)
+    assert spread.steps[-1] == 0 and schedule.alpha_bar[0] == 1.0
     rng = np.random.default_rng(13)
     inf.inpaint_denoise(fast, schedule, x, observed, 1.75, spread, rng)
     fresh = np.random.default_rng(13)
-    for _ in range(len(spread)):
-        fresh.standard_normal((61, 190), dtype=np.float32)
+    for _ in spread.steps[:-1]:
+        fresh.random((61, 190), dtype=np.float32)
     assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_inpaint_at_t0_draws_nothing_and_predicts_the_window(tiny_model):
+    cfg, params, schedule, fast = tiny_model
+    x = np.random.default_rng(7).standard_normal((61, 190))
+    observed = np.random.default_rng(8).random(190) < 0.5
+    rng = np.random.default_rng(14)
+    before = rng.bit_generator.state
+    got = inf.inpaint_denoise(fast, schedule, x, observed, 1.75, inf.StepSpread((0,)), rng)
+    assert rng.bit_generator.state == before
+    want = x[-1].copy()
+    want[~observed] = fast.predict(x.astype(np.float32), 0, 1.75, rows=np.array([60]))[0][~observed]
+    assert got.tobytes() == want.tobytes()
+
+
+# -- noise sampler -------------------------------------------------------
+
+
+def _normal_cdf(v: float) -> float:
+    return 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_standard_normal_matches_the_normal_distribution(dtype):
+    n = 1_000_001  # odd: the last value comes from one extra pair
+    z = np.empty(n, dtype)
+    inf._standard_normal(np.random.default_rng(2024), z, np.empty_like(z))
+    assert z.dtype == dtype and np.isfinite(z).all()
+    z64 = z.astype(np.float64)
+    if dtype is np.float64:  # drawn and transformed in float64, not float32
+        assert np.mean(z64 != z64.astype(np.float32)) > 0.99
+    mean = z64.mean()
+    var = ((z64 - mean) ** 2).mean()
+    kurtosis = ((z64 - mean) ** 4).mean() / var ** 2
+    assert abs(mean) < 5e-3 and abs(var - 1.0) < 5e-3 and abs(kurtosis - 3.0) < 0.02
+    # chi-square over 40 bins against Phi; 72.05 is chi2(39)'s 0.999 quantile
+    edges = np.concatenate([[-np.inf], np.linspace(-4.0, 4.0, 39), [np.inf]])
+    expected = n * np.diff([_normal_cdf(e) for e in edges])
+    observed = np.histogram(z64, bins=edges)[0]
+    assert ((observed - expected) ** 2 / expected).sum() < 72.05
+    # the cosine and sine halves come from the same pairs, yet are independent
+    h = n // 2
+    limit = 5.0 / math.sqrt(h)
+    assert abs(np.corrcoef(z64[:h], z64[h:2 * h])[0, 1]) < limit
+    assert abs(np.corrcoef(z64[:h] ** 2, z64[h:2 * h] ** 2)[0, 1]) < limit
+
+
+class _Uniforms:
+    """A generator stand-in whose `random` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, dtype, out):
+        out[...] = self.u
+        return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_standard_normal_is_finite_at_the_ends_of_the_uniforms(dtype):
+    top = np.nextafter(dtype(1), dtype(0))  # 1 - 2^-24 in float32
+    u = np.array([0.0, top, 0.25, 0.25], dtype)  # radii from u[:2], angles 2 pi u[2:]
+    z = np.empty(4, dtype)
+    inf._standard_normal(_Uniforms(u), z, np.empty_like(z))  # a RuntimeWarning would raise
+    cap = math.sqrt(-2.0 * math.log(1.0 - float(top)))
+    assert z.dtype == dtype and np.isfinite(z).all()
+    assert z[0] == 0.0 and z[2] == 0.0  # radius 0
+    assert z[1] == pytest.approx(0.0, abs=1e-6) and z[3] == pytest.approx(cap, rel=1e-6)
+    if dtype is np.float32:
+        assert cap == pytest.approx(5.77, abs=5e-3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 11591])
+def test_standard_normal_odd_sizes_take_one_extra_pair(n):
+    z = np.empty(n, np.float32)
+    rng = np.random.default_rng(n)
+    inf._standard_normal(rng, z, np.empty_like(z))
+    assert np.isfinite(z).all() and z.dtype == np.float32
+    fresh = np.random.default_rng(n)
+    fresh.random(n, dtype=np.float32)
+    pair = fresh.random(2, dtype=np.float32)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    r = np.sqrt(-2 * np.log(1 - pair[:1]))
+    assert z[-1] == (r * np.cos(2 * np.pi * pair[1:]))[0]
 
 
 # -- root correction -------------------------------------------------------
