@@ -265,12 +265,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _session(args, tree, height: float, measurements,
-             **options) -> tuple[inf.Reconstructor, list[inf.StepResult]]:
-    """Load --ckpt and step a Reconstructor of its model through the
-    measurements: the one session path of `reconstruct` and `bench`."""
+def _model(args, tree) -> tuple[df.DenoiserConfig, dict, df.DiffusionSchedule, inf.StepSpread]:
+    """--ckpt's model and schedule, and --spread read against its T. The
+    first step of `reconstruct`, `sweep` and `bench`: a bad checkpoint or
+    spread is reported before any input is read or synthesized."""
     cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
-    spread = inf.StepSpread.parse(args.spread, schedule.T)
+    return cfg, params, schedule, inf.StepSpread.parse(args.spread, schedule.T)
+
+
+def _session(args, tree, model, height: float, measurements,
+             **options) -> tuple[inf.Reconstructor, list[inf.StepResult]]:
+    """Step a Reconstructor of the `_model` through the measurements: the
+    one session path of `reconstruct` and `bench`."""
+    cfg, params, schedule, spread = model
     recon = inf.Reconstructor(cfg, df.FastDenoiser(cfg, params), schedule, tree, args.config,
                               height=height, spread=spread, seed=args.seed, **options)
     return recon, inf.run_session(recon, measurements)
@@ -287,6 +294,7 @@ def _stream_measurements(ingestor: inf.StreamIngestor, frames):
 
 def cmd_reconstruct(args) -> int:
     tree = default_tree()
+    model = _model(args, tree)
     src = Path(args.input)
     ingestor = None
     if src.suffix == ".imfd" or _looks_like_dataset(src):
@@ -299,7 +307,9 @@ def cmd_reconstruct(args) -> int:
         height = args.height
         ingestor = inf.StreamIngestor()
         measurements = _stream_measurements(ingestor, inf.parse_stream_file(src))
-    recon, results = _session(args, tree, height, measurements, root_correction=not args.no_root_correction)
+    recon, results = _session(args, tree, model, height, measurements, root_correction=not args.no_root_correction)
+    if ingestor is not None and not results:
+        raise inf.InferenceError(f"{src}: no 20 Hz instant to reconstruct ({ingestor.out_of_order} out-of-order records)")
     inf.write_pose_stream(args.out, tree, results)
     lat = inf.latency_percentiles(results)
     print(f"reconstructed {len(results)} frames -> {args.out} "
@@ -351,8 +361,7 @@ def _fmt(v):
 
 def cmd_sweep(args) -> int:
     tree = default_tree()
-    cfg, params, schedule = df.load_checkpoint(args.ckpt, tree)
-    spread = inf.StepSpread.parse(args.spread, schedule.T)
+    cfg, params, schedule, spread = _model(args, tree)
     trials = dg.load_dataset(args.data, tree)
     if args.trials > 0:
         trials = trials[: args.trials]
@@ -370,11 +379,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     tree = default_tree()
+    model = _model(args, tree)
     m = dg.generate_motion("gait", seed=123, duration_s=max(args.frames / ft.FRAME_RATE_HZ + 1, 2.0),
                            speed=1.2, trial_id="bench")
     trial = dg.make_trial(m, tree)
     measurements = itertools.islice(inf.measurements_from_trial(trial, args.config), args.frames)
-    recon, results = _session(args, tree, trial.motion.height, measurements)
+    recon, results = _session(args, tree, model, trial.motion.height, measurements)
     cfg, n = recon.cfg, len(results)
     lat = inf.latency_percentiles(results)
     payload = {

@@ -28,7 +28,8 @@ The training loss is the unweighted sum of five terms: squared feature
 error, orientation velocity matching, root-relative forward-kinematics
 position error, cumulative root-displacement (drift) error, and a foot
 contact/sliding consistency term gated by the predicted contact
-probabilities.
+probabilities. The positions are one product of the global orientations
+with the tree's `kinematics.position_operator`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from . import datagen as dg
 from . import features as ft
 from . import tensor as tt
 from .container import CheckedReader
-from .kinematics import KinematicTree, skeleton_hash
+from .kinematics import KinematicTree, position_operator, skeleton_hash
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"IMFC"
@@ -310,7 +311,8 @@ def denoiser_forward(cfg: DenoiserConfig, params: dict[str, Tensor],
 
 
 def _graph_decode6d(r6: Tensor) -> Tensor:
-    """(..., 6) -> (..., 3, 3) via eps-stabilized Gram-Schmidt, in-graph."""
+    """(..., 6) -> (..., 9): the three columns of each rotation, one after
+    another, via eps-stabilized Gram-Schmidt, in-graph."""
     eps = 1e-12
     a1 = r6[..., 0:3]
     a2 = r6[..., 3:6]
@@ -321,11 +323,7 @@ def _graph_decode6d(r6: Tensor) -> Tensor:
     n2 = tt.tsqrt(tt.add(tt.tsum(tt.mul(u2, u2), axis=-1, keepdims=True), eps))
     b2 = tt.div(u2, n2)
     b3 = _graph_cross(b1, b2)
-    return tt.concat([_colvec(b1), _colvec(b2), _colvec(b3)], axis=-1)
-
-
-def _colvec(v: Tensor) -> Tensor:
-    return tt.reshape(v, v.shape + (1,))
+    return tt.concat([b1, b2, b3], axis=-1)
 
 
 def _graph_cross(a: Tensor, b: Tensor) -> Tensor:
@@ -338,37 +336,12 @@ def _graph_cross(a: Tensor, b: Tensor) -> Tensor:
     ], axis=-1)
 
 
-def _graph_point(G: Tensor, pos: list[Tensor], seg: int, offset: np.ndarray, dtype) -> Tensor:
-    """Root-relative (B, N, 3) position of the point at each window's own
-    `offset` (B, 3) in segment `seg`'s frame."""
-    B, N = G.shape[0], G.shape[1]
-    off = Tensor(offset.reshape(B, 1, 3, 1).astype(dtype))
-    return tt.add(pos[seg], tt.reshape(tt.matmul(G[:, :, seg], off), (B, N, 3)))
-
-
-def _graph_fk_positions(G: Tensor, parents: np.ndarray, offsets: np.ndarray,
-                        dtype) -> tuple[list[Tensor], Tensor]:
-    """Root-relative joint positions from global orientations.
-
-    G: (B, N, S, 3, 3), offsets: (B, S, 3), each window's own. Returns
-    per-segment list of (B, N, 3) and the stacked (B, N, S, 3).
-    """
-    B, N = G.shape[0], G.shape[1]
-    pos: list[Tensor] = [Tensor(np.zeros((B, N, 3), dtype=dtype))]
-    for i in range(1, len(parents)):
-        pos.append(_graph_point(G, pos, int(parents[i]), offsets[:, i], dtype))
-    return pos, tt.stack(pos, axis=2)
-
-
-def _graph_contact_xz(G: Tensor, pos: list[Tensor], segments: np.ndarray, offsets: np.ndarray,
-                      dtype) -> Tensor:
-    """Root-relative horizontal contact-point positions: (B, N, 4, 2), from
-    contact offsets (B, 4, 3)."""
-    pts = []
-    for c, seg in enumerate(segments):
-        p = _graph_point(G, pos, int(seg), offsets[:, c], dtype)
-        pts.append(tt.concat([p[..., 0:1], p[..., 2:3]], axis=-1))
-    return tt.stack(pts, axis=2)
+def _graph_positions(cols: Tensor, op_t: np.ndarray) -> Tensor:
+    """Root-relative (B, N, P, 3) positions of the P points of each
+    window's transposed `kinematics.position_operator` op_t (B, 1, P, 3S),
+    from the global orientations' columns (B, N, S, 9): one product."""
+    B, N, S = cols.shape[:3]
+    return tt.matmul(op_t, tt.reshape(cols, (B, N, 3 * S, 3)))
 
 
 # -- losses ---------------------------------------------------------------
@@ -403,14 +376,14 @@ def _sumsq(x: Tensor) -> Tensor:
 def diffusion_losses(pred: Tensor, target: np.ndarray, tree: KinematicTree, heights: np.ndarray,
                      weights: LossWeights = LossWeights()) -> tuple[Tensor, LossBreakdown]:
     """Five-term training loss; sums follow the written objective, then a
-    mean over the batch axis. The FK terms scale the tree to each
+    mean over the batch axis. The position operator is scaled to each
     window's subject height. Returns (total graph scalar, float breakdown)."""
     dtype = pred.dtype
-    B = pred.shape[0]
+    B, N = pred.shape[0], pred.shape[1]
     tgt = Tensor(np.asarray(target, dtype=dtype))
-    subjects = [tree.scaled(h) for h in np.atleast_1d(heights)]
-    offsets = np.stack([s.offsets for s in subjects])                  # (B, S, 3)
-    contact_offsets = np.stack([s.contact_offsets for s in subjects])  # (B, 4, 3)
+    scale = np.atleast_1d(heights) / tree.reference_height
+    # (B, 1, S + 4, 3S), C-ordered: the product and its vjp then take the BLAS path
+    op_t = (position_operator(tree).T * scale[:, None, None, None]).astype(dtype, order="C")
 
     simple = _sumsq(tt.sub(pred, tgt))
 
@@ -421,12 +394,11 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, tree: KinematicTree, heig
         tt.sub(r_tgt[:, 1:], r_tgt[:, :-1]),
     ))
 
-    B_, N = pred.shape[0], pred.shape[1]
-    g_pred = _graph_decode6d(tt.reshape(r_pred, (B_, N, ft.N_SEGMENTS, 6)))
-    g_tgt = _graph_decode6d(tt.reshape(r_tgt, (B_, N, ft.N_SEGMENTS, 6)))
-    pos_pred_list, pos_pred = _graph_fk_positions(g_pred, tree.parents, offsets, dtype)
-    _, pos_tgt = _graph_fk_positions(g_tgt, tree.parents, offsets, dtype)
-    fk = _sumsq(tt.sub(pos_pred, pos_tgt))
+    cols_pred = _graph_decode6d(tt.reshape(r_pred, (B, N, ft.N_SEGMENTS, 6)))
+    cols_tgt = _graph_decode6d(tt.reshape(r_tgt, (B, N, ft.N_SEGMENTS, 6)))
+    pos_pred = _graph_positions(cols_pred, op_t)  # joints, then contact points
+    pos_tgt = _graph_positions(cols_tgt, op_t)
+    fk = _sumsq(tt.sub(pos_pred[:, :, :ft.N_SEGMENTS], pos_tgt[:, :, :ft.N_SEGMENTS]))
 
     dp_pred = pred[:, :, ft.DP_OFF:ft.DP_OFF + 2]
     dp_tgt = tgt[:, :, ft.DP_OFF:ft.DP_OFF + 2]
@@ -435,13 +407,13 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, tree: KinematicTree, heig
     # foot sliding: world horizontal displacement of predicted contact points
     # between frames i and i+1 (root-relative difference plus the root step
     # into frame i+1), gated by the predicted contact probability at frame i
-    ftxz = _graph_contact_xz(g_pred, pos_pred_list, tree.contact_segments, contact_offsets, dtype)
+    ftxz = pos_pred[:, :, ft.N_SEGMENTS:, 0:3:2]  # (B, N, 4, 2): x and z
     disp = tt.add(
         tt.sub(ftxz[:, 1:], ftxz[:, :-1]),
-        tt.reshape(dp_pred[:, 1:], (B_, N - 1, 1, 2)),
+        tt.reshape(dp_pred[:, 1:], (B, N - 1, 1, 2)),
     )
     b_pred = pred[:, :, ft.B_OFF:ft.B_OFF + ft.B_LEN]
-    gated = tt.mul(tt.reshape(b_pred[:, :-1], (B_, N - 1, ft.B_LEN, 1)), disp)
+    gated = tt.mul(tt.reshape(b_pred[:, :-1], (B, N - 1, ft.B_LEN, 1)), disp)
     slide = _sumsq(gated)
 
     inv_b = 1.0 / B

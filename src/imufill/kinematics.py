@@ -324,6 +324,24 @@ def forward_kinematics(tree: KinematicTree, rotations: np.ndarray, root_position
     return FKResult(globals_=G, joints=P, sites=sites, contacts=contacts)
 
 
+def position_operator(tree: KinematicTree) -> np.ndarray:
+    """The (3S, S + C) matrix op that maps a pose's global orientations,
+    laid out as G'[r, 3k + c] = G_k[r, c], to its root-relative positions
+    (G' @ op).T: S joints, then C contact points. Joint i's column holds,
+    in rows 3k..3k+2, the offset of the child of k on the path from the
+    root to i; a contact point's column is its segment's plus the contact
+    offset in that segment's rows. Each entry is one offset component, so
+    the operator of `tree.scaled(h)` is this one times h / reference
+    height exactly."""
+    bases = np.concatenate([tree.parents, tree.contact_segments])
+    offsets = np.concatenate([tree.offsets, tree.contact_offsets])
+    op = np.zeros((tree.n_segments, 3, len(bases)))
+    for j in range(1, len(bases)):
+        op[:, :, j] = op[:, :, bases[j]]
+        op[bases[j], :, j] = offsets[j]
+    return op.reshape(3 * tree.n_segments, len(bases))
+
+
 def global_to_local(tree: KinematicTree, globals_: np.ndarray) -> np.ndarray:
     """Invert the orientation accumulation: G -> local rotations."""
     globals_ = np.asarray(globals_)

@@ -5,7 +5,7 @@ The op set is what `diffusion` builds its graph from: broadcast `add`,
 `sub`, `mul`, `div`, `tsqrt` and `gelu`; the residual layernorm
 `add_layernorm`; `linear` (a batched operand times a 2-D weight plus a
 bias) and (batched) `matmul`; `softmax` and `softmax_attention`; `tsum`
-and `cumsum`; `reshape`, `transpose`, `take`, `concat` and `stack`. Ops
+and `cumsum`; `reshape`, `transpose`, `take` and `concat`. Ops
 are called as functions: `Tensor` defines no arithmetic operators, and
 its one piece of syntax is indexing, `x[idx]` for `take(x, idx)`. Then
 `backward`, Adam and a finite-difference gradient checker. Arrays are
@@ -36,7 +36,7 @@ Conventions:
   * `linear`, `add`, `sub`, `mul` and `matmul` compute no gradient for
     an operand that is neither a parameter nor computed from one (the
     noised window, the attention scale, the position table, the loss
-    targets, the FK offsets): their vjp hands `backward` None for it.
+    targets, the FK operator): their vjp hands `backward` None for it.
   * the elementwise chains of `gelu` and `adam_step` run over blocks of
     about _BLOCK elements of the flattened arrays, written into
     preallocated outputs, so their intermediates stay in cache instead
@@ -50,7 +50,7 @@ Conventions:
     runs forward and backward as one 2-D GEMM over the flattened batch,
     so the weight gradient is a single (k, n) product, never a per-batch
     stack summed afterwards. `matmul` is for products of two batched
-    operands (attention, the cross-attention fold, kinematics).
+    operands (attention, the cross-attention fold, the loss's FK operator).
   * `add_layernorm` is one node whose vjp is the closed form (Ba et al.,
     arXiv 1607.06450), not the composition of a sum, means, square roots
     and divisions it replaces.
@@ -573,12 +573,6 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor._make(out, tuple(parts), vjp)
-
-
-def stack(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    expanded = [reshape(p, p.shape[:axis] + (1,) + p.shape[axis:]) for p in parts]
-    return concat(expanded, axis=axis)
 
 
 # -- backward pass ----------------------------------------------------------

@@ -15,6 +15,17 @@ def random_rotations(rng, *shape):
     return q
 
 
+def toy_tree():
+    """Two segments, one site and one contact point: for code that must
+    not assume the default skeleton's sizes."""
+    return kin.KinematicTree(
+        names=("root", "tip"), parents=np.array([-1, 0]),
+        offsets=np.array([[0.0, 0, 0], [0.1, -1.0, 0.2]]), mass_fractions=np.array([0.5, 0.5]),
+        site_names=("s",), site_segments=np.array([1]), site_offsets=np.array([[0.05, -0.3, 0.0]]),
+        contact_names=("c",), contact_segments=np.array([1]), contact_offsets=np.array([[0.0, -0.1, 0.1]]),
+    )
+
+
 @pytest.fixture(scope="session")
 def tree():
     return kin.default_tree()

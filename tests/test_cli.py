@@ -658,6 +658,48 @@ def test_reconstruct_malformed_stream_fails_cleanly(workdir, tmp_path, capsys, c
     assert "error (InferenceError)" in err and where in err
 
 
+@pytest.mark.parametrize("records, out_of_order", [
+    (b"", 0),
+    (b'{"t_ms": NaN, "sites": {"pelvis": {"q": [1, 0, 0, 0], "a": [0, 0, 0]}}}\n' * 4, 4),
+], ids=["header-only", "nan-t_ms"])
+def test_reconstruct_stream_without_an_instant_fails_cleanly(workdir, tmp_path, capsys, records, out_of_order):
+    # no record in order, so no 20 Hz instant: an error, and no pose stream
+    # that `evaluate` would refuse
+    stream = tmp_path / "s.jsonl"
+    stream.write_bytes(STREAM_HEADER + records)
+    rc = cli.main(["reconstruct", "--ckpt", str(workdir / "tiny.imfc"), "--config", "pelvis",
+                   "--in", str(stream), "--height", "1.7", "--out", str(tmp_path / "o.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error (InferenceError): {stream}: no 20 Hz instant to reconstruct " \
+           f"({out_of_order} out-of-order records)" in err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def _no_motion(*args, **kwargs):
+    raise AssertionError("bench synthesized its motion before reading --ckpt and --spread")
+
+
+@pytest.mark.parametrize("cmd", ["reconstruct", "sweep", "bench"])
+@pytest.mark.parametrize("ckpt, spread, error", [("junk.imfc", "3", "CheckpointError"),
+                                                 ("tiny.imfc", "1002", "SpreadError")])
+def test_checkpoint_and_spread_are_read_before_any_input(workdir, tmp_path, capsys, monkeypatch,
+                                                         cmd, ckpt, spread, error):
+    # the input does not exist and bench cannot make its motion: the
+    # checkpoint's error, or the spread's against its T, comes first
+    (tmp_path / "junk.imfc").write_bytes(b"junk")
+    monkeypatch.setattr(dg, "generate_motion", _no_motion)
+    absent = str(tmp_path / "absent.imfd")
+    argv = {"reconstruct": ["--config", "pelvis", "--in", absent],
+            "sweep": ["--data", absent, "--configs", "pelvis"],
+            "bench": ["--frames", "2"]}[cmd]
+    rc = cli.main([cmd, "--ckpt", str((tmp_path if ckpt == "junk.imfc" else workdir) / ckpt),
+                   "--spread", spread, "--out", str(tmp_path / "o.json")] + argv)
+    assert rc == 1
+    assert f"error ({error})" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("content, where", [
     (POSE_HEADER + b'{"t_ms": 0, "root": [0, 0\n', ":2: "),
     (POSE_HEADER + b'\n', "no pose records"),
