@@ -469,28 +469,16 @@ def make_trial(motion60: MotionSequence, tree: KinematicTree, noise_std: float =
 # -- energy-weighted sampling -------------------------------------------
 
 
-def segment_com_positions(tree: KinematicTree, joints: np.ndarray) -> np.ndarray:
-    """(..., S, 3) center-of-mass estimates: midpoint between a segment's
-    joint and the mean of its children's joints (leaf = its own joint)."""
-    S = tree.n_segments
-    children: list[list[int]] = [[] for _ in range(S)]
-    for i in range(1, S):
-        children[tree.parents[i]].append(i)
-    com = np.empty_like(joints)
-    for i in range(S):
-        if children[i]:
-            child_mean = joints[..., children[i], :].mean(axis=-2)
-            com[..., i, :] = 0.5 * (joints[..., i, :] + child_mean)
-        else:
-            com[..., i, :] = joints[..., i, :]
-    return com
-
-
 def mean_kinetic_energy(motion: MotionSequence, tree: KinematicTree) -> float:
-    """Mean over frames of sum_segments 0.5 m |dCOM/dt|^2, in joules."""
+    """Mean over frames of sum_segments 0.5 m |dCOM/dt|^2, in joules; a
+    centre of mass lies on its segment at half its children's mean offset."""
     scaled = tree.scaled(motion.height)
     fk = forward_kinematics(scaled, motion.rotations, motion.root_positions)
-    v = central_velocity(segment_com_positions(scaled, fk.joints), motion.rate)
+    children = scaled.parents[1:]
+    com_offsets = np.zeros_like(scaled.offsets)
+    np.add.at(com_offsets, children, scaled.offsets[1:])
+    com_offsets *= 0.5 / np.maximum(np.bincount(children, minlength=scaled.n_segments), 1)[:, None]
+    v = central_velocity(fk.joints + (fk.globals_ @ com_offsets[:, :, None])[..., 0], motion.rate)
     masses = scaled.masses(motion.mass)
     e = 0.5 * (masses[None, :] * (v**2).sum(axis=-1)).sum(axis=-1)
     return float(e.mean())

@@ -29,7 +29,7 @@ error, orientation velocity matching, root-relative forward-kinematics
 position error, cumulative root-displacement (drift) error, and a foot
 contact/sliding consistency term gated by the predicted contact
 probabilities. The positions are one product of the global orientations
-with the tree's `kinematics.position_operator`.
+with the joint and contact columns of `kinematics.position_operator`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from . import datagen as dg
 from . import features as ft
 from . import tensor as tt
 from .container import CheckedReader
-from .kinematics import KinematicTree, position_operator, skeleton_hash
+from .kinematics import KinematicTree, skeleton_hash
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"IMFC"
@@ -336,14 +336,6 @@ def _graph_cross(a: Tensor, b: Tensor) -> Tensor:
     ], axis=-1)
 
 
-def _graph_positions(cols: Tensor, op_t: np.ndarray) -> Tensor:
-    """Root-relative (B, N, P, 3) positions of the P points of each
-    window's transposed `kinematics.position_operator` op_t (B, 1, P, 3S),
-    from the global orientations' columns (B, N, S, 9): one product."""
-    B, N, S = cols.shape[:3]
-    return tt.matmul(op_t, tt.reshape(cols, (B, N, 3 * S, 3)))
-
-
 # -- losses ---------------------------------------------------------------
 
 
@@ -382,8 +374,8 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, tree: KinematicTree, heig
     B, N = pred.shape[0], pred.shape[1]
     tgt = Tensor(np.asarray(target, dtype=dtype))
     scale = np.atleast_1d(heights) / tree.reference_height
-    # (B, 1, S + 4, 3S), C-ordered: the product and its vjp then take the BLAS path
-    op_t = (position_operator(tree).T * scale[:, None, None, None]).astype(dtype, order="C")
+    # joint and contact columns, (B, 1, S + 4, 3S), C-ordered: the product and its vjp take the BLAS path
+    op_t = (tree.operator[:, :ft.N_SEGMENTS + ft.B_LEN].T * scale[:, None, None, None]).astype(dtype, order="C")
 
     simple = _sumsq(tt.sub(pred, tgt))
 
@@ -396,8 +388,9 @@ def diffusion_losses(pred: Tensor, target: np.ndarray, tree: KinematicTree, heig
 
     cols_pred = _graph_decode6d(tt.reshape(r_pred, (B, N, ft.N_SEGMENTS, 6)))
     cols_tgt = _graph_decode6d(tt.reshape(r_tgt, (B, N, ft.N_SEGMENTS, 6)))
-    pos_pred = _graph_positions(cols_pred, op_t)  # joints, then contact points
-    pos_tgt = _graph_positions(cols_tgt, op_t)
+    # root-relative joints, then contact points: op_t times each pose's (3S, 3) orientation columns
+    pos_pred = tt.matmul(op_t, tt.reshape(cols_pred, (B, N, 3 * ft.N_SEGMENTS, 3)))
+    pos_tgt = tt.matmul(op_t, tt.reshape(cols_tgt, (B, N, 3 * ft.N_SEGMENTS, 3)))
     fk = _sumsq(tt.sub(pos_pred[:, :, :ft.N_SEGMENTS], pos_tgt[:, :, :ft.N_SEGMENTS]))
 
     dp_pred = pred[:, :, ft.DP_OFF:ft.DP_OFF + 2]

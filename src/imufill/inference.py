@@ -4,8 +4,9 @@ Each 20 Hz step: `features.apply_observation` advances the rolling
 61-frame window by one frame (unobserved channels seeded from the
 previous frame) and names the new frame's observed channels;
 `inpaint_denoise` generates the new frame's other channels over the
-configured step spread; the step decodes that frame once into local
-rotations and, with root correction on, its contact points
+configured step spread; the step decodes that frame's global
+orientations once into local rotations and, with root correction on,
+its contact points through the scaled tree's position operator
 (`Reconstructor._decode_frame`, the one decoder from feature frame to
 pose); corrects the root displacement from the contact points of this
 frame and of the last one, which the previous step kept; then writes the
@@ -388,14 +389,16 @@ class Reconstructor:
 
     def _decode_frame(self, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Local rotations (24, 3, 3) and, with root correction on, the
-        root-relative horizontal contact points (4, 2) of a frame. Both
-        read only its rotation channels, which root correction keeps."""
-        g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
-        locals_ = global_to_local(self.tree, decode_rot6d(g6))
+        root-relative horizontal contact points (4, 2) of a frame, both
+        from its decoded globals, the points through the contact columns
+        of the scaled tree's operator. Both read only its rotation
+        channels, which root correction keeps."""
+        G = decode_rot6d(frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6))
+        locals_ = global_to_local(self.tree, G)
         if not self.root_correction:
             return locals_, None
-        fk = kinematics.forward_kinematics(self.scaled_tree, locals_, np.zeros(3))
-        return locals_, fk.contacts[:, [0, 2]]
+        contact_op = self.scaled_tree.operator[:, ft.N_SEGMENTS:ft.N_SEGMENTS + ft.B_LEN]
+        return locals_, kinematics.positions(G, contact_op)[:, [0, 2]]
 
 
 def run_session(recon: Reconstructor, measurements) -> list[StepResult]:

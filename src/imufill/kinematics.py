@@ -7,6 +7,11 @@ whose values `container` reads and `KinematicTree.validate` checks. Everything h
 function over immutable trees and is batched over arbitrary leading axes:
 rotations are (..., 24, 3, 3), positions (..., 3). +y is up; the ground
 plane is y = 0.
+
+Body points have one definition, `position_operator`: each joint,
+contact point or site relative to the root is a column of a constant
+matrix that multiplies the global orientations (`positions`), in
+`forward_kinematics`, the training loss and a session step alike.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -75,6 +81,13 @@ class KinematicTree:
             contact_offsets=self.contact_offsets * s,
             reference_height=float(height),
         )
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """`position_operator(self)`, built once per tree, read-only."""
+        op = position_operator(self)
+        op.flags.writeable = False
+        return op
 
     def masses(self, subject_mass: float) -> np.ndarray:
         return self.mass_fractions * float(subject_mass)
@@ -299,47 +312,46 @@ class FKResult:
 
 
 def forward_kinematics(tree: KinematicTree, rotations: np.ndarray, root_position: np.ndarray) -> FKResult:
-    """Propagate local rotations through the tree.
+    """Propagate local rotations through the tree: the global orientations
+    (`local_to_global`), then every joint, contact point and site as one
+    product of them with the tree's operator (`positions`), plus the root.
 
     rotations: (..., S, 3, 3) local joint rotations, [.., 0, :, :] being
     the root's world orientation; root_position: (..., 3).
     """
     rotations = np.asarray(rotations, dtype=np.float64)
-    root_position = np.asarray(root_position, dtype=np.float64)
-    S = tree.n_segments
+    S, C = tree.n_segments, len(tree.contact_segments)
     if rotations.shape[-3:] != (S, 3, 3):
         raise SkeletonError(f"pose has {rotations.shape} rotations, tree needs (..., {S}, 3, 3)")
     G = local_to_global(tree, rotations)
-    P = np.empty(rotations.shape[:-3] + (S, 3))
-    P[..., 0, :] = root_position
-    for i in range(1, S):
-        p = tree.parents[i]
-        P[..., i, :] = P[..., p, :] + np.einsum("...ij,j->...i", G[..., p, :, :], tree.offsets[i])
-    sites = P[..., tree.site_segments, :] + np.einsum(
-        "...sij,sj->...si", G[..., tree.site_segments, :, :], tree.site_offsets
-    )
-    contacts = P[..., tree.contact_segments, :] + np.einsum(
-        "...cij,cj->...ci", G[..., tree.contact_segments, :, :], tree.contact_offsets
-    )
-    return FKResult(globals_=G, joints=P, sites=sites, contacts=contacts)
+    P = positions(G, tree.operator) + np.asarray(root_position, dtype=np.float64)[..., None, :]
+    return FKResult(globals_=G, joints=P[..., :S, :], sites=P[..., S + C:, :], contacts=P[..., S:S + C, :])
 
 
 def position_operator(tree: KinematicTree) -> np.ndarray:
-    """The (3S, S + C) matrix op that maps a pose's global orientations,
-    laid out as G'[r, 3k + c] = G_k[r, c], to its root-relative positions
-    (G' @ op).T: S joints, then C contact points. Joint i's column holds,
-    in rows 3k..3k+2, the offset of the child of k on the path from the
-    root to i; a contact point's column is its segment's plus the contact
-    offset in that segment's rows. Each entry is one offset component, so
-    the operator of `tree.scaled(h)` is this one times h / reference
-    height exactly."""
-    bases = np.concatenate([tree.parents, tree.contact_segments])
-    offsets = np.concatenate([tree.offsets, tree.contact_offsets])
-    op = np.zeros((tree.n_segments, 3, len(bases)))
+    """The (3S, S + C + N) matrix op that maps a pose's global
+    orientations, laid out as G'[r, 3k + c] = G_k[r, c], to its
+    root-relative positions (G' @ op).T: S joints, then C contact points,
+    then N sites. Joint i's column holds, in rows 3k..3k+2, the offset of
+    the child of k on the path from the root to i; a contact point's or
+    a site's column is its segment's plus its offset in that segment's
+    rows. Each entry is one offset component, so the operator of
+    `tree.scaled(h)` is this one times h / reference height exactly.
+    It is built as (S + C + N, S, 3), whole rows at a time, transposed."""
+    bases = np.concatenate([tree.parents, tree.contact_segments, tree.site_segments])
+    offsets = np.concatenate([tree.offsets, tree.contact_offsets, tree.site_offsets])
+    op = np.zeros((len(bases), tree.n_segments, 3))
     for j in range(1, len(bases)):
-        op[:, :, j] = op[:, :, bases[j]]
-        op[bases[j], :, j] = offsets[j]
-    return op.reshape(3 * tree.n_segments, len(bases))
+        op[j] = op[bases[j]]
+        op[j, bases[j]] = offsets[j]
+    return op.reshape(len(bases), -1).T
+
+
+def positions(globals_: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Root-relative positions (..., P, 3) of the P points of operator
+    columns op (3S, P), from global orientations (..., S, 3, 3)."""
+    rows = np.swapaxes(globals_, -3, -2).reshape(-1, op.shape[0])
+    return np.swapaxes((rows @ op).reshape(globals_.shape[:-3] + (3, op.shape[1])), -1, -2)
 
 
 def global_to_local(tree: KinematicTree, globals_: np.ndarray) -> np.ndarray:
@@ -352,6 +364,7 @@ def global_to_local(tree: KinematicTree, globals_: np.ndarray) -> np.ndarray:
 
 
 def local_to_global(tree: KinematicTree, locals_: np.ndarray) -> np.ndarray:
+    """Global orientations of local rotations, one product per segment."""
     locals_ = np.asarray(locals_)
     G = np.empty_like(locals_)
     G[..., 0, :, :] = locals_[..., 0, :, :]

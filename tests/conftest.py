@@ -26,6 +26,30 @@ def toy_tree():
     )
 
 
+def ref_forward_kinematics(tree, rotations, root_position):
+    """Forward kinematics walked one segment at a time, with its own
+    orientation loop: the reference that the position operator and its
+    product are held to."""
+    rotations = np.asarray(rotations, dtype=np.float64)
+    root_position = np.asarray(root_position, dtype=np.float64)
+    S = tree.n_segments
+    G = np.empty_like(rotations)
+    P = np.empty(rotations.shape[:-3] + (S, 3))
+    G[..., 0, :, :] = rotations[..., 0, :, :]
+    P[..., 0, :] = root_position
+    for i in range(1, S):
+        p = tree.parents[i]
+        G[..., i, :, :] = G[..., p, :, :] @ rotations[..., i, :, :]
+        P[..., i, :] = P[..., p, :] + np.einsum("...ij,j->...i", G[..., p, :, :], tree.offsets[i])
+    sites = P[..., tree.site_segments, :] + np.einsum(
+        "...sij,sj->...si", G[..., tree.site_segments, :, :], tree.site_offsets
+    )
+    contacts = P[..., tree.contact_segments, :] + np.einsum(
+        "...cij,cj->...ci", G[..., tree.contact_segments, :, :], tree.contact_offsets
+    )
+    return kin.FKResult(globals_=G, joints=P, sites=sites, contacts=contacts)
+
+
 @pytest.fixture(scope="session")
 def tree():
     return kin.default_tree()

@@ -15,12 +15,16 @@ the tree's position operator scaled per window. Bit identity holds for
 code that now has one definition where it had two: `FastDenoiser`'s
 conditioning, built from the graph's token and fold functions, against
 the numpy copy it replaced; and the body model's one synthesis pass per
-motion and forward kinematics through `local_to_global`, against the two
-passes and the own orientation loop they replaced, and
-`global_to_local`'s one product over all segments against the
-per-segment loop it replaced. The training graph's one-node `linear` and
-`add_layernorm` are checked, op by op and through a whole training step,
-against frozen copies of the two-node compositions they replaced, and
+motion and forward kinematics, one product of the globals with the
+position operator, against the two passes and a frozen copy of that
+product, and `global_to_local`'s one product over all segments against
+the per-segment loop it replaced. The forward kinematics walked one
+segment at a time that the product replaced stays as a tolerance oracle:
+orientations and contact labels bit for bit, positions within 1e-14 and
+accelerations within 1e-11 of the larger of 1 and their largest size.
+The training graph's one-node `linear` and `add_layernorm` are checked,
+op by op and through a whole training step, against frozen copies of
+the two-node compositions they replaced, and
 the tape they leave must be smaller by what those compositions kept and
 no vjp read.
 The inpainting loop's renoise is pinned to a plain expression of its
@@ -49,7 +53,7 @@ from imufill import kinematics as kin
 from imufill import tensor as tt
 from imufill.tensor import Tensor
 
-from conftest import random_rotations, toy_tree
+from conftest import random_rotations, ref_forward_kinematics, toy_tree
 
 
 # -- frozen reference: the plain expressions --------------------------------
@@ -511,30 +515,33 @@ def test_losses_of_mixed_heights_match_per_batch_fk_context(tree, dtype):
 # -- body model ---------------------------------------------------------------
 
 
-def _ref_forward_kinematics(tree, rotations, root_position):
-    rotations = np.asarray(rotations, dtype=np.float64)
-    root_position = np.asarray(root_position, dtype=np.float64)
-    S = tree.n_segments
-    G = np.empty_like(rotations)
-    P = np.empty(rotations.shape[:-3] + (S, 3))
-    G[..., 0, :, :] = rotations[..., 0, :, :]
-    P[..., 0, :] = root_position
-    for i in range(1, S):
-        p = tree.parents[i]
-        G[..., i, :, :] = G[..., p, :, :] @ rotations[..., i, :, :]
-        P[..., i, :] = P[..., p, :] + np.einsum("...ij,j->...i", G[..., p, :, :], tree.offsets[i])
-    sites = P[..., tree.site_segments, :] + np.einsum(
-        "...sij,sj->...si", G[..., tree.site_segments, :, :], tree.site_offsets
-    )
-    contacts = P[..., tree.contact_segments, :] + np.einsum(
-        "...cij,cj->...ci", G[..., tree.contact_segments, :, :], tree.contact_offsets
-    )
-    return kin.FKResult(globals_=G, joints=P, sites=sites, contacts=contacts)
+def _ref_position_operator(tree):
+    """`kinematics.position_operator` as it was built, column by column."""
+    bases = np.concatenate([tree.parents, tree.contact_segments, tree.site_segments])
+    offsets = np.concatenate([tree.offsets, tree.contact_offsets, tree.site_offsets])
+    op = np.zeros((tree.n_segments, 3, len(bases)))
+    for j in range(1, len(bases)):
+        op[:, :, j] = op[:, :, bases[j]]
+        op[bases[j], :, j] = offsets[j]
+    return op.reshape(3 * tree.n_segments, len(bases))
 
 
-def _ref_synthesize_imu(motion, tree, noise_std=0.0):
+def _ref_operator_forward_kinematics(tree, rotations, root_position):
+    """Forward kinematics as one product: the own orientation loop, then
+    every pose's rows G'[r, 3k + c] = G_k[r, c] times the operator."""
+    G = ref_forward_kinematics(tree, rotations, np.zeros(3)).globals_
+    S, C = tree.n_segments, len(tree.contact_segments)
+    rows = np.swapaxes(G, -3, -2).reshape(-1, 3 * S)
+    P = np.swapaxes((rows @ kin.position_operator(tree)).reshape(G.shape[:-3] + (3, -1)), -1, -2)
+    P = P + np.asarray(root_position, dtype=np.float64)[..., None, :]
+    return kin.FKResult(globals_=G, joints=P[..., :S, :], sites=P[..., S + C:, :], contacts=P[..., S:S + C, :])
+
+
+def _ref_synthesize_imu(motion, tree, noise_std, fk_of):
+    """(site orientations, accelerations, contact labels) by the two
+    passes that one synthesis pass replaced, with forward kinematics fk_of."""
     scaled = tree.scaled(motion.height)
-    fk = _ref_forward_kinematics(scaled, motion.rotations, motion.root_positions)
+    fk = fk_of(scaled, motion.rotations, motion.root_positions)
     acc = dg.second_central_difference(fk.sites, dg.RAW_RATE_HZ)
     acc = dg.moving_average(acc)
     if noise_std > 0:
@@ -542,36 +549,47 @@ def _ref_synthesize_imu(motion, tree, noise_std=0.0):
         acc = acc + rng.normal(0.0, noise_std, size=acc.shape)
     idx = np.arange(0, motion.n_frames, dg.DECIMATION)
     orient = fk.globals_[idx][:, tree.site_segments]
-    return orient, acc[idx]
-
-
-def _ref_label_contacts(motion, tree):
-    scaled = tree.scaled(motion.height)
-    fk = _ref_forward_kinematics(scaled, motion.rotations, motion.root_positions)
+    fk = fk_of(scaled, motion.rotations, motion.root_positions)
     speeds = np.linalg.norm(dg.central_velocity(fk.contacts, dg.RAW_RATE_HZ), axis=-1)
-    labels = dg.labels_from_speeds(speeds)
-    return labels[:: dg.DECIMATION]
+    return orient, acc[idx], dg.labels_from_speeds(speeds)[:: dg.DECIMATION]
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.3])
 @pytest.mark.parametrize("kind", dg.MOTION_KINDS)
 def test_one_synthesis_pass_matches_frozen_two_passes(tree, kind, noise_std):
+    # bit for bit against the two passes through the operator product;
+    # against the per-segment walk, orientations and labels bit for bit
+    # and accelerations within 1e-11 of the larger of 1 and the largest
     m = dg.generate_motion(kind, seed=5, duration_s=4.0, height=1.68, trial_id=f"{kind}-5")
     got = dg.synthesize_imu(m, tree, noise_std=noise_std)
-    want = (*_ref_synthesize_imu(m, tree, noise_std), _ref_label_contacts(m, tree))
+    want = _ref_synthesize_imu(m, tree, noise_std, _ref_operator_forward_kinematics)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert got[2].dtype == want[2].dtype == np.uint8
+    walked = _ref_synthesize_imu(m, tree, noise_std, ref_forward_kinematics)
+    assert np.array_equal(got[0], walked[0]) and np.array_equal(got[2], walked[2])
+    assert np.abs(got[1] - walked[1]).max() <= 1e-11 * max(1.0, np.abs(walked[1]).max())
 
 
 @pytest.mark.parametrize("toy, batch", [(False, ()), (False, (1801,)), (True, (61,))])
 def test_forward_kinematics_matches_frozen_own_orientation_loop(tree, toy, batch):
+    # bit for bit against the own orientation loop and one product with
+    # the operator, whose rows build equals the column build it replaced;
+    # the per-segment walk holds the orientations bit for bit and the
+    # positions within 1e-14 of the larger of 1 and the largest |p|
     body = toy_tree() if toy else tree.scaled(1.83)
+    assert np.array_equal(kin.position_operator(body), _ref_position_operator(body))
     rng = np.random.default_rng(len(batch) + toy)
     rot = random_rotations(rng, *batch, body.n_segments)
     root = rng.standard_normal(batch + (3,))
-    got, want = kin.forward_kinematics(body, rot, root), _ref_forward_kinematics(body, rot, root)
+    got = kin.forward_kinematics(body, rot, root)
+    want = _ref_operator_forward_kinematics(body, rot, root)
     for name in ("globals_", "joints", "sites", "contacts"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    walked = ref_forward_kinematics(body, rot, root)
+    assert np.array_equal(got.globals_, walked.globals_)
+    for name in ("joints", "sites", "contacts"):
+        g, w = getattr(got, name), getattr(walked, name)
+        assert np.abs(g - w).max() <= 1e-14 * max(1.0, np.abs(w).max()), name
 
 
 def _ref_global_to_local(tree, globals_):

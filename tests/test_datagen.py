@@ -9,6 +9,8 @@ from imufill import diffusion as df
 from imufill import features as ft
 from imufill import kinematics as kin
 
+from conftest import ref_forward_kinematics
+
 
 def test_stationary_motion(tree):
     m = dg.generate_motion("stationary", seed=1, duration_s=3.0)
@@ -163,6 +165,23 @@ def test_energy_single_moving_segment_oracle():
     m = dg.MotionSequence(20.0, rot, root, 1.75, 2.0, "toy")
     # COM of root = midpoint(root joint, child joint); translates at 1 m/s
     assert dg.mean_kinetic_energy(m, toy) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_energy_centres_of_mass_are_segment_midpoints(tree):
+    # a segment's centre of mass is the midpoint of its joint and its
+    # children's mean joint, a leaf's its own joint, from joints walked
+    # one segment at a time
+    m = dg.generate_motion("random_smooth", seed=4, duration_s=2.0, height=1.62, mass=61.0, trial_id="r4")
+    scaled = tree.scaled(m.height)
+    joints = ref_forward_kinematics(scaled, m.rotations, m.root_positions).joints
+    com = joints.copy()
+    for i in range(scaled.n_segments):
+        children = np.flatnonzero(scaled.parents == i)
+        if len(children):
+            com[:, i] = 0.5 * (joints[:, i] + joints[:, children].mean(axis=1))
+    v = dg.central_velocity(com, m.rate)
+    want = (0.5 * scaled.masses(m.mass) * (v**2).sum(axis=-1)).sum(axis=-1).mean()
+    assert dg.mean_kinetic_energy(m, tree) == pytest.approx(want, rel=1e-9)
 
 
 def test_trial_weights_floor_and_symmetry(tree):

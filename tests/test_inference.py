@@ -14,6 +14,8 @@ from imufill import features as ft
 from imufill import inference as inf
 from imufill import kinematics as kin
 
+from conftest import ref_forward_kinematics
+
 
 @pytest.fixture(scope="module")
 def tiny_model():
@@ -297,10 +299,19 @@ def _tpose_frame(tree, root_xyz, dp, contacts, leg_tweak_deg=0.0):
 
 def _contact_xz(frame, tree):
     """Root-relative horizontal contact points of one frame, decoded on
-    its own: the reference for the points a Reconstructor carries."""
+    its own: the reference for the points a Reconstructor carries, from
+    the decoded globals through the operator's contact columns."""
+    g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
+    contact_op = kin.position_operator(tree)[:, ft.N_SEGMENTS:ft.N_SEGMENTS + ft.B_LEN]
+    return kin.positions(kin.decode_rot6d(g6), contact_op)[:, [0, 2]]
+
+
+def _walked_contact_xz(frame, tree):
+    """The same points by the path sessions took before: local rotations,
+    then forward kinematics walked one segment at a time."""
     g6 = frame[ft.R_OFF:ft.R_OFF + ft.R_LEN].reshape(ft.N_SEGMENTS, 6)
     locals_ = kin.global_to_local(tree, kin.decode_rot6d(g6))
-    return kin.forward_kinematics(tree, locals_, np.zeros(3)).contacts[:, [0, 2]]
+    return ref_forward_kinematics(tree, locals_, np.zeros(3)).contacts[:, [0, 2]]
 
 
 def _reference_root_correct(prev_frame, cur_frame, tree):
@@ -396,9 +407,10 @@ def test_session_matches_reference_root_correction(tree, tiny_model, gait_trial,
         assert not gate[flight].any() and gate[~flight].any()
 
 
-@pytest.mark.parametrize("root_correction, fk_calls", [(True, 1), (False, 0)])
-def test_step_decodes_the_emitted_frame_once(tree, tiny_model, gait_trial, monkeypatch,
-                                             root_correction, fk_calls):
+@pytest.mark.parametrize("root_correction", [True, False])
+def test_step_decodes_the_emitted_frame_once(tree, tiny_model, gait_trial, monkeypatch, root_correction):
+    # the contact points come from the decoded globals, so no step runs
+    # forward kinematics
     cfg, params, schedule, fast = tiny_model
     config = ft.SensorConfig(imu_sites=("pelvis",), insoles=True)
     recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=gait_trial.motion.height,
@@ -420,7 +432,24 @@ def test_step_decodes_the_emitted_frame_once(tree, tiny_model, gait_trial, monke
     counted(kin, "forward_kinematics")
     for m in list(inf.measurements_from_trial(gait_trial, config))[:6]:
         recon.step(m)
-    assert calls == {"decode_rot6d": 6, "global_to_local": 6, "forward_kinematics": 6 * fk_calls}
+    assert calls == {"decode_rot6d": 6, "global_to_local": 6, "forward_kinematics": 0}
+
+
+def test_carried_contact_points_match_the_local_round_trip(tree, tiny_model, gait_trial):
+    # the points a gait session carries from step to step, against local
+    # rotations through forward kinematics walked one segment at a time;
+    # the subject is not the skeleton's reference height, so the points
+    # must come from the scaled tree
+    cfg, params, schedule, fast = tiny_model
+    config = ft.SensorConfig(imu_sites=("pelvis", "head", "shank_l", "shank_r"), insoles=True)
+    recon = inf.Reconstructor(cfg, fast, schedule, tree, config, height=1.62,
+                              spread=inf.StepSpread.like_10d(3), seed=2)
+    recon.cold_start()
+    err = np.abs(recon.contact_xz - _walked_contact_xz(recon.window[-1], recon.scaled_tree)).max()
+    for m in list(inf.measurements_from_trial(gait_trial, config))[:20]:
+        frame = recon.step(m).frame
+        err = max(err, np.abs(recon.contact_xz - _walked_contact_xz(frame, recon.scaled_tree)).max())
+    assert err <= 1e-12
 
 
 @pytest.mark.parametrize("root_correction", [True, False])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from imufill import kinematics as kin
 
-from conftest import random_rotations, toy_tree
+from conftest import random_rotations, ref_forward_kinematics, toy_tree
 
 
 def test_default_tree_valid(tree):
@@ -180,7 +180,7 @@ def test_rot_to_quat_bit_identical_to_loop():
 
 
 def _positions(op, G):
-    """(..., S + C, 3) root-relative positions from global orientations
+    """(..., P, 3) root-relative positions from global orientations
     (..., S, 3, 3) through a position operator: (G' @ op)^T with
     G'[r, 3k + c] = G_k[r, c]."""
     rows = np.swapaxes(G, -3, -2).reshape(G.shape[:-3] + (3, -1))
@@ -189,19 +189,23 @@ def _positions(op, G):
 
 @pytest.mark.parametrize("toy, height", [(False, 1.55), (False, 1.75), (False, 1.93), (True, 0.9)])
 def test_position_operator_matches_forward_kinematics(tree, toy, height):
+    # against forward kinematics walked one segment at a time, which the
+    # operator does not go through
     base = toy_tree() if toy else tree
     body = base.scaled(height)
     op = kin.position_operator(body)
     S, C = body.n_segments, len(body.contact_segments)
-    assert op.shape == (3 * S, S + C)
+    assert op.shape == (3 * S, S + C + (1 if toy else kin.N_SITES))
     rng = np.random.default_rng(S + int(100 * height))
     rot = random_rotations(rng, 40, S)
-    fk = kin.forward_kinematics(body, rot, np.zeros(3))
-    pos = _positions(op, fk.globals_)
-    assert np.abs(pos[:, :S] - fk.joints).max() <= 1e-12
-    assert np.abs(pos[:, S:] - fk.contacts).max() <= 1e-12
+    ref = ref_forward_kinematics(body, rot, np.zeros(3))
+    pos = _positions(op, ref.globals_)
+    assert np.abs(pos[:, :S] - ref.joints).max() <= 1e-12
+    assert np.abs(pos[:, S:S + C] - ref.contacts).max() <= 1e-12
+    assert np.abs(pos[:, S + C:] - ref.sites).max() <= 1e-12
     # each entry is one offset component, so scaling the tree scales it exactly
     assert np.array_equal(op, kin.position_operator(base) * (height / base.reference_height))
+    assert np.array_equal(body.operator, op) and not body.operator.flags.writeable
 
 
 def test_scaled_tree(tree):
