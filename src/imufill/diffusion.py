@@ -19,7 +19,9 @@ batch and takes a softmax over each head's pair of scores. FastDenoiser
 calls them on its weights once per (t, h) and turns the fold into a tanh
 gate, since a softmax over two scores is a sigmoid of their difference;
 it caches the result. Besides its weights FastDenoiser keeps only that
-cache, so one instance can be shared. The per-token block's structure is
+cache and `in_factor`, a square root of its input projection's Gram
+matrix for noise drawn in the projected space, so one instance can be
+shared. The per-token block's structure is
 written twice, as graph ops and as in-place numpy, and its softmax,
 layernorm and GELU arithmetic once, in `tensor`'s kernels; their
 agreement is covered by tests.
@@ -591,19 +593,26 @@ class FastDenoiser:
       keys and values read them all; the last layer computes keys and
       values for every token and everything else (query, both
       attentions, FFN, layernorms, output projection) for `r` alone.
+    - A window enters only through its product with `in_proj.w` (W):
+      `predict` is that product followed by `predict_projected`, which
+      takes the projected frame rows, so a caller that works in the
+      (61, d) projected space (the session's renoise loop) skips the
+      (61, 190) one. `in_factor` is the R of W = QR, with RᵀR = WᵀW, for
+      noise drawn in that space.
 
     The block's structure is written here a second time; its GELU,
     softmax and layernorm arithmetic are the graph's kernels in `tensor`.
     Residual and bias adds go in place into a product's fresh array (see
     `_add_layernorm_inplace`). An instance keeps only its weights, the
-    position table, the token index of each frame row and the (t, h)
-    cache of one height; `predict` works on arrays it allocates, so one
-    instance can serve several sessions or threads. Its weights share the
-    parameters' arrays when they are already contiguous in its dtype
-    (`np.ascontiguousarray` copies nothing then), and `tensor.adam_step`
-    writes into those arrays in place: an instance built over parameters
-    that are still training would see each step's weights with a stale
-    conditioning cache. Build it after training, as `reconstruct` and
+    position table, the token index of each frame row, the (t, h)
+    cache of one height and `in_factor` once it is read; `predict` works
+    on arrays it allocates, so one instance can serve several sessions
+    or threads. Its weights share the parameters' arrays when they are
+    already contiguous in its dtype (`np.ascontiguousarray` copies
+    nothing then), and `tensor.adam_step` writes into those arrays in
+    place: an instance built over parameters that are still training
+    would see each step's weights with a stale conditioning cache and a
+    stale `in_factor`. Build it after training, as `reconstruct` and
     `sweep` do.
     """
 
@@ -646,17 +655,32 @@ class FastDenoiser:
             self._cond_cache = (key[1], {key: out})
         return out
 
+    @functools.cached_property
+    def in_factor(self) -> np.ndarray:
+        """The (k, d) R of `in_proj.w` = QR, k = min(190, d), with
+        RᵀR = WᵀW: if n holds standard normals, n @ R has the law of a
+        standard normal window's product with W. Taken in float64 and
+        rounded once to the model dtype; built on first read, read-only."""
+        r = np.linalg.qr(self.w["in_proj.w"].astype(np.float64), mode="r").astype(self.dtype)
+        r.flags.writeable = False
+        return r
+
     def predict(self, z: np.ndarray, t: int, h: float, rows: np.ndarray | None = None) -> np.ndarray:
         """(61, 190) noised window -> predicted clean window. With `rows`,
         a 1-D array of distinct frame indices, only those rows: the result
         equals `predict(z, t, h)[rows]` in exact arithmetic and within
         float32 rounding, because BLAS rounds a row by its place in a
         product."""
+        return self.predict_projected(np.asarray(z, dtype=self.dtype) @ self.w["in_proj.w"], t, h, rows)
+
+    def predict_projected(self, zw: np.ndarray, t: int, h: float, rows: np.ndarray | None) -> np.ndarray:
+        """`predict(z, t, h, rows)` of the window z whose product with
+        `in_proj.w` is `zw`, (61, d) in the model dtype; `zw` is not
+        written."""
         w = self.w
         d = self.cfg.width
         step_tok, height_tok, gates = self._conditioning(t, h)
-        frames = np.asarray(z, dtype=self.dtype) @ w["in_proj.w"]
-        frames += w["in_proj.b"]
+        frames = zw + w["in_proj.b"]
         frames += self.pos
         x = np.concatenate([step_tok, height_tok, frames])
         *body, last = self._layers

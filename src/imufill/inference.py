@@ -17,8 +17,10 @@ The inpainting loop follows the renoise-and-edit algorithm literally:
 every iteration renoises the current estimate of the whole window at the
 step's noise level, predicts the clean newest frame, and freezes its
 observed channels back to the input. The noise is Box-Muller normals
-from the session's generator (`_standard_normal`); the t = 0 step, whose
-noise level is 0, draws none.
+from the session's generator (`_standard_normal`), drawn in the
+denoiser's input space, the window's product with `in_proj.w`, which is
+all the denoiser reads of it (see `inpaint_denoise`); the t = 0 step,
+whose noise level is 0, draws none.
 
 Wire formats (JSON lines, versioned by a header record):
 
@@ -244,12 +246,23 @@ def inpaint_denoise(
     """The newest frame of a (61, 190) window, with its unobserved
     channels generated; its observed channels ((190,) bool) pass through
     bit-exactly, and the history rows are known. Each step renoises the
-    whole window with one window of Box-Muller noise from `rng`
-    (`_standard_normal`), predicts the newest row and takes the model
-    output in its unobserved channels. A step whose alpha_bar is exactly
-    1 (t = 0 under the cosine schedule) would scale its noise by 0, so it
-    draws nothing and predicts from the estimate itself. The window is
-    checked to be finite once, before the first step."""
+    whole window, predicts the newest row and takes the model output in
+    its unobserved channels.
+
+    The model reads a window only through its product with `in_proj.w`
+    (W, (190, d)), so the loop works in that projected space: the
+    estimate is projected once (xw = x @ W), and after each step only its
+    newest row is projected again. A step draws one (61, k) block n of
+    Box-Muller normals from `rng` (`_standard_normal`), k = min(190, d),
+    and gives `predict_projected` u = sqrt(1 - ab) n @ R + sqrt(ab) xw,
+    with R the model's `in_factor` (RᵀR = WᵀW). That is the product with W
+    of the window renoised with eps = n Qᵀ (W = QR), a standard normal
+    window in the directions W reads, so samples differ from a renoise in
+    window space but their distribution does not; below width 190 a step
+    draws 61 d normals, not 61 x 190. A step whose alpha_bar is exactly 1
+    (t = 0 under the cosine schedule) would scale its noise by 0, so it
+    draws nothing and predicts from xw itself. The window is checked to
+    be finite once, before the first step."""
     window = np.asarray(window)
     if window.shape != (ft.WINDOW_LEN, ft.FRAME_DIM):
         raise ContractError(f"window shape {window.shape}")
@@ -258,32 +271,37 @@ def inpaint_denoise(
     if spread.steps[0] > schedule.T:
         raise SpreadError(f"spread starts at {spread.steps[0]} > T={schedule.T}")
     dtype = model.dtype
-    x = window.astype(dtype)  # the estimate: the window, model output in the generated channels
+    x = window.astype(dtype)
     if not np.isfinite(x).all():
         raise InferenceError("non-finite value in the input window")
-    known = x[-1].copy()
-    noise, scaled = np.empty_like(x), np.empty_like(x)  # local, so threads can share the model
+    known = x[-1]
+    W, R = model.w["in_proj.w"], model.in_factor
+    xw = x @ W  # the estimate, projected: the window, model output in the generated channels
+    # local, so threads can share the model
+    noise, uniforms = np.empty((2, ft.WINDOW_LEN, len(R)), dtype)
+    u, scaled = np.empty((2,) + xw.shape, dtype)
     for t in spread.steps:
-        # renoise: sqrt(ab_t) x + sqrt(1 - ab_t) eps, with eps drawn into
-        # `noise` through the uniforms in `scaled`
+        # renoise: sqrt(1 - ab_t) n @ R + sqrt(ab_t) xw, with n drawn into
+        # `noise` through the uniforms in `uniforms`
         ab = schedule.alpha_bar[t]
         if ab == 1.0:  # the noise would be scaled by 0
-            z = x
+            zw = xw
         else:
-            z = noise
-            _standard_normal(rng, z, scaled)
-            z *= np.sqrt(1.0 - ab, dtype=dtype)
-            z += np.multiply(np.sqrt(ab, dtype=dtype), x, out=scaled)
+            zw = u
+            _standard_normal(rng, noise, uniforms)
+            np.matmul(noise, R, out=zw)
+            zw *= np.sqrt(1.0 - ab, dtype=dtype)
+            zw += np.multiply(np.sqrt(ab, dtype=dtype), xw, out=scaled)
         # edit: predict the clean newest frame and freeze its observed channels
-        x0 = model.predict(z, t, h, rows=_NEWEST)[0]
+        x0 = model.predict_projected(zw, t, h, rows=_NEWEST)[0]
         if not np.isfinite(x0).all():
             raise InferenceError(f"non-finite denoiser output at step t={t}")
         np.copyto(x0, known, where=observed)
-        x[-1] = x0
+        np.matmul(x0, W, out=xw[-1])
     # the last step froze observed channels; make the pass-through exact
     # in the window's own dtype as well
     frame = window[-1].copy()
-    np.copyto(frame, x[-1], where=~observed)
+    np.copyto(frame, x0, where=~observed)
     return frame
 
 

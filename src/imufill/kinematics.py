@@ -218,15 +218,19 @@ def decode_rot6d(r6: np.ndarray) -> np.ndarray:
     column norm is floored at 1e-8, which keeps the result finite.
     """
     r6 = np.asarray(r6, dtype=np.float64)
-    a1, a2 = r6[..., :3], r6[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    b1 = a1 / np.maximum(n1, _ROT6D_EPS)
-    proj = (b1 * a2).sum(axis=-1, keepdims=True)
-    u2 = a2 - proj * b1
-    n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    b2 = u2 / np.maximum(n2, _ROT6D_EPS)
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=-1)
+    x1, y1, z1, x2, y2, z2 = np.moveaxis(r6, -1, 0)
+    R = np.empty(r6.shape[:-1] + (3, 3))
+    b1, b2 = R[..., 0], R[..., 1]  # the first two columns, (..., 3) views
+    np.divide(r6[..., :3], np.maximum(np.sqrt(x1 * x1 + y1 * y1 + z1 * z1), _ROT6D_EPS)[..., None], out=b1)
+    bx, by, bz = R[..., 0, 0], R[..., 1, 0], R[..., 2, 0]
+    np.subtract(r6[..., 3:], (bx * x2 + by * y2 + bz * z2)[..., None] * b1, out=b2)
+    cx, cy, cz = R[..., 0, 1], R[..., 1, 1], R[..., 2, 1]
+    np.divide(b2, np.maximum(np.sqrt(cx * cx + cy * cy + cz * cz), _ROT6D_EPS)[..., None], out=b2)
+    # the third column, b1 x b2
+    np.subtract(by * cz, bz * cy, out=R[..., 0, 2])
+    np.subtract(bz * cx, bx * cz, out=R[..., 1, 2])
+    np.subtract(bx * cy, by * cx, out=R[..., 2, 2])
+    return R
 
 
 # -- quaternions (wxyz) ---------------------------------------------------

@@ -184,22 +184,26 @@ def score_trial(trial: Trial, rotations: np.ndarray, roots: np.ndarray, tree: Ki
 def sweep_configs(model_cfg: DenoiserConfig, params, schedule: DiffusionSchedule,
                   tree: KinematicTree, trials: list[Trial], configs: list[ft.SensorConfig],
                   objectives: list[str], spread: StepSpread, seed: int = 0) -> SweepResult:
-    """Reconstruct every trial under every config with one model; aggregate and rank."""
+    """Reconstruct every trial under every config with one model; aggregate and rank.
+
+    Trials are the outer loop, so each trial's height fills the model's
+    conditioning cache once for all the configs; every session has its
+    own generator, so the order changes no result."""
     model = FastDenoiser(model_cfg, params)
-    entries: dict[str, SweepEntry] = {}
-    for config in configs:
-        reports = []
-        latencies = []
-        for trial in trials:
+    reports: list[list[dict]] = [[] for _ in configs]
+    latencies: list[list[float]] = [[] for _ in configs]
+    for trial in trials:
+        for config, config_reports, config_latencies in zip(configs, reports, latencies):
             recon = Reconstructor(model_cfg, model, schedule, tree, config,
                                   height=trial.motion.height, spread=spread, seed=seed)
             rot, root, results = reconstruct_trial(recon, trial, config)
-            reports.append(score_trial(trial, rot, root, tree))
-            latencies.extend(r.latency_ms for r in results)
-        entries[config.label()] = SweepEntry(
-            config=config, per_trial=reports, aggregate=aggregate_reports(reports),
-            mean_latency_ms=float(np.mean(latencies)),
-        )
+            config_reports.append(score_trial(trial, rot, root, tree))
+            config_latencies.extend(r.latency_ms for r in results)
+    entries = {
+        config.label(): SweepEntry(config=config, per_trial=r, aggregate=aggregate_reports(r),
+                                   mean_latency_ms=float(np.mean(lat)))
+        for config, r, lat in zip(configs, reports, latencies)
+    }
     rankings = {obj: rank_configs(entries, obj) for obj in objectives}
     return SweepResult(entries=entries, rankings=rankings)
 

@@ -27,10 +27,13 @@ op by op and through a whole training step, against frozen copies of
 the two-node compositions they replaced, and
 the tape they leave must be smaller by what those compositions kept and
 no vjp read.
-The inpainting loop's renoise is pinned to a plain expression of its
-Box-Muller sampler; the ziggurat draws it replaced give another sample,
-so they are no tolerance oracle, and the sampler's distribution tests in
-`test_inference.py` take that role.
+The inpainting loop is pinned to a plain expression of its arithmetic in
+the denoiser's input space: the window projected once, Box-Muller noise
+drawn as a (61, k) block and mapped by the model's `in_factor`, and the
+generated row projected again. The window-space renoise and the
+ziggurat draws it replaced give another sample, so they are no tolerance
+oracle; the float64 full-window reference whose noise is n Qᵀ and the
+sampler's distribution tests in `test_inference.py` take that role.
 The block-by-block `gelu` and `adam_step` are checked byte for byte
 against frozen copies of the full-array expressions they replaced; the
 tape must no longer hold GELU's tanh, and `backward` must release it as
@@ -160,10 +163,15 @@ def _ref_block(model, x, q, kv, lw, cond, arith):
 
 
 def _ref_predict(model, z, t, h, rows=None, arith=PLAIN):
+    return _ref_predict_projected(model, np.asarray(z, dtype=model.dtype) @ model.w["in_proj.w"], t, h,
+                                  rows, arith)
+
+
+def _ref_predict_projected(model, zw, t, h, rows=None, arith=PLAIN):
     w = model.w
     d = model.cfg.width
     step_tok, height_tok, conds = arith.conditioning(model, t, h)
-    frames = np.asarray(z, dtype=model.dtype) @ w["in_proj.w"] + w["in_proj.b"] + model.pos
+    frames = zw + w["in_proj.b"] + model.pos
     x = np.concatenate([step_tok, height_tok, frames])
     *body, last = model._layers
     for lw, cond in zip(body, conds):
@@ -177,32 +185,37 @@ def _ref_predict(model, z, t, h, rows=None, arith=PLAIN):
 
 
 def _ref_inpaint(model, schedule, x_input, mask, h, spread, rng):
+    """The loop in the denoiser's input space: the window projected once by
+    W = `in_proj.w`, noise n (61, k) mapped by the model's factor R, and
+    each generated row projected again after its edit."""
     keep = mask > 0.5
     rows = np.flatnonzero(~keep.all(axis=1))
     dtype = model.dtype
+    W, R = model.w["in_proj.w"], model.in_factor
     xin = x_input.astype(dtype)
     x = xin.copy()
+    xw = x @ W
 
-    def noised(a, t):
+    def noised(aw, t):
         ab = schedule.alpha_bar[t]
         if ab == 1.0:  # no noise, so no draw
-            return a
-        # Box-Muller on one window of uniforms: radii from the first half,
-        # angles from the second
-        u = rng.random(a.size, dtype=dtype)
-        n = a.size // 2
+            return aw
+        # Box-Muller on one (61, k) block of uniforms: radii from the first
+        # half, angles from the second
+        u = rng.random(len(aw) * len(R), dtype=dtype)
+        n = u.size // 2
         r = np.sqrt(-2 * np.log(1 - u[:n]))
         angle = 2 * np.pi * u[n:]
-        z = np.concatenate([r * np.cos(angle), r * np.sin(angle)]).reshape(a.shape)
-        z *= np.sqrt(1.0 - ab, dtype=dtype)
-        z += np.sqrt(ab, dtype=dtype) * a
-        return z
+        z = np.concatenate([r * np.cos(angle), r * np.sin(angle)]).reshape(len(aw), len(R))
+        return np.sqrt(1.0 - ab, dtype=dtype) * (z @ R) + np.sqrt(ab, dtype=dtype) * aw
 
-    def edit(z, t):
-        x[rows] = np.where(keep[rows], xin[rows], _ref_predict(model, z, t, h, rows=rows))
+    def edit(zw, t):
+        x[rows] = np.where(keep[rows], xin[rows], _ref_predict_projected(model, zw, t, h, rows=rows))
+        for r in rows:
+            xw[r] = x[r] @ W
 
     for t in spread.steps:
-        edit(noised(x, t), t)
+        edit(noised(xw, t), t)
     result = x_input.copy()
     np.copyto(result, x, where=~keep)
     return result
@@ -323,21 +336,22 @@ def test_add_layernorm_matches_plain_sum_and_mean(shape, dtype):
 
 
 def test_inpaint_matches_frozen_reference_bit_for_bit():
-    cfg = df.DenoiserConfig(layers=2, width=32, ff=64)
-    model = df.FastDenoiser(cfg, df.init_denoiser(cfg, seed=5))
     schedule = df.build_cosine_schedule(1000)
     spread = inf.StepSpread.like_10d(5)
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((61, 190))
-        observed = rng.random(190) >= rng.random()
-        mask = np.ones_like(x)  # every history row known, as in a session
-        mask[-1] = observed
-        got_rng, want_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
-        got = inf.inpaint_denoise(model, schedule, x, observed, 1.7, spread, got_rng)
-        want = _ref_inpaint(model, schedule, x, mask, 1.7, spread, want_rng)
-        assert np.array_equal(got, want[-1]), seed
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for width in (32, 256):  # k = d, and k = 190 < d
+        cfg = df.DenoiserConfig(layers=2, width=width, ff=64)
+        model = df.FastDenoiser(cfg, df.init_denoiser(cfg, seed=5))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((61, 190))
+            observed = rng.random(190) >= rng.random()
+            mask = np.ones_like(x)  # every history row known, as in a session
+            mask[-1] = observed
+            got_rng, want_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            got = inf.inpaint_denoise(model, schedule, x, observed, 1.7, spread, got_rng)
+            want = _ref_inpaint(model, schedule, x, mask, 1.7, spread, want_rng)
+            assert np.array_equal(got, want[-1]), (width, seed)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # -- conditioning -------------------------------------------------------------
@@ -590,6 +604,32 @@ def test_forward_kinematics_matches_frozen_own_orientation_loop(tree, toy, batch
     for name in ("joints", "sites", "contacts"):
         g, w = getattr(got, name), getattr(walked, name)
         assert np.abs(g - w).max() <= 1e-14 * max(1.0, np.abs(w).max()), name
+
+
+def _ref_decode_rot6d(r6):
+    """`decode_rot6d` as numpy's norm, cross and stack wrote it."""
+    r6 = np.asarray(r6, dtype=np.float64)
+    a1, a2 = r6[..., :3], r6[..., 3:]
+    b1 = a1 / np.maximum(np.linalg.norm(a1, axis=-1, keepdims=True), 1e-8)
+    u2 = a2 - (b1 * a2).sum(axis=-1, keepdims=True) * b1
+    b2 = u2 / np.maximum(np.linalg.norm(u2, axis=-1, keepdims=True), 1e-8)
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1)
+
+
+@pytest.mark.parametrize("shape,dtype", [((24, 6), np.float32), ((500, 24, 6), np.float64), ((6,), np.float64)])
+def test_decode_rot6d_matches_frozen_norm_cross_stack_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(len(shape))
+    r6 = (3.0 * rng.standard_normal(shape)).astype(dtype)
+    flat = r6.reshape(-1, 6)
+    flat[:3] = 0.0  # both columns at the norm floor
+    flat[3:6, 3:] = 2.5 * flat[3:6, :3]  # parallel columns
+    flat[6:9, :3] *= 1e-9  # a first column below the floor
+    got = kin.decode_rot6d(r6)
+    want = _ref_decode_rot6d(r6)
+    assert got.shape == shape[:-1] + (3, 3) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    got = kin.decode_rot6d(r6[..., ::-1])  # a strided input, last axis reversed
+    assert got.tobytes() == _ref_decode_rot6d(r6[..., ::-1]).tobytes()
 
 
 def _ref_global_to_local(tree, globals_):

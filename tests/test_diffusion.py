@@ -291,6 +291,42 @@ def test_one_fast_denoiser_shared_by_two_threads(gait_window):
     assert sum(not ok for g in got for ok in g) == 0
 
 
+def _in_proj_model(width, repeat=False):
+    cfg = df.DenoiserConfig(layers=1, width=width, ff=32)
+    params = df.init_denoiser(cfg, seed=width)
+    if repeat:  # a repeated column, so in_proj.w has rank d - 1
+        params["in_proj.w"].data[:, 1] = params["in_proj.w"].data[:, 0]
+    return df.FastDenoiser(cfg, params)
+
+
+@pytest.mark.parametrize("width,repeat", [(16, False), (64, False), (256, False), (64, True)],
+                         ids=["16", "64", "256", "64-rank-deficient"])
+def test_in_factor_squares_to_the_gram_matrix_of_in_proj(width, repeat):
+    fast = _in_proj_model(width, repeat)
+    assert "in_factor" not in vars(fast)  # built on first read, not with the instance
+    R = fast.in_factor
+    assert R.shape == (min(190, width), width) and R.dtype == np.float32
+    assert fast.in_factor is R and not R.flags.writeable
+    W = fast.w["in_proj.w"].astype(np.float64)
+    if repeat:
+        assert np.linalg.matrix_rank(W) == width - 1
+    gram = W.T @ W
+    R = R.astype(np.float64)
+    assert np.abs(R.T @ R - gram).max() <= 1e-5 * np.abs(gram).max()
+
+
+def test_predict_is_the_in_proj_product_then_predict_projected(gait_window):
+    cfg = df.DenoiserConfig(layers=2, width=32, ff=64)
+    fast = df.FastDenoiser(cfg, df.init_denoiser(cfg, seed=11))
+    z = gait_window.astype(np.float32)
+    zw = z @ fast.w["in_proj.w"]
+    kept = zw.copy()
+    for rows in (None, np.array([60])):
+        got = fast.predict_projected(zw, 300, 1.7, rows=rows)
+        assert got.tobytes() == fast.predict(z, 300, 1.7, rows=rows).tobytes()
+    assert zw.tobytes() == kept.tobytes()  # its input is not written
+
+
 # -- losses ----------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -134,19 +136,22 @@ def test_inpaint_takes_the_newest_frames_observed_flags(tiny_model, observed):
 
 
 def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng):
-    """The inpainting loop written plainly: full-window predictions, fresh
-    noise arrays and np.where edits."""
+    """The inpainting loop written plainly in window space: full-window
+    predictions, fresh noise arrays and np.where edits. A renoise draws a
+    (61, k) block n of normals and takes eps = n Qᵀ, with Q the orthonormal
+    (190, k) factor of W = QR, so that eps @ W = n R."""
     keep = mask > 0.5
     dtype = model.dtype
     xin = x_input.astype(dtype)
+    Q = np.linalg.qr(model.w["in_proj.w"].astype(np.float64))[0].astype(dtype)
 
     def noised(a, t):
         ab = schedule.alpha_bar[t]
         if ab == 1.0:  # no noise, so no draw
             return a
-        eps = np.empty_like(a)
-        inf._standard_normal(rng, eps, np.empty_like(a))
-        return np.sqrt(ab, dtype=dtype) * a + np.sqrt(1.0 - ab, dtype=dtype) * eps
+        n = np.empty((len(a), Q.shape[1]), dtype)
+        inf._standard_normal(rng, n, np.empty_like(n))
+        return np.sqrt(ab, dtype=dtype) * a + np.sqrt(1.0 - ab, dtype=dtype) * (n @ Q.T)
 
     x = xin
     for t in spread.steps:
@@ -158,17 +163,22 @@ def _inpaint_reference(model, schedule, x_input, mask, h, spread, rng):
 
 @pytest.fixture(scope="module")
 def model64():
-    cfg = df.DenoiserConfig(layers=2, width=16, ff=32, nhead=2)
-    params = df.init_denoiser(cfg, seed=1, dtype=np.float64)
-    return df.build_cosine_schedule(1000), df.FastDenoiser(cfg, params, dtype=np.float64)
+    # float64 models on both sides of width 190: k = d = 16, and
+    # k = 190 < d = 256
+    models = {}
+    for layers, width, ff in [(2, 16, 32), (1, 256, 64)]:
+        cfg = df.DenoiserConfig(layers=layers, width=width, ff=ff, nhead=2)
+        models[width] = df.FastDenoiser(cfg, df.init_denoiser(cfg, seed=1, dtype=np.float64), dtype=np.float64)
+    return df.build_cosine_schedule(1000), models
 
 
 @settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
-def test_inpaint_matches_full_window_reference(model64, seed, density):
+@given(seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0), width=st.sampled_from([16, 256]))
+def test_inpaint_matches_full_window_reference(model64, seed, density, width):
     # the newest frame of a full-window inpainting whose mask keeps every
     # history row and the newest frame's observed channels
-    schedule, fast = model64
+    schedule, models = model64
+    fast = models[width]
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((61, 190))
     observed = rng.random(190) >= density
@@ -181,8 +191,10 @@ def test_inpaint_matches_full_window_reference(model64, seed, density):
 
 
 def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model):
-    # one window of float32 uniforms per step with t > 0, none at t = 0
+    # one (61, k) block of float32 uniforms per step with t > 0, none at
+    # t = 0; k = min(190, d) is the width here
     cfg, params, schedule, fast = tiny_model
+    assert fast.in_factor.shape == (cfg.width, cfg.width)
     x = np.random.default_rng(6).standard_normal((61, 190))
     observed = np.ones(190, bool)
     observed[150:] = False
@@ -192,7 +204,7 @@ def test_inpaint_draws_one_window_of_noise_per_renoise(tiny_model):
     inf.inpaint_denoise(fast, schedule, x, observed, 1.75, spread, rng)
     fresh = np.random.default_rng(13)
     for _ in spread.steps[:-1]:
-        fresh.random((61, 190), dtype=np.float32)
+        fresh.random((61, cfg.width), dtype=np.float32)
     assert rng.bit_generator.state == fresh.bit_generator.state
 
 
@@ -278,6 +290,27 @@ def test_standard_normal_odd_sizes_take_one_extra_pair(n):
     assert rng.bit_generator.state == fresh.bit_generator.state
     r = np.sqrt(-2 * np.log(1 - pair[:1]))
     assert z[-1] == (r * np.cos(2 * np.pi * pair[1:]))[0]
+
+
+@pytest.mark.parametrize("width", [64, 256])
+def test_noise_through_in_factor_has_the_law_of_projected_window_noise(width):
+    # n @ R, n standard normal (N, k), against eps @ W, eps standard
+    # normal (N, 190): both have covariance WᵀW
+    cfg = df.DenoiserConfig(layers=1, width=width, ff=32)
+    fast = df.FastDenoiser(cfg, df.init_denoiser(cfg, seed=3))
+    R = fast.in_factor
+    rows = 20_000
+    n = np.empty((rows, len(R)), np.float32)
+    inf._standard_normal(np.random.default_rng(width), n, np.empty_like(n))
+    y = n.astype(np.float64) @ R.astype(np.float64)
+    cov = y.T @ y / rows  # the mean is 0
+    W = fast.w["in_proj.w"].astype(np.float64)
+    gram = W.T @ W
+    # every entry within 6 standard errors of a sample covariance of
+    # normals, sqrt((S_ii S_jj + S_ij^2) / N)
+    diag = np.diag(gram)
+    se = np.sqrt((np.outer(diag, diag) + gram ** 2) / rows)
+    assert (np.abs(cov - gram) <= 6 * se).all()
 
 
 # -- root correction -------------------------------------------------------
@@ -604,6 +637,39 @@ def test_shared_model_caches_one_height(tree, tiny_model, gait_trial):
     height, entries = fast._cond_cache
     assert height == 1.9 and 0 < len(entries) <= len(spread)
     assert all(h == 1.9 for _, h in entries)
+
+
+def test_two_threads_inpaint_through_one_model_from_its_first_read(tiny_model):
+    # `in_factor` is built on first read; two threads that read it at once
+    # must still give the serial results
+    cfg, params, schedule, serial = tiny_model
+    spread = inf.StepSpread.like_10d(4)
+    base = np.random.default_rng(9)
+    jobs = [(base.standard_normal((61, 190)), base.random(190) < 0.5, seed) for seed in range(4)]
+    want = [inf.inpaint_denoise(serial, schedule, x, obs, 1.7, spread, np.random.default_rng(seed)).tobytes()
+            for x, obs, seed in jobs]
+    shared = df.FastDenoiser(cfg, params)
+    got: list[list] = [[], []]
+
+    def work(k):
+        for i in range(40):
+            j = (i + 2 * k) % len(jobs)
+            x, obs, seed = jobs[j]
+            out = inf.inpaint_denoise(shared, schedule, x, obs, 1.7, spread, np.random.default_rng(seed))
+            got[k].append(out.tobytes() == want[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert [len(g) for g in got] == [40, 40] and all(ok for g in got for ok in g)
 
 
 def test_latency_stats(tree, tiny_model):

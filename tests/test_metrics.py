@@ -183,28 +183,28 @@ def test_sweep_builds_one_model_and_matches_one_model_per_session(tree, monkeypa
 
     # reference: a model per (config, trial) session, scored as sweeps were
     # before they shared one
-    want_reports, want_poses = [], []
+    want_reports, want_poses = [], {}
     for config in configs:
         for trial in trials:
             recon = inf.Reconstructor(cfg, df.FastDenoiser(cfg, params), schedule, tree, config,
                                       height=trial.motion.height, spread=spread, seed=6)
             rot, root, _ = inf.reconstruct_trial(recon, trial, config)
-            want_poses.append((rot, root))
+            want_poses[config.label(), trial.motion.trial_id] = (rot, root)
             m = trial.motion
             shift = m.root_positions[0] - root[0]
             moved = root + np.array([shift[0], 0.0, shift[2]])
             want_reports.append(mt.compute_metrics(m, rot, moved, tree))
 
-    built, poses = [], []
+    built, poses = [], {}
     init, reconstruct = df.FastDenoiser.__init__, mt.reconstruct_trial
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def recorded(*args, **kwargs):
-        out = reconstruct(*args, **kwargs)
-        poses.append(out[:2])
+    def recorded(recon, trial, config):
+        out = reconstruct(recon, trial, config)
+        poses[config.label(), trial.motion.trial_id] = out[:2]
         return out
 
     monkeypatch.setattr(df.FastDenoiser, "__init__", counted_init)
@@ -213,9 +213,59 @@ def test_sweep_builds_one_model_and_matches_one_model_per_session(tree, monkeypa
     assert len(built) == 1
     got_reports = [r for e in result.entries.values() for r in e.per_trial]
     np.testing.assert_equal(got_reports, want_reports)  # NaN jitter compares equal here
-    assert len(poses) == len(want_poses)
-    for got, want in zip(poses, want_poses):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert poses.keys() == want_poses.keys()  # sessions in any order
+    for key, want in want_poses.items():
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(poses[key], want)), key
+
+
+def _config_major_sweep(model_cfg, params, schedule, tree, trials, configs, objectives, spread, seed):
+    """`sweep_configs` as it looped before trials became the outer loop:
+    configs outside, trials inside, each entry built as its config ends."""
+    model = df.FastDenoiser(model_cfg, params)
+    entries = {}
+    for config in configs:
+        reports, latencies = [], []
+        for trial in trials:
+            recon = inf.Reconstructor(model_cfg, model, schedule, tree, config,
+                                      height=trial.motion.height, spread=spread, seed=seed)
+            rot, root, results = inf.reconstruct_trial(recon, trial, config)
+            reports.append(mt.score_trial(trial, rot, root, tree))
+            latencies.extend(r.latency_ms for r in results)
+        entries[config.label()] = mt.SweepEntry(config=config, per_trial=reports,
+                                                aggregate=mt.aggregate_reports(reports),
+                                                mean_latency_ms=float(np.mean(latencies)))
+    return mt.SweepResult(entries=entries, rankings={o: mt.rank_configs(entries, o) for o in objectives})
+
+
+def test_sweep_matches_a_config_major_loop_and_conditions_once_per_trial(tree, monkeypatch):
+    cfg = df.DenoiserConfig(layers=1, width=16, ff=32)
+    params = df.init_denoiser(cfg, seed=3)
+    schedule = df.build_cosine_schedule(1000)
+    trials = dg.generate_corpus(tree, n_trials=3, seconds=1.0, seed=8)
+    assert len({t.motion.height for t in trials}) == 3
+    configs = [ft.SensorConfig.parse(s) for s in ("pelvis", "pelvis,head,insoles", "all13", "pelvis")]
+    spread = inf.StepSpread.like_10d(4)
+    args = (cfg, params, schedule, tree, trials, configs, ["LA", "JPE", "RE2"], spread, 2)
+    want = _config_major_sweep(*args)
+
+    builds = []
+    condition_tokens = df._condition_tokens
+
+    def counted(*a):
+        builds.append(a)
+        return condition_tokens(*a)
+
+    monkeypatch.setattr(df, "_condition_tokens", counted)
+    got = mt.sweep_configs(*args)
+    # one conditioning build per (trial height, step), not per session
+    assert len(builds) == len(trials) * len(spread)
+    assert list(got.entries) == list(want.entries)
+    for label, entry in got.entries.items():
+        w = want.entries[label]
+        assert entry.config == w.config
+        np.testing.assert_equal(entry.per_trial, w.per_trial)  # NaN jitter compares equal here
+        np.testing.assert_equal(entry.aggregate, w.aggregate)
+    assert got.rankings == want.rankings
 
 
 def test_objectives_name_every_aggregated_metric(tree, gait20):
